@@ -52,8 +52,27 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _number(value, field: str) -> float:
+    """A finite float from a config value; the error names the field."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise WingtailError(f"config error: {field} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise WingtailError(f"config error: {field} must be finite, got {value!r}")
+    return number
+
+
+def _field(mapping: dict, key: str, where: str) -> float:
+    return _number(_require(mapping, key, where), f"{where}.{key}")
+
+
 def load_config(path: str, seed_override: int | None = None, tol_override: float | None = None) -> ModelConfig:
-    """Load and validate a JSON config; all component invariants re-checked."""
+    """Load and validate a JSON config; all component invariants re-checked.
+
+    Every numeric field must be finite (JSON readers accept NaN and Infinity);
+    the error names the first field that is not.
+    """
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -62,26 +81,15 @@ def load_config(path: str, seed_override: int | None = None, tol_override: float
     kind = _require(raw, "model", "config")
     if kind not in MODEL_KINDS:
         raise WingtailError(f"config error: model must be one of {MODEL_KINDS}, got {kind!r}")
-    t = float(_require(raw, "t", "config"))
+    t = _field(raw, "t", "config")
     h = _require(raw, "heston", "config")
     jumps = None
     if kind == "heston+kou":
         k = _require(raw, "kou", "config")
-        jumps = KouJumpParams(
-            lam=float(_require(k, "lam", "kou")),
-            eta1=float(_require(k, "eta1", "kou")),
-            eta2=float(_require(k, "eta2", "kou")),
-            p=float(_require(k, "p", "kou")),
-            q=float(_require(k, "q", "kou")),
-            t=t,
-        )
+        jumps = KouJumpParams(**{key: _field(k, key, "kou") for key in ("lam", "eta1", "eta2", "p", "q")}, t=t)
     elif kind == "heston+nig":
         n = _require(raw, "nig", "config")
-        jumps = NIGParams(
-            alpha=float(_require(n, "alpha", "nig")),
-            delta=float(_require(n, "delta", "nig")),
-            t=t,
-        )
+        jumps = NIGParams(**{key: _field(n, key, "nig") for key in ("alpha", "delta")}, t=t)
     mu = _require(h, "mu", "heston")
     if mu == "risk_neutral":
         if kind == "heston+kou":
@@ -91,22 +99,18 @@ def load_config(path: str, seed_override: int | None = None, tol_override: float
         else:
             mu = 0.0
     hp = HestonParams(
-        mu=float(mu),
-        a=float(_require(h, "a", "heston")),
-        b=float(_require(h, "b", "heston")),
-        c=float(_require(h, "c", "heston")),
-        rho=float(_require(h, "rho", "heston")),
-        x0=float(_require(h, "x0", "heston")),
-        y0=float(_require(h, "y0", "heston")),
+        mu=_number(mu, "heston.mu"),
+        **{key: _field(h, key, "heston") for key in ("a", "b", "c", "rho", "x0", "y0")},
         t=t,
     )
     model = MixedModel(heston=hp, jumps=jumps)
-    seed = int(raw.get("seed", 12345)) if seed_override is None else int(seed_override)
+    seed = int(_number(raw.get("seed", 12345), "config.seed")) if seed_override is None else int(seed_override)
     tdict = raw.get("tolerances", {})
     tol = Tolerance(
-        rel=float(tdict.get("rel", 1e-10)) if tol_override is None else float(tol_override),
-        abs=float(tdict.get("abs", 1e-13)),
-        max_iter=int(tdict.get("max_iter", 400)),
+        rel=_number(tdict.get("rel", 1e-10), "tolerances.rel") if tol_override is None
+        else _number(tol_override, "--tol"),
+        abs=_number(tdict.get("abs", 1e-13), "tolerances.abs"),
+        max_iter=int(_number(tdict.get("max_iter", 400), "tolerances.max_iter")),
     )
     return ModelConfig(kind=kind, model=model, seed=seed, tol=tol)
 
@@ -180,11 +184,19 @@ def cmd_constants(config: ModelConfig) -> dict:
 
 
 def cmd_density(config: ModelConfig, grid: np.ndarray) -> list[list[str]]:
-    """Density curve rows: asymptote, Fourier oracle (within reach), ratio, bound."""
+    """Density curve rows: asymptote, Fourier oracle (within reach), ratio, bound.
+
+    The oracle inverts every in-window point of the grid in one call.
+    """
     model = config.model
     rows = [DENSITY_HEADER]
     records = {}
-    for x in grid:
+    grid = np.asarray(grid, dtype=float)
+    in_window = np.abs(np.log(grid)) <= ORACLE_WINDOW
+    oracle_values = np.full(grid.size, np.nan)
+    if in_window.any():
+        oracle_values[in_window] = oracles.density_fourier(model, grid[in_window], config.tol)
+    for x, in_reach, oracle in zip(grid, in_window, oracle_values):
         ell = math.log(x / model.x0)
         wing = WING_LARGE if ell >= 0 else WING_SMALL
         if wing not in records:
@@ -202,9 +214,7 @@ def cmd_density(config: ModelConfig, grid: np.ndarray) -> list[list[str]]:
                 bound = record.error_bound_scale(float(x))
             except WingtailError:
                 asym = ""
-        oracle = ""
-        if abs(math.log(x)) <= ORACLE_WINDOW:
-            oracle = oracles.density_fourier(model, float(x), config.tol)
+        oracle = float(oracle) if in_reach else ""
         ratio = ""
         if asym != "" and oracle != "":
             ratio = oracle / asym

@@ -10,14 +10,15 @@ than extrapolated.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DomainError, MomentExplosionError, RegimeGuardError, SearchError
 from .mellin import AT_INFINITY, AT_ZERO, ERROR_INV_SQRT_LOG, MellinStrip, TailAsymptote
-from .numerics import find_root, Tolerance
+from .numerics import Tolerance, complex_namespace, find_root, require_finite
 
 __all__ = [
     "HestonParams",
@@ -29,6 +30,7 @@ __all__ = [
     "tail_constants",
     "mgf",
     "log_mgf",
+    "cgf_derivatives",
     "density_tail",
     "density_zero",
     "tail_record",
@@ -51,6 +53,7 @@ class HestonParams:
     t: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.a < 0:
             raise DomainError(f"need a >= 0, got {self.a}")
         if self.b < 0:
@@ -227,34 +230,135 @@ def critical_moments(params: HestonParams) -> CriticalMoments:
     )
 
 
-def log_mgf(params: HestonParams, z: complex) -> complex:
+def log_mgf(params: HestonParams, z):
     """log E[X_t^z] for complex z with Re(z) inside the finite-moment strip.
 
-    Stable branch handling: d is the principal square root with Re(d) >= 0 and
-    the complex logarithm never crosses its cut for admissible z (the usual
-    trap-free formulation of the Heston characteristic exponent).
+    z may be a scalar (complex result, computed with cmath) or a numpy array
+    (complex array of its shape, computed elementwise with numpy by the same
+    formula). Stable branch handling: d is the principal square root with
+    Re(d) >= 0 and the complex logarithm never crosses its cut for admissible
+    z (the usual trap-free formulation of the Heston characteristic exponent).
+    Where |d t| < 2e-3, around the double root d = 0 of the Riccati quadratic,
+    that form cancels, and its expansion in d^2 is used instead.
     """
-    z = complex(z)
+    z, xp = complex_namespace(z)
     a, b, c, rho, t = params.a, params.b, params.c, params.rho, params.t
-    if z == 0:
-        return 0.0 + 0.0j
+    drift = z * (math.log(params.x0) + params.mu * t)
     bb = b - rho * c * z  # = -beta(z)
-    d = cmath.sqrt(bb * bb + c * c * (z - z * z))
-    if d.real < 0:
-        d = -d
+    d2 = bb * bb + c * c * (z - z * z)
+    d = xp.sqrt(d2)
+    d = xp.where(d.real < 0, -d, d)
     c2 = c * c
-    if abs(d) < 1e-300:
-        # double root of the Riccati quadratic: V(t) = k*t / (1 - c^2*k*t/(2*bb))-type
-        # degenerate point; fall back to a tiny perturbation of z
-        return log_mgf(params, z * (1.0 + 1e-12) + 1e-14)
-    g = (bb - d) / (bb + d)
-    edt = cmath.exp(-d * t)
-    denom = 1.0 - g * edt
-    if denom == 0:
-        raise MomentExplosionError(f"moment of order {z} explodes exactly at t={t}")
-    V = (bb - d) / c2 * (1.0 - edt) / denom
-    C = a / c2 * ((bb - d) * t - 2.0 * cmath.log(denom / (1.0 - g)))
-    return z * (math.log(params.x0) + params.mu * t) + C + V * params.y0
+    near_root = abs(d) * t < 2e-3
+    if xp.all(near_root):
+        C, V = _near_double_root(params, z, bb, d2, xp)
+        return drift + C + V * params.y0
+    with xp.errstate():  # array entries at the double root give 0/0 here and are replaced below
+        g = (bb - d) / (bb + d)
+        edt = xp.exp(-d * t)
+        denom = 1.0 - g * edt
+        explodes = xp.where(near_root, False, denom == 0)
+        if xp.any(explodes):
+            raise MomentExplosionError(f"moment of order {_first(z, explodes)} explodes exactly at t={t}")
+        V = (bb - d) / c2 * (1.0 - edt) / denom
+        C = a / c2 * ((bb - d) * t - 2.0 * xp.log(denom / (1.0 - g)))
+    if xp.any(near_root):
+        C_near, V_near = _near_double_root(params, z, bb, d2, xp)
+        C, V = xp.where(near_root, C_near, C), xp.where(near_root, V_near, V)
+    return drift + C + V * params.y0
+
+
+def _first(z, mask):
+    return z[mask].flat[0] if isinstance(z, np.ndarray) else z
+
+
+def _near_double_root(params: HestonParams, z, bb, d2, xp):
+    """(C, V) for |d t| < 2e-3 from the even form V = 2k S/Q, C = (a/c^2)(bb t - 2 log Q),
+    Q = cosh(d t/2) + bb S, S = sinh(d t/2)/d, expanded to second order in u = d^2 t^2/4.
+
+    At d = 0 this is the analytic limit V = bb^2 t / (c^2 (bb t + 2)),
+    C = (a/c^2)(bb t - 2 log(1 + bb t/2)).
+    """
+    c2, t = params.c * params.c, params.t
+    u = 0.25 * d2 * t * t
+    ch = 1.0 + u * (0.5 + u / 24.0)
+    sh = 1.0 + u * (1.0 / 6.0 + u / 120.0)  # sinh(d t/2) / (d t/2)
+    Q = ch + 0.5 * t * bb * sh
+    if xp.any(Q == 0):
+        raise MomentExplosionError(f"moment of order {_first(z, Q == 0)} explodes exactly at t={t}")
+    return params.a / c2 * (bb * t - 2.0 * xp.log(Q)), 0.5 * t * (z * z - z) * sh / Q
+
+
+# Taylor coefficients in u of cosh(sqrt u) and sinh(sqrt u)/sqrt u, and of the
+# first two derivatives of the latter; used for |u| <= 1e-3, where the closed
+# forms of the derivatives lose more than eps/u^2 to cancellation
+_CH = 1.0 / np.array([math.factorial(2 * n) for n in range(7)], dtype=float)
+_SH = 1.0 / np.array([math.factorial(2 * n + 1) for n in range(7)], dtype=float)
+_SH1 = _SH[1:] * np.arange(1, 7)
+_SH2 = _SH1[1:] * np.arange(1, 6)
+
+
+def _ch_sh(u: np.ndarray):
+    """cosh(r), sinh(r)/r with r = sqrt(u) (u real, either sign), their u-derivatives
+    Sh' and Sh'', and a log scale: for u > 1e-3 the first four values are
+    returned divided by e^r and `scale` = r, else `scale` = 0."""
+    shape, u = u.shape, u.reshape(-1)
+    r = np.sqrt(np.abs(u))
+    pos = u > 0
+    em = np.exp(-2.0 * r)
+    ch = np.where(pos, 0.5 * (1.0 + em), np.cos(r))
+    sh = np.where(pos, 0.5 * (1.0 - em), np.sin(r)) / np.where(r > 0, r, 1.0)
+    scale = np.where(pos, r, 0.0)
+    small = np.abs(u) <= 1e-3
+    uu = np.where(small, 1.0, u)
+    sh1 = (ch - sh) / (2.0 * uu)
+    sh2 = (0.5 * sh - 3.0 * sh1) / (2.0 * uu)
+    if small.any():
+        poly = np.polynomial.polynomial.polyval
+        us = u[small]
+        ch[small], sh[small], scale[small] = poly(us, _CH), poly(us, _SH), 0.0
+        sh1[small], sh2[small] = poly(us, _SH1), poly(us, _SH2)
+    return tuple(v.reshape(shape) for v in (ch, sh, sh1, sh2, scale))
+
+
+def cgf_derivatives(params: HestonParams, s):
+    """K(s) = log E[X_t^s] and its first two derivatives at real s in the strip.
+
+    s is a scalar or an array; returns three float arrays of its shape. Written
+    with the even functions cosh(d t/2) and sinh(d t/2)/d of d^2, which stay real
+    and smooth through the double root and for d^2 < 0:
+        V = 2k S / Q,   C = (a/c^2)(bb t - 2 log Q),   Q = cosh(d t/2) + bb S,
+    with S = sinh(d t/2)/d and k = (s^2 - s)/2; the derivatives follow by the
+    chain rule through u = d^2 t^2/4.
+    """
+    s = np.asarray(s, dtype=float)
+    a, b, c, rho, t = params.a, params.b, params.c, params.rho, params.t
+    c2 = c * c
+    bb, bb1 = b - rho * c * s, -rho * c
+    k, k1 = 0.5 * (s * s - s), s - 0.5
+    quarter = 0.25 * t * t
+    u = quarter * (bb * bb + c2 * (s - s * s))
+    u1 = quarter * (2.0 * bb * bb1 + c2 * (1.0 - 2.0 * s))
+    u2 = quarter * (2.0 * bb1 * bb1 - 2.0 * c2)
+    ch, sh, sh1, sh2, scale = _ch_sh(u)
+    # s-derivatives of Ch(u(s)) and Sh(u(s)); Ch' = Sh/2 in u
+    ch_1, ch_2 = 0.5 * sh * u1, 0.5 * (sh1 * u1 * u1 + sh * u2)
+    sh_1, sh_2 = sh1 * u1, sh2 * u1 * u1 + sh1 * u2
+    half_t = 0.5 * t
+    Q = ch + half_t * bb * sh
+    Q1 = ch_1 + half_t * (bb1 * sh + bb * sh_1)
+    Q2 = ch_2 + half_t * (2.0 * bb1 * sh_1 + bb * sh_2)
+    N, N1, N2 = t * k * sh, t * (k1 * sh + k * sh_1), t * (sh + 2.0 * k1 * sh_1 + k * sh_2)
+    V = N / Q
+    V1 = (N1 - V * Q1) / Q
+    V2 = (N2 - 2.0 * V1 * Q1 - V * Q2) / Q
+    ac2 = a / c2
+    C = ac2 * (bb * t - 2.0 * (np.log(Q) + scale))
+    C1 = ac2 * (bb1 * t - 2.0 * Q1 / Q)
+    C2 = -2.0 * ac2 * (Q2 / Q - (Q1 / Q) ** 2)
+    m = math.log(params.x0) + params.mu * t
+    y0 = params.y0
+    return s * m + C + V * y0, m + C1 + V1 * y0, C2 + V2 * y0
 
 
 def mgf(params: HestonParams, s: float) -> float:
@@ -265,7 +369,7 @@ def mgf(params: HestonParams, s: float) -> float:
             f"moment of order s={s} is infinite at t={params.t}: "
             f"admissible open interval is ({cm.s_minus:.6g}, {cm.s_plus:.6g})"
         )
-    val = log_mgf(params, complex(s))
+    val = log_mgf(params, s)
     if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
         raise SearchError(f"moment evaluation lost reality at s={s}: {val}")
     return math.exp(val.real)

@@ -15,6 +15,7 @@ All coefficient arithmetic runs in log space: the raw coefficients decay like
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,15 @@ from scipy.special import gammaln, logsumexp
 
 from .errors import ConvergenceError, DomainError, MomentExplosionError, RegimeGuardError
 from .mellin import AT_INFINITY, AT_ZERO, ERROR_INV_SQRT_LOG, TailAsymptote
-from .numerics import DEFAULT_TOL, Tolerance, integrate, log_gamma
+from .numerics import (
+    DEFAULT_TOL,
+    Tolerance,
+    complex_namespace,
+    first_outside,
+    integrate,
+    log_gamma,
+    require_finite,
+)
 
 __all__ = [
     "KouJumpParams",
@@ -45,6 +54,7 @@ __all__ = [
     "h_zero_asymptote",
     "jump_mgf",
     "log_jump_mgf",
+    "jump_cgf_derivatives",
     "h_moment",
     "risk_neutral_drift",
     "sample_jump_factor",
@@ -68,6 +78,7 @@ class KouJumpParams:
     t: float
 
     def __post_init__(self):
+        require_finite(self)
         if not self.lam > 0:
             raise DomainError(f"need lam > 0, got {self.lam}")
         if not self.eta1 > 1:
@@ -290,7 +301,28 @@ def coefficients(params: KouJumpParams, k_max: int, tol: Tolerance = DEFAULT_TOL
     )
 
 
-_TABLE_CACHE: dict[KouJumpParams, CoefficientTable] = {}
+class _LRUCache(OrderedDict):
+    """Mapping that keeps its `maxsize` most recently used entries."""
+
+    def __init__(self, maxsize: int):
+        super().__init__()
+        self.maxsize = maxsize
+
+    def get(self, key, default=None):
+        if key not in self:
+            return default
+        self.move_to_end(key)
+        return self[key]
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        if len(self) > self.maxsize:
+            self.popitem(last=False)
+
+
+# coefficient tables by parameter set, bounded like the lru_caches of heston
+_TABLE_CACHE = _LRUCache(maxsize=256)
 
 
 def _table(params: KouJumpParams, k_min: int, tol: Tolerance = DEFAULT_TOL) -> CoefficientTable:
@@ -471,16 +503,41 @@ def h_zero_asymptote(params: KouJumpParams) -> TailAsymptote:
     )
 
 
-def log_jump_mgf(params: KouJumpParams, z: complex) -> complex:
-    """log E[exp(z * T_t)] for complex z with -eta2 < Re(z) < eta1."""
-    z = complex(z)
-    if not (-params.eta2 < z.real < params.eta1):
+def _check_strip(params: KouJumpParams, z) -> None:
+    bad = first_outside(z, -params.eta2, params.eta1)
+    if bad is not None:
         raise MomentExplosionError(
-            f"jump moment of order {z} undefined: admissible open interval is "
+            f"jump moment of order {bad} undefined: admissible open interval is "
             f"({-params.eta2}, {params.eta1})"
         )
+
+
+def log_jump_mgf(params: KouJumpParams, z):
+    """log E[exp(z * T_t)] for complex z with -eta2 < Re(z) < eta1.
+
+    z may be a scalar (complex result) or a numpy array (elementwise, every
+    element inside the strip).
+    """
+    z, _ = complex_namespace(z)
+    _check_strip(params, z)
     e1, e2 = params.eta1, params.eta2
     return params.lam * params.t * (params.p * e1 / (e1 - z) + params.q * e2 / (e2 + z) - 1.0)
+
+
+def jump_cgf_derivatives(params: KouJumpParams, s):
+    """log E[exp(s T_t)] and its first two derivatives at real s in (-eta2, eta1).
+
+    s is a scalar or an array; returns three float arrays of its shape.
+    """
+    s = np.asarray(s, dtype=float)
+    _check_strip(params, s)
+    lam_t, e1, e2 = params.lam * params.t, params.eta1, params.eta2
+    up, down = params.p * e1 / (e1 - s), params.q * e2 / (e2 + s)
+    return (
+        lam_t * (up + down - 1.0),
+        lam_t * (up / (e1 - s) - down / (e2 + s)),
+        2.0 * lam_t * (up / (e1 - s) ** 2 + down / (e2 + s) ** 2),
+    )
 
 
 def jump_mgf(params: KouJumpParams, s: float) -> float:

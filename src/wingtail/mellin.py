@@ -191,25 +191,31 @@ def mellin_convolve(f, g, x: float, tol: Tolerance = DEFAULT_TOL, *, min_windows
     """
     if not x > 0:
         raise DomainError(f"mellin_convolve requires x > 0, got {x}")
+    log_x = math.log(x)
     if min_windows is None:
-        min_windows = max(24, int(2.0 * abs(math.log(x))) + 16)
+        min_windows = max(24, int(2.0 * abs(log_x)) + 16)
     inner = Tolerance(rel=tol.rel, abs=tol.abs, max_iter=max(tol.max_iter, 200))
 
-    # integrate in v = log t; windows of width 1 outward from v = 0
+    # integrate in v = log t; windows of width 1 outward from v = 0. f is
+    # evaluated at x/t and may jump at 1 (the Kou jump density does), so the
+    # window holding v = log x is split there.
     def integrand(v):
         t = math.exp(v)
         return f(x / t) * g(t)
 
+    def window(lo, hi):
+        return integrate(integrand, lo, hi, inner, points=[log_x] if lo < log_x < hi else None)
+
     def blocks_up():
         v = 0.0
         for _ in range(1100):
-            yield integrate(integrand, v, v + 1.0, inner)
+            yield window(v, v + 1.0)
             v += 1.0
 
     def blocks_down():
         v = 0.0
         for _ in range(1100):
-            yield integrate(integrand, v - 1.0, v, inner)
+            yield window(v - 1.0, v)
             v -= 1.0
 
     up = _block_sum(blocks_up(), tol, f"Mellin convolution at x={x}, t > 1", min_windows)

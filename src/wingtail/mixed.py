@@ -87,14 +87,28 @@ class MixedModel:
     def x0(self) -> float:
         return self.heston.x0
 
-    def log_moment(self, z: complex) -> complex:
-        """log E[X_t^z] of the mixed price; product law adds the exponents."""
+    def log_moment(self, z):
+        """log E[X_t^z] of the mixed price; product law adds the exponents.
+
+        z is a complex scalar or a numpy array of them (elementwise result).
+        """
         total = _heston.log_mgf(self.heston, z)
         if self.jump_kind == "kou":
             total += _kou.log_jump_mgf(self.jumps, z)
         elif self.jump_kind == "nig":
             total += _nig.log_nig_mgf(self.jumps, z)
         return total
+
+    def cgf_derivatives(self, s):
+        """K(s) = log E[X_t^s] and K'(s), K''(s) at real s (scalar or array) in the strip."""
+        K, K1, K2 = _heston.cgf_derivatives(self.heston, s)
+        if self.jump_kind == "kou":
+            J, J1, J2 = _kou.jump_cgf_derivatives(self.jumps, s)
+        elif self.jump_kind == "nig":
+            J, J1, J2 = _nig.nig_cgf_derivatives(self.jumps, s)
+        else:
+            return K, K1, K2
+        return K + J, K1 + J1, K2 + J2
 
     def moment_strip(self) -> tuple[float, float]:
         """Open interval of moment orders with E[X_t^s] finite."""

@@ -18,7 +18,7 @@ from scipy.special import k1e
 
 from .errors import DomainError, MomentExplosionError, NoArbitrageError, RegimeGuardError
 from .mellin import AT_INFINITY, AT_ZERO, ERROR_INV_LOG, TailAsymptote
-from .numerics import UnderflowWarning
+from .numerics import UnderflowWarning, complex_namespace, first_outside, require_finite
 
 __all__ = [
     "NIGParams",
@@ -31,6 +31,7 @@ __all__ = [
     "nig_no_arb_drift",
     "nig_mgf",
     "log_nig_mgf",
+    "nig_cgf_derivatives",
     "sample_nig",
     "sample_nigs",
 ]
@@ -45,6 +46,7 @@ class NIGParams:
     t: float
 
     def __post_init__(self):
+        require_finite(self)
         if not self.alpha > 0:
             raise DomainError(f"need alpha > 0, got {self.alpha}")
         if not self.delta > 0:
@@ -138,17 +140,36 @@ def nig_no_arb_drift(params: NIGParams) -> float:
     return params.delta * (math.sqrt(params.alpha**2 - 1.0) - params.alpha)
 
 
-def log_nig_mgf(params: NIGParams, z: complex) -> complex:
-    """log E[e^{z Y_t}] for complex z with |Re z| < alpha."""
-    z = complex(z)
-    if not abs(z.real) < params.alpha:
+def _check_strip(params: NIGParams, z) -> None:
+    bad = first_outside(z, -params.alpha, params.alpha)
+    if bad is not None:
         raise MomentExplosionError(
-            f"NIG moment of order {z} undefined: admissible open interval is "
+            f"NIG moment of order {bad} undefined: admissible open interval is "
             f"({-params.alpha}, {params.alpha})"
         )
-    import cmath
 
-    return params.delta * params.t * (params.alpha - cmath.sqrt(params.alpha**2 - z * z))
+
+def log_nig_mgf(params: NIGParams, z):
+    """log E[e^{z Y_t}] for complex z with |Re z| < alpha.
+
+    z may be a scalar (complex result, computed with cmath) or a numpy array
+    (elementwise with numpy, every element inside the strip).
+    """
+    z, xp = complex_namespace(z)
+    _check_strip(params, z)
+    return params.delta * params.t * (params.alpha - xp.sqrt(params.alpha**2 - z * z))
+
+
+def nig_cgf_derivatives(params: NIGParams, s):
+    """log E[e^{s Y_t}] and its first two derivatives at real s in (-alpha, alpha).
+
+    s is a scalar or an array; returns three float arrays of its shape.
+    """
+    s = np.asarray(s, dtype=float)
+    _check_strip(params, s)
+    dt, a2 = params.delta * params.t, params.alpha**2
+    root = np.sqrt(a2 - s * s)
+    return dt * (params.alpha - root), dt * s / root, dt * a2 / root**3
 
 
 def nig_mgf(params: NIGParams, s: float) -> float:

@@ -5,9 +5,12 @@ values (`RngStream`), never shared mutable state.
 """
 from __future__ import annotations
 
+import cmath
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import integrate as _sci_integrate
@@ -23,12 +26,29 @@ __all__ = [
     "bessel_k1",
     "integrate",
     "find_root",
+    "complex_namespace",
+    "first_outside",
+    "require_finite",
+    "integrate_panels",
     "RngStream",
 ]
 
 
 class UnderflowWarning(RuntimeWarning):
     """A special-function value underflowed to zero."""
+
+
+def require_finite(record) -> None:
+    """Reject a parameter record holding a NaN or infinite field, by name.
+
+    Every field of the record must be a real number. Runs before the range
+    checks of a record: comparisons with NaN are False, so a guard such as
+    `a < 0` lets NaN through.
+    """
+    values = vars(record)
+    if not all(map(math.isfinite, values.values())):
+        name = next(key for key, value in values.items() if not math.isfinite(value))
+        raise DomainError(f"{type(record).__name__}.{name} must be finite, got {values[name]}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +60,7 @@ class Tolerance:
     max_iter: int = 200
 
     def __post_init__(self):
+        require_finite(self)
         if not self.rel > 0:
             raise DomainError(f"Tolerance.rel must be > 0, got {self.rel}")
         if self.abs < 0:
@@ -49,6 +70,44 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+
+# Math namespaces of the complex moment functions: one formula body serves a
+# scalar argument through cmath (the exact arithmetic of a scalar call) and an
+# array argument through numpy.
+_SCALAR = SimpleNamespace(
+    sqrt=cmath.sqrt,
+    exp=cmath.exp,
+    log=cmath.log,
+    where=lambda cond, yes, no: yes if cond else no,
+    any=bool,
+    all=bool,
+    errstate=contextlib.nullcontext,
+)
+_ARRAY = SimpleNamespace(
+    sqrt=np.sqrt,
+    exp=np.exp,
+    log=np.log,
+    where=np.where,
+    any=np.any,
+    all=np.all,
+    errstate=lambda: np.errstate(divide="ignore", invalid="ignore"),
+)
+
+
+def complex_namespace(z):
+    """(z as complex, math namespace): cmath for a scalar, numpy for an array."""
+    if isinstance(z, np.ndarray) and z.ndim:
+        return z.astype(complex, copy=False), _ARRAY
+    return complex(z), _SCALAR
+
+
+def first_outside(z, lo: float, hi: float):
+    """First element of z whose real part is not strictly inside (lo, hi), or None."""
+    if isinstance(z, np.ndarray) and z.ndim:
+        inside = (z.real > lo) & (z.real < hi)
+        return None if inside.all() else z[~inside].flat[0]
+    return None if lo < z.real < hi else z
 
 
 def log_gamma(x: float) -> float:
@@ -97,6 +156,89 @@ def integrate(f, a: float, b: float, tol: Tolerance = DEFAULT_TOL, *, points=Non
                 error_estimate=abserr,
             )
     return value
+
+
+# 21-point Gauss-Kronrod rule (QUADPACK qk21): Kronrod nodes on [-1, 1] with
+# their weights, and the weights of the embedded 10-point Gauss rule, which
+# uses every second node
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_GK_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
+_GK_KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])
+_GK_GAUSS = np.zeros(21)
+_GK_GAUSS[1:10:2] = _WG
+_GK_GAUSS[11:20:2] = _WG[::-1]
+
+# bisection levels integrate_panels may use below the panels it is given
+PANEL_DEPTH = 12
+
+
+def integrate_panels(f, a, b, tol: Tolerance = DEFAULT_TOL):
+    """Integrals of f over the panels (a[i], b[i]) by adaptive 21-point Gauss-Kronrod.
+
+    Every node of every open panel goes to f in one call, `f(x, owner)`: x has
+    shape (m, 21), one row per panel, and owner[r] is the index i of the given
+    panel that row r subdivides; f returns real values of the shape of x. A
+    panel is accepted when |Kronrod - Gauss| <= max(tol.abs, tol.rel * R),
+    with R the Kronrod integral of |f| over the panel; only the panels that
+    fail are bisected. Returns (values, error estimates), both of the shape
+    of a. Raises ConvergenceError, with the best estimates, when f is not
+    finite, when a failing panel is already at the rounding level of its
+    integrand (bisection cannot help), or after PANEL_DEPTH bisections.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape = a.shape
+    lo, hi = a.ravel(), b.ravel()
+    values = np.zeros(lo.size)
+    errors = np.zeros(lo.size)
+    owner = np.arange(lo.size)
+    for depth in range(PANEL_DEPTH + 1):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        fx = f(mid[:, None] + half[:, None] * _GK_NODES, owner)
+        if not np.isfinite(fx).all():
+            raise ConvergenceError("panel integrand is not finite", best_estimate=values.reshape(shape))
+        kronrod = half * (fx @ _GK_KRONROD)
+        err = np.abs(kronrod - half * (fx @ _GK_GAUSS))
+        scale = np.abs(half) * (np.abs(fx) @ _GK_KRONROD)
+        ok = err <= np.maximum(tol.abs, tol.rel * scale)
+        values += np.bincount(owner[ok], kronrod[ok], values.size)
+        errors += np.bincount(owner[ok], err[ok], errors.size)
+        if ok.all():
+            return values.reshape(shape), errors.reshape(shape)
+        bad = ~ok
+        at_rounding = np.any(err[bad] <= 50.0 * np.finfo(float).eps * scale[bad])
+        if at_rounding or depth == PANEL_DEPTH:
+            values += np.bincount(owner[bad], kronrod[bad], values.size)
+            errors += np.bincount(owner[bad], err[bad], errors.size)
+            reason = ("is below the rounding level of the integrand" if at_rounding
+                      else f"was not met within {PANEL_DEPTH} bisections")
+            raise ConvergenceError(
+                f"panel tolerance rel={tol.rel:g}, abs={tol.abs:g} {reason}",
+                best_estimate=values.reshape(shape),
+                error_estimate=errors.reshape(shape),
+            )
+        lo, hi = np.concatenate([lo[bad], mid[bad]]), np.concatenate([mid[bad], hi[bad]])
+        owner = np.concatenate([owner[bad], owner[bad]])
 
 
 def find_root(f, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL) -> float:

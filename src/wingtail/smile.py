@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import log_ndtr
-from scipy.stats import norm
+from scipy.special import log_ndtr, ndtr
 
 from . import nig as _nig
 from .errors import DomainError, InfinitePriceError, InversionError, RegimeGuardError
@@ -62,7 +61,7 @@ def bs_call(x0: float, K: float, T: float, sigma: float) -> float:
     srt = sigma * math.sqrt(T)
     d1 = (math.log(x0 / K) + 0.5 * srt * srt) / srt
     d2 = d1 - srt
-    return x0 * norm.cdf(d1) - K * norm.cdf(d2)
+    return x0 * ndtr(d1) - K * ndtr(d2)
 
 
 def _mills_difference(z1: float, delta: float) -> float:
@@ -114,6 +113,9 @@ def bs_log_call(x0: float, K: float, T: float, sigma: float) -> float:
     return _bs_log_call_core(math.log(x0), math.log(K), T, sigma)
 
 
+_INVERSION_TOL = Tolerance(rel=1e-15, abs=1e-14, max_iter=200)
+
+
 def bs_implied_vol_from_log(log_price: float, x0: float, K: float, T: float) -> float:
     """Implied volatility from a log price; bracketed, bisection-safe inversion."""
     if not (x0 > 0 and K > 0 and T > 0):
@@ -140,7 +142,7 @@ def bs_implied_vol_from_log(log_price: float, x0: float, K: float, T: float) -> 
         hi *= 2.0
     else:
         raise InversionError(f"no volatility below {hi} reproduces the price")
-    return find_root(gap, lo, hi, Tolerance(rel=1e-15, abs=1e-14, max_iter=200))
+    return find_root(gap, lo, hi, _INVERSION_TOL)
 
 
 def bs_implied_vol(price: float, x0: float, K: float, T: float) -> float:

@@ -57,6 +57,37 @@ class TestConfigLoading:
         config = cli.load_config(REFERENCE_KOU, seed_override=7, tol_override=1e-8)
         assert config.seed == 7 and config.tol.rel == 1e-8
 
+    @pytest.mark.parametrize("path", [
+        ("t",), ("seed",),
+        ("heston", "mu"), ("heston", "a"), ("heston", "b"), ("heston", "c"), ("heston", "rho"),
+        ("heston", "x0"), ("heston", "y0"),
+        ("kou", "lam"), ("kou", "eta1"), ("kou", "eta2"), ("kou", "p"), ("kou", "q"),
+        ("tolerances", "rel"), ("tolerances", "abs"), ("tolerances", "max_iter"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field_named(self, tmp_path, capsys, path, value):
+        payload = json.loads(json.dumps(dict(BASE_CONFIG, tolerances={"rel": 1e-10, "abs": 1e-13, "max_iter": 400})))
+        *outer, key = path
+        (payload[outer[0]] if outer else payload)[key] = value
+        name = ".".join(path if outer else ("config", key))
+        with pytest.raises(WingtailError, match=f"{name} must be finite"):
+            cli.load_config(write_config(tmp_path, payload))
+        assert cli.main(["constants", "--config", write_config(tmp_path, payload)]) == 1
+        assert f"{name} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["alpha", "delta"])
+    def test_non_finite_nig_field_named(self, tmp_path, key):
+        payload = json.loads(json.dumps(dict(BASE_CONFIG, model="heston+nig", nig={"alpha": 2.0, "delta": 1.0})))
+        payload["nig"][key] = math.nan
+        with pytest.raises(WingtailError, match=f"nig.{key} must be finite"):
+            cli.load_config(write_config(tmp_path, payload))
+
+    def test_non_numeric_field_named(self, tmp_path):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["heston"]["a"] = "one"
+        with pytest.raises(WingtailError, match="heston.a must be a number"):
+            cli.load_config(write_config(tmp_path, payload))
+
     def test_broken_tolerance_rejected(self, tmp_path, capsys):
         payload = json.loads(json.dumps(BASE_CONFIG))
         payload["tolerances"] = {"rel": -1.0}

@@ -29,6 +29,12 @@ class TestParams:
         with pytest.raises(DomainError):
             variant(**kwargs)
 
+    @pytest.mark.parametrize("field", ["mu", "a", "b", "c", "rho", "x0", "y0", "t"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_by_name(self, field, value):
+        with pytest.raises(DomainError, match=f"HestonParams.{field} must be finite"):
+            variant(**{field: value})
+
 
 class TestExplosionTime:
     def test_zeroth_and_first_moment_never_explode(self, ref_heston):

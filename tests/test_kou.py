@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,12 @@ class TestParams:
     def test_invariants(self, kwargs):
         with pytest.raises(DomainError):
             variant(**kwargs)
+
+    @pytest.mark.parametrize("field", ["lam", "eta1", "eta2", "p", "q", "t"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected_by_name(self, field, value):
+        with pytest.raises(DomainError, match=f"KouJumpParams.{field} must be finite"):
+            variant(**{field: value})
 
 
 class TestWeights:
@@ -104,6 +111,36 @@ class TestCoefficients:
         assert ref_kou.b1_jump == pytest.approx(1.0)
         assert ref_kou.b2_jump == pytest.approx(0.5)
         assert ref_kou.c1_jump == pytest.approx(1.0 / (2 * math.pi) * math.exp(0.5 / 3.0 - 1.0))
+
+
+class TestTableCache:
+    @pytest.fixture
+    def fresh_cache(self, monkeypatch):
+        # an empty cache of the same kind and bound, and a stand-in for the
+        # coefficient computation (~50 ms per table)
+        cache = type(kou._TABLE_CACHE)(kou._TABLE_CACHE.maxsize)
+        monkeypatch.setattr(kou, "_TABLE_CACHE", cache)
+        monkeypatch.setattr(kou, "coefficients", lambda params, k_max, tol: SimpleNamespace(truncation_k=k_max))
+        return cache
+
+    def test_bounded_like_the_heston_caches(self, fresh_cache):
+        assert kou._TABLE_CACHE.maxsize == 256
+        for i in range(300):
+            kou._table(variant(lam=1.0 + 0.001 * i), 0)
+        assert len(fresh_cache) <= 256
+        assert variant(lam=1.0) not in fresh_cache  # least recently used went first
+        assert variant(lam=1.299) in fresh_cache
+
+    def test_hit_returns_the_same_table(self, fresh_cache):
+        first = kou._table(variant(), 10)
+        assert kou._table(variant(), 10) is first
+        assert kou._table(variant(), 80) is not first  # a longer table replaces it
+        assert kou._table(variant(), 10).truncation_k == 80
+
+    def test_clear(self, fresh_cache):
+        kou._table(variant(), 0)
+        fresh_cache.clear()
+        assert len(fresh_cache) == 0
 
 
 class TestSeries:

@@ -157,6 +157,12 @@ class TestMixedDensity:
             via_quadrature = mixed.mixed_density(kou_model, x)
             assert via_quadrature == pytest.approx(via_fourier, abs=1e-6, rel=1e-5)
 
+    def test_kou_point_next_to_the_jump(self, kou_model):
+        # x/t = 1, where the Kou jump density jumps, falls inside a convolution
+        # window here; integrated across the jump, the window misses rel 1e-8
+        x = math.exp(-1.3220217014361222)
+        assert mixed.mixed_density(kou_model, x) == pytest.approx(oracles.density_fourier(kou_model, x), rel=1e-8)
+
     def test_zero_intensity_limit(self, ref_heston, pure_model):
         model = make_kou_model(lam=1e-12, mu=0.0)
         for x in (0.8, 1.3):

@@ -21,6 +21,14 @@ class TestParams:
         with pytest.raises(DomainError):
             NIGParams(**base)
 
+    @pytest.mark.parametrize("field", ["alpha", "delta", "t"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected_by_name(self, field, value):
+        base = dict(alpha=2.0, delta=1.0, t=1.0)
+        base[field] = value
+        with pytest.raises(DomainError, match=f"NIGParams.{field} must be finite"):
+            NIGParams(**base)
+
 
 class TestDensity:
     def test_symmetric(self):

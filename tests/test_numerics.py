@@ -5,7 +5,15 @@ import pytest
 from scipy.integrate import quad
 
 from wingtail.errors import BracketingError, ConvergenceError, DomainError
-from wingtail.numerics import RngStream, Tolerance, bessel_k1, find_root, integrate, log_gamma
+from wingtail.numerics import (
+    RngStream,
+    Tolerance,
+    bessel_k1,
+    find_root,
+    integrate,
+    integrate_panels,
+    log_gamma,
+)
 
 
 class TestTolerance:
@@ -17,6 +25,12 @@ class TestTolerance:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(DomainError):
             Tolerance(**kwargs)
+
+    @pytest.mark.parametrize("field", ["rel", "abs", "max_iter"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected_by_name(self, field, value):
+        with pytest.raises(DomainError, match=f"Tolerance.{field} must be finite"):
+            Tolerance(**{field: value})
 
 
 class TestLogGamma:
@@ -89,6 +103,54 @@ class TestIntegrate:
         with pytest.raises(ConvergenceError) as err:
             integrate(rough, 0.0, 1.0, Tolerance(rel=1e-14, abs=0.0, max_iter=50))
         assert err.value.best_estimate is not None
+
+
+class TestIntegratePanels:
+    def test_exact_on_polynomials_to_degree_31(self):
+        for degree in (0, 7, 19, 31):
+            values, errors = integrate_panels(lambda x, owner: x**degree, 0.0, 1.0)
+            assert values == pytest.approx(1.0 / (degree + 1), rel=1e-14)
+            assert errors >= 0.0
+
+    def test_panels_and_owners(self):
+        # every panel integrates its own frequency; all nodes go in one call
+        calls = []
+
+        def f(x, owner):
+            calls.append(x.shape)
+            return np.cos((owner[:, None] + 1.0) * x)
+
+        values, _ = integrate_panels(f, np.zeros((2, 2)), np.full((2, 2), 2.0))
+        k = np.arange(1.0, 5.0).reshape(2, 2)
+        assert values == pytest.approx(np.sin(2.0 * k) / k, rel=1e-13)
+        assert calls == [(4, 21)]
+
+    def test_bisects_only_failing_panels(self):
+        rows = []
+
+        def f(x, owner):
+            rows.append(owner.copy())
+            return 1.0 / (1e-4 + x * x)
+
+        values, errors = integrate_panels(f, [0.0, 5.0], [1.0, 6.0], Tolerance(rel=1e-12, abs=0.0))
+        exact = [math.atan(1.0 / 1e-2) / 1e-2, (math.atan(600.0) - math.atan(500.0)) / 1e-2]
+        assert values == pytest.approx(exact, rel=1e-11)
+        assert len(rows) > 2 and all(np.all(r == 0) for r in rows[1:])  # panel 1 settles at once
+        assert np.all(errors <= 1e-12 * values * (1.0 + 1e-9))  # f > 0: the panel scales sum to the values
+
+    def test_depth_budget_raises_with_estimate(self):
+        with pytest.raises(ConvergenceError, match="bisections") as err:
+            integrate_panels(lambda x, owner: 1.0 / np.sqrt(x), 0.0, 1.0, Tolerance(rel=1e-10, abs=0.0))
+        assert err.value.best_estimate == pytest.approx(2.0, rel=1e-2)
+        assert err.value.error_estimate > 0
+
+    def test_tolerance_below_rounding_raises(self):
+        with pytest.raises(ConvergenceError, match="rounding"):
+            integrate_panels(lambda x, owner: np.cos(x), 0.0, 1.0, Tolerance(rel=1e-17, abs=0.0))
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(ConvergenceError, match="not finite"):
+            integrate_panels(lambda x, owner: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)
 
 
 class TestFindRoot:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -41,6 +44,18 @@ class TestBlackScholes:
         # at-the-money unit-spot value is 2*Phi(sigma/2) - 1
         assert smile.bs_call(1.0, 1.0, 1.0, 0.2) == pytest.approx(2.0 * norm.cdf(0.1) - 1.0, rel=1e-12)
         assert smile.bs_call(1.0, 1.0, 1.0, 0.2) == pytest.approx(0.0796557, abs=1e-7)
+
+    def test_matches_norm_cdf_form(self):
+        for x0, k, t, sigma in ((1.0, 0.7, 1.0, 0.2), (2.0, 3.1, 0.5, 0.45), (1.0, 1e-3, 2.0, 1.3), (1.0, 40.0, 1.0, 0.9)):
+            srt = sigma * math.sqrt(t)
+            d1 = (math.log(x0 / k) + 0.5 * srt * srt) / srt
+            assert smile.bs_call(x0, k, t, sigma) == x0 * norm.cdf(d1) - k * norm.cdf(d1 - srt)
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        code = "import sys, wingtail.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout.strip() == "False"
 
     def test_round_trip_grid(self):
         for sigma in (0.1, 0.3, 0.9, 1.8):
