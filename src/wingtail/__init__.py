@@ -20,7 +20,7 @@ from .errors import (
     WingtailError,
 )
 from .heston import CriticalMoments, HestonParams, HestonTailConstants
-from .kou import CoefficientTable, JumpLawDecomposition, KouJumpParams
+from .kou import CoefficientTable, KouJumpParams
 from .mellin import MellinStrip, TailAsymptote
 from .mixed import MixedModel, WingRegime
 from .nig import NIGParams
@@ -47,7 +47,6 @@ __all__ = [
     "HestonParams",
     "HestonTailConstants",
     "CoefficientTable",
-    "JumpLawDecomposition",
     "KouJumpParams",
     "MellinStrip",
     "TailAsymptote",

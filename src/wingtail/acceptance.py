@@ -20,7 +20,7 @@ from . import heston, kou, mellin, mixed, nig, oracles, smile
 from .errors import DegenerateRegimeError, InversionError
 from .heston import HestonParams
 from .kou import KouJumpParams
-from .mellin import AT_INFINITY, MellinStrip, TailAsymptote
+from .mellin import MellinStrip, TailAsymptote
 from .mixed import MixedModel, WING_LARGE, WING_SMALL
 from .nig import NIGParams
 from .numerics import RngStream, Tolerance
@@ -128,15 +128,19 @@ def criterion_2_fractional_envelope(seed: int = 0, tol: Tolerance | None = None)
 # criterion 3 ----------------------------------------------------------------
 
 def criterion_3_jump_tail_asymptote(seed: int = 0, tol: Tolerance | None = None) -> CriterionResult:
-    """Series-vs-asymptote ratio of the jump density factors, scaled by sqrt(log x)."""
+    """Series-vs-asymptote ratio of the jump density factors, scaled by sqrt(log x).
+
+    The asymptote of G1 (G2) is the large (small) wing record of H without its
+    power factor: log_value_logx(ell) + r3 * ell."""
     t0 = time.time()
     params = _kou()
+    up_rec, dn_rec = kou.h_wing_record(params, WING_LARGE), kou.h_wing_record(params, WING_SMALL)
     ells = [10.0, 30.0, 100.0, 300.0, 1e3, 1e4]
     scaled_up, scaled_dn = [], []
     for ell in ells:
-        r_up = math.exp(kou.g1_log(params, ell) - _h1_log(params, ell))
+        r_up = math.exp(kou.g1_log(params, ell) - (up_rec.log_value_logx(ell) + up_rec.r3 * ell))
         scaled_up.append(abs(r_up - 1.0) * math.sqrt(ell))
-        r_dn = math.exp(kou.g2_log(params, ell) - _h2_log(params, ell))
+        r_dn = math.exp(kou.g2_log(params, ell) - (dn_rec.log_value_logx(ell) + dn_rec.r3 * ell))
         scaled_dn.append(abs(r_dn - 1.0) * math.sqrt(ell))
     ok = all(math.isfinite(v) for v in scaled_up + scaled_dn)
     for vals in (scaled_up, scaled_dn):
@@ -144,18 +148,6 @@ def criterion_3_jump_tail_asymptote(seed: int = 0, tol: Tolerance | None = None)
         ok = ok and max(vals) <= fitted and max(vals) <= 10.0
     detail = f"up-side |ratio-1|*sqrt(u): {max(scaled_up):.4f}, down-side: {max(scaled_dn):.4f}"
     return CriterionResult(3, "jump-factor wing asymptote", ok, time.time() - t0, detail)
-
-
-def _h1_log(params, ell):
-    b1 = params.b1_jump
-    return (math.log(0.5 / math.sqrt(math.pi)) + 0.25 * math.log(b1) + params._up_exp_shift()
-            - 0.75 * math.log(ell) + 2.0 * math.sqrt(b1 * ell))
-
-
-def _h2_log(params, ell):
-    b2 = params.b2_jump
-    return (math.log(0.5 / math.sqrt(math.pi)) + 0.25 * math.log(b2) + params._down_exp_shift()
-            - 0.75 * math.log(ell) + 2.0 * math.sqrt(b2 * ell))
 
 
 # criterion 4 ----------------------------------------------------------------
@@ -246,14 +238,13 @@ def criterion_6_mixed_density_wings(seed: int = 0, tol: Tolerance | None = None)
     for model, want in ((jd, mixed.DOMINANT_JUMP), (dd, mixed.DOMINANT_DIFFUSION)):
         large, small = mixed.classify(model)
         checks.append((f"{want} classify", large.dominant == want and small.dominant == want))
-        for record, sign, wing in ((mixed.mixed_tail_asymptote(model), +1, "large"),
-                                   (mixed.mixed_zero_asymptote(model), -1, "small")):
-            ratios, limit = _ratio_trend(model, record, sign, window)
+        for wing, sign in ((WING_LARGE, +1), (WING_SMALL, -1)):
+            ratios, limit = _ratio_trend(model, mixed.mixed_asymptote(model, wing), sign, window)
             checks.append((f"{want} {wing} monotone", _monotone(ratios)))
             checks.append((f"{want} {wing} limit {limit:.3f}", abs(limit - 1.0) <= 0.15))
     # far-field certification of the steep reference diffusion-dominant case
     dd_ref = _kou_model(eta1=15.0, eta2=8.0, a=1.0)
-    ratios, limit = _ratio_trend(dd_ref, mixed.mixed_tail_asymptote(dd_ref), +1, [200.0, 500.0, 1000.0])
+    ratios, limit = _ratio_trend(dd_ref, mixed.mixed_asymptote(dd_ref, WING_LARGE), +1, [200.0, 500.0, 1000.0])
     checks.append((f"reference dd far-field limit {limit:.3f}", _monotone(ratios) and abs(limit - 1.0) <= 0.15))
     # coefficient-level identity with the Mellin transfer rule (the proof route):
     # jump-dominant wing = jump record scaled by the diffusion transform value;
@@ -263,24 +254,17 @@ def criterion_6_mixed_density_wings(seed: int = 0, tol: Tolerance | None = None)
                 and via.r3 == direct.r3 and via.r4 == direct.r4)
 
     h_strip = heston.mellin_strip(jd.heston)
-    jrec = kou.h_tail_asymptote(jd.jumps)
-    via = mellin.convolve_asymptote_infinity(
-        None, jrec, -jrec.r3, h_strip, mellin_value=heston.mgf(jd.heston, jrec.r3 - 1.0))
-    checks.append(("jump-dom transfer identity (large)", _same(via, mixed.mixed_tail_asymptote(jd))))
-    zrec = kou.h_zero_asymptote(jd.jumps)
-    via = mellin.convolve_asymptote_zero(
-        None, zrec, zrec.r3, h_strip, mellin_value=heston.mgf(jd.heston, -(zrec.r3 + 1.0)))
-    checks.append(("jump-dom transfer identity (small)", _same(via, mixed.mixed_zero_asymptote(jd))))
     # jump-law transform strip: moments of order -eta-1 finite on (-eta1-1, eta2-1)
     j_strip = MellinStrip(-dd.jumps.eta1 - 1.0, dd.jumps.eta2 - 1.0)
-    hrec = heston.tail_record(dd.heston)
-    via = mellin.convolve_asymptote_infinity(
-        None, hrec, -hrec.r3, j_strip, mellin_value=kou.jump_mgf(dd.jumps, hrec.r3 - 1.0))
-    checks.append(("diff-dom transfer identity (large)", _same(via, mixed.mixed_tail_asymptote(dd))))
-    hzrec = heston.zero_record(dd.heston)
-    via = mellin.convolve_asymptote_zero(
-        None, hzrec, hzrec.r3, j_strip, mellin_value=kou.jump_mgf(dd.jumps, -(hzrec.r3 + 1.0)))
-    checks.append(("diff-dom transfer identity (small)", _same(via, mixed.mixed_zero_asymptote(dd))))
+    for wing in (WING_LARGE, WING_SMALL):
+        jrec = jd.jumps.wing_record(wing)
+        via = mellin.convolve_asymptote(None, jrec, jrec.mellin_point, h_strip,
+                                        mellin_value=heston.mgf(jd.heston, -jrec.mellin_point - 1.0))
+        checks.append((f"jump-dom transfer identity ({wing})", _same(via, mixed.mixed_asymptote(jd, wing))))
+        hrec = heston.wing_record(dd.heston, wing)
+        via = mellin.convolve_asymptote(None, hrec, hrec.mellin_point, j_strip,
+                                        mellin_value=dd.jumps.mgf(-hrec.mellin_point - 1.0))
+        checks.append((f"diff-dom transfer identity ({wing})", _same(via, mixed.mixed_asymptote(dd, wing))))
     ok = all(c[1] for c in checks)
     failed = [c[0] for c in checks if not c[1]]
     detail = "all ratio trends and identities hold" if ok else "failed: " + "; ".join(failed)
@@ -356,12 +340,9 @@ def criterion_9_smile_expansion(seed: int = 0, tol: Tolerance | None = None) -> 
     for name, model in variants.items():
         for wing in (WING_LARGE, WING_SMALL):
             expn = smile.smile_expansion(model, wing)
-            if wing == WING_LARGE:
-                record = mixed.mixed_tail_asymptote(model)
-            else:
-                zrec = mixed.mixed_zero_asymptote(model)
-                record = TailAsymptote(r1=zrec.r1, r2=zrec.r2, r3=zrec.r3 + 3.0, r4=zrec.r4,
-                                       side=AT_INFINITY, error_order=zrec.error_order)
+            record = mixed.mixed_asymptote(model, wing)
+            if wing == WING_SMALL:
+                record = record.reflected(model.x0)
             scaled = []
             for L in grid:
                 k_eff = math.exp(L)
@@ -447,10 +428,7 @@ def criterion_11_degeneracy(seed: int = 0, tol: Tolerance | None = None) -> Crit
         except DegenerateRegimeError:
             checks.append((f"kou {wing}", True))
         try:
-            if wing == WING_LARGE:
-                mixed.mixed_tail_asymptote(model)
-            else:
-                mixed.mixed_zero_asymptote(model)
+            mixed.mixed_asymptote(model, wing)
             checks.append((f"kou {wing} asymptote", False))
         except DegenerateRegimeError:
             checks.append((f"kou {wing} asymptote", True))

@@ -14,15 +14,14 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import acceptance, heston, kou, mixed, nig, oracles, smile
+from . import acceptance, heston, kou, mixed, oracles, smile
 from .errors import DegenerateRegimeError, RegimeGuardError, WingtailError
 from .heston import HestonParams
 from .kou import KouJumpParams
-from .mellin import AT_INFINITY, TailAsymptote
 from .mixed import MixedModel, WING_LARGE, WING_SMALL
 from .nig import NIGParams
 from .numerics import RngStream, Tolerance
@@ -30,7 +29,8 @@ from .oracles import ORACLE_WINDOW
 
 __all__ = ["ModelConfig", "load_config", "main"]
 
-MODEL_KINDS = ("heston", "heston+kou", "heston+nig")
+# jump law of each model kind; its config section is named by the law's `kind`
+JUMP_LAWS = {"heston": None, "heston+kou": KouJumpParams, "heston+nig": NIGParams}
 
 DENSITY_HEADER = ["x", "asymptote", "oracle_fourier", "ratio", "error_bound"]
 SMILE_HEADER = ["K", "L", "iv_expansion", "iv_from_asymptotic_price", "residual", "residual_times_L"]
@@ -79,25 +79,17 @@ def load_config(path: str, seed_override: int | None = None, tol_override: float
     except (OSError, json.JSONDecodeError) as exc:
         raise WingtailError(f"config error: cannot read {path}: {exc}") from exc
     kind = _require(raw, "model", "config")
-    if kind not in MODEL_KINDS:
-        raise WingtailError(f"config error: model must be one of {MODEL_KINDS}, got {kind!r}")
+    if kind not in JUMP_LAWS:
+        raise WingtailError(f"config error: model must be one of {tuple(JUMP_LAWS)}, got {kind!r}")
     t = _field(raw, "t", "config")
     h = _require(raw, "heston", "config")
-    jumps = None
-    if kind == "heston+kou":
-        k = _require(raw, "kou", "config")
-        jumps = KouJumpParams(**{key: _field(k, key, "kou") for key in ("lam", "eta1", "eta2", "p", "q")}, t=t)
-    elif kind == "heston+nig":
-        n = _require(raw, "nig", "config")
-        jumps = NIGParams(**{key: _field(n, key, "nig") for key in ("alpha", "delta")}, t=t)
+    law, jumps = JUMP_LAWS[kind], None
+    if law is not None:
+        section = _require(raw, law.kind, "config")
+        jumps = law(**{f.name: _field(section, f.name, law.kind) for f in fields(law) if f.name != "t"}, t=t)
     mu = _require(h, "mu", "heston")
     if mu == "risk_neutral":
-        if kind == "heston+kou":
-            mu = kou.risk_neutral_drift(jumps)
-        elif kind == "heston+nig":
-            mu = nig.nig_no_arb_drift(jumps)
-        else:
-            mu = 0.0
+        mu = 0.0 if jumps is None else jumps.martingale_drift()
     hp = HestonParams(
         mu=_number(mu, "heston.mu"),
         **{key: _field(h, key, "heston") for key in ("a", "b", "c", "rho", "x0", "y0")},
@@ -124,14 +116,15 @@ def parse_grid(spec: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise WingtailError(f"config error: grid spec must be 'a:b:n[log]', got {spec!r}")
-    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    a, b = _number(parts[0], "grid start"), _number(parts[1], "grid end")
+    if not parts[2].strip().isdigit():
+        raise WingtailError(f"config error: grid point count must be a whole number, got {parts[2]!r}")
+    n = int(parts[2])
     if n < 1 or not a < b:
         raise WingtailError(f"config error: bad grid bounds {spec!r}")
-    if log_spaced:
-        if a <= 0:
-            raise WingtailError("config error: log grids need a > 0")
-        return np.geomspace(a, b, n)
-    return np.linspace(a, b, n)
+    if a <= 0:
+        raise WingtailError(f"config error: grid points are prices and strikes, so a > 0 is needed, got {spec!r}")
+    return np.geomspace(a, b, n) if log_spaced else np.linspace(a, b, n)
 
 
 def _regime_field(model: MixedModel, wing: str) -> dict:
@@ -160,9 +153,9 @@ def cmd_constants(config: ModelConfig) -> dict:
             "small_wing": _regime_field(model, WING_SMALL),
         },
     }
-    for wing, builder in (("large", mixed.mixed_tail_asymptote), ("small", mixed.mixed_zero_asymptote)):
+    for wing in (WING_LARGE, WING_SMALL):
         try:
-            report[f"{wing}_wing_asymptote"] = _record_field(builder(model))
+            report[f"{wing}_wing_asymptote"] = _record_field(mixed.mixed_asymptote(model, wing))
         except (DegenerateRegimeError, WingtailError) as exc:
             report[f"{wing}_wing_asymptote"] = {"error": str(exc)}
     if isinstance(model.jumps, KouJumpParams):
@@ -201,8 +194,7 @@ def cmd_density(config: ModelConfig, grid: np.ndarray) -> list[list[str]]:
         wing = WING_LARGE if ell >= 0 else WING_SMALL
         if wing not in records:
             try:
-                records[wing] = (mixed.mixed_tail_asymptote(model) if wing == WING_LARGE
-                                 else mixed.mixed_zero_asymptote(model))
+                records[wing] = mixed.mixed_asymptote(model, wing)
             except (DegenerateRegimeError, WingtailError):
                 records[wing] = None
         record = records[wing]
@@ -235,13 +227,9 @@ def cmd_smile(config: ModelConfig, grid: np.ndarray, guard: float = 4.0) -> list
         if wing not in expansions:
             try:
                 expansions[wing] = smile.smile_expansion(model, wing)
-                if wing == WING_LARGE:
-                    tails[wing] = mixed.mixed_tail_asymptote(model)
-                else:
-                    # small wing prices through the reflected density x^-3 D(1/x)
-                    z = mixed.mixed_zero_asymptote(model)
-                    tails[wing] = TailAsymptote(r1=z.r1, r2=z.r2, r3=z.r3 + 3.0, r4=z.r4,
-                                                side=AT_INFINITY, error_order=z.error_order)
+                record = mixed.mixed_asymptote(model, wing)
+                # the small wing prices through the density reflected about the spot
+                tails[wing] = record if wing == WING_LARGE else record.reflected(model.x0)
             except WingtailError:
                 expansions[wing] = None
         iv_exp = iv_inv = resid = resid_l = ""

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, MomentExplosionError, RegimeGuardError, SearchError
-from .mellin import AT_INFINITY, AT_ZERO, ERROR_INV_SQRT_LOG, MellinStrip, TailAsymptote
+from .mellin import AT_INFINITY, ERROR_INV_SQRT_LOG, MellinStrip, TailAsymptote, side_of
 from .numerics import Tolerance, complex_namespace, find_root, require_finite
 
 __all__ = [
@@ -31,10 +31,8 @@ __all__ = [
     "mgf",
     "log_mgf",
     "cgf_derivatives",
-    "density_tail",
-    "density_zero",
-    "tail_record",
-    "zero_record",
+    "wing_density",
+    "wing_record",
     "mellin_strip",
 ]
 
@@ -448,47 +446,34 @@ def tail_constants(params: HestonParams) -> HestonTailConstants:
     return HestonTailConstants(A1=A1, A2=A2, A3=A3, A1t=A1t, A2t=A2t, A3t=A3t, B1=B1, B1t=B1t)
 
 
-def tail_record(params: HestonParams) -> TailAsymptote:
-    """Large-x density asymptote as a TailAsymptote record."""
+def wing_record(params: HestonParams, wing: str) -> TailAsymptote:
+    """Density asymptote on the large (x -> inf) or small (x -> 0) wing."""
     k = tail_constants(params)
+    side = side_of(wing)
+    r1, r2, r3 = (k.B1, k.A2, k.A3) if side == AT_INFINITY else (k.B1t, k.A2t, k.A3t)
     return TailAsymptote(
-        r1=k.B1,
-        r2=k.A2,
-        r3=k.A3,
+        r1=r1,
+        r2=r2,
+        r3=r3,
         r4=-0.75 + params.a / params.c**2,
-        side=AT_INFINITY,
+        side=side,
         error_order=ERROR_INV_SQRT_LOG,
     )
 
 
-def zero_record(params: HestonParams) -> TailAsymptote:
-    """Small-x density asymptote as a TailAsymptote record."""
-    k = tail_constants(params)
-    return TailAsymptote(
-        r1=k.B1t,
-        r2=k.A2t,
-        r3=k.A3t,
-        r4=-0.75 + params.a / params.c**2,
-        side=AT_ZERO,
-        error_order=ERROR_INV_SQRT_LOG,
-    )
+def wing_density(params: HestonParams, x: float, wing: str) -> float:
+    """Leading-term density value on one wing.
 
-
-def density_tail(params: HestonParams, x: float) -> float:
-    """Leading-term density value on the large-x wing.
-
-    Valid for x > max(forward, e); the relative error of the leading term is
-    of order (log x)^(-1/2).
+    Valid for x > max(forward, e) on the large wing and for
+    0 < x < min(forward, 1/e) on the small wing; the relative error of the
+    leading term is of order |log x|^(-1/2).
     """
-    guard = max(params.forward, math.e)
-    if not x > guard:
-        raise RegimeGuardError(f"density_tail needs x > {guard:.6g}, got {x}")
-    return tail_record(params).value(x)
-
-
-def density_zero(params: HestonParams, x: float) -> float:
-    """Leading-term density value on the small-x wing (x < min(forward, 1/e))."""
-    guard = min(params.forward, 1.0 / math.e)
-    if not 0 < x < guard:
-        raise RegimeGuardError(f"density_zero needs 0 < x < {guard:.6g}, got {x}")
-    return zero_record(params).value(x)
+    if side_of(wing) == AT_INFINITY:
+        guard = max(params.forward, math.e)
+        inside, needs = x > guard, f"x > {guard:.6g}"
+    else:
+        guard = min(params.forward, 1.0 / math.e)
+        inside, needs = 0 < x < guard, f"0 < x < {guard:.6g}"
+    if not inside:
+        raise RegimeGuardError(f"the {wing}-wing density needs {needs}, got {x}")
+    return wing_record(params, wing).value(x)

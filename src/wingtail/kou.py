@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .errors import ConvergenceError, DomainError, MomentExplosionError, RegimeGuardError
-from .mellin import AT_INFINITY, AT_ZERO, ERROR_INV_SQRT_LOG, TailAsymptote
+from .errors import ConvergenceError, DomainError, MomentExplosionError
+from .mellin import AT_INFINITY, ERROR_INV_SQRT_LOG, TailAsymptote, side_of
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
@@ -35,7 +35,6 @@ from .numerics import (
 
 __all__ = [
     "KouJumpParams",
-    "JumpLawDecomposition",
     "CoefficientTable",
     "pnk",
     "qnk",
@@ -46,18 +45,13 @@ __all__ = [
     "g2_log",
     "h_density",
     "h_log_density",
-    "decomposition",
     "frac_integral",
-    "h1_asymptote",
-    "h2_asymptote",
-    "h_tail_asymptote",
-    "h_zero_asymptote",
+    "h_wing_record",
     "jump_mgf",
     "log_jump_mgf",
     "jump_cgf_derivatives",
     "h_moment",
     "risk_neutral_drift",
-    "sample_jump_factor",
     "sample_jump_factors",
 ]
 
@@ -67,8 +61,12 @@ class KouJumpParams:
     """Jump intensity, two-sided log-jump rates, mixing weights, horizon.
 
     eta1 > 1 is required: it is exactly the condition for the jump factor to
-    have finite expectation.
+    have finite expectation. The methods after the grouped constants are the
+    jump-law interface that `MixedModel` uses; each calls the module function
+    of the same law.
     """
+
+    kind = "kou"
 
     lam: float
     eta1: float
@@ -119,15 +117,32 @@ class KouJumpParams:
 
     @property
     def atom_mass(self) -> float:
+        """Mass e^(-lam t) of the atom at price 1 (no jump by the horizon)."""
         return math.exp(-self.lam * self.t)
 
+    def moment_strip(self) -> tuple[float, float]:
+        return -self.eta2, self.eta1
 
-@dataclass(frozen=True)
-class JumpLawDecomposition:
-    """Atom-plus-density decomposition of the jump-factor law."""
+    def log_mgf(self, z):
+        return log_jump_mgf(self, z)
 
-    atom_mass: float
-    density: object  # callable x -> H(t, x)
+    def cgf_derivatives(self, s):
+        return jump_cgf_derivatives(self, s)
+
+    def mgf(self, s: float) -> float:
+        return jump_mgf(self, s)
+
+    def wing_record(self, wing: str) -> TailAsymptote:
+        return h_wing_record(self, wing)
+
+    def price_density(self, x: float) -> float:
+        return h_density(self, x)
+
+    def sample_factors(self, stream, size: int) -> np.ndarray:
+        return sample_jump_factors(self, stream, size)
+
+    def martingale_drift(self) -> float:
+        return risk_neutral_drift(self)
 
 
 @dataclass(frozen=True)
@@ -349,30 +364,28 @@ def _log_series(log_coeffs: np.ndarray, u: float, tol: Tolerance) -> float:
     return total
 
 
-def g1_log(params: KouJumpParams, u: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """log G1(t, u), overflow-safe for large u."""
+def _g_log(params: KouJumpParams, u: float, tol: Tolerance, up: bool) -> float:
+    """log G1(t, u) (up=True) or log G2(t, u), with the table grown until the series truncates."""
+    name = "G1" if up else "G2"
     if u < 0:
-        raise DomainError(f"g1 requires u >= 0, got {u}")
-    table = _table(params, _series_k_budget(params.b1_jump, u), tol)
+        raise DomainError(f"{name} requires u >= 0, got {u}")
+    table = _table(params, _series_k_budget(params.b1_jump if up else params.b2_jump, u), tol)
     for _ in range(6):
         try:
-            return _log_series(table.log_a, u, tol)
+            return _log_series(table.log_a if up else table.log_b, u, tol)
         except ConvergenceError:
             table = _table(params, 2 * table.truncation_k, tol)
-    raise ConvergenceError(f"G1 series did not truncate cleanly at u={u}")
+    raise ConvergenceError(f"{name} series did not truncate cleanly at u={u}")
+
+
+def g1_log(params: KouJumpParams, u: float, tol: Tolerance = DEFAULT_TOL) -> float:
+    """log G1(t, u), overflow-safe for large u."""
+    return _g_log(params, u, tol, up=True)
 
 
 def g2_log(params: KouJumpParams, u: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """log G2 series value at downward displacement u >= 0."""
-    if u < 0:
-        raise DomainError(f"g2 requires u >= 0, got {u}")
-    table = _table(params, _series_k_budget(params.b2_jump, u), tol)
-    for _ in range(6):
-        try:
-            return _log_series(table.log_b, u, tol)
-        except ConvergenceError:
-            table = _table(params, 2 * table.truncation_k, tol)
-    raise ConvergenceError(f"G2 series did not truncate cleanly at u={u}")
+    return _g_log(params, u, tol, up=False)
 
 
 def g1(params: KouJumpParams, u: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -400,14 +413,6 @@ def h_log_density(params: KouJumpParams, x: float, tol: Tolerance = DEFAULT_TOL)
 def h_density(params: KouJumpParams, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Density H(t, x) of the absolutely continuous part of the jump-factor law."""
     return math.exp(h_log_density(params, x, tol))
-
-
-def decomposition(params: KouJumpParams) -> JumpLawDecomposition:
-    """Atom mass e^(-lam t) at price 1 plus the density H(t, .)."""
-    return JumpLawDecomposition(
-        atom_mass=params.atom_mass,
-        density=lambda x: h_density(params, x),
-    )
 
 
 def frac_integral(order: float, s: float, r: float, u: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -438,73 +443,27 @@ def watson_params(params: KouJumpParams) -> tuple[float, float]:
     return 2.0 * math.sqrt(math.pi) * params.c1_jump, 2.0 * math.sqrt(params.b1_jump)
 
 
-def _asymptote_guard(ell: float, guard: float):
-    if ell < guard:
-        raise RegimeGuardError(f"asymptote requires |log x| >= {guard}, got {ell:.6g}")
-
-
-def h1_asymptote_log(params: KouJumpParams, x: float, guard: float = 4.0) -> float:
-    ell = math.log(x)
-    _asymptote_guard(ell, guard)
-    b1 = params.b1_jump
-    return (
-        math.log(0.5 / math.sqrt(math.pi))
-        + 0.25 * math.log(b1)
-        + params._up_exp_shift()
-        - 0.75 * math.log(ell)
-        + 2.0 * math.sqrt(b1 * ell)
-    )
-
-
-def h1_asymptote(params: KouJumpParams, x: float, guard: float = 4.0) -> float:
-    """Leading term of G1(t, log x) as x -> inf; relative error O((log x)^-1/2)."""
-    return math.exp(h1_asymptote_log(params, x, guard))
-
-
-def h2_asymptote_log(params: KouJumpParams, x: float, guard: float = 4.0) -> float:
-    ell = -math.log(x)
-    _asymptote_guard(ell, guard)
-    b2 = params.b2_jump
-    return (
-        math.log(0.5 / math.sqrt(math.pi))
-        + 0.25 * math.log(b2)
-        + params._down_exp_shift()
-        - 0.75 * math.log(ell)
-        + 2.0 * math.sqrt(b2 * ell)
-    )
-
-
-def h2_asymptote(params: KouJumpParams, x: float, guard: float = 4.0) -> float:
-    """Leading term of the downward series factor as x -> 0; mirror of h1."""
-    return math.exp(h2_asymptote_log(params, x, guard))
-
-
-def h_tail_asymptote(params: KouJumpParams) -> TailAsymptote:
-    """Large-x asymptote of the full density H (series factor times power)."""
+def h_wing_record(params: KouJumpParams, wing: str) -> TailAsymptote:
+    """Asymptote of the full density H on one wing: the leading term of the
+    series factor G1 (large wing) or G2 (small wing) times the power
+    x^(-eta1-1) or x^(eta2-1)."""
+    side = side_of(wing)
+    if side == AT_INFINITY:
+        b, shift, r3 = params.b1_jump, params._up_exp_shift(), params.eta1 + 1.0
+    else:
+        b, shift, r3 = params.b2_jump, params._down_exp_shift(), params.eta2 - 1.0
     return TailAsymptote(
-        r1=0.5 / math.sqrt(math.pi) * params.b1_jump**0.25 * math.exp(params._up_exp_shift()),
-        r2=2.0 * math.sqrt(params.b1_jump),
-        r3=params.eta1 + 1.0,
+        r1=0.5 / math.sqrt(math.pi) * b**0.25 * math.exp(shift),
+        r2=2.0 * math.sqrt(b),
+        r3=r3,
         r4=-0.75,
-        side=AT_INFINITY,
-        error_order=ERROR_INV_SQRT_LOG,
-    )
-
-
-def h_zero_asymptote(params: KouJumpParams) -> TailAsymptote:
-    """Small-x asymptote of H: prefactor * x^(eta2-1) * slowly varying part."""
-    return TailAsymptote(
-        r1=0.5 / math.sqrt(math.pi) * params.b2_jump**0.25 * math.exp(params._down_exp_shift()),
-        r2=2.0 * math.sqrt(params.b2_jump),
-        r3=params.eta2 - 1.0,
-        r4=-0.75,
-        side=AT_ZERO,
+        side=side,
         error_order=ERROR_INV_SQRT_LOG,
     )
 
 
 def _check_strip(params: KouJumpParams, z) -> None:
-    bad = first_outside(z, -params.eta2, params.eta1)
+    bad = first_outside(z, *params.moment_strip())
     if bad is not None:
         raise MomentExplosionError(
             f"jump moment of order {bad} undefined: admissible open interval is "
@@ -564,8 +523,3 @@ def sample_jump_factors(params: KouJumpParams, stream, size: int) -> np.ndarray:
     up = gen.standard_gamma(n_up) / params.eta1
     down = gen.standard_gamma(n_down) / params.eta2
     return np.exp(up - down)
-
-
-def sample_jump_factor(params: KouJumpParams, stream) -> float:
-    """One draw of the jump factor exp(T_t)."""
-    return float(sample_jump_factors(params, stream, 1)[0])

@@ -18,14 +18,16 @@ from .numerics import DEFAULT_TOL, Tolerance, integrate
 __all__ = [
     "AT_INFINITY",
     "AT_ZERO",
+    "WING_LARGE",
+    "WING_SMALL",
+    "side_of",
     "ERROR_INV_SQRT_LOG",
     "ERROR_INV_LOG",
     "MellinStrip",
     "TailAsymptote",
     "mellin_transform",
     "mellin_convolve",
-    "convolve_asymptote_infinity",
-    "convolve_asymptote_zero",
+    "convolve_asymptote",
     "zygmund_epsilon",
     "slow_variation_remainder",
 ]
@@ -33,10 +35,22 @@ __all__ = [
 AT_INFINITY = "infinity"
 AT_ZERO = "zero"
 
+# the two wings of a density, and the side of the tail record describing each
+WING_LARGE = "large"
+WING_SMALL = "small"
+_SIDES = {WING_LARGE: AT_INFINITY, WING_SMALL: AT_ZERO}
+
 # error-order tags for the relative remainder of a tail formula
 ERROR_INV_SQRT_LOG = "(log x)^(-1/2)"
 ERROR_INV_LOG = "(log x)^(-1)"
 _ERROR_RANK = {ERROR_INV_LOG: 0, ERROR_INV_SQRT_LOG: 1}
+
+
+def side_of(wing: str) -> str:
+    """The record side of a wing: AT_INFINITY for the large wing, AT_ZERO for the small."""
+    if wing not in _SIDES:
+        raise DomainError(f"unknown wing {wing!r}")
+    return _SIDES[wing]
 
 
 def combine_error_orders(a: str, b: str) -> str:
@@ -92,9 +106,11 @@ class TailAsymptote:
             raise DomainError(f"asymptote needs |log x| > 0, got {ell} on side {self.side}")
         return math.log(self.r1) - self.r3 * ell + self.r2 * math.sqrt(ell) + self.r4 * math.log(ell)
 
+    def _ell(self, x: float) -> float:
+        return math.log(x) if self.side == AT_INFINITY else -math.log(x)
+
     def log_value(self, x: float) -> float:
-        ell = math.log(x) if self.side == AT_INFINITY else -math.log(x)
-        return self.log_value_logx(ell)
+        return self.log_value_logx(self._ell(x))
 
     def value(self, x: float) -> float:
         return math.exp(self.log_value(x))
@@ -105,12 +121,30 @@ class TailAsymptote:
             raise DomainError(f"prefactor scale must be > 0, got {factor}")
         return replace(self, r1=self.r1 * factor)
 
-    def with_note(self, note: str) -> "TailAsymptote":
-        return replace(self, note=note)
+    @property
+    def mellin_point(self) -> float:
+        """Order rho at which the transfer rule evaluates the co-factor's Mellin
+        transform: -r3 for a tail at infinity, +r3 for a tail at zero."""
+        return -self.r3 if self.side == AT_INFINITY else self.r3
+
+    def reflected(self, x0: float) -> "TailAsymptote":
+        """Record at infinity of x0^3 y^-3 D(x0^2/y), for D this record at zero.
+
+        The reflection x -> x0^2/x about the spot maps the small wing onto the
+        large one, which is how small-wing prices follow from the large-wing
+        rules: r1 becomes r1 x0^(2 r3 + 3) and r3 becomes r3 + 3. The slowly
+        varying factor keeps its form, since shifting log x by 2 log x0 leaves
+        it asymptotically unchanged.
+        """
+        if self.side != AT_ZERO:
+            raise DomainError("reflected() needs a tail record at zero")
+        if not x0 > 0:
+            raise DomainError(f"reflection needs a spot x0 > 0, got {x0}")
+        return replace(self, r1=self.r1 * x0 ** (2.0 * self.r3 + 3.0), r3=self.r3 + 3.0, side=AT_INFINITY)
 
     def error_bound_scale(self, x: float) -> float:
         """Value of the error-order function at x (relative-error scale)."""
-        ell = math.log(x) if self.side == AT_INFINITY else -math.log(x)
+        ell = self._ell(x)
         if ell <= 0:
             raise DomainError(f"error bound evaluated on the wrong side: x={x}")
         return ell ** -0.5 if self.error_order == ERROR_INV_SQRT_LOG else 1.0 / ell
@@ -153,6 +187,15 @@ def _block_sum(block_values, tol: Tolerance, what: str, min_windows: int = 24):
     )
 
 
+def _sweep(window, advance, edge: float = 1.0):
+    """window(lo, hi) over 1100 adjacent windows swept outward from `edge`;
+    `advance` maps each window edge to the next (the direction of the sweep)."""
+    for _ in range(1100):
+        nxt = advance(edge)
+        yield window(min(edge, nxt), max(edge, nxt))
+        edge = nxt
+
+
 def mellin_transform(U, z: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """MU(z) = integral_0^inf t^(-z-1) U(t) dt, by windowed adaptive quadrature.
 
@@ -164,21 +207,14 @@ def mellin_transform(U, z: float, tol: Tolerance = DEFAULT_TOL) -> float:
     def integrand(t):
         return t ** (-z - 1.0) * U(t)
 
-    def blocks_up():
-        a = 1.0
-        for _ in range(1100):
-            yield integrate(integrand, a, 2.0 * a, inner)
-            a *= 2.0
+    def window(lo, hi):
+        return integrate(integrand, lo, hi, inner)
 
-    def blocks_down():
-        b = 1.0
-        for _ in range(1100):
-            yield integrate(integrand, b / 2.0, b, inner)
-            b /= 2.0
-
-    up = _block_sum(blocks_up(), tol, f"Mellin transform at z={z}, upper range", min_windows=40)
-    down = _block_sum(blocks_down(), tol, f"Mellin transform at z={z}, lower range", min_windows=40)
-    return up + down
+    # octaves [a, 2a] upward from t = 1, then [a/2, a] downward
+    return sum(
+        _block_sum(_sweep(window, advance), tol, f"Mellin transform at z={z}, {where} range", min_windows=40)
+        for advance, where in ((lambda a: 2.0 * a, "upper"), (lambda a: a / 2.0, "lower"))
+    )
 
 
 def mellin_convolve(f, g, x: float, tol: Tolerance = DEFAULT_TOL, *, min_windows: int | None = None) -> float:
@@ -206,24 +242,13 @@ def mellin_convolve(f, g, x: float, tol: Tolerance = DEFAULT_TOL, *, min_windows
     def window(lo, hi):
         return integrate(integrand, lo, hi, inner, points=[log_x] if lo < log_x < hi else None)
 
-    def blocks_up():
-        v = 0.0
-        for _ in range(1100):
-            yield window(v, v + 1.0)
-            v += 1.0
-
-    def blocks_down():
-        v = 0.0
-        for _ in range(1100):
-            yield window(v - 1.0, v)
-            v -= 1.0
-
-    up = _block_sum(blocks_up(), tol, f"Mellin convolution at x={x}, t > 1", min_windows)
-    down = _block_sum(blocks_down(), tol, f"Mellin convolution at x={x}, t < 1", min_windows)
-    return up + down
+    return sum(
+        _block_sum(_sweep(window, advance, 0.0), tol, f"Mellin convolution at x={x}, {where}", min_windows)
+        for advance, where in ((lambda v: v + 1.0, "t > 1"), (lambda v: v - 1.0, "t < 1"))
+    )
 
 
-def convolve_asymptote_infinity(
+def convolve_asymptote(
     U,
     f_tail: TailAsymptote,
     rho: float,
@@ -232,18 +257,20 @@ def convolve_asymptote_infinity(
     *,
     mellin_value: float | None = None,
 ) -> TailAsymptote:
-    """Large-x asymptote of U * f when f has the given power tail at infinity.
+    """Wing asymptote of U * f when f has the given power tail on that wing.
 
-    The prefactor is multiplied by MU(rho) with rho = -f_tail.r3; rho must lie
-    strictly inside U's convergence strip (the dominance condition). The slowly
-    varying factor of f_tail is passed through unchanged, and the error order
-    is the dominant of f_tail's own order and the remainder class of its
-    slowly varying factor.
+    The prefactor is multiplied by MU(rho), where rho = f_tail.mellin_point is
+    -r3 for a tail at infinity and +r3 for a tail at zero (the mirror of the
+    rule under x -> 1/x); rho must lie strictly inside U's convergence strip
+    (the dominance condition). The slowly varying factor of f_tail is passed
+    through unchanged, and the error order is the dominant of f_tail's own
+    order and the remainder class of its slowly varying factor.
     """
-    if f_tail.side != AT_INFINITY:
-        raise DomainError("convolve_asymptote_infinity requires a tail at infinity")
-    if abs(rho + f_tail.r3) > 1e-12 * max(1.0, abs(rho)):
-        raise DomainError(f"rho={rho} must equal -r3={-f_tail.r3} of the tail record")
+    if abs(rho - f_tail.mellin_point) > 1e-12 * max(1.0, abs(rho)):
+        raise DomainError(
+            f"rho={rho} must equal {f_tail.mellin_point} ({'-r3' if f_tail.side == AT_INFINITY else 'r3'}) "
+            f"of the tail record at {f_tail.side}"
+        )
     if not strip.contains(rho):
         raise DomainError(
             f"rho={rho} outside the open strip ({strip.sigma}, {strip.tau}); "
@@ -254,36 +281,6 @@ def convolve_asymptote_infinity(
         raise DomainError(f"Mellin transform value must be positive, got {mu}")
     order = combine_error_orders(f_tail.error_order, f_tail.slow_variation_remainder_order())
     return replace(f_tail, r1=f_tail.r1 * mu, error_order=order)
-
-
-def convolve_asymptote_zero(
-    U,
-    f_zero: TailAsymptote,
-    rho: float,
-    strip: MellinStrip,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    mellin_value: float | None = None,
-) -> TailAsymptote:
-    """Small-x asymptote of U * f; mirror of the infinity rule under x -> 1/x.
-
-    For a tail record at zero with f(x) ~ r1 x^r3 l(log(1/x)), the transfer
-    evaluates MU at rho = +r3, which must lie inside U's strip.
-    """
-    if f_zero.side != AT_ZERO:
-        raise DomainError("convolve_asymptote_zero requires a tail at zero")
-    if abs(rho - f_zero.r3) > 1e-12 * max(1.0, abs(rho)):
-        raise DomainError(f"rho={rho} must equal r3={f_zero.r3} of the tail record")
-    if not strip.contains(rho):
-        raise DomainError(
-            f"rho={rho} outside the open strip ({strip.sigma}, {strip.tau}); "
-            "the convolved tail is not dominated by this factor"
-        )
-    mu = mellin_transform(U, rho, tol) if mellin_value is None else float(mellin_value)
-    if not mu > 0:
-        raise DomainError(f"Mellin transform value must be positive, got {mu}")
-    order = combine_error_orders(f_zero.error_order, f_zero.slow_variation_remainder_order())
-    return replace(f_zero, r1=f_zero.r1 * mu, error_order=order)
 
 
 def zygmund_epsilon(l, x: float, dl=None, rel_step: float = 1e-6) -> float:

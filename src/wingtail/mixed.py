@@ -10,12 +10,10 @@ import math
 from dataclasses import dataclass, field
 
 from . import heston as _heston
-from . import kou as _kou
-from . import nig as _nig
 from .errors import DegenerateRegimeError, DomainError
 from .heston import HestonParams, HestonTailConstants
 from .kou import KouJumpParams
-from .mellin import TailAsymptote
+from .mellin import WING_LARGE, WING_SMALL, TailAsymptote, side_of
 from .nig import NIGParams
 from .numerics import Tolerance
 
@@ -28,13 +26,10 @@ __all__ = [
     "MixedModel",
     "classify",
     "classify_wing",
-    "mixed_tail_asymptote",
-    "mixed_zero_asymptote",
+    "mixed_asymptote",
     "mixed_density",
 ]
 
-WING_LARGE = "large"
-WING_SMALL = "small"
 DOMINANT_JUMP = "jump"
 DOMINANT_DIFFUSION = "diffusion"
 
@@ -57,6 +52,10 @@ class MixedModel:
     """Heston component plus an optional independent jump component.
 
     `jumps=None` means the pure diffusion model (the zero-intensity limit).
+    The jump law is used only through its interface (`KouJumpParams` and
+    `NIGParams` both provide it): `kind`, `moment_strip()`, `log_mgf(z)`,
+    `cgf_derivatives(s)`, `mgf(s)`, `wing_record(wing)`, `price_density(x)`,
+    `atom_mass`, `sample_factors(stream, size)` and `martingale_drift()`.
     Tail constants of the diffusion part are computed eagerly and stored in
     `derived`; the record is immutable after construction.
     """
@@ -75,9 +74,7 @@ class MixedModel:
 
     @property
     def jump_kind(self) -> str | None:
-        if self.jumps is None:
-            return None
-        return "kou" if isinstance(self.jumps, KouJumpParams) else "nig"
+        return None if self.jumps is None else self.jumps.kind
 
     @property
     def t(self) -> float:
@@ -93,49 +90,30 @@ class MixedModel:
         z is a complex scalar or a numpy array of them (elementwise result).
         """
         total = _heston.log_mgf(self.heston, z)
-        if self.jump_kind == "kou":
-            total += _kou.log_jump_mgf(self.jumps, z)
-        elif self.jump_kind == "nig":
-            total += _nig.log_nig_mgf(self.jumps, z)
+        if self.jumps is not None:
+            total += self.jumps.log_mgf(z)
         return total
 
     def cgf_derivatives(self, s):
         """K(s) = log E[X_t^s] and K'(s), K''(s) at real s (scalar or array) in the strip."""
         K, K1, K2 = _heston.cgf_derivatives(self.heston, s)
-        if self.jump_kind == "kou":
-            J, J1, J2 = _kou.jump_cgf_derivatives(self.jumps, s)
-        elif self.jump_kind == "nig":
-            J, J1, J2 = _nig.nig_cgf_derivatives(self.jumps, s)
-        else:
+        if self.jumps is None:
             return K, K1, K2
+        J, J1, J2 = self.jumps.cgf_derivatives(s)
         return K + J, K1 + J1, K2 + J2
 
     def moment_strip(self) -> tuple[float, float]:
         """Open interval of moment orders with E[X_t^s] finite."""
         cm = _heston.critical_moments(self.heston)
         lo, hi = cm.s_minus, cm.s_plus
-        if self.jump_kind == "kou":
-            lo, hi = max(lo, -self.jumps.eta2), min(hi, self.jumps.eta1)
-        elif self.jump_kind == "nig":
-            lo, hi = max(lo, -self.jumps.alpha), min(hi, self.jumps.alpha)
+        if self.jumps is not None:
+            jump_lo, jump_hi = self.jumps.moment_strip()
+            lo, hi = max(lo, jump_lo), min(hi, jump_hi)
         return lo, hi
 
     def jump_moment(self, s: float) -> float:
         """Moment of order s of the jump factor (atom included for Kou)."""
-        if self.jumps is None:
-            return 1.0
-        if self.jump_kind == "kou":
-            return _kou.jump_mgf(self.jumps, s)
-        return _nig.nig_mgf(self.jumps, s)
-
-
-def _jump_exponents(model: MixedModel) -> tuple[float, float]:
-    """(power at infinity, power at zero) of the jump price density tails."""
-    if model.jump_kind == "kou":
-        return model.jumps.eta1 + 1.0, model.jumps.eta2 - 1.0
-    if model.jump_kind == "nig":
-        return model.jumps.alpha + 1.0, model.jumps.alpha - 1.0
-    raise DomainError("no jump component present")
+        return 1.0 if self.jumps is None else self.jumps.mgf(s)
 
 
 def classify_wing(model: MixedModel, wing: str) -> WingRegime:
@@ -144,17 +122,17 @@ def classify_wing(model: MixedModel, wing: str) -> WingRegime:
     Large wing: the mixed density decays like x^(-e) with e the smaller of
     the diffusion power A3 and the jump power; the component attaining the
     smaller power dominates. Small wing: densities grow like x^(+e) with the
-    smaller exponent dominating likewise.
+    smaller exponent dominating likewise. The jump powers are read off the
+    jump moment strip (lo, hi): hi + 1 at infinity and -lo - 1 at zero.
     """
-    if wing not in (WING_LARGE, WING_SMALL):
-        raise DomainError(f"unknown wing {wing!r}")
+    side_of(wing)  # refuses an unknown wing
     if model.jumps is None:
         return WingRegime(wing=wing, dominant=DOMINANT_DIFFUSION, margin=math.inf)
-    jump_inf, jump_zero = _jump_exponents(model)
+    jump_lo, jump_hi = model.jumps.moment_strip()
     if wing == WING_LARGE:
-        diff_exp, jump_exp = model.derived.A3, jump_inf
+        diff_exp, jump_exp = model.derived.A3, jump_hi + 1.0
     else:
-        diff_exp, jump_exp = model.derived.A3t, jump_zero
+        diff_exp, jump_exp = model.derived.A3t, -jump_lo - 1.0
     gap = diff_exp - jump_exp
     scale = max(1.0, abs(diff_exp), abs(jump_exp))
     if abs(gap) <= model.degeneracy_rtol * scale:
@@ -172,61 +150,31 @@ def classify(model: MixedModel) -> tuple[WingRegime, WingRegime]:
     return classify_wing(model, WING_LARGE), classify_wing(model, WING_SMALL)
 
 
-def _jump_tail_record(model: MixedModel, wing: str) -> TailAsymptote:
-    if model.jump_kind == "kou":
-        return _kou.h_tail_asymptote(model.jumps) if wing == WING_LARGE else _kou.h_zero_asymptote(model.jumps)
-    return _nig.nig_tail_record(model.jumps) if wing == WING_LARGE else _nig.nig_zero_record(model.jumps)
+def mixed_asymptote(model: MixedModel, wing: str) -> TailAsymptote:
+    """Leading term of the mixed density on one wing (x -> inf or x -> 0).
 
-
-def mixed_tail_asymptote(model: MixedModel) -> TailAsymptote:
-    """Leading term of the mixed density as x -> inf.
-
-    Jump-dominant: the jump tail record scaled by the diffusion moment of
-    matching order. Diffusion-dominant: the diffusion tail record scaled by
-    the jump-factor moment of order A3 - 1. Both prefactors are the Mellin
-    transform of the co-factor at the tail exponent.
+    The dominant component's wing record is scaled by the co-factor's moment
+    of order -rho - 1, where rho is the record's Mellin point (-r3 at
+    infinity, +r3 at zero): this is the Mellin transform of the co-factor at
+    rho. Jump-dominant: the jump record times a diffusion moment.
+    Diffusion-dominant: the diffusion record times a jump-factor moment.
     """
-    regime = classify_wing(model, WING_LARGE)
+    regime = classify_wing(model, wing)
     if model.jumps is None:
-        return _heston.tail_record(model.heston)
+        return _heston.wing_record(model.heston, wing)
     if regime.dominant == DOMINANT_JUMP:
-        record = _jump_tail_record(model, WING_LARGE)
-        order = record.r3 - 1.0  # eta1 or alpha
-        return record.scaled(_heston.mgf(model.heston, order))
-    record = _heston.tail_record(model.heston)
-    return record.scaled(model.jump_moment(model.derived.A3 - 1.0))
-
-
-def mixed_zero_asymptote(model: MixedModel) -> TailAsymptote:
-    """Leading term of the mixed density as x -> 0 (mirror of the large wing).
-
-    The diffusion-dominant prefactor uses the jump moment of order -A3t - 1,
-    the evaluation point of the underlying Mellin transform. For NIG jumps the
-    small-wing formula is obtained by the x <-> 1/x symmetry of the jump law
-    rather than stated directly; such records carry a note saying so.
-    """
-    regime = classify_wing(model, WING_SMALL)
-    if model.jumps is None:
-        return _heston.zero_record(model.heston)
-    note = "extrapolated-by-symmetry" if model.jump_kind == "nig" else ""
-    if regime.dominant == DOMINANT_JUMP:
-        record = _jump_tail_record(model, WING_SMALL)
-        order = -(record.r3 + 1.0)  # -eta2 or -alpha
-        out = record.scaled(_heston.mgf(model.heston, order))
-    else:
-        record = _heston.zero_record(model.heston)
-        out = record.scaled(model.jump_moment(-model.derived.A3t - 1.0))
-    if note:
-        out = out.with_note(note)
-    return out
+        record = model.jumps.wing_record(wing)
+        return record.scaled(_heston.mgf(model.heston, -record.mellin_point - 1.0))
+    record = _heston.wing_record(model.heston, wing)
+    return record.scaled(model.jump_moment(-record.mellin_point - 1.0))
 
 
 def mixed_density(model: MixedModel, x: float, tol: Tolerance | None = None) -> float:
     """Exact mixed density by quadrature composition (oracle grade, not asymptote).
 
-    Kou: atom-weighted diffusion density plus the multiplicative convolution
-    of the diffusion density (Fourier inverted) with the jump density H.
-    NIG: full convolution with the closed-form jump density.
+    The multiplicative convolution of the diffusion density (Fourier
+    inverted) with the jump price density, plus the atom-weighted diffusion
+    density when the jump law has an atom at 1 (Kou).
     """
     from . import oracles  # local import: oracles depends on this module
     from .mellin import mellin_convolve
@@ -241,8 +189,6 @@ def mixed_density(model: MixedModel, x: float, tol: Tolerance | None = None) -> 
     # windowed variable = the diffusion factor (concentrated near t = 1), so
     # the window sweep stays short for any x; the jump density is the smooth
     # co-factor evaluated at x/t
-    if model.jump_kind == "kou":
-        j = model.jumps
-        conv = mellin_convolve(lambda v: _kou.h_density(j, v), d1, x, tol, min_windows=24)
-        return j.atom_mass * d1(x) + conv
-    return mellin_convolve(lambda v: _nig.nig_price_density(model.jumps, v), d1, x, tol, min_windows=24)
+    jumps = model.jumps
+    conv = mellin_convolve(jumps.price_density, d1, x, tol, min_windows=24)
+    return jumps.atom_mass * d1(x) + conv if jumps.atom_mass else conv

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import k1e
 
-from .errors import DomainError, MomentExplosionError, NoArbitrageError, RegimeGuardError
-from .mellin import AT_INFINITY, AT_ZERO, ERROR_INV_LOG, TailAsymptote
+from .errors import DomainError, MomentExplosionError, NoArbitrageError
+from .mellin import AT_ZERO, ERROR_INV_LOG, TailAsymptote, side_of
 from .numerics import UnderflowWarning, complex_namespace, first_outside, require_finite
 
 __all__ = [
@@ -25,21 +25,26 @@ __all__ = [
     "nig_log_density",
     "nig_price_density",
     "nig_price_log_density",
-    "nig_tail_asymptote",
-    "nig_tail_record",
-    "nig_zero_record",
+    "nig_wing_record",
     "nig_no_arb_drift",
     "nig_mgf",
     "log_nig_mgf",
     "nig_cgf_derivatives",
-    "sample_nig",
     "sample_nigs",
 ]
 
 
 @dataclass(frozen=True)
 class NIGParams:
-    """Tail-heaviness alpha, scale delta, horizon t."""
+    """Tail-heaviness alpha, scale delta, horizon t.
+
+    The methods are the jump-law interface that `MixedModel` uses; each calls
+    the module function of the same law. The jump factor is e^(Y_t), which has
+    no atom.
+    """
+
+    kind = "nig"
+    atom_mass = 0.0
 
     alpha: float
     delta: float
@@ -58,6 +63,30 @@ class NIGParams:
     def k_factor(self) -> float:
         adt = self.alpha * self.delta * self.t
         return adt * math.exp(adt) / math.pi
+
+    def moment_strip(self) -> tuple[float, float]:
+        return -self.alpha, self.alpha
+
+    def log_mgf(self, z):
+        return log_nig_mgf(self, z)
+
+    def cgf_derivatives(self, s):
+        return nig_cgf_derivatives(self, s)
+
+    def mgf(self, s: float) -> float:
+        return nig_mgf(self, s)
+
+    def wing_record(self, wing: str) -> TailAsymptote:
+        return nig_wing_record(self, wing)
+
+    def price_density(self, x: float) -> float:
+        return nig_price_density(self, x)
+
+    def sample_factors(self, stream, size: int) -> np.ndarray:
+        return np.exp(sample_nigs(self, stream, size))
+
+    def martingale_drift(self) -> float:
+        return nig_no_arb_drift(self)
 
 
 def _log_density_core(params: NIGParams, y: float) -> float:
@@ -99,35 +128,21 @@ def nig_price_log_density(params: NIGParams, x: float) -> float:
     return _log_density_core(params, math.log(x)) - math.log(x)
 
 
-def nig_tail_record(params: NIGParams) -> TailAsymptote:
-    """Large-x price-density asymptote: k(t) sqrt(pi/2 alpha) x^(-alpha-1) (log x)^(-3/2)."""
+def nig_wing_record(params: NIGParams, wing: str) -> TailAsymptote:
+    """Price-density asymptote k(t) sqrt(pi/2 alpha) x^(-alpha-1) (log x)^(-3/2)
+    as x -> inf; the small wing x^(alpha-1) follows by the x <-> 1/x symmetry
+    of the law, and its record carries a note saying so."""
+    side = side_of(wing)
+    small = side == AT_ZERO
     return TailAsymptote(
         r1=params.k_factor * math.sqrt(math.pi / (2.0 * params.alpha)),
         r2=0.0,
-        r3=params.alpha + 1.0,
+        r3=params.alpha - 1.0 if small else params.alpha + 1.0,
         r4=-1.5,
-        side=AT_INFINITY,
+        side=side,
         error_order=ERROR_INV_LOG,
+        note="extrapolated-by-symmetry" if small else "",
     )
-
-
-def nig_zero_record(params: NIGParams) -> TailAsymptote:
-    """Small-x price-density asymptote, by the x <-> 1/x symmetry of the law."""
-    return TailAsymptote(
-        r1=params.k_factor * math.sqrt(math.pi / (2.0 * params.alpha)),
-        r2=0.0,
-        r3=params.alpha - 1.0,
-        r4=-1.5,
-        side=AT_ZERO,
-        error_order=ERROR_INV_LOG,
-    )
-
-
-def nig_tail_asymptote(params: NIGParams, x: float, guard: float = 4.0) -> TailAsymptote:
-    """Tail record, guarded: only meaningful for log x >= guard."""
-    if not x > 0 or math.log(x) < guard:
-        raise RegimeGuardError(f"nig_tail_asymptote requires log x >= {guard}, got x={x}")
-    return nig_tail_record(params)
 
 
 def nig_no_arb_drift(params: NIGParams) -> float:
@@ -141,7 +156,7 @@ def nig_no_arb_drift(params: NIGParams) -> float:
 
 
 def _check_strip(params: NIGParams, z) -> None:
-    bad = first_outside(z, -params.alpha, params.alpha)
+    bad = first_outside(z, *params.moment_strip())
     if bad is not None:
         raise MomentExplosionError(
             f"NIG moment of order {bad} undefined: admissible open interval is "
@@ -194,8 +209,3 @@ def sample_nigs(params: NIGParams, stream, size: int) -> np.ndarray:
     dt = params.delta * params.t
     clock = _sample_inverse_gaussian(gen, mean=dt / params.alpha, shape=dt * dt, size=size)
     return np.sqrt(clock) * gen.standard_normal(size)
-
-
-def sample_nig(params: NIGParams, stream) -> float:
-    """One draw of Y_t."""
-    return float(sample_nigs(params, stream, 1)[0])

@@ -8,14 +8,12 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
-import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 from scipy import integrate as _sci_integrate
 from scipy import optimize as _sci_optimize
-from scipy import special as _sci_special
 
 from .errors import BracketingError, ConvergenceError, DomainError
 
@@ -23,7 +21,6 @@ __all__ = [
     "Tolerance",
     "UnderflowWarning",
     "log_gamma",
-    "bessel_k1",
     "integrate",
     "find_root",
     "complex_namespace",
@@ -115,20 +112,6 @@ def log_gamma(x: float) -> float:
     if not x > 0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
-
-
-def bessel_k1(z: float) -> float:
-    """Modified Bessel function of the third kind, order 1.
-
-    Underflows to 0 for very large z (roughly z > 705); that case returns 0.0
-    and emits an UnderflowWarning instead of raising.
-    """
-    if not z > 0:
-        raise DomainError(f"bessel_k1 requires z > 0, got {z}")
-    val = float(_sci_special.k1(z))
-    if val == 0.0:
-        warnings.warn(f"bessel_k1 underflowed at z={z}", UnderflowWarning, stacklevel=2)
-    return val
 
 
 def integrate(f, a: float, b: float, tol: Tolerance = DEFAULT_TOL, *, points=None) -> float:

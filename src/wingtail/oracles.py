@@ -18,9 +18,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import DomainError, OracleError
 from .heston import HestonParams
-from .kou import KouJumpParams, sample_jump_factors
 from .mixed import MixedModel
-from .nig import NIGParams, sample_nigs
 from .numerics import RngStream, Tolerance, find_root, integrate_panels
 
 __all__ = [
@@ -341,10 +339,8 @@ def simulate_paths(
             log_x += -0.5 * y_pos * dt + vol * sq_dt * (hp.rho * z_var + rho_c * z_perp)
             y = y + (hp.a - hp.b * y_pos) * dt + hp.c * vol * sq_dt * z_var
         price = np.exp(log_x)
-        if isinstance(model.jumps, KouJumpParams):
-            price *= sample_jump_factors(model.jumps, sub, m)
-        elif isinstance(model.jumps, NIGParams):
-            price *= np.exp(sample_nigs(model.jumps, sub, m))
+        if model.jumps is not None:
+            price *= model.jumps.sample_factors(sub, m)
         out[start : start + m] = price
     return out
 

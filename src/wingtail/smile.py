@@ -16,18 +16,10 @@ from dataclasses import dataclass
 
 from scipy.special import log_ndtr, ndtr
 
-from . import nig as _nig
 from .errors import DomainError, InfinitePriceError, InversionError, RegimeGuardError
 from .kou import risk_neutral_drift
-from .mellin import AT_INFINITY, AT_ZERO, TailAsymptote
-from .mixed import (
-    WING_LARGE,
-    WING_SMALL,
-    MixedModel,
-    classify_wing,
-    mixed_tail_asymptote,
-    mixed_zero_asymptote,
-)
+from .mellin import AT_INFINITY, TailAsymptote
+from .mixed import WING_LARGE, WING_SMALL, MixedModel, classify_wing, mixed_asymptote
 from .numerics import Tolerance, find_root
 
 __all__ = [
@@ -40,7 +32,6 @@ __all__ = [
     "call_asymptote",
     "call_asymptote_log",
     "expansion_from_tail",
-    "expansion_from_zero_tail",
     "smile_expansion",
     "implied_vol_approx",
 ]
@@ -258,44 +249,26 @@ def _wing_coefficients(r1n: float, r2: float, e_lo: float, e_hi: float, r4: floa
 
 
 def expansion_from_tail(tail: TailAsymptote, x0: float, T: float) -> SmileExpansion:
-    """Large-wing expansion from a density tail record at infinity.
+    """Wing expansion from a density tail record; the record's side picks the wing.
 
-    The prefactor is first normalized to unit spot (r1 -> r1 x0^(1-r3)), which
-    is how a general initial price enters the constant term.
+    Large wing (record at infinity): the coefficients depend on the exponent
+    offsets (r3 - 2, r3 - 1) and on the prefactor normalized to unit spot,
+    r1 x0^(1-r3), which is how a general initial price enters the constant
+    term. Small wing (record at zero, density ~ r1 x^(s3 - 1) with s3 = r3 + 1):
+    the offsets are (s3, s3 + 1) and the normalized prefactor r1 x0^s3; this
+    equals routing `tail.reflected(x0)` through the large-wing branch.
     """
-    if tail.side != AT_INFINITY:
-        raise DomainError("large-wing expansion requires a tail at infinity")
-    if not tail.r3 > 2.0:
-        raise InfinitePriceError(f"wing expansion needs tail power > 2, got {tail.r3}")
-    r1n = tail.r1 * x0 ** (1.0 - tail.r3)
-    c = _wing_coefficients(r1n, tail.r2, tail.r3 - 2.0, tail.r3 - 1.0, tail.r4, T)
-    return SmileExpansion(WING_LARGE, *c, T=T, x0=x0)
-
-
-def expansion_from_zero_tail(tail: TailAsymptote, x0: float, T: float) -> SmileExpansion:
-    """Small-wing expansion from a density record at zero (direct form).
-
-    With the density behaving like s1 x^(s3 - 1) near zero (s3 = r3 + 1 of the
-    record), the coefficients are the large-wing ones at exponent offsets
-    (s3, s3 + 1); this equals routing the reflected density x^(-3) D(1/x)
-    through the large-wing pipeline.
-    """
-    if tail.side != AT_ZERO:
-        raise DomainError("small-wing expansion requires a tail at zero")
-    s3 = tail.r3 + 1.0
-    if not s3 > 0.0:
-        raise InfinitePriceError(f"wing expansion needs positive small-x moment index, got s3={s3}")
-    s1n = tail.r1 * x0**s3
-    c = _wing_coefficients(s1n, tail.r2, s3, s3 + 1.0, tail.r4, T)
-    return SmileExpansion(WING_SMALL, *c, T=T, x0=x0)
-
-
-def _expected_drift(model: MixedModel) -> float:
-    if model.jump_kind == "kou":
-        return risk_neutral_drift(model.jumps)
-    if model.jump_kind == "nig":
-        return _nig.nig_no_arb_drift(model.jumps)
-    return 0.0
+    if tail.side == AT_INFINITY:
+        wing, e_lo, e_hi, r1n = WING_LARGE, tail.r3 - 2.0, tail.r3 - 1.0, tail.r1 * x0 ** (1.0 - tail.r3)
+    else:
+        s3 = tail.r3 + 1.0
+        wing, e_lo, e_hi, r1n = WING_SMALL, s3, s3 + 1.0, tail.r1 * x0**s3
+    if not e_lo > 0.0:
+        raise InfinitePriceError(
+            f"{wing}-wing expansion needs a positive exponent offset, got {e_lo} (record r3={tail.r3})"
+        )
+    c = _wing_coefficients(r1n, tail.r2, e_lo, e_hi, tail.r4, T)
+    return SmileExpansion(wing, *c, T=T, x0=x0)
 
 
 def smile_expansion(model: MixedModel, wing: str) -> SmileExpansion:
@@ -305,16 +278,14 @@ def smile_expansion(model: MixedModel, wing: str) -> SmileExpansion:
     is defined against the spot as forward); raises on a degenerate regime or
     an exploding prefactor moment, propagated from the wing classification.
     """
-    mu_star = _expected_drift(model)
+    mu_star = 0.0 if model.jumps is None else model.jumps.martingale_drift()
     if abs(model.heston.mu - mu_star) > 1e-9 * max(1.0, abs(mu_star)):
         raise DomainError(
             f"model drift {model.heston.mu} is not the martingale drift {mu_star}; "
             "install the no-arbitrage drift before asking for smile asymptotics"
         )
     classify_wing(model, wing)  # surfaces degenerate regimes before any algebra
-    if wing == WING_LARGE:
-        return expansion_from_tail(mixed_tail_asymptote(model), model.x0, model.t)
-    return expansion_from_zero_tail(mixed_zero_asymptote(model), model.x0, model.t)
+    return expansion_from_tail(mixed_asymptote(model, wing), model.x0, model.t)
 
 
 def implied_vol_approx(expansion: SmileExpansion, K: float, guard: float = 4.0) -> float:

@@ -11,6 +11,7 @@ from wingtail.errors import WingtailError
 HERE = os.path.dirname(__file__)
 CONFIG_DIR = os.path.join(HERE, "..", "configs")
 REFERENCE_KOU = os.path.join(CONFIG_DIR, "reference_kou.json")
+PURE_HESTON = os.path.join(CONFIG_DIR, "pure_heston.json")
 GOLDEN = os.path.join(HERE, "golden", "constants_reference.json")
 
 
@@ -174,6 +175,21 @@ class TestSmileCommand:
         rows = cli.cmd_smile(config, np.array([1.1]))
         assert rows[1][2] == ""
 
+    def test_small_wing_residual_independent_of_spot(self, tmp_path):
+        # the small wing prices through the density reflected about the spot,
+        # so residual*L at a given L is the same for every x0
+        ells = np.array([80.0, 40.0, 20.0, 10.0])
+        by_spot = {}
+        for x0 in (0.5, 1.0, 2.0):
+            payload = json.loads(json.dumps(BASE_CONFIG))
+            payload["heston"]["x0"] = x0
+            config = cli.load_config(write_config(tmp_path, payload, f"spot_{x0}.json"))
+            rows = cli.cmd_smile(config, x0 * np.exp(-ells))
+            by_spot[x0] = [float(r[5]) for r in rows[1:]]
+        assert all(v < 1.0 for v in by_spot[1.0])
+        for x0 in (0.5, 2.0):
+            assert by_spot[x0] == pytest.approx(by_spot[1.0], rel=0.0, abs=3e-13)
+
 
 class TestMainEntry:
     def test_constants_exit_zero(self, tmp_path, capsys):
@@ -207,6 +223,12 @@ class TestMainEntry:
         results_fail = [acceptance.CriterionResult(1, "x", False, 0.0, "no")]
         monkeypatch.setattr(acceptance, "run_all", lambda **kw: results_fail)
         assert cli.main(["validate", "--config", REFERENCE_KOU]) == 2
+
+    @pytest.mark.parametrize("command", ["density", "smile"])
+    @pytest.mark.parametrize("grid", ["0:2:3", "-1:2:3", "0:2:3log", "a:2:3", "1:2:x", "1:inf:3"])
+    def test_bad_grid_exit_one(self, command, grid, capsys):
+        assert cli.main([command, "--config", PURE_HESTON, f"--grid={grid}"]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_density_csv_deterministic(self, tmp_path):
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

@@ -6,6 +6,7 @@ import pytest
 from wingtail import heston, oracles
 from wingtail.errors import DomainError, MomentExplosionError, RegimeGuardError
 from wingtail.heston import HestonParams
+from wingtail.mellin import WING_LARGE, WING_SMALL
 from wingtail.mixed import MixedModel
 from wingtail.numerics import RngStream
 
@@ -187,19 +188,19 @@ class TestTailConstants:
 class TestDensityWings:
     def test_guard_regions(self, ref_heston):
         with pytest.raises(RegimeGuardError):
-            heston.density_tail(ref_heston, 2.0)
+            heston.wing_density(ref_heston, 2.0, WING_LARGE)
         with pytest.raises(RegimeGuardError):
-            heston.density_zero(ref_heston, 0.5)
+            heston.wing_density(ref_heston, 0.5, WING_SMALL)
 
     def test_monotone_decreasing(self, ref_heston):
         xs = np.exp(np.linspace(4.0, 10.0, 12))
-        vals = [heston.density_tail(ref_heston, x) for x in xs]
+        vals = [heston.wing_density(ref_heston, x, WING_LARGE) for x in xs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_doubling_power_law(self, ref_heston):
         # far enough out, doubling x multiplies the density by ~2^(-A3)
         k = heston.tail_constants(ref_heston)
-        rec = heston.tail_record(ref_heston)
+        rec = heston.wing_record(ref_heston, WING_LARGE)
         ratio = math.exp(rec.log_value_logx(300.0 + math.log(2.0)) - rec.log_value_logx(300.0))
         assert ratio == pytest.approx(2.0**-k.A3, rel=0.1)
 
@@ -207,7 +208,7 @@ class TestDensityWings:
         # regression of log density against log x over the far wing
         k = heston.tail_constants(ref_heston)
         ells = np.linspace(200.0, 400.0, 8)
-        vals = [heston.tail_record(ref_heston).log_value_logx(l) for l in ells]
+        vals = [heston.wing_record(ref_heston, WING_LARGE).log_value_logx(l) for l in ells]
         X = np.column_stack([np.ones_like(ells), ells, np.sqrt(ells), np.log(ells)])
         coef, *_ = np.linalg.lstsq(X, np.array(vals), rcond=None)
         assert -coef[1] == pytest.approx(k.A3, rel=0.01)
@@ -223,13 +224,13 @@ class TestDensityWings:
 
     def test_oracle_ratio_trends_toward_one(self, pure_model, ref_heston):
         ratios, limit = self._extrapolated_limit(
-            pure_model, heston.tail_record(ref_heston), +1, (6.0, 9.0, 12.0, 60.0, 300.0, 2000.0))
+            pure_model, heston.wing_record(ref_heston, WING_LARGE), +1, (6.0, 9.0, 12.0, 60.0, 300.0, 2000.0))
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
         assert limit == pytest.approx(1.0, abs=0.1)
 
     def test_zero_wing_mirror(self, pure_model, ref_heston):
         ratios, limit = self._extrapolated_limit(
-            pure_model, heston.zero_record(ref_heston), -1, (6.0, 12.0, 100.0, 1000.0))
+            pure_model, heston.wing_record(ref_heston, WING_SMALL), -1, (6.0, 12.0, 100.0, 1000.0))
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
         assert limit == pytest.approx(1.0, abs=0.15)
 
@@ -241,9 +242,9 @@ class TestDensityWings:
         model = MixedModel(heston=p, jumps=None)
         ell = 300.0
         drifted = (oracles.log_density_fourier_logx(model, ell)
-                   - heston.tail_record(p).log_value_logx(ell))
+                   - heston.wing_record(p, WING_LARGE).log_value_logx(ell))
         plain = (oracles.log_density_fourier_logx(pure_model, ell)
-                 - heston.tail_record(ref_heston).log_value_logx(ell))
+                 - heston.wing_record(ref_heston, WING_LARGE).log_value_logx(ell))
         # a wrong prefactor convention would shift this by forward^(2*A3) ~ e^6.7
         assert math.exp(drifted - plain) == pytest.approx(1.0, abs=0.1)
 
@@ -252,7 +253,7 @@ class TestDensityWings:
         model = MixedModel(heston=p, jumps=None)
         ell = 300.0
         drifted = (oracles.log_density_fourier_logx(model, -ell)
-                   - heston.zero_record(p).log_value_logx(ell))
+                   - heston.wing_record(p, WING_SMALL).log_value_logx(ell))
         plain = (oracles.log_density_fourier_logx(pure_model, -ell)
-                 - heston.zero_record(ref_heston).log_value_logx(ell))
+                 - heston.wing_record(ref_heston, WING_SMALL).log_value_logx(ell))
         assert math.exp(drifted - plain) == pytest.approx(1.0, abs=0.1)

@@ -6,8 +6,9 @@ import pytest
 from scipy.integrate import quad
 
 from wingtail import kou
-from wingtail.errors import DomainError, MomentExplosionError, RegimeGuardError
+from wingtail.errors import DomainError, MomentExplosionError
 from wingtail.kou import KouJumpParams
+from wingtail.mellin import WING_LARGE, WING_SMALL
 from wingtail.numerics import RngStream
 
 
@@ -178,9 +179,9 @@ class TestHDensity:
         assert ref_kou.atom_mass + up + dn == pytest.approx(1.0, abs=1e-8)
 
     def test_decomposition_record(self, ref_kou):
-        dec = kou.decomposition(ref_kou)
-        assert dec.atom_mass == pytest.approx(math.exp(-1.0))
-        assert dec.density(2.0) == pytest.approx(kou.h_density(ref_kou, 2.0))
+        # atom plus density, as the jump-law interface exposes them
+        assert ref_kou.atom_mass == pytest.approx(math.exp(-1.0))
+        assert ref_kou.price_density(2.0) == pytest.approx(kou.h_density(ref_kou, 2.0))
 
     def test_power_factor_slowly_varying(self):
         # H(t,x) x^(eta1+1) moves slowly: doubling x changes it by o(1) factors
@@ -222,13 +223,17 @@ class TestFracIntegral:
             kou.frac_integral(-0.5, s, r, 1.0)
 
 
+def _series_asymptote_log(rec, ell):
+    """log of the wing record of H without its power factor: the leading term of G1 or G2."""
+    return rec.log_value_logx(ell) + rec.r3 * ell
+
+
 class TestWingAsymptotes:
     def test_ratio_scaled_bounded(self, ref_kou):
+        rec = kou.h_wing_record(ref_kou, WING_LARGE)
         vals = []
         for ell in (10.0, 100.0, 1e3, 1e4):
-            ratio = math.exp(kou.g1_log(ref_kou, ell) - kou.h1_asymptote_log(ref_kou, math.exp(ell))
-                             if ell < 700 else
-                             kou.g1_log(ref_kou, ell) - _h1_log(ref_kou, ell))
+            ratio = math.exp(kou.g1_log(ref_kou, ell) - _series_asymptote_log(rec, ell))
             vals.append(abs(ratio - 1.0) * math.sqrt(ell))
         assert max(vals) < 1.0
         assert vals[-1] <= vals[0]
@@ -236,33 +241,25 @@ class TestWingAsymptotes:
     def test_prefactor_in_pure_up_limit(self):
         # q -> 0: prefactor tends to (1/2 sqrt(pi)) (eta1 lam t)^(1/4) e^(-lam t)
         params = variant(p=1.0 - 1e-10, q=1e-10)
-        rec = kou.h_tail_asymptote(params)
+        rec = kou.h_wing_record(params, WING_LARGE)
         expected = (0.5 / math.sqrt(math.pi)) * (params.eta1 * params.lam * params.t) ** 0.25 \
             * math.exp(-params.lam * params.t)
         assert rec.r1 == pytest.approx(expected, rel=1e-6)
 
     def test_up_down_symmetry(self):
+        # the large-wing series asymptote of a law equals the small-wing one of
+        # its mirror (p, eta1) <-> (q, eta2)
         params = variant(p=0.3, q=0.7, eta1=3.0, eta2=2.0)
         mirrored = variant(p=0.7, q=0.3, eta1=2.0, eta2=3.0)
-        up = kou.h1_asymptote(params, math.exp(9.0))
-        down = kou.h2_asymptote(mirrored, math.exp(-9.0))
+        up = math.exp(_series_asymptote_log(kou.h_wing_record(params, WING_LARGE), 9.0))
+        down = math.exp(_series_asymptote_log(kou.h_wing_record(mirrored, WING_SMALL), 9.0))
         assert up == pytest.approx(down, rel=1e-12)
 
-    def test_regime_guard(self, ref_kou):
-        with pytest.raises(RegimeGuardError):
-            kou.h1_asymptote(ref_kou, math.exp(2.0))
-
     def test_records_expose_density_exponents(self, ref_kou):
-        rec = kou.h_tail_asymptote(ref_kou)
+        rec = kou.h_wing_record(ref_kou, WING_LARGE)
         assert rec.r3 == ref_kou.eta1 + 1.0 and rec.r4 == -0.75
-        zrec = kou.h_zero_asymptote(ref_kou)
+        zrec = kou.h_wing_record(ref_kou, WING_SMALL)
         assert zrec.r3 == ref_kou.eta2 - 1.0
-
-
-def _h1_log(params, ell):
-    b1 = params.b1_jump
-    return (math.log(0.5 / math.sqrt(math.pi)) + 0.25 * math.log(b1) + params._up_exp_shift()
-            - 0.75 * math.log(ell) + 2.0 * math.sqrt(b1 * ell))
 
 
 class TestJumpMgf:
@@ -334,5 +331,5 @@ class TestSampling:
         assert abs(draws.mean() - kou.jump_mgf(ref_kou, 1.0)) <= 3.0 * se
 
     def test_single_draw(self, ref_kou):
-        val = kou.sample_jump_factor(ref_kou, RngStream(7))
+        val = ref_kou.sample_factors(RngStream(7), 1)[0]
         assert val > 0

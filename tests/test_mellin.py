@@ -12,10 +12,12 @@ from wingtail.mellin import (
     AT_ZERO,
     ERROR_INV_LOG,
     ERROR_INV_SQRT_LOG,
+    WING_LARGE,
+    WING_SMALL,
     MellinStrip,
     TailAsymptote,
-    convolve_asymptote_infinity,
-    convolve_asymptote_zero,
+    convolve_asymptote,
+    side_of,
     mellin_convolve,
     mellin_transform,
     slow_variation_remainder,
@@ -65,6 +67,38 @@ class TestStripAndRecord:
         rec = TailAsymptote(r1=1.0, r2=0.0, r3=3.0, r4=0.0, side=AT_INFINITY)
         with pytest.raises(DomainError):
             rec.value(0.5)
+
+
+class TestWingsAndReflection:
+    def test_side_of_wing(self):
+        assert (side_of(WING_LARGE), side_of(WING_SMALL)) == (AT_INFINITY, AT_ZERO)
+        with pytest.raises(DomainError):
+            side_of("middle")
+
+    def test_mellin_point(self):
+        assert TailAsymptote(r1=1.0, r2=0.0, r3=3.0, r4=0.0, side=AT_INFINITY).mellin_point == -3.0
+        assert TailAsymptote(r1=1.0, r2=0.0, r3=3.0, r4=0.0, side=AT_ZERO).mellin_point == 3.0
+
+    def test_reflected_is_the_density_reflected_about_the_spot(self):
+        # pure power: x0^3 y^-3 D(x0^2/y) equals the reflected record exactly
+        zrec = TailAsymptote(r1=0.7, r2=0.0, r3=1.5, r4=0.0, side=AT_ZERO)
+        for x0 in (0.5, 1.0, 2.0):
+            refl = zrec.reflected(x0)
+            assert (refl.side, refl.r3) == (AT_INFINITY, zrec.r3 + 3.0)
+            for y in (1e3, 1e8):
+                assert refl.value(y) == pytest.approx(x0**3 * y**-3.0 * zrec.value(x0 * x0 / y), rel=1e-12)
+        # with a slowly varying factor the two agree asymptotically
+        zrec = TailAsymptote(r1=0.7, r2=1.2, r3=1.5, r4=-0.75, side=AT_ZERO)
+        refl = zrec.reflected(2.0)
+        gaps = [abs(refl.log_value_logx(ell) - (3.0 * math.log(2.0) - 3.0 * ell
+                + zrec.log_value_logx(ell - 2.0 * math.log(2.0)))) for ell in (1e2, 1e4, 1e6)]
+        assert gaps[0] > gaps[1] > gaps[2] and gaps[2] < 1e-3
+
+    def test_reflected_needs_a_record_at_zero(self):
+        with pytest.raises(DomainError):
+            TailAsymptote(r1=1.0, r2=0.0, r3=3.0, r4=0.0, side=AT_INFINITY).reflected(1.0)
+        with pytest.raises(DomainError):
+            TailAsymptote(r1=1.0, r2=0.0, r3=3.0, r4=0.0, side=AT_ZERO).reflected(0.0)
 
 
 class TestTransform:
@@ -125,37 +159,38 @@ class TestAsymptoteTransfer:
         # constant slowly varying part and unit transform leave the record unchanged
         rec = TailAsymptote(r1=0.7, r2=0.0, r3=3.0, r4=0.0, side=AT_INFINITY)
         strip = MellinStrip(-5.0, 5.0)
-        out = convolve_asymptote_infinity(None, rec, -3.0, strip, mellin_value=1.0)
+        out = convolve_asymptote(None, rec, -3.0, strip, mellin_value=1.0)
         assert out.r1 == rec.r1 and out.r2 == rec.r2 and out.r3 == rec.r3 and out.r4 == rec.r4
 
     def test_prefactor_is_transform_value(self, ref_kou):
         strip = MellinStrip(-10.0, 10.0)
-        rec = kou.h_tail_asymptote(ref_kou)
+        rec = kou.h_wing_record(ref_kou, WING_LARGE)
         norm = quad(lambda v: (v - 0.5) ** 2 * (2.0 - v) ** 2, 0.5, 2.0)[0]
         U = lambda v: (v - 0.5) ** 2 * (2.0 - v) ** 2 / norm if 0.5 < v < 2.0 else 0.0
-        out = convolve_asymptote_infinity(U, rec, -rec.r3, strip)
+        out = convolve_asymptote(U, rec, -rec.r3, strip)
         mu = quad(lambda v: U(v) * v**ref_kou.eta1, 0.5, 2.0)[0]
         assert out.r1 == pytest.approx(rec.r1 * mu, rel=1e-9)
 
     def test_dominance_dichotomy_enforced(self, ref_kou):
-        rec = kou.h_tail_asymptote(ref_kou)  # power exponent 3
+        rec = kou.h_wing_record(ref_kou, WING_LARGE)  # power exponent 3
         with pytest.raises(DomainError):
-            convolve_asymptote_infinity(None, rec, -rec.r3, MellinStrip(-2.0, 5.0), mellin_value=1.0)
+            convolve_asymptote(None, rec, -rec.r3, MellinStrip(-2.0, 5.0), mellin_value=1.0)
 
     def test_numeric_ratio_to_quadrature(self, ref_kou):
         # compact factor times the jump density: quadrature over asymptote -> 1
         norm = quad(lambda v: (v - 0.5) ** 2 * (2.0 - v) ** 2, 0.5, 2.0)[0]
         U = lambda v: (v - 0.5) ** 2 * (2.0 - v) ** 2 / norm if 0.5 < v < 2.0 else 0.0
         strip = MellinStrip(-10.0, 10.0)
-        rec = convolve_asymptote_infinity(U, kou.h_tail_asymptote(ref_kou), -3.0, strip)
+        rec = convolve_asymptote(U, kou.h_wing_record(ref_kou, WING_LARGE), -3.0, strip)
         tolc = Tolerance(rel=1e-9, abs=1e-300, max_iter=300)
         scaled = []
         for ell in (15.0, 30.0):
             x = math.exp(ell)
             conv = mellin_convolve(U, lambda v: kou.h_density(ref_kou, v), x, tolc)
             # compare against the record with the exact slowly varying factor
+            h_rec = kou.h_wing_record(ref_kou, WING_LARGE)
             exact_slow = math.exp(kou.g1_log(ref_kou, ell)) / math.exp(
-                kou.h1_asymptote_log(ref_kou, x))
+                h_rec.log_value_logx(ell) + h_rec.r3 * ell)
             scaled.append(abs(conv / (rec.value(x) * exact_slow) - 1.0) * math.sqrt(ell))
         assert all(v < 2.0 for v in scaled)
 
@@ -163,23 +198,23 @@ class TestAsymptoteTransfer:
         # reflection consistency: the zero-side rule equals the infinity rule
         # applied to the reflected inputs
         strip = MellinStrip(-10.0, 10.0)
-        zrec = kou.h_zero_asymptote(ref_kou)
+        zrec = kou.h_wing_record(ref_kou, WING_SMALL)
         f = lognormal(0.1, 0.6)
-        out_zero = convolve_asymptote_zero(f, zrec, zrec.r3, strip)
+        out_zero = convolve_asymptote(f, zrec, zrec.r3, strip)
         refl = TailAsymptote(r1=zrec.r1, r2=zrec.r2, r3=-zrec.r3, r4=zrec.r4, side=AT_INFINITY,
                              error_order=zrec.error_order)
-        out_inf = convolve_asymptote_infinity(
+        out_inf = convolve_asymptote(
             lambda u: f(1.0 / u), refl, zrec.r3, MellinStrip(-strip.tau, -strip.sigma))
         assert out_zero.r1 == pytest.approx(out_inf.r1, rel=1e-8)
 
     def test_error_order_combination(self):
         rec = TailAsymptote(r1=1.0, r2=0.0, r3=4.0, r4=-1.5, side=AT_INFINITY,
                             error_order=ERROR_INV_LOG)
-        out = convolve_asymptote_infinity(None, rec, -4.0, MellinStrip(-5.0, 5.0), mellin_value=2.0)
+        out = convolve_asymptote(None, rec, -4.0, MellinStrip(-5.0, 5.0), mellin_value=2.0)
         assert out.error_order == ERROR_INV_LOG  # no exp-sqrt factor, so remainder is 1/log
         rec2 = TailAsymptote(r1=1.0, r2=1.0, r3=4.0, r4=-0.75, side=AT_INFINITY,
                              error_order=ERROR_INV_LOG)
-        out2 = convolve_asymptote_infinity(None, rec2, -4.0, MellinStrip(-5.0, 5.0), mellin_value=2.0)
+        out2 = convolve_asymptote(None, rec2, -4.0, MellinStrip(-5.0, 5.0), mellin_value=2.0)
         assert out2.error_order == ERROR_INV_SQRT_LOG
 
 

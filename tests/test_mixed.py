@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from wingtail import heston, kou, mellin, mixed, oracles
+from wingtail import heston, kou, mellin, mixed, nig, oracles
 from wingtail.errors import DegenerateRegimeError, DomainError
 from wingtail.heston import HestonParams
 from wingtail.kou import KouJumpParams, risk_neutral_drift
-from wingtail.mixed import DOMINANT_DIFFUSION, DOMINANT_JUMP, WING_LARGE, MixedModel
-from wingtail.nig import NIGParams
-from wingtail.numerics import Tolerance
+from wingtail.mellin import MellinStrip
+from wingtail.mixed import DOMINANT_DIFFUSION, DOMINANT_JUMP, WING_LARGE, WING_SMALL, MixedModel
+from wingtail.nig import NIGParams, nig_no_arb_drift
+from wingtail.numerics import RngStream, Tolerance
+
+
+def make_nig_model(alpha):
+    j = NIGParams(alpha=alpha, delta=1.0, t=1.0)
+    h = HestonParams(mu=nig_no_arb_drift(j), a=1.0, b=2.0, c=0.5, rho=-0.3, x0=1.0, y0=0.04, t=1.0)
+    return MixedModel(heston=h, jumps=j)
 
 
 def make_kou_model(eta1=2.0, eta2=1.0, lam=1.0, mu=None, **heston_kwargs):
@@ -80,17 +87,17 @@ class TestClassify:
 
 class TestTailAsymptotes:
     def test_jump_dominant_record(self, kou_model):
-        rec = mixed.mixed_tail_asymptote(kou_model)
+        rec = mixed.mixed_asymptote(kou_model, WING_LARGE)
         j = kou_model.jumps
         assert rec.r3 == j.eta1 + 1.0  # independent of the diffusion parameters
         assert rec.r2 == pytest.approx(2.0 * math.sqrt(j.b1_jump))
         assert rec.r4 == -0.75
-        expected_r1 = kou.h_tail_asymptote(j).r1 * heston.mgf(kou_model.heston, j.eta1)
+        expected_r1 = kou.h_wing_record(j, WING_LARGE).r1 * heston.mgf(kou_model.heston, j.eta1)
         assert rec.r1 == pytest.approx(expected_r1, rel=1e-14)
 
     def test_diffusion_dominant_record(self):
         model = make_kou_model(eta1=15.0, eta2=8.0)
-        rec = mixed.mixed_tail_asymptote(model)
+        rec = mixed.mixed_asymptote(model, WING_LARGE)
         k = model.derived
         assert rec.r3 == k.A3 and rec.r2 == k.A2
         assert rec.r4 == pytest.approx(-0.75 + model.heston.a / model.heston.c**2)
@@ -98,29 +105,35 @@ class TestTailAsymptotes:
 
     def test_zero_intensity_limit_is_pure_heston(self, ref_heston):
         model = make_kou_model(eta1=15.0, eta2=8.0, lam=1e-12, mu=0.0)
-        rec = mixed.mixed_tail_asymptote(model)
-        pure = heston.tail_record(ref_heston)
+        rec = mixed.mixed_asymptote(model, WING_LARGE)
+        pure = heston.wing_record(ref_heston, WING_LARGE)
         assert rec.r1 == pytest.approx(pure.r1, rel=1e-9)
         assert rec.r2 == pure.r2 and rec.r3 == pure.r3
 
     def test_zero_wing_records(self, kou_model):
-        rec = mixed.mixed_zero_asymptote(kou_model)
+        rec = mixed.mixed_asymptote(kou_model, WING_SMALL)
         j = kou_model.jumps
         assert rec.r3 == j.eta2 - 1.0
-        expected_r1 = kou.h_zero_asymptote(j).r1 * heston.mgf(kou_model.heston, -j.eta2)
+        expected_r1 = kou.h_wing_record(j, WING_SMALL).r1 * heston.mgf(kou_model.heston, -j.eta2)
         assert rec.r1 == pytest.approx(expected_r1, rel=1e-14)
 
     def test_nig_small_wing_flagged_extrapolated(self, nig_model):
-        rec = mixed.mixed_zero_asymptote(nig_model)
+        rec = mixed.mixed_asymptote(nig_model, WING_SMALL)
         assert rec.note == "extrapolated-by-symmetry"
         assert rec.r3 == nig_model.jumps.alpha - 1.0
+
+    def test_nig_diffusion_dominant_small_wing_has_no_note(self):
+        # that wing uses only the exact NIG moment, no NIG tail formula
+        model = make_nig_model(alpha=15.0)
+        assert mixed.classify_wing(model, WING_SMALL).dominant == DOMINANT_DIFFUSION
+        assert mixed.mixed_asymptote(model, WING_SMALL).note == ""
 
     def test_degenerate_raises_not_numbers(self, ref_heston):
         k = heston.tail_constants(ref_heston)
         model = MixedModel(heston=ref_heston,
                            jumps=KouJumpParams(lam=1.0, eta1=k.A3 - 1.0, eta2=1.0, p=0.5, q=0.5, t=1.0))
         with pytest.raises(DegenerateRegimeError):
-            mixed.mixed_tail_asymptote(model)
+            mixed.mixed_asymptote(model, WING_LARGE)
 
 
 class TestTransferIdentity:
@@ -128,13 +141,37 @@ class TestTransferIdentity:
         # the mixed asymptote equals the Mellin transfer of the jump tail
         # through the diffusion law, coefficient for coefficient
         strip = heston.mellin_strip(kou_model.heston)
-        jrec = kou.h_tail_asymptote(kou_model.jumps)
-        via = mellin.convolve_asymptote_infinity(
+        jrec = kou.h_wing_record(kou_model.jumps, WING_LARGE)
+        via = mellin.convolve_asymptote(
             None, jrec, -jrec.r3, strip,
             mellin_value=heston.mgf(kou_model.heston, jrec.r3 - 1.0))
-        direct = mixed.mixed_tail_asymptote(kou_model)
+        direct = mixed.mixed_asymptote(kou_model, WING_LARGE)
         assert abs(via.r1 / direct.r1 - 1.0) <= 1e-12
         assert (via.r2, via.r3, via.r4) == (direct.r2, direct.r3, direct.r4)
+
+    @pytest.mark.parametrize("dominant", [DOMINANT_JUMP, DOMINANT_DIFFUSION])
+    @pytest.mark.parametrize("wing", [WING_LARGE, WING_SMALL])
+    @pytest.mark.parametrize("law", ["kou", "nig"])
+    def test_transfer_rule_on_every_wing(self, law, wing, dominant):
+        # mixed_asymptote equals convolve_asymptote of the dominant component's
+        # record with the co-factor's moment of order -rho - 1 as the Mellin value
+        if law == "kou":
+            model = make_kou_model() if dominant == DOMINANT_JUMP else make_kou_model(eta1=15.0, eta2=8.0)
+        else:
+            model = make_nig_model(2.0 if dominant == DOMINANT_JUMP else 15.0)
+        assert mixed.classify_wing(model, wing).dominant == dominant
+        if dominant == DOMINANT_JUMP:
+            record, strip = model.jumps.wing_record(wing), heston.mellin_strip(model.heston)
+            moment = lambda s: heston.mgf(model.heston, s)
+        else:
+            lo, hi = model.jumps.moment_strip()
+            record = heston.wing_record(model.heston, wing)
+            strip, moment = MellinStrip(-hi - 1.0, -lo - 1.0), model.jumps.mgf
+        rho = record.mellin_point
+        assert rho == (-record.r3 if wing == WING_LARGE else record.r3)
+        via = mellin.convolve_asymptote(None, record, rho, strip, mellin_value=moment(-rho - 1.0))
+        direct = mixed.mixed_asymptote(model, wing)
+        assert via == direct and via.note == direct.note
 
     def test_moment_transfer_identity(self, kou_model):
         # transform value of the diffusion density at the transfer point equals
@@ -188,3 +225,37 @@ class TestMixedDensity:
         stat = float(((counts[mask] - expected[mask]) ** 2 / expected[mask]).sum())
         p_value = chi2.sf(stat, int(mask.sum() - 1))
         assert p_value > 0.001
+
+
+class TestJumpInterface:
+    @pytest.fixture(params=["kou", "nig"])
+    def law(self, request, ref_kou, nig_model):
+        return ref_kou if request.param == "kou" else nig_model.jumps
+
+    def test_members_call_the_module_functions(self, ref_kou, nig_model):
+        j, n = ref_kou, nig_model.jumps
+        assert (j.kind, n.kind) == ("kou", "nig")
+        z = np.array([0.3 + 1.0j, -0.2 + 4.0j])
+        assert np.array_equal(j.log_mgf(z), kou.log_jump_mgf(j, z))
+        assert np.array_equal(n.log_mgf(z), nig.log_nig_mgf(n, z))
+        for got, want in zip(j.cgf_derivatives(0.4), kou.jump_cgf_derivatives(j, 0.4)):
+            assert got == want
+        for got, want in zip(n.cgf_derivatives(0.4), nig.nig_cgf_derivatives(n, 0.4)):
+            assert got == want
+        assert (j.mgf(0.5), n.mgf(0.5)) == (kou.jump_mgf(j, 0.5), nig.nig_mgf(n, 0.5))
+        assert (j.price_density(1.7), n.price_density(1.7)) == (kou.h_density(j, 1.7), nig.nig_price_density(n, 1.7))
+        assert (j.martingale_drift(), n.martingale_drift()) == (risk_neutral_drift(j), nig_no_arb_drift(n))
+        assert (j.atom_mass, n.atom_mass) == (math.exp(-j.lam * j.t), 0.0)
+        assert (j.moment_strip(), n.moment_strip()) == ((-j.eta2, j.eta1), (-n.alpha, n.alpha))
+        assert np.array_equal(j.sample_factors(RngStream(2), 20), kou.sample_jump_factors(j, RngStream(2), 20))
+        assert np.array_equal(n.sample_factors(RngStream(2), 20), np.exp(nig.sample_nigs(n, RngStream(2), 20)))
+
+    def test_model_reads_the_interface(self, law):
+        h = HestonParams(mu=law.martingale_drift(), a=1.0, b=2.0, c=0.5, rho=-0.3, x0=1.0, y0=0.04, t=1.0)
+        model = MixedModel(heston=h, jumps=law)
+        cm = heston.critical_moments(h)
+        lo, hi = law.moment_strip()
+        assert model.jump_kind == law.kind
+        assert model.moment_strip() == (max(cm.s_minus, lo), min(cm.s_plus, hi))
+        assert model.jump_moment(0.5) == law.mgf(0.5)
+        assert model.log_moment(0.3 + 1.0j) == heston.log_mgf(h, 0.3 + 1.0j) + law.log_mgf(0.3 + 1.0j)

@@ -6,7 +6,8 @@ from scipy.integrate import quad
 from scipy.stats import chi2
 
 from wingtail import nig
-from wingtail.errors import DomainError, MomentExplosionError, NoArbitrageError, RegimeGuardError
+from wingtail.errors import DomainError, MomentExplosionError, NoArbitrageError
+from wingtail.mellin import AT_ZERO, WING_LARGE, WING_SMALL
 from wingtail.nig import NIGParams
 from wingtail.numerics import RngStream
 
@@ -67,14 +68,14 @@ class TestDensity:
 
 class TestTailAsymptote:
     def test_record_fields(self):
-        rec = nig.nig_tail_record(REF)
+        rec = nig.nig_wing_record(REF, WING_LARGE)
         assert rec.r2 == 0.0
         assert rec.r3 == REF.alpha + 1.0
         assert rec.r4 == -1.5
         assert rec.r1 == pytest.approx(REF.k_factor * math.sqrt(math.pi / (2 * REF.alpha)), rel=1e-14)
 
     def test_ratio_converges_with_log_rate(self):
-        rec = nig.nig_tail_record(REF)
+        rec = nig.nig_wing_record(REF, WING_LARGE)
         vals = []
         for ell in (8.0, 16.0, 40.0):
             r = math.exp(nig.nig_price_log_density(REF, math.exp(ell)) - rec.log_value_logx(ell))
@@ -83,15 +84,12 @@ class TestTailAsymptote:
         assert vals[-1] <= vals[0]
 
     def test_small_wing_by_symmetry(self):
-        zrec = nig.nig_zero_record(REF)
+        zrec = nig.nig_wing_record(REF, WING_SMALL)
+        assert zrec.side == AT_ZERO and zrec.r3 == REF.alpha - 1.0
+        assert zrec.note == "extrapolated-by-symmetry"
         for ell in (8.0, 20.0):
             r = math.exp(nig.nig_price_log_density(REF, math.exp(-ell)) - zrec.log_value_logx(ell))
             assert r == pytest.approx(1.0, abs=0.2)
-
-    def test_regime_guard(self):
-        with pytest.raises(RegimeGuardError):
-            nig.nig_tail_asymptote(REF, math.exp(2.0))
-        assert nig.nig_tail_asymptote(REF, math.exp(5.0)) == nig.nig_tail_record(REF)
 
 
 class TestNoArbDrift:
@@ -159,4 +157,4 @@ class TestSampling:
         assert p_value > 0.001
 
     def test_single_draw(self):
-        assert math.isfinite(nig.sample_nig(REF, RngStream(3)))
+        assert math.isfinite(REF.sample_factors(RngStream(3), 1)[0])

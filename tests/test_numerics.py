@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from wingtail import nig
 from wingtail.errors import BracketingError, ConvergenceError, DomainError
+from wingtail.nig import NIGParams
 from wingtail.numerics import (
     RngStream,
     Tolerance,
-    bessel_k1,
     find_root,
     integrate,
     integrate_panels,
@@ -54,6 +55,12 @@ class TestLogGamma:
             log_gamma(x)
 
 
+def bessel_k1(z):
+    """K1(z) as the library evaluates it: inside the NIG log-jump density, which
+    at y = 0 with alpha = 1 and delta t = z equals e^z K1(z) / pi."""
+    return math.pi * math.exp(-z) * nig.nig_log_density(NIGParams(alpha=1.0, delta=z, t=1.0), 0.0)
+
+
 class TestBesselK1:
     def test_large_argument_decay(self):
         z = 30.0
@@ -72,12 +79,13 @@ class TestBesselK1:
         assert bessel_k1(z) == pytest.approx(1.0 / z, rel=1e-3)
 
     def test_underflow_flag(self):
+        # at y with alpha sqrt(y^2 + (delta t)^2) = 780 the density underflows
         with pytest.warns(RuntimeWarning):
-            assert bessel_k1(780.0) == 0.0
+            assert nig.nig_log_density(NIGParams(alpha=1.0, delta=1.0, t=1.0), math.sqrt(780.0**2 - 1.0)) == 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            bessel_k1(0.0)
+            nig.nig_price_density(NIGParams(alpha=1.0, delta=1.0, t=1.0), 0.0)
 
 
 class TestIntegrate:

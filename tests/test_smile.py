@@ -140,7 +140,7 @@ class TestCallAsymptote:
 class TestExpansionCoefficients:
     def test_leading_coefficient_formula(self, kou_model):
         expn = smile.smile_expansion(kou_model, WING_LARGE)
-        rec = mixed.mixed_tail_asymptote(kou_model)
+        rec = mixed.mixed_asymptote(kou_model, WING_LARGE)
         expected = math.sqrt(2.0 / kou_model.t) * (math.sqrt(rec.r3 - 1.0) - math.sqrt(rec.r3 - 2.0))
         assert expn.c_lead == pytest.approx(expected, rel=1e-14)
 
@@ -166,16 +166,20 @@ class TestExpansionCoefficients:
             assert val < prev
             prev = val
 
-    def test_put_call_symmetry_coefficients(self, kou_model):
-        # the direct small-wing coefficients equal the reflected large-wing
-        # pipeline applied to x^-3 D(1/x), coefficient for coefficient
-        zrec = mixed.mixed_zero_asymptote(kou_model)
-        direct = smile.expansion_from_zero_tail(zrec, kou_model.x0, kou_model.t)
-        reflected = TailAsymptote(r1=zrec.r1, r2=zrec.r2, r3=zrec.r3 + 3.0, r4=zrec.r4,
-                                  side=AT_INFINITY, error_order=zrec.error_order)
-        via = smile.expansion_from_tail(reflected, kou_model.x0, kou_model.t)
-        for field in ("c_lead", "c_const", "c_llog", "c_inv", "c_llog2"):
-            assert getattr(direct, field) == pytest.approx(getattr(via, field), rel=1e-12, abs=1e-13)
+    def test_put_call_symmetry_coefficients(self, ref_kou):
+        # the direct small-wing coefficients equal the large-wing pipeline
+        # applied to the density reflected about the spot, x0^3 x^-3 D(x0^2/x),
+        # coefficient for coefficient and at every spot
+        for x0 in (0.5, 1.0, 2.0):
+            h = HestonParams(mu=risk_neutral_drift(ref_kou), a=1.0, b=2.0, c=0.5, rho=-0.3,
+                             x0=x0, y0=0.04, t=1.0)
+            model = MixedModel(heston=h, jumps=ref_kou)
+            zrec = mixed.mixed_asymptote(model, WING_SMALL)
+            direct = smile.expansion_from_tail(zrec, x0, model.t)
+            via = smile.expansion_from_tail(zrec.reflected(x0), x0, model.t)
+            assert (direct.wing, via.wing) == (WING_SMALL, WING_LARGE)
+            for field in ("c_lead", "c_const", "c_llog", "c_inv", "c_llog2"):
+                assert getattr(direct, field) == pytest.approx(getattr(via, field), rel=1e-12, abs=1e-13)
 
     def test_drift_precondition(self, ref_kou):
         h = HestonParams(mu=0.1, a=1.0, b=2.0, c=0.5, rho=-0.3, x0=1.0, y0=0.04, t=1.0)
@@ -200,15 +204,13 @@ class TestSelfConsistency:
         return out
 
     def test_large_wing_bounded(self, kou_model):
-        rec = mixed.mixed_tail_asymptote(kou_model)
+        rec = mixed.mixed_asymptote(kou_model, WING_LARGE)
         expn = smile.smile_expansion(kou_model, WING_LARGE)
         vals = self._residuals(rec, expn, WING_LARGE, (10.0, 30.0, 100.0))
         assert max(vals) < 1.0
 
     def test_small_wing_bounded(self, kou_model):
-        zrec = mixed.mixed_zero_asymptote(kou_model)
-        rec = TailAsymptote(r1=zrec.r1, r2=zrec.r2, r3=zrec.r3 + 3.0, r4=zrec.r4,
-                            side=AT_INFINITY, error_order=zrec.error_order)
+        rec = mixed.mixed_asymptote(kou_model, WING_SMALL).reflected(kou_model.x0)
         expn = smile.smile_expansion(kou_model, WING_SMALL)
         vals = self._residuals(rec, expn, WING_SMALL, (10.0, 30.0, 100.0))
         assert max(vals) < 1.0
@@ -225,7 +227,7 @@ class TestSelfConsistency:
         h = HestonParams(mu=risk_neutral_drift(j), a=1.0, b=2.0, c=0.5, rho=-0.3,
                          x0=1.7, y0=0.04, t=1.0)
         model = MixedModel(heston=h, jumps=j)
-        rec = mixed.mixed_tail_asymptote(model)
+        rec = mixed.mixed_asymptote(model, WING_LARGE)
         expn = smile.smile_expansion(model, WING_LARGE)
         vals = []
         for L in (10.0, 30.0, 100.0):
