@@ -160,16 +160,17 @@ def criterion_4_mellin_asymptote(seed: int = 0, tol: Tolerance | None = None) ->
     norm_const = quad(lambda v: (v - 0.5) ** 2 * (2.0 - v) ** 2, 0.5, 2.0)[0]
 
     def U(v):
-        return (v - 0.5) ** 2 * (2.0 - v) ** 2 / norm_const if 0.5 < v < 2.0 else 0.0
+        return np.where((v > 0.5) & (v < 2.0), (v - 0.5) ** 2 * (2.0 - v) ** 2 / norm_const, 0.0)
 
     mu_val = quad(lambda v: U(v) * v ** params.eta1, 0.5, 2.0)[0]
     # the windowed-convolution termination obeys the configured tolerance, so a
     # broken (coarse) tolerance makes this criterion fail by name
     rel = 1e-9 if tol is None else float(np.clip(tol.rel, 1e-12, 0.99))
     conv_tol = Tolerance(rel=rel, abs=1e-300, max_iter=300)
+    density = np.vectorize(lambda v: kou.h_density(params, v), otypes=[float])
     scaled = []
     for ell in (15.0, 25.0, 40.0, 50.0):
-        conv = mellin.mellin_convolve(U, lambda v: kou.h_density(params, v), math.exp(ell), conv_tol)
+        conv = mellin.mellin_convolve(U, density, math.exp(ell), conv_tol)
         asym = mu_val * math.exp(-(params.eta1 + 1.0) * ell + kou.g1_log(params, ell))
         scaled.append(abs(conv / asym - 1.0) * math.sqrt(ell))
     ok = all(math.isfinite(v) for v in scaled) and max(scaled) <= 1.5 * scaled[0] + 0.05 and max(scaled) <= 10.0
@@ -306,10 +307,10 @@ def criterion_8_moment_identities(seed: int = 0, tol: Tolerance | None = None) -
         ok = ok and abs(z) <= 3.0
     # MU(eta) equals the moment of order -eta-1: check on the closed-form jump density
     np_params = NIGParams(alpha=2.0, delta=1.0, t=1.0)
+    density = np.vectorize(lambda v: nig.nig_price_density(np_params, v), otypes=[float])
     gap = 0.0
     for eta in (-2.5, -0.5, 0.2):
-        mu_val = mellin.mellin_transform(lambda v: nig.nig_price_density(np_params, v), eta,
-                                         Tolerance(rel=1e-11, abs=1e-14, max_iter=300))
+        mu_val = mellin.mellin_transform(density, eta, Tolerance(rel=1e-11, abs=1e-14, max_iter=300))
         closed = nig.nig_mgf(np_params, -eta - 1.0)
         gap = max(gap, abs(mu_val - closed))
         ok = ok and abs(mu_val - closed) <= 1e-8

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import acceptance, heston, kou, mixed, oracles, smile
-from .errors import DegenerateRegimeError, RegimeGuardError, WingtailError
+from .errors import DegenerateRegimeError, WingtailError
 from .heston import HestonParams
 from .kou import KouJumpParams
 from .mixed import MixedModel, WING_LARGE, WING_SMALL
@@ -215,7 +215,10 @@ def cmd_density(config: ModelConfig, grid: np.ndarray) -> list[list[str]]:
 
 
 def cmd_smile(config: ModelConfig, grid: np.ndarray, guard: float = 4.0) -> list[list[str]]:
-    """Smile curve rows: expansion vs inversion of the asymptotic price."""
+    """Smile curve rows: expansion vs inversion of the asymptotic price.
+
+    Rows with L < guard are left empty; so is a row where a step raised, and
+    it gets one stderr line naming K, L and the error."""
     model = config.model
     rows = [SMILE_HEADER]
     expansions = {}
@@ -230,19 +233,22 @@ def cmd_smile(config: ModelConfig, grid: np.ndarray, guard: float = 4.0) -> list
                 record = mixed.mixed_asymptote(model, wing)
                 # the small wing prices through the density reflected about the spot
                 tails[wing] = record if wing == WING_LARGE else record.reflected(model.x0)
-            except WingtailError:
-                expansions[wing] = None
+            except WingtailError as exc:
+                expansions[wing] = exc
         iv_exp = iv_inv = resid = resid_l = ""
-        if expansions[wing] is not None and L >= guard:
+        if L >= guard:
             try:
+                if isinstance(expansions[wing], WingtailError):
+                    raise expansions[wing]
                 iv_exp = smile.implied_vol_approx(expansions[wing], float(K), guard)
                 k_eff = model.x0 * math.exp(L)
                 lp = smile.call_asymptote_log(tails[wing], k_eff, model.x0, model.t, guard)
                 iv_inv = smile.bs_implied_vol_from_log(lp, model.x0, k_eff, model.t)
                 resid = abs(iv_exp - iv_inv)
                 resid_l = resid * L
-            except (RegimeGuardError, WingtailError):
+            except WingtailError as exc:
                 iv_exp = iv_inv = resid = resid_l = ""
+                print(f"smile row K={float(K):.6g}, L={L:.6g} left empty: {exc}", file=sys.stderr)
         rows.append([repr(float(K)), repr(L), _fmt(iv_exp), _fmt(iv_inv), _fmt(resid), _fmt(resid_l)])
     return rows
 

@@ -27,7 +27,11 @@ class ConvergenceError(WingtailError):
 
 
 class DivergenceError(WingtailError):
-    """An integral or series was detected to diverge."""
+    """An integral or series was detected to diverge; carries the partial sum reached."""
+
+    def __init__(self, message, best_estimate=None):
+        super().__init__(message)
+        self.best_estimate = best_estimate
 
 
 class MomentExplosionError(DomainError):

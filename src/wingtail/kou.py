@@ -176,44 +176,21 @@ def _log_factorial(n: int) -> np.ndarray:
     return _LGAMMA_CACHE
 
 
-def _log_pnk(n: int, k: int, eta_num: float, eta_den: float, p: float, q: float) -> float:
-    """log P_{n,k} with the (eta_num, eta_den, p, q) orientation of the sum.
-
-    The mirrored Q_{n,k} is the same sum with (eta1, p) and (eta2, q) swapped.
-    """
-    if k < 1 or k > n:
-        raise DomainError(f"P_{{n,k}} needs 1 <= k <= n, got n={n}, k={k}")
-    if k == n:
-        return n * math.log(p)
-    lf = _log_factorial(n + 2)
-    i = np.arange(k, n)
-    log_c1 = lf[n - k - 1] - lf[i - k] - lf[n - 1 - i]
-    log_c2 = lf[n] - lf[i] - lf[n - i]
-    log_ratio_up = math.log(eta_num / (eta_num + eta_den))
-    log_ratio_dn = math.log(eta_den / (eta_num + eta_den))
-    terms = (
-        log_c1
-        + log_c2
-        + (i - k) * log_ratio_up
-        + (n - i) * log_ratio_dn
-        + i * math.log(p)
-        + (n - i) * math.log(q)
-    )
-    return float(logsumexp(terms))
-
-
 def pnk(n: int, k: int, params: KouJumpParams) -> float:
     """Probability weight P_{n,k} of k surviving upward exponential phases."""
-    return math.exp(_log_pnk(n, k, params.eta1, params.eta2, params.p, params.q))
+    return math.exp(_log_pnk_block(n, n, k, params.eta1, params.eta2, params.p, params.q)[0])
 
 
 def qnk(n: int, k: int, params: KouJumpParams) -> float:
     """Downward-side weight Q_{n,k}; mirror of P under (p, eta1) <-> (q, eta2)."""
-    return math.exp(_log_pnk(n, k, params.eta2, params.eta1, params.q, params.p))
+    return math.exp(_log_pnk_block(n, n, k, params.eta2, params.eta1, params.q, params.p)[0])
 
 
 def _log_pnk_block(n_lo: int, n_hi: int, K: int, eta_num: float, eta_den: float, p: float, q: float) -> np.ndarray:
-    """log P_{n,K} for all n in [n_lo, n_hi], vectorized over the inner i-sum."""
+    """log P_{n,K} for all n in [n_lo, n_hi], vectorized over the inner i-sum;
+    p^n at n = K. Q_{n,k} is the same sum with (eta1, p) and (eta2, q) swapped."""
+    if not 1 <= K <= n_lo:
+        raise DomainError(f"P_{{n,k}} needs 1 <= k <= n, got n={n_lo}, k={K}")
     lf = _log_factorial(n_hi + 2)
     ns = np.arange(n_lo, n_hi + 1)
     width = n_hi - K  # largest i-offset + 1
@@ -224,7 +201,7 @@ def _log_pnk_block(n_lo: int, n_hi: int, K: int, eta_num: float, eta_den: float,
     valid = oo <= nn - 1 - K
     log_ratio_up = math.log(eta_num / (eta_num + eta_den))
     log_ratio_dn = math.log(eta_den / (eta_num + eta_den))
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):
         terms = np.where(
             valid,
             (lf[np.maximum(nn - K - 1, 0)] - lf[oo] - lf[np.maximum(nn - 1 - K - oo, 0)])
@@ -235,7 +212,9 @@ def _log_pnk_block(n_lo: int, n_hi: int, K: int, eta_num: float, eta_den: float,
             + (nn - ii) * math.log(q),
             -np.inf,
         )
-    return logsumexp(terms, axis=1)
+        log_p = logsumexp(terms, axis=1)
+    log_p[ns == K] = K * math.log(p)
+    return log_p
 
 
 def _log_coefficient(params: KouJumpParams, k: int, tol: Tolerance, up: bool) -> tuple[float, float]:
@@ -260,10 +239,7 @@ def _log_coefficient(params: KouJumpParams, k: int, tol: Tolerance, up: bool) ->
         lf = _log_factorial(n_hi + 2)
         ns = np.arange(K, n_hi + 1)
         log_pi = -lam_t + ns * math.log(lam_t) - lf[ns]
-        log_p_terms = np.empty(ns.size)
-        log_p_terms[0] = K * math.log(p)  # n = K: pure all-up weight p^n
-        log_p_terms[1:] = _log_pnk_block(K + 1, n_hi, K, eta_num, eta_den, p, q)
-        log_terms = log_pi + log_p_terms
+        log_terms = log_pi + _log_pnk_block(K, n_hi, K, eta_num, eta_den, p, q)
         total = float(logsumexp(log_terms))
         decreasing = np.all(np.diff(log_terms[-4:]) < 0.0)
         if decreasing and log_terms[-1] < total + math.log(tol.rel):
@@ -420,7 +396,9 @@ def frac_integral(order: float, s: float, r: float, u: float, tol: Tolerance = D
 
     Only the comparison orders -3/2 and -5/2 are supported. Computed by
     quadrature of the scaled kernel representation
-        (s / Gamma(-order)) * int_0^1 cosh(r sqrt(u w)) (1-w)^(-order-1) dw.
+        (s / Gamma(-order)) * int_0^1 cosh(r sqrt(u w)) (1-w)^(-order-1) dw
+    in q with w = 1 - q^2, which removes the branch point of (1-w)^(-order-1)
+    at w = 1 and leaves a smooth integrand.
     """
     if order not in (-1.5, -2.5):
         raise DomainError(f"order must be -3/2 or -5/2, got {order}")
@@ -428,14 +406,11 @@ def frac_integral(order: float, s: float, r: float, u: float, tol: Tolerance = D
         raise DomainError(f"need s > 0 and r > 0, got s={s}, r={r}")
     if not u > 0:
         raise DomainError(f"need u > 0, got {u}")
-    power = -order - 1.0
+    power = -2.0 * order - 1.0
     front = s / math.exp(log_gamma(-order))
-
-    def integrand(w):
-        return math.cosh(r * math.sqrt(u * w)) * (1.0 - w) ** power
-
-    quad_tol = Tolerance(rel=min(tol.rel, 1e-11), abs=0.0, max_iter=max(tol.max_iter, 200))
-    return front * integrate(integrand, 0.0, 1.0, quad_tol)
+    integrand = lambda q, _panel: 2.0 * q**power * np.cosh(r * np.sqrt(u * (1.0 - q * q)))
+    value, _ = integrate(integrand, 0.0, 1.0, Tolerance(rel=min(tol.rel, 1e-11), abs=0.0))
+    return front * float(value)
 
 
 def watson_params(params: KouJumpParams) -> tuple[float, float]:

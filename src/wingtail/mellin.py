@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import ConvergenceError, DivergenceError, DomainError
-from .numerics import DEFAULT_TOL, Tolerance, integrate
+import numpy as np
+
+from .errors import DomainError
+from .numerics import DEFAULT_TOL, Tolerance, window_sweep
 
 __all__ = [
     "AT_INFINITY",
@@ -154,98 +156,52 @@ class TailAsymptote:
         return ERROR_INV_SQRT_LOG if self.r2 > 0 else ERROR_INV_LOG
 
 
-def _block_sum(block_values, tol: Tolerance, what: str, min_windows: int = 24):
-    """Sum geometric-window quadrature blocks, detecting divergence.
+def _two_sided(integrand, origin: float, width: float, min_windows: int, tol: Tolerance, what: str) -> float:
+    """Integral of integrand(v) over the real line, by the window sweep.
 
-    Termination is deferred until `min_windows` blocks have been swept: an
-    integrand whose peak sits far from the starting window begins with many
-    negligible (or exactly zero) blocks, and stopping on those would silently
-    drop the mass. After the sweep, two consecutive negligible blocks end the
-    sum; sustained geometric block growth past the sweep raises
-    DivergenceError instead of returning a runaway partial sum.
+    The two directions from `origin` are the two points of one sweep, in
+    windows of `width` (one window per direction in each call of the
+    integrator); a direction may stop only after `min_windows` windows.
     """
-    total = 0.0
-    small_run = 0
-    history = []
-    for j, val in enumerate(block_values):
-        total += val
-        history.append(abs(val))
-        if abs(val) <= max(tol.abs, tol.rel * max(abs(total), tol.abs)):
-            small_run += 1
-            if small_run >= 2 and j + 1 >= min_windows:
-                return total
-        else:
-            small_run = 0
-        # genuine divergence = sustained geometric growth beyond the sweep; a
-        # ramp toward a far-away peak ends within the sweep by construction
-        if j + 1 >= min_windows and len(history) >= 9 and history[-9] > 0 and all(
-            history[-i] >= history[-i - 1] * 1.02 for i in range(1, 9)
-        ) and history[-1] > 50.0 * history[-9]:
-            raise DivergenceError(f"{what}: partial sums keep growing (block {j}, size {val:.3g})")
-    raise ConvergenceError(
-        f"{what}: window budget exhausted (slowly convergent or divergent)", best_estimate=total
-    )
-
-
-def _sweep(window, advance, edge: float = 1.0):
-    """window(lo, hi) over 1100 adjacent windows swept outward from `edge`;
-    `advance` maps each window edge to the next (the direction of the sweep)."""
-    for _ in range(1100):
-        nxt = advance(edge)
-        yield window(min(edge, nxt), max(edge, nxt))
-        edge = nxt
+    sign = np.array([1.0, -1.0])
+    # the half window keeps the summed window edges off the stop position
+    totals = window_sweep(lambda u, point: integrand(origin + sign[point, None] * u), np.full(2, width),
+                          np.full(2, (min_windows - 0.5) * width), tol, lambda i: f"{what}, v {'><'[i]} {origin:.6g}",
+                          growth=1.0, stop_run=2, per_call=1)
+    return float(totals[0] + totals[1])
 
 
 def mellin_transform(U, z: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """MU(z) = integral_0^inf t^(-z-1) U(t) dt, by windowed adaptive quadrature.
+    """MU(z) = integral_0^inf t^(-z-1) U(t) dt, in v = log t over octaves of t.
 
-    Raises DivergenceError when the windowed partial sums keep growing, which
-    is how an evaluation outside the convergence strip shows up numerically.
+    U takes and returns numpy arrays. Raises DivergenceError when the
+    windowed partial sums keep growing, which is how an evaluation outside
+    the convergence strip shows up numerically.
     """
-    inner = Tolerance(rel=tol.rel, abs=tol.abs, max_iter=max(tol.max_iter, 200))
-
-    def integrand(t):
-        return t ** (-z - 1.0) * U(t)
-
-    def window(lo, hi):
-        return integrate(integrand, lo, hi, inner)
-
-    # octaves [a, 2a] upward from t = 1, then [a/2, a] downward
-    return sum(
-        _block_sum(_sweep(window, advance), tol, f"Mellin transform at z={z}, {where} range", min_windows=40)
-        for advance, where in ((lambda a: 2.0 * a, "upper"), (lambda a: a / 2.0, "lower"))
-    )
+    return _two_sided(lambda v: np.exp(-z * v) * U(np.exp(v)), 0.0, math.log(2.0), 40, tol,
+                      f"Mellin transform at z={z}")
 
 
 def mellin_convolve(f, g, x: float, tol: Tolerance = DEFAULT_TOL, *, min_windows: int | None = None) -> float:
-    """(f * g)(x) = integral_0^inf f(x/t) g(t) dt/t by windowed quadrature.
+    """(f * g)(x) = integral_0^inf f(x/t) g(t) dt/t, in v = log t over unit windows.
 
-    The default sweep reaches |log t| ~ 2|log x| before trusting convergence,
-    because for factors concentrated near 1 the integrand's peak can sit out
-    at log t ~ log x. Callers that know g is the concentrated factor may pass
-    a smaller `min_windows`.
+    f and g take and return numpy arrays. f may jump at 1: a window edge sits
+    at t = x. Any other jump must fall on a point that bisecting a window
+    reaches, or the integrator raises ConvergenceError. The default sweep
+    reaches |log t| ~ 2|log x| before trusting convergence, because for
+    factors concentrated near 1 the integrand's peak can sit out at
+    log t ~ log x. Callers that know g is the concentrated factor may pass a
+    smaller `min_windows`.
     """
     if not x > 0:
         raise DomainError(f"mellin_convolve requires x > 0, got {x}")
     log_x = math.log(x)
     if min_windows is None:
         min_windows = max(24, int(2.0 * abs(log_x)) + 16)
-    inner = Tolerance(rel=tol.rel, abs=tol.abs, max_iter=max(tol.max_iter, 200))
-
-    # integrate in v = log t; windows of width 1 outward from v = 0. f is
-    # evaluated at x/t and may jump at 1 (the Kou jump density does), so the
-    # window holding v = log x is split there.
-    def integrand(v):
-        t = math.exp(v)
-        return f(x / t) * g(t)
-
-    def window(lo, hi):
-        return integrate(integrand, lo, hi, inner, points=[log_x] if lo < log_x < hi else None)
-
-    return sum(
-        _block_sum(_sweep(window, advance, 0.0), tol, f"Mellin convolution at x={x}, {where}", min_windows)
-        for advance, where in ((lambda v: v + 1.0, "t > 1"), (lambda v: v - 1.0, "t < 1"))
-    )
+    # the origin is log x less its nearest integer (an exact difference), so
+    # the unit windows have an edge at v = log x, where the Kou density jumps
+    return _two_sided(lambda v: f(x / np.exp(v)) * g(np.exp(v)), log_x - round(log_x), 1.0, min_windows, tol,
+                      f"Mellin convolution at x={x}")
 
 
 def convolve_asymptote(

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import heston as _heston
 from .errors import DegenerateRegimeError, DomainError
 from .heston import HestonParams, HestonTailConstants
@@ -190,5 +192,5 @@ def mixed_density(model: MixedModel, x: float, tol: Tolerance | None = None) -> 
     # the window sweep stays short for any x; the jump density is the smooth
     # co-factor evaluated at x/t
     jumps = model.jumps
-    conv = mellin_convolve(jumps.price_density, d1, x, tol, min_windows=24)
+    conv = mellin_convolve(np.vectorize(jumps.price_density, otypes=[float]), d1, x, tol, min_windows=24)
     return jumps.atom_mass * d1(x) + conv if jumps.atom_mass else conv

@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 from .errors import DomainError, OracleError
 from .heston import HestonParams
 from .mixed import MixedModel
-from .numerics import RngStream, Tolerance, find_root, integrate_panels
+from .numerics import RngStream, Tolerance, find_root, window_sweep
 
 __all__ = [
     "MCResult",
@@ -69,14 +69,11 @@ def mixed_cf(model: MixedModel, u: float) -> complex:
     return cmath.exp(model.log_moment(1j * u))
 
 
-# The Fourier sweep: segment j of a point has length width * 1.4^j; a point
-# stops after 3 consecutive negligible segments once past 10 peak widths.
-# Each call of the panel integrator takes the next 8 segments of every point
-# still running.
-SEGMENT_GROWTH = 1.4
-SEGMENTS_PER_CALL = 8
-MAX_SEGMENTS = 704
-STOP_RUN = 3
+# The Fourier sweep (numerics.window_sweep): segment j of a point has length
+# width * 1.4^j, with the peak width floored at 1e-3; a point stops after 3
+# consecutive negligible segments once past 10 peak widths. Each call of the
+# panel integrator takes the next 8 segments of every point still running.
+FOURIER_SWEEP = dict(growth=1.4, stop_run=3, per_call=8)
 STOP_WIDTHS = 10.0
 # The saddle solve: a table of K', K'' on 257 orders per model gives the first
 # guess; Newton steps stop once the saddle equation leaves a linear phase
@@ -146,46 +143,6 @@ def _saddle(model: MixedModel, ell: np.ndarray):
     raise OracleError(f"saddle point iteration did not settle at log x={target[0]:.6g}")
 
 
-def _fourier_sweep(integrand, width: np.ndarray, tol: Tolerance, what) -> np.ndarray:
-    """Integrals over (0, inf) of decaying oscillatory integrands, one per point.
-
-    `integrand(u, point)` returns the integrand of point point[r] at the
-    nodes u[r], one row per panel. Segment lengths start at each point's peak
-    width and grow geometrically, so slowly decaying characteristic functions
-    stay within the segment budget. A segment is negligible when its value
-    is within max(tol.abs, tol.rel * |running total|); a point stops after
-    STOP_RUN negligible segments in a row that end beyond STOP_WIDTHS peak
-    widths, and drops out of the later calls. `what(i)` names point i in errors.
-    """
-    growth = SEGMENT_GROWTH ** np.arange(SEGMENTS_PER_CALL)
-    seg_index = np.arange(SEGMENTS_PER_CALL)
-    seg = np.maximum(width, 1e-3)
-    u0, total = np.zeros(width.size), np.zeros(width.size)
-    run = np.zeros(width.size, dtype=int)
-    active = np.arange(width.size)
-    for _ in range(MAX_SEGMENTS // SEGMENTS_PER_CALL):
-        lengths = seg[active, None] * growth
-        ends = u0[active, None] + np.cumsum(lengths, axis=1)
-        values, _ = integrate_panels(
-            lambda u, panel: integrand(u, active[panel // SEGMENTS_PER_CALL]), ends - lengths, ends, tol
-        )
-        partial = total[active, None] + np.cumsum(values, axis=1)
-        negligible = np.abs(values) <= np.maximum(tol.abs, tol.rel * np.abs(partial))
-        # length of the run of negligible segments ending at each segment
-        last_kept = np.maximum.accumulate(np.where(negligible, -1, seg_index), axis=1)
-        runs = np.where(last_kept < 0, run[active, None] + seg_index + 1, seg_index - last_kept)
-        stops = (runs >= STOP_RUN) & (ends > STOP_WIDTHS * width[active, None])
-        stopped = stops.any(axis=1)
-        last = np.where(stopped, stops.argmax(axis=1), SEGMENTS_PER_CALL - 1)
-        rows = np.arange(active.size)
-        total[active], run[active] = partial[rows, last], runs[rows, last]
-        u0[active], seg[active] = ends[:, -1], lengths[:, -1] * SEGMENT_GROWTH
-        active = active[~stopped]
-        if active.size == 0:
-            return total
-    raise OracleError(f"{what(active[0])}: oscillatory integral did not settle by u={u0[active[0]]:.3g}")
-
-
 def log_density_fourier(model: MixedModel, x, tol: Tolerance | None = None):
     """log of the mixed price density at x (scalar or array); see log_density_fourier_logx."""
     points = np.asarray(x, dtype=float)
@@ -215,7 +172,8 @@ def log_density_fourier_logx(model: MixedModel, ell, tol: Tolerance | None = Non
         return np.exp(model.log_moment(z) - k_nu[point, None] - 1j * u * ells[point, None]).real
 
     what = lambda i: f"density inversion at log x={ells[i]:.6g}"
-    total = _fourier_sweep(integrand, 1.0 / np.sqrt(np.maximum(k2, 1e-12)), tol, what)
+    width = 1.0 / np.sqrt(np.maximum(k2, 1e-12))
+    total = window_sweep(integrand, np.maximum(width, 1e-3), STOP_WIDTHS * width, tol, what, **FOURIER_SWEEP)
     if not np.all(total > 0):
         raise OracleError(f"{what(np.flatnonzero(~(total > 0))[0])} returned non-positive mass")
     return _like(ell, np.log(total / math.pi) + k_nu - nu * ells - ells)
@@ -291,7 +249,7 @@ def call_fourier(
         return (shifted / ((damp + 1j * u) * z)).real
 
     what = lambda i: f"call inversion at K={strikes[i]:.6g}"
-    total = _fourier_sweep(integrand, width, tol, what)
+    total = window_sweep(integrand, np.maximum(width, 1e-3), STOP_WIDTHS * width, tol, what, **FOURIER_SWEEP)
     value = np.exp(k_nu - alpha * kappa) / math.pi * total
     # residue corrections for contours below the payoff poles (Fourier pricing
     # of the damped payoff: alpha < 0 drops the stock term, alpha < -1 the

@@ -230,6 +230,23 @@ class TestMainEntry:
         assert cli.main([command, "--config", PURE_HESTON, f"--grid={grid}"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_smile_row_left_empty_by_an_error_is_reported(self, tmp_path, capsys, sign):
+        # at L = 4.5 the asymptotic price of this model is above the spot
+        # bound on both wings, so the inversion raises; L = 3.9 is in the guard
+        payload = {"model": "heston", "t": 1.0, "seed": 1, "heston": {
+            "mu": 0.0, "a": 1.47, "b": 2.68, "c": 0.30, "rho": -0.42, "x0": 1.0, "y0": 0.055}}
+        config = write_config(tmp_path, payload)
+        ends = sorted(math.exp(sign * L) for L in (3.9, 4.5))
+        assert cli.main(["smile", "--config", config, "--grid", f"{ends[0]!r}:{ends[1]!r}:2log"]) == 0
+        out, err = capsys.readouterr()
+        rows = out.splitlines()[1:]
+        assert len(rows) == 2 and all(row.endswith(",,,,") for row in rows)
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert f"K={math.exp(sign * 4.5):.6g}, L=4.5 left empty" in lines[0]
+        assert "at or above the spot bound" in lines[0]
+
     def test_density_csv_deterministic(self, tmp_path):
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         cli.main(["density", "--config", REFERENCE_KOU, "--grid", "2:50:4log", "--out", out1])

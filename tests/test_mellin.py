@@ -27,16 +27,21 @@ from wingtail.numerics import Tolerance
 
 
 def uniform01(t):
-    return 1.0 if 0.0 < t < 1.0 else 0.0
+    return np.where((t > 0.0) & (t < 1.0), 1.0, 0.0)
 
 
 def expdens(t):
-    return math.exp(-t)
+    return np.exp(-t)
+
+
+def compact(v, norm):
+    """(v - 1/2)^2 (2 - v)^2 / norm on (1/2, 2), zero elsewhere."""
+    return np.where((v > 0.5) & (v < 2.0), (v - 0.5) ** 2 * (2.0 - v) ** 2 / norm, 0.0)
 
 
 def lognormal(m, s):
     def dens(t):
-        return math.exp(-((math.log(t) - m) ** 2) / (2 * s * s)) / (t * s * math.sqrt(2 * math.pi))
+        return np.exp(-((np.log(t) - m) ** 2) / (2 * s * s)) / (t * s * math.sqrt(2 * math.pi))
 
     return dens
 
@@ -131,8 +136,10 @@ class TestTransform:
 
 class TestConvolve:
     def test_indicator_pair(self):
-        # closed form log(1/x) on (0, 1)
-        assert mellin_convolve(uniform01, uniform01, math.exp(-1.0)) == pytest.approx(1.0, rel=1e-9)
+        # closed form log(1/x) on (0, 1); at log x = -0.5 and -1.5 the window
+        # edges sit at half-integers and the jump of g at t = 1 is mid-window
+        for log_x in (-1.0, -0.5, -1.5):
+            assert mellin_convolve(uniform01, uniform01, math.exp(log_x)) == pytest.approx(-log_x, rel=1e-9)
 
     def test_exponential_pair_bessel(self):
         assert mellin_convolve(expdens, expdens, 1.0) == pytest.approx(2.0 * k0(2.0), rel=1e-9)
@@ -166,7 +173,7 @@ class TestAsymptoteTransfer:
         strip = MellinStrip(-10.0, 10.0)
         rec = kou.h_wing_record(ref_kou, WING_LARGE)
         norm = quad(lambda v: (v - 0.5) ** 2 * (2.0 - v) ** 2, 0.5, 2.0)[0]
-        U = lambda v: (v - 0.5) ** 2 * (2.0 - v) ** 2 / norm if 0.5 < v < 2.0 else 0.0
+        U = lambda v: compact(v, norm)
         out = convolve_asymptote(U, rec, -rec.r3, strip)
         mu = quad(lambda v: U(v) * v**ref_kou.eta1, 0.5, 2.0)[0]
         assert out.r1 == pytest.approx(rec.r1 * mu, rel=1e-9)
@@ -179,14 +186,14 @@ class TestAsymptoteTransfer:
     def test_numeric_ratio_to_quadrature(self, ref_kou):
         # compact factor times the jump density: quadrature over asymptote -> 1
         norm = quad(lambda v: (v - 0.5) ** 2 * (2.0 - v) ** 2, 0.5, 2.0)[0]
-        U = lambda v: (v - 0.5) ** 2 * (2.0 - v) ** 2 / norm if 0.5 < v < 2.0 else 0.0
+        U = lambda v: compact(v, norm)
         strip = MellinStrip(-10.0, 10.0)
         rec = convolve_asymptote(U, kou.h_wing_record(ref_kou, WING_LARGE), -3.0, strip)
         tolc = Tolerance(rel=1e-9, abs=1e-300, max_iter=300)
         scaled = []
         for ell in (15.0, 30.0):
             x = math.exp(ell)
-            conv = mellin_convolve(U, lambda v: kou.h_density(ref_kou, v), x, tolc)
+            conv = mellin_convolve(U, np.vectorize(lambda v: kou.h_density(ref_kou, v)), x, tolc)
             # compare against the record with the exact slowly varying factor
             h_rec = kou.h_wing_record(ref_kou, WING_LARGE)
             exact_slow = math.exp(kou.g1_log(ref_kou, ell)) / math.exp(
@@ -223,11 +230,11 @@ class TestMellinAsymptoteInvariant:
         # factor with tail x^-3 / (1 + log x): quadrature/asymptote -> 1 with
         # sqrt(log x)-scaled residual bounded on log x in [10, 40]
         norm = quad(lambda v: (v - 0.5) ** 2 * (2.0 - v) ** 2, 0.5, 2.0)[0]
-        U = lambda v: (v - 0.5) ** 2 * (2.0 - v) ** 2 / norm if 0.5 < v < 2.0 else 0.0
+        U = lambda v: compact(v, norm)
         mu = quad(lambda v: U(v) * v**2.0, 0.5, 2.0)[0]  # MU(-3)
 
         def f(x):
-            return x**-3.0 / (1.0 + math.log(x)) if x > 1.0 else 0.0
+            return np.where(x > 1.0, x**-3.0 / (1.0 + np.log(np.maximum(x, 1.0))), 0.0)
 
         tolc = Tolerance(rel=1e-10, abs=1e-300, max_iter=300)
         scaled = []

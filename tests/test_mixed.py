@@ -195,8 +195,9 @@ class TestMixedDensity:
             assert via_quadrature == pytest.approx(via_fourier, abs=1e-6, rel=1e-5)
 
     def test_kou_point_next_to_the_jump(self, kou_model):
-        # x/t = 1, where the Kou jump density jumps, falls inside a convolution
-        # window here; integrated across the jump, the window misses rel 1e-8
+        # x/t = 1, where the Kou jump density jumps, is mid-window for windows
+        # anchored at t = 1; integrated across the jump, such a window misses
+        # rel 1e-8, so the convolution windows have an edge there
         x = math.exp(-1.3220217014361222)
         assert mixed.mixed_density(kou_model, x) == pytest.approx(oracles.density_fourier(kou_model, x), rel=1e-8)
 

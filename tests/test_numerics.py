@@ -5,15 +5,15 @@ import pytest
 from scipy.integrate import quad
 
 from wingtail import nig
-from wingtail.errors import BracketingError, ConvergenceError, DomainError
+from wingtail.errors import BracketingError, ConvergenceError, DivergenceError, DomainError
 from wingtail.nig import NIGParams
 from wingtail.numerics import (
     RngStream,
     Tolerance,
     find_root,
     integrate,
-    integrate_panels,
     log_gamma,
+    window_sweep,
 )
 
 
@@ -90,33 +90,38 @@ class TestBesselK1:
 
 class TestIntegrate:
     def test_unit_interval(self):
-        assert integrate(lambda y: 1.0, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_exponential_halfline(self):
-        assert integrate(math.exp, -np.inf, 0.0) == pytest.approx(1.0, rel=1e-10)
-        assert integrate(lambda t: math.exp(-t), 0.0, np.inf) == pytest.approx(1.0, rel=1e-10)
-
-    def test_endpoint_singularity(self):
-        assert integrate(lambda y: y**-0.5, 0.0, 1.0) == pytest.approx(2.0, rel=1e-9)
+        values, _ = integrate(lambda y, owner: np.ones_like(y), 0.0, 1.0)
+        assert values == pytest.approx(1.0, rel=1e-12)
 
     def test_linearity(self):
-        f = lambda t: math.exp(-t)
+        f = lambda t: np.exp(-t)
         g = lambda t: 1.0 / (1.0 + t * t)
-        lhs = integrate(lambda t: 2.0 * f(t) + 3.0 * g(t), 0.0, np.inf)
-        rhs = 2.0 * integrate(f, 0.0, np.inf) + 3.0 * integrate(g, 0.0, np.inf)
+        ends = [1.0, 5.0, 40.0]
+        lhs, _ = integrate(lambda t, owner: 2.0 * f(t) + 3.0 * g(t), 0.0, ends)
+        rhs = 2.0 * integrate(lambda t, owner: f(t), 0.0, ends)[0] + 3.0 * integrate(
+            lambda t, owner: g(t), 0.0, ends)[0]
         assert lhs == pytest.approx(rhs, rel=1e-9)
+        assert rhs == pytest.approx(2.0 * (1.0 - np.exp(-np.array(ends))) + 3.0 * np.arctan(ends), rel=1e-9)
 
     def test_nonconvergence_carries_estimate(self):
-        rough = lambda t: math.sin(1.0 / t) if t > 0 else 0.0
+        rough = lambda t, owner: np.sin(1.0 / t)
         with pytest.raises(ConvergenceError) as err:
             integrate(rough, 0.0, 1.0, Tolerance(rel=1e-14, abs=0.0, max_iter=50))
         assert err.value.best_estimate is not None
+
+    def test_kink_accepted_on_the_whole_panel(self):
+        # (v - 1/3)^2 for v > 1/3, 0 below: the panel holding the kink fails
+        # its own test at every depth, while its error shrinks like its width^3
+        values, errors = integrate(lambda v, owner: np.maximum(v - 1.0 / 3.0, 0.0) ** 2, 0.0, 1.0,
+                                   Tolerance(rel=1e-10, abs=0.0))
+        assert values == pytest.approx((2.0 / 3.0) ** 3 / 3.0, rel=1e-10)
+        assert errors <= 1e-10 * values
 
 
 class TestIntegratePanels:
     def test_exact_on_polynomials_to_degree_31(self):
         for degree in (0, 7, 19, 31):
-            values, errors = integrate_panels(lambda x, owner: x**degree, 0.0, 1.0)
+            values, errors = integrate(lambda x, owner: x**degree, 0.0, 1.0)
             assert values == pytest.approx(1.0 / (degree + 1), rel=1e-14)
             assert errors >= 0.0
 
@@ -128,7 +133,7 @@ class TestIntegratePanels:
             calls.append(x.shape)
             return np.cos((owner[:, None] + 1.0) * x)
 
-        values, _ = integrate_panels(f, np.zeros((2, 2)), np.full((2, 2), 2.0))
+        values, _ = integrate(f, np.zeros((2, 2)), np.full((2, 2), 2.0))
         k = np.arange(1.0, 5.0).reshape(2, 2)
         assert values == pytest.approx(np.sin(2.0 * k) / k, rel=1e-13)
         assert calls == [(4, 21)]
@@ -140,7 +145,7 @@ class TestIntegratePanels:
             rows.append(owner.copy())
             return 1.0 / (1e-4 + x * x)
 
-        values, errors = integrate_panels(f, [0.0, 5.0], [1.0, 6.0], Tolerance(rel=1e-12, abs=0.0))
+        values, errors = integrate(f, [0.0, 5.0], [1.0, 6.0], Tolerance(rel=1e-12, abs=0.0))
         exact = [math.atan(1.0 / 1e-2) / 1e-2, (math.atan(600.0) - math.atan(500.0)) / 1e-2]
         assert values == pytest.approx(exact, rel=1e-11)
         assert len(rows) > 2 and all(np.all(r == 0) for r in rows[1:])  # panel 1 settles at once
@@ -148,17 +153,55 @@ class TestIntegratePanels:
 
     def test_depth_budget_raises_with_estimate(self):
         with pytest.raises(ConvergenceError, match="bisections") as err:
-            integrate_panels(lambda x, owner: 1.0 / np.sqrt(x), 0.0, 1.0, Tolerance(rel=1e-10, abs=0.0))
+            integrate(lambda x, owner: 1.0 / np.sqrt(x), 0.0, 1.0, Tolerance(rel=1e-10, abs=0.0))
         assert err.value.best_estimate == pytest.approx(2.0, rel=1e-2)
         assert err.value.error_estimate > 0
 
     def test_tolerance_below_rounding_raises(self):
         with pytest.raises(ConvergenceError, match="rounding"):
-            integrate_panels(lambda x, owner: np.cos(x), 0.0, 1.0, Tolerance(rel=1e-17, abs=0.0))
+            integrate(lambda x, owner: np.cos(x), 0.0, 1.0, Tolerance(rel=1e-17, abs=0.0))
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(ConvergenceError, match="not finite"):
-            integrate_panels(lambda x, owner: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)
+            integrate(lambda x, owner: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)
+
+
+def sweep(integrand, first, stop_at, tol=Tolerance(), *, growth=1.0, stop_run=2, per_call=1):
+    return window_sweep(integrand, first, stop_at, tol, lambda i: f"point {i}",
+                        growth=growth, stop_run=stop_run, per_call=per_call)
+
+
+class TestWindowSweep:
+    def test_exponential_halfline(self):
+        # each point has its own rate; all points share the integrator calls
+        rate = np.array([0.5, 1.0, 3.0])
+        for growth, per_call in ((1.0, 1), (1.4, 8)):
+            totals = sweep(lambda u, point: np.exp(-rate[point, None] * u), np.ones(3), np.full(3, 10.0),
+                           growth=growth, per_call=per_call)
+            assert totals == pytest.approx(1.0 / rate, rel=1e-10)
+
+    def test_stop_position_reaches_a_far_peak(self):
+        # the windows before the peak at u = 30 are negligible; stopping on
+        # them would drop the whole mass
+        peak = lambda u, point: np.exp(-0.5 * (u - 30.0) ** 2)
+        assert sweep(peak, [1.0], [40.0]) == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-10)
+        assert sweep(peak, [1.0], [2.0]) < 1e-100
+
+    def test_divergence_raises_with_estimate(self):
+        with pytest.raises(DivergenceError, match="point 1: partial sums keep growing") as err:
+            sweep(lambda u, point: np.exp(np.where(point[:, None] == 1, 0.5, -1.0) * u),
+                  np.ones(2), np.full(2, 5.5))
+        estimate = err.value.best_estimate
+        # windows rise by e^0.5; nine of them span a factor e^4 > 50, first
+        # reached by the window (8, 9); both points have run to u = 9
+        assert estimate[0] == pytest.approx(1.0 - math.exp(-9.0), rel=1e-10)
+        assert estimate[1] == pytest.approx(2.0 * (math.exp(4.5) - 1.0), rel=1e-10)
+
+    def test_budget_raises_with_estimate(self):
+        # 1/(1 + u) diverges too slowly for the rising-run rule; the budget stops it
+        with pytest.raises(ConvergenceError, match="point 0: window budget of 704") as err:
+            sweep(lambda u, point: 1.0 / (1.0 + u), [1.0], [5.0])
+        assert err.value.best_estimate == pytest.approx([math.log(705.0)], rel=1e-10)
 
 
 class TestFindRoot:
