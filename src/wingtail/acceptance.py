@@ -166,7 +166,7 @@ def criterion_4_mellin_asymptote(seed: int = 0, tol: Tolerance | None = None) ->
     # the windowed-convolution termination obeys the configured tolerance, so a
     # broken (coarse) tolerance makes this criterion fail by name
     rel = 1e-9 if tol is None else float(np.clip(tol.rel, 1e-12, 0.99))
-    conv_tol = Tolerance(rel=rel, abs=1e-300, max_iter=300)
+    conv_tol = Tolerance(rel=rel, abs=1e-300)
     density = np.vectorize(lambda v: kou.h_density(params, v), otypes=[float])
     scaled = []
     for ell in (15.0, 25.0, 40.0, 50.0):
@@ -310,7 +310,7 @@ def criterion_8_moment_identities(seed: int = 0, tol: Tolerance | None = None) -
     density = np.vectorize(lambda v: nig.nig_price_density(np_params, v), otypes=[float])
     gap = 0.0
     for eta in (-2.5, -0.5, 0.2):
-        mu_val = mellin.mellin_transform(density, eta, Tolerance(rel=1e-11, abs=1e-14, max_iter=300))
+        mu_val = mellin.mellin_transform(density, eta, Tolerance(rel=1e-11, abs=1e-14))
         closed = nig.nig_mgf(np_params, -eta - 1.0)
         gap = max(gap, abs(mu_val - closed))
         ok = ok and abs(mu_val - closed) <= 1e-8

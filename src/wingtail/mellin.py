@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError
-from .numerics import DEFAULT_TOL, Tolerance, window_sweep
+from .numerics import DEFAULT_TOL, Tolerance, integrate, window_sweep
 
 __all__ = [
     "AT_INFINITY",
@@ -156,51 +156,55 @@ class TailAsymptote:
         return ERROR_INV_SQRT_LOG if self.r2 > 0 else ERROR_INV_LOG
 
 
-def _two_sided(integrand, origin: float, width: float, min_windows: int, tol: Tolerance, what: str) -> float:
-    """Integral of integrand(v) over the real line, by the window sweep.
+def _two_sided(integrand, ends, width: float, min_windows: int, tol: Tolerance, what: str) -> float:
+    """Integral of integrand(v) over the real line, with window edges at both `ends`.
 
-    The two directions from `origin` are the two points of one sweep, in
-    windows of `width` (one window per direction in each call of the
-    integrator); a direction may stop only after `min_windows` windows.
+    The span between the two ends (none when they coincide) is one call of
+    the integrator on panels of about `width`. The two directions outward
+    from the ends are the two points of one window sweep, in windows of
+    `width` (one window per direction in each call of the integrator); a
+    direction may stop only once it reaches |v| > (min_windows - 1/2) * width.
     """
-    sign = np.array([1.0, -1.0])
-    # the half window keeps the summed window edges off the stop position
-    totals = window_sweep(lambda u, point: integrand(origin + sign[point, None] * u), np.full(2, width),
-                          np.full(2, (min_windows - 0.5) * width), tol, lambda i: f"{what}, v {'><'[i]} {origin:.6g}",
+    lo, hi = min(ends), max(ends)
+    edges = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / width)) + 1)
+    middle, _ = integrate(lambda v, _: integrand(v), edges[:-1], edges[1:], tol)
+    start, sign = np.array([hi, lo]), np.array([1.0, -1.0])
+    # the half window keeps the summed octave edges of the transform off the stop position
+    stop_at = np.maximum((min_windows - 0.5) * width - np.abs(start), 0.0)
+    totals = window_sweep(lambda u, point: integrand(start[point, None] + sign[point, None] * u), np.full(2, width),
+                          stop_at, tol, lambda i: f"{what}, v {'><'[i]} {start[i]:.6g}",
                           growth=1.0, stop_run=2, per_call=1)
-    return float(totals[0] + totals[1])
+    return float(middle.sum() + totals[0] + totals[1])
 
 
 def mellin_transform(U, z: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """MU(z) = integral_0^inf t^(-z-1) U(t) dt, in v = log t over octaves of t.
 
-    U takes and returns numpy arrays. Raises DivergenceError when the
-    windowed partial sums keep growing, which is how an evaluation outside
-    the convergence strip shows up numerically.
+    U takes and returns numpy arrays; it may jump at t = 1, a window edge.
+    Raises DivergenceError when the windowed partial sums keep growing, which
+    is how an evaluation outside the convergence strip shows up numerically.
     """
-    return _two_sided(lambda v: np.exp(-z * v) * U(np.exp(v)), 0.0, math.log(2.0), 40, tol,
+    return _two_sided(lambda v: np.exp(-z * v) * U(np.exp(v)), (0.0, 0.0), math.log(2.0), 40, tol,
                       f"Mellin transform at z={z}")
 
 
 def mellin_convolve(f, g, x: float, tol: Tolerance = DEFAULT_TOL, *, min_windows: int | None = None) -> float:
     """(f * g)(x) = integral_0^inf f(x/t) g(t) dt/t, in v = log t over unit windows.
 
-    f and g take and return numpy arrays. f may jump at 1: a window edge sits
-    at t = x. Any other jump must fall on a point that bisecting a window
-    reaches, or the integrator raises ConvergenceError. The default sweep
-    reaches |log t| ~ 2|log x| before trusting convergence, because for
-    factors concentrated near 1 the integrand's peak can sit out at
-    log t ~ log x. Callers that know g is the concentrated factor may pass a
-    smaller `min_windows`.
+    f and g take and return numpy arrays, and each may jump at 1: window
+    edges sit at t = 1 and t = x. Any other jump must fall on a point that
+    bisecting a window reaches, or the integrator raises ConvergenceError.
+    The default sweep reaches |log t| ~ 2|log x| before trusting
+    convergence, because for factors concentrated near 1 the integrand's
+    peak can sit out at log t ~ log x. Callers that know g is the
+    concentrated factor may pass a smaller `min_windows`.
     """
     if not x > 0:
         raise DomainError(f"mellin_convolve requires x > 0, got {x}")
     log_x = math.log(x)
     if min_windows is None:
         min_windows = max(24, int(2.0 * abs(log_x)) + 16)
-    # the origin is log x less its nearest integer (an exact difference), so
-    # the unit windows have an edge at v = log x, where the Kou density jumps
-    return _two_sided(lambda v: f(x / np.exp(v)) * g(np.exp(v)), log_x - round(log_x), 1.0, min_windows, tol,
+    return _two_sided(lambda v: f(x / np.exp(v)) * g(np.exp(v)), (0.0, log_x), 1.0, min_windows, tol,
                       f"Mellin convolution at x={x}")
 
 

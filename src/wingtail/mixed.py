@@ -183,7 +183,7 @@ def mixed_density(model: MixedModel, x: float, tol: Tolerance | None = None) -> 
 
     if not x > 0:
         raise DomainError(f"mixed_density requires x > 0, got {x}")
-    tol = tol or Tolerance(rel=1e-8, abs=1e-14, max_iter=400)
+    tol = tol or Tolerance(rel=1e-8, abs=1e-14)
     pure = MixedModel(heston=model.heston, jumps=None)
     d1 = lambda y: oracles.density_fourier(pure, y)
     if model.jumps is None:

@@ -49,7 +49,8 @@ def require_finite(record) -> None:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative/absolute tolerance plus an iteration budget."""
+    """Relative/absolute tolerance plus an iteration budget, which bounds find_root only
+    (floored at 100): integrate and window_sweep have the fixed PANEL_DEPTH and MAX_WINDOWS."""
 
     rel: float = 1e-10
     abs: float = 1e-12

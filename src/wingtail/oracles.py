@@ -69,12 +69,6 @@ def mixed_cf(model: MixedModel, u: float) -> complex:
     return cmath.exp(model.log_moment(1j * u))
 
 
-# The Fourier sweep (numerics.window_sweep): segment j of a point has length
-# width * 1.4^j, with the peak width floored at 1e-3; a point stops after 3
-# consecutive negligible segments once past 10 peak widths. Each call of the
-# panel integrator takes the next 8 segments of every point still running.
-FOURIER_SWEEP = dict(growth=1.4, stop_run=3, per_call=8)
-STOP_WIDTHS = 10.0
 # The saddle solve: a table of K', K'' on 257 orders per model gives the first
 # guess; Newton steps stop once the saddle equation leaves a linear phase
 # below 1e-6 over one peak width.
@@ -82,7 +76,15 @@ SADDLE_NODES = 257
 SADDLE_ITER = 100
 SADDLE_PHASE = 1e-6
 
-DEFAULT_FOURIER_TOL = Tolerance(rel=1e-10, abs=1e-14, max_iter=400)
+DEFAULT_FOURIER_TOL = Tolerance(rel=1e-10, abs=1e-14)
+
+
+def _peak_sweep(integrand, width: np.ndarray, tol: Tolerance, what) -> np.ndarray:
+    """window_sweep from the peak at u = 0: segment j of a point is width * 1.4^j long
+    (width floored at 1e-3); a point stops after 3 negligible segments in a row
+    past 10 peak widths; each integrator call takes 8 segments of every running point."""
+    return window_sweep(integrand, np.maximum(width, 1e-3), 10.0 * width, tol, what, growth=1.4, stop_run=3,
+                        per_call=8)
 
 
 def _like(template, values: np.ndarray):
@@ -173,7 +175,7 @@ def log_density_fourier_logx(model: MixedModel, ell, tol: Tolerance | None = Non
 
     what = lambda i: f"density inversion at log x={ells[i]:.6g}"
     width = 1.0 / np.sqrt(np.maximum(k2, 1e-12))
-    total = window_sweep(integrand, np.maximum(width, 1e-3), STOP_WIDTHS * width, tol, what, **FOURIER_SWEEP)
+    total = _peak_sweep(integrand, width, tol, what)
     if not np.all(total > 0):
         raise OracleError(f"{what(np.flatnonzero(~(total > 0))[0])} returned non-positive mass")
     return _like(ell, np.log(total / math.pi) + k_nu - nu * ells - ells)
@@ -249,7 +251,7 @@ def call_fourier(
         return (shifted / ((damp + 1j * u) * z)).real
 
     what = lambda i: f"call inversion at K={strikes[i]:.6g}"
-    total = window_sweep(integrand, np.maximum(width, 1e-3), STOP_WIDTHS * width, tol, what, **FOURIER_SWEEP)
+    total = _peak_sweep(integrand, width, tol, what)
     value = np.exp(k_nu - alpha * kappa) / math.pi * total
     # residue corrections for contours below the payoff poles (Fourier pricing
     # of the damped payoff: alpha < 0 drops the stock term, alpha < -1 the
@@ -323,35 +325,23 @@ def riccati_explosion_time(params: HestonParams, s: float, t_cap: float | None =
     beta = params.c * params.rho * s - params.b
     cap = t_cap if t_cap is not None else max(200.0 * params.t, 50.0)
 
-    def f_v(_t, v):
-        return [c2h * v[0] * v[0] + beta * v[0] + k]
-
-    def hit_one(_t, v):
-        return v[0] - 1.0
-
-    hit_one.terminal = True
-    hit_one.direction = 1.0
-
-    sol = solve_ivp(f_v, (0.0, cap), [0.0], events=hit_one, rtol=1e-12, atol=1e-14, max_step=cap / 50.0)
-    if not sol.t_events[0].size:
+    t1 = _event_time(lambda v: c2h * v * v + beta * v + k, cap, 0.0, lambda v: v - 1.0, 1.0, cap / 50.0)
+    if math.isinf(t1):
         return math.inf
-    t1 = float(sol.t_events[0][0])
+    # in R = 1/V: R' = -(c^2/2 + beta R + k R^2), R(0) = 1, blow-up of V at R = 0
+    return t1 + _event_time(lambda r: -(c2h + beta * r + k * r * r), cap - t1, 1.0, lambda r: r, -1.0, cap / 50.0)
 
-    def f_r(_t, r):
-        return [-(c2h + beta * r[0] + k * r[0] * r[0])]
 
-    def hit_zero(_t, r):
-        return r[0]
+def _event_time(rhs, span: float, start: float, event, direction: float, max_step: float) -> float:
+    """First time in (0, span) at which event(y) crosses 0 in `direction`, for
+    y' = rhs(y), y(0) = start; +inf when it does not."""
+    def crossing(_t, y):
+        return event(y[0])
 
-    hit_zero.terminal = True
-    hit_zero.direction = -1.0
-
-    sol2 = solve_ivp(
-        f_r, (0.0, cap - t1), [1.0], events=hit_zero, rtol=1e-12, atol=1e-14, max_step=cap / 50.0
-    )
-    if not sol2.t_events[0].size:
-        return math.inf
-    return t1 + float(sol2.t_events[0][0])
+    crossing.terminal, crossing.direction = True, direction
+    sol = solve_ivp(lambda _t, y: [rhs(y[0])], (0.0, span), [start], events=crossing, rtol=1e-12, atol=1e-14,
+                    max_step=max_step)
+    return float(sol.t_events[0][0]) if sol.t_events[0].size else math.inf
 
 
 def riccati_critical_moment(params: HestonParams, upper: bool = True) -> float:

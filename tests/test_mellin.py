@@ -136,10 +136,25 @@ class TestTransform:
 
 class TestConvolve:
     def test_indicator_pair(self):
-        # closed form log(1/x) on (0, 1); at log x = -0.5 and -1.5 the window
-        # edges sit at half-integers and the jump of g at t = 1 is mid-window
-        for log_x in (-1.0, -0.5, -1.5):
+        # closed form log(1/x) on (0, 1); f jumps at t = x and g at t = 1, so
+        # log x away from the integers and the half-integers puts the two
+        # jumps at unrelated offsets within the unit windows
+        for log_x in (-1.0, -0.5, -1.5, -0.3, -2.7):
             assert mellin_convolve(uniform01, uniform01, math.exp(log_x)) == pytest.approx(-log_x, rel=1e-9)
+
+    def test_kou_jump_density_at_fractional_log_x(self, ref_kou):
+        # the Kou jump density jumps at 1; as either factor it matches scipy
+        # quad split at both jumps
+        h = np.vectorize(lambda t: kou.h_density(ref_kou, t), otypes=[float])
+        f = lognormal(0.1, 0.4)
+        for log_x in (-0.3, 2.7):
+            x = math.exp(log_x)
+            for a, b in ((f, h), (h, f)):
+                lo, hi = sorted((0.0, log_x))
+                ref = sum(quad(lambda v: float(a(x / math.exp(v)) * b(math.exp(v))), v0, v1,
+                               epsabs=0.0, epsrel=1e-12, limit=400)[0]
+                          for v0, v1 in ((lo - 40.0, lo), (lo, hi), (hi, hi + 40.0)))
+                assert mellin_convolve(a, b, x) == pytest.approx(ref, rel=1e-9)
 
     def test_exponential_pair_bessel(self):
         assert mellin_convolve(expdens, expdens, 1.0) == pytest.approx(2.0 * k0(2.0), rel=1e-9)
@@ -189,7 +204,7 @@ class TestAsymptoteTransfer:
         U = lambda v: compact(v, norm)
         strip = MellinStrip(-10.0, 10.0)
         rec = convolve_asymptote(U, kou.h_wing_record(ref_kou, WING_LARGE), -3.0, strip)
-        tolc = Tolerance(rel=1e-9, abs=1e-300, max_iter=300)
+        tolc = Tolerance(rel=1e-9, abs=1e-300)
         scaled = []
         for ell in (15.0, 30.0):
             x = math.exp(ell)
@@ -236,7 +251,7 @@ class TestMellinAsymptoteInvariant:
         def f(x):
             return np.where(x > 1.0, x**-3.0 / (1.0 + np.log(np.maximum(x, 1.0))), 0.0)
 
-        tolc = Tolerance(rel=1e-10, abs=1e-300, max_iter=300)
+        tolc = Tolerance(rel=1e-10, abs=1e-300)
         scaled = []
         for ell in (10.0, 20.0, 40.0):
             x = math.exp(ell)

@@ -180,7 +180,7 @@ class TestTransferIdentity:
         pure = MixedModel(heston=kou_model.heston, jumps=None)
         mu_quad = mellin.mellin_transform(
             lambda v: oracles.density_fourier(pure, v), -eta1 - 1.0,
-            Tolerance(rel=1e-9, abs=1e-12, max_iter=300))
+            Tolerance(rel=1e-9, abs=1e-12))
         assert mu_quad == pytest.approx(heston.mgf(kou_model.heston, eta1), abs=1e-8)
 
 
