@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import acceptance, heston, kou, mixed, oracles, smile
-from .errors import DegenerateRegimeError, WingtailError
+from .errors import DegenerateRegimeError, RegimeGuardError, WingtailError
 from .heston import HestonParams
 from .kou import KouJumpParams
 from .mixed import MixedModel, WING_LARGE, WING_SMALL
@@ -102,7 +102,6 @@ def load_config(path: str, seed_override: int | None = None, tol_override: float
         rel=_number(tdict.get("rel", 1e-10), "tolerances.rel") if tol_override is None
         else _number(tol_override, "--tol"),
         abs=_number(tdict.get("abs", 1e-13), "tolerances.abs"),
-        max_iter=int(_number(tdict.get("max_iter", 400), "tolerances.max_iter")),
     )
     return ModelConfig(kind=kind, model=model, seed=seed, tol=tol)
 
@@ -214,40 +213,38 @@ def cmd_density(config: ModelConfig, grid: np.ndarray) -> list[list[str]]:
     return rows
 
 
-def cmd_smile(config: ModelConfig, grid: np.ndarray, guard: float = 4.0) -> list[list[str]]:
+def cmd_smile(config: ModelConfig, grid: np.ndarray) -> list[list[str]]:
     """Smile curve rows: expansion vs inversion of the asymptotic price.
 
-    Rows with L < guard are left empty; so is a row where a step raised, and
-    it gets one stderr line naming K, L and the error."""
+    Each strike is read as its log-moneyness L = |log K - log x0|. Rows inside
+    the smile guard (L < smile.GUARD) are left empty; so is a row where a
+    step raised, and it gets one stderr line naming K, L and the error."""
     model = config.model
     rows = [SMILE_HEADER]
     expansions = {}
     tails = {}
+    log_x0 = math.log(model.x0)
     for K in grid:
-        ell = math.log(K / model.x0)
+        ell = math.log(K) - log_x0
         wing = WING_LARGE if ell >= 0 else WING_SMALL
         L = abs(ell)
         if wing not in expansions:
             try:
                 expansions[wing] = smile.smile_expansion(model, wing)
-                record = mixed.mixed_asymptote(model, wing)
-                # the small wing prices through the density reflected about the spot
-                tails[wing] = record if wing == WING_LARGE else record.reflected(model.x0)
+                tails[wing] = mixed.mixed_asymptote(model, wing)
             except WingtailError as exc:
                 expansions[wing] = exc
-        iv_exp = iv_inv = resid = resid_l = ""
-        if L >= guard:
-            try:
-                if isinstance(expansions[wing], WingtailError):
-                    raise expansions[wing]
-                iv_exp = smile.implied_vol_approx(expansions[wing], float(K), guard)
-                k_eff = model.x0 * math.exp(L)
-                lp = smile.call_asymptote_log(tails[wing], k_eff, model.x0, model.t, guard)
-                iv_inv = smile.bs_implied_vol_from_log(lp, model.x0, k_eff, model.t)
-                resid = abs(iv_exp - iv_inv)
-                resid_l = resid * L
-            except WingtailError as exc:
-                iv_exp = iv_inv = resid = resid_l = ""
+        try:
+            if isinstance(expansions[wing], WingtailError):
+                raise expansions[wing]
+            iv_exp = expansions[wing].evaluate(L)
+            lp = smile.call_asymptote_log(tails[wing], L, model.x0, model.t)
+            iv_inv = smile.bs_implied_vol_from_log(lp, L, model.t)
+            resid = abs(iv_exp - iv_inv)
+            resid_l = resid * L
+        except WingtailError as exc:
+            iv_exp = iv_inv = resid = resid_l = ""
+            if not isinstance(exc, RegimeGuardError):
                 print(f"smile row K={float(K):.6g}, L={L:.6g} left empty: {exc}", file=sys.stderr)
         rows.append([repr(float(K)), repr(L), _fmt(iv_exp), _fmt(iv_inv), _fmt(resid), _fmt(resid_l)])
     return rows

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, MomentExplosionError, RegimeGuardError, SearchError
+from .errors import DomainError, MomentExplosionError, SearchError
 from .mellin import AT_INFINITY, ERROR_INV_SQRT_LOG, MellinStrip, TailAsymptote, side_of
 from .numerics import Tolerance, complex_namespace, find_root, require_finite
 
@@ -31,7 +31,6 @@ __all__ = [
     "mgf",
     "log_mgf",
     "cgf_derivatives",
-    "wing_density",
     "wing_record",
     "mellin_strip",
 ]
@@ -460,20 +459,3 @@ def wing_record(params: HestonParams, wing: str) -> TailAsymptote:
         error_order=ERROR_INV_SQRT_LOG,
     )
 
-
-def wing_density(params: HestonParams, x: float, wing: str) -> float:
-    """Leading-term density value on one wing.
-
-    Valid for x > max(forward, e) on the large wing and for
-    0 < x < min(forward, 1/e) on the small wing; the relative error of the
-    leading term is of order |log x|^(-1/2).
-    """
-    if side_of(wing) == AT_INFINITY:
-        guard = max(params.forward, math.e)
-        inside, needs = x > guard, f"x > {guard:.6g}"
-    else:
-        guard = min(params.forward, 1.0 / math.e)
-        inside, needs = 0 < x < guard, f"0 < x < {guard:.6g}"
-    if not inside:
-        raise RegimeGuardError(f"the {wing}-wing density needs {needs}, got {x}")
-    return wing_record(params, wing).value(x)

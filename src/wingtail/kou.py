@@ -50,7 +50,6 @@ __all__ = [
     "jump_mgf",
     "log_jump_mgf",
     "jump_cgf_derivatives",
-    "h_moment",
     "risk_neutral_drift",
     "sample_jump_factors",
 ]
@@ -477,11 +476,6 @@ def jump_cgf_derivatives(params: KouJumpParams, s):
 def jump_mgf(params: KouJumpParams, s: float) -> float:
     """E[e^{s T_t}], the moment of order s of the jump factor."""
     return math.exp(log_jump_mgf(params, complex(s)).real)
-
-
-def h_moment(params: KouJumpParams, s: float) -> float:
-    """Moment of order s of the density part H alone (atom subtracted)."""
-    return jump_mgf(params, s) - params.atom_mass
 
 
 def risk_neutral_drift(params: KouJumpParams) -> float:

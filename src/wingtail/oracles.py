@@ -8,7 +8,6 @@ Riccati equation for moment explosion times.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,9 +22,7 @@ from .numerics import RngStream, Tolerance, find_root, window_sweep
 
 __all__ = [
     "MCResult",
-    "mixed_cf",
     "density_fourier",
-    "log_density_fourier",
     "log_density_fourier_logx",
     "call_fourier",
     "simulate_paths",
@@ -62,11 +59,6 @@ def summarize(samples: np.ndarray, seed: int) -> MCResult:
         n_paths=n,
         seed=seed,
     )
-
-
-def mixed_cf(model: MixedModel, u: float) -> complex:
-    """Characteristic function of the mixed log-price at real frequency u."""
-    return cmath.exp(model.log_moment(1j * u))
 
 
 # The saddle solve: a table of K', K'' on 257 orders per model gives the first
@@ -145,15 +137,6 @@ def _saddle(model: MixedModel, ell: np.ndarray):
     raise OracleError(f"saddle point iteration did not settle at log x={target[0]:.6g}")
 
 
-def log_density_fourier(model: MixedModel, x, tol: Tolerance | None = None):
-    """log of the mixed price density at x (scalar or array); see log_density_fourier_logx."""
-    points = np.asarray(x, dtype=float)
-    bad = ~((points > 0) & np.isfinite(points))
-    if bad.any():
-        raise DomainError(f"density_fourier requires finite x > 0, got {points[bad].flat[0]}")
-    return log_density_fourier_logx(model, np.log(x) if np.ndim(x) else math.log(x), tol)
-
-
 def log_density_fourier_logx(model: MixedModel, ell, tol: Tolerance | None = None):
     """log of the mixed price density at x = e^ell by saddle-shifted inversion.
 
@@ -187,7 +170,11 @@ def density_fourier(model: MixedModel, x, tol: Tolerance | None = None):
     Absolute/relative accuracy is certified for |log x| <= ORACLE_WINDOW; the
     routine works beyond that but reported reach should be quoted honestly.
     """
-    log_value = log_density_fourier(model, x, tol)
+    points = np.asarray(x, dtype=float)
+    bad = ~((points > 0) & np.isfinite(points))
+    if bad.any():
+        raise DomainError(f"density_fourier requires finite x > 0, got {points[bad].flat[0]}")
+    log_value = log_density_fourier_logx(model, np.log(x) if np.ndim(x) else math.log(x), tol)
     return np.exp(log_value) if np.ndim(x) else math.exp(log_value)
 
 

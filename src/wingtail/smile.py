@@ -6,8 +6,11 @@ exp-sqrt-log coefficient, power, log-power): the call tail follows by double
 integration, and matching Black-Scholes wings term by term yields explicit
 coefficients for sqrt(L), 1, log L/sqrt(L), 1/sqrt(L) and log L/L, with a
 1/L error, where L is the log-moneyness of the wing. Deep wings underflow
-double precision as prices, so the pricing and inversion internals work on
-log prices throughout.
+double precision as prices and overflow it as strikes, so the wing path
+works in the log-moneyness k = log(K/x0) and in log prices in units of the
+spot, log(C/x0), throughout; only `bs_call` and `bs_implied_vol` take float
+strikes. The small wing at L is priced as the large wing, at the same L, of
+the density reflected about the spot (see `TailAsymptote.reflected`).
 """
 from __future__ import annotations
 
@@ -17,24 +20,24 @@ from dataclasses import dataclass
 from scipy.special import log_ndtr, ndtr
 
 from .errors import DomainError, InfinitePriceError, InversionError, RegimeGuardError
-from .kou import risk_neutral_drift
 from .mellin import AT_INFINITY, TailAsymptote
 from .mixed import WING_LARGE, WING_SMALL, MixedModel, classify_wing, mixed_asymptote
 from .numerics import Tolerance, find_root
 
 __all__ = [
+    "GUARD",
     "SmileExpansion",
-    "risk_neutral_drift",
     "bs_call",
     "bs_log_call",
     "bs_implied_vol",
     "bs_implied_vol_from_log",
-    "call_asymptote",
     "call_asymptote_log",
     "expansion_from_tail",
     "smile_expansion",
-    "implied_vol_approx",
 ]
+
+# The wing formulas are used only at log-moneyness L >= GUARD.
+GUARD = 4.0
 
 
 # --------------------------------------------------------------------------- #
@@ -79,48 +82,45 @@ def _mills_difference(z1: float, delta: float) -> float:
     return total
 
 
-def _bs_log_call_core(log_x0: float, log_k: float, T: float, sigma: float) -> float:
+def bs_log_call(k: float, T: float, sigma: float) -> float:
+    """log(C/x0) of the Black-Scholes call at log-moneyness k = log(K/x0),
+    stable for far out-of-the-money wings."""
+    if not (math.isfinite(k) and T > 0):
+        raise DomainError(f"need a finite k and T > 0, got {k}, {T}")
     if not sigma > 0:
         raise DomainError(f"bs_log_call needs sigma > 0, got {sigma}")
     srt = sigma * math.sqrt(T)
-    d1 = (log_x0 - log_k + 0.5 * srt * srt) / srt
+    d1 = (-k + 0.5 * srt * srt) / srt
     d2 = d1 - srt
     if d1 <= -20.0 and d2 <= -25.0:
         # deep out of the money: x0 phi(d1) = K phi(d2) exactly, so
         # C = K phi(d2) (Mills(|d1|) - Mills(|d2|)) with no cancellation
-        log_kphi = log_k - 0.5 * d2 * d2 - 0.5 * math.log(2.0 * math.pi)
+        log_kphi = k - 0.5 * d2 * d2 - 0.5 * math.log(2.0 * math.pi)
         return log_kphi + math.log(_mills_difference(-d1, srt))
-    la = log_x0 + float(log_ndtr(d1))
-    lb = log_k + float(log_ndtr(d2))
+    la = float(log_ndtr(d1))
+    lb = k + float(log_ndtr(d2))
     if lb >= la:  # can only happen through rounding at machine level
-        raise InversionError(f"degenerate Black-Scholes evaluation at log K={log_k}, sigma={sigma}")
+        raise InversionError(f"degenerate Black-Scholes evaluation at k={k}, sigma={sigma}")
     return la + math.log1p(-math.exp(lb - la))
-
-
-def bs_log_call(x0: float, K: float, T: float, sigma: float) -> float:
-    """log of the Black-Scholes call price, stable for far out-of-the-money wings."""
-    if not (x0 > 0 and K > 0 and T > 0):
-        raise DomainError(f"need x0, K, T > 0, got {x0}, {K}, {T}")
-    return _bs_log_call_core(math.log(x0), math.log(K), T, sigma)
 
 
 _INVERSION_TOL = Tolerance(rel=1e-15, abs=1e-14, max_iter=200)
 
 
-def bs_implied_vol_from_log(log_price: float, x0: float, K: float, T: float) -> float:
-    """Implied volatility from a log price; bracketed, bisection-safe inversion."""
-    if not (x0 > 0 and K > 0 and T > 0):
-        raise DomainError(f"need x0, K, T > 0, got {x0}, {K}, {T}")
-    if log_price >= math.log(x0):
-        raise InversionError(f"price {math.exp(log_price):.6g} at or above the spot bound {x0}")
-    intrinsic = max(x0 - K, 0.0)
-    if intrinsic > 0.0 and log_price <= math.log(intrinsic):
+def bs_implied_vol_from_log(log_price: float, k: float, T: float) -> float:
+    """Implied volatility of the log price log(C/x0) at log-moneyness k;
+    bracketed, bisection-safe inversion."""
+    if not (math.isfinite(k) and T > 0):
+        raise DomainError(f"need a finite k and T > 0, got {k}, {T}")
+    if log_price >= 0.0:
+        raise InversionError(f"price {math.exp(log_price):.6g} x0 at or above the spot bound")
+    if k < 0.0 and log_price <= math.log(-math.expm1(k)):
         raise InversionError(
-            f"price {math.exp(log_price):.6g} at or below intrinsic value {intrinsic:.6g}"
+            f"price {math.exp(log_price):.6g} x0 at or below intrinsic value {-math.expm1(k):.6g} x0"
         )
 
     def gap(sigma):
-        return bs_log_call(x0, K, T, sigma) - log_price
+        return bs_log_call(k, T, sigma) - log_price
 
     lo, hi = 1e-8, 1.0
     glo = gap(lo)
@@ -138,48 +138,57 @@ def bs_implied_vol_from_log(log_price: float, x0: float, K: float, T: float) -> 
 
 def bs_implied_vol(price: float, x0: float, K: float, T: float) -> float:
     """Implied volatility of a call price inside the no-arbitrage band."""
+    if not (x0 > 0 and K > 0 and T > 0):
+        raise DomainError(f"need x0, K, T > 0, got {x0}, {K}, {T}")
     intrinsic = max(x0 - K, 0.0)
     if not (intrinsic < price < x0):
         raise InversionError(
             f"price {price:.6g} outside the open no-arbitrage band ({intrinsic:.6g}, {x0:.6g})"
         )
-    return bs_implied_vol_from_log(math.log(price), x0, K, T)
+    return bs_implied_vol_from_log(math.log(price / x0), math.log(K / x0), T)
 
 
 # --------------------------------------------------------------------------- #
 # Call-price tail from a density tail record
 # --------------------------------------------------------------------------- #
 
-def call_asymptote_log(tail: TailAsymptote, K: float, x0: float, T: float, guard: float = 4.0) -> float:
-    """log of the leading-term call price implied by a large-x density tail.
+def _unit_spot_tail(tail: TailAsymptote, x0: float) -> TailAsymptote:
+    """The record at infinity that prices the wing of `tail`, at unit spot.
 
-    Integrating the tail twice gives
-        C(K) = r1 / ((r3-1)(r3-2)) * L^r4 * exp(r2 sqrt(L)) * K^(2-r3),
-    with L = log(K/x0); the relative error is of order L^(-1/2).
+    C(x0 e^L)/x0 is the call at unit spot on the density of X/x0, whose
+    record has prefactor r1 x0^(1-r3) at infinity and r1 x0^(1+r3) at zero.
+    A record at zero is then reflected about the unit spot, so the small
+    wing at log-moneyness L is priced as the large wing at L.
     """
-    if tail.side != AT_INFINITY:
-        raise DomainError("call_asymptote requires a tail record at infinity")
+    unit = tail.scaled(x0 ** (1.0 - tail.r3 if tail.side == AT_INFINITY else 1.0 + tail.r3))
+    return unit if unit.side == AT_INFINITY else unit.reflected(1.0)
+
+
+def call_asymptote_log(tail: TailAsymptote, L: float, x0: float, T: float) -> float:
+    """log(C/x0) of the leading-term call price at log-moneyness L on the
+    wing of a density tail record (either side).
+
+    Integrating the large-wing tail twice gives, at unit spot,
+        C = r1 / ((r3-1)(r3-2)) * L^r4 * exp(r2 sqrt(L)) * e^((2-r3) L),
+    with relative error of order L^(-1/2). A record at zero gives the price
+    whose implied volatility at k = L is the small-wing one at k = -L.
+    """
+    if not (x0 > 0 and T > 0):
+        raise DomainError(f"need x0, T > 0, got {x0}, {T}")
+    tail = _unit_spot_tail(tail, x0)
     if not tail.r3 > 2.0:
         raise InfinitePriceError(
             f"call price diverges: tail power exponent {tail.r3} is not above 2"
         )
-    if not (K > 0 and x0 > 0 and T > 0):
-        raise DomainError(f"need K, x0, T > 0, got {K}, {x0}, {T}")
-    L = math.log(K / x0)
-    if L < guard:
-        raise RegimeGuardError(f"call_asymptote requires log(K/x0) >= {guard}, got {L:.6g}")
+    if not L >= GUARD:
+        raise RegimeGuardError(f"call_asymptote_log requires L >= {GUARD}, got {L:.6g}")
     return (
         math.log(tail.r1)
         - math.log((tail.r3 - 1.0) * (tail.r3 - 2.0))
         + tail.r4 * math.log(L)
         + tail.r2 * math.sqrt(L)
-        + (2.0 - tail.r3) * math.log(K)
+        + (2.0 - tail.r3) * L
     )
-
-
-def call_asymptote(tail: TailAsymptote, K: float, x0: float, T: float, guard: float = 4.0) -> float:
-    """Leading-term call price for strikes deep in the large wing."""
-    return math.exp(call_asymptote_log(tail, K, x0, T, guard))
 
 
 # --------------------------------------------------------------------------- #
@@ -214,8 +223,9 @@ class SmileExpansion:
                 raise DomainError(f"{name} is not finite")
 
     def evaluate(self, L: float) -> float:
-        if not L > 1.0:
-            raise RegimeGuardError(f"expansion needs L > 1, got {L}")
+        """Implied volatility at log-moneyness L >= GUARD on this wing."""
+        if not L >= GUARD:
+            raise RegimeGuardError(f"the {self.wing}-wing expansion needs L >= {GUARD}, got {L:.6g}")
         sq = math.sqrt(L)
         lg = math.log(L)
         return self.c_lead * sq + self.c_const + self.c_llog * lg / sq + self.c_inv / sq + self.c_llog2 * lg / L
@@ -251,23 +261,20 @@ def _wing_coefficients(r1n: float, r2: float, e_lo: float, e_hi: float, r4: floa
 def expansion_from_tail(tail: TailAsymptote, x0: float, T: float) -> SmileExpansion:
     """Wing expansion from a density tail record; the record's side picks the wing.
 
-    Large wing (record at infinity): the coefficients depend on the exponent
-    offsets (r3 - 2, r3 - 1) and on the prefactor normalized to unit spot,
-    r1 x0^(1-r3), which is how a general initial price enters the constant
-    term. Small wing (record at zero, density ~ r1 x^(s3 - 1) with s3 = r3 + 1):
-    the offsets are (s3, s3 + 1) and the normalized prefactor r1 x0^s3; this
-    equals routing `tail.reflected(x0)` through the large-wing branch.
+    The coefficients depend on the exponent offsets (r3 - 2, r3 - 1) and on
+    the prefactor of the record at infinity that prices the wing at unit
+    spot (`_unit_spot_tail`): the record itself, r1 x0^(1-r3), on the large
+    wing; on the small wing (density ~ r1 x^(s3 - 1), s3 = r3 + 1) the
+    record reflected about the spot, offsets (s3, s3 + 1), prefactor r1 x0^s3.
     """
-    if tail.side == AT_INFINITY:
-        wing, e_lo, e_hi, r1n = WING_LARGE, tail.r3 - 2.0, tail.r3 - 1.0, tail.r1 * x0 ** (1.0 - tail.r3)
-    else:
-        s3 = tail.r3 + 1.0
-        wing, e_lo, e_hi, r1n = WING_SMALL, s3, s3 + 1.0, tail.r1 * x0**s3
+    wing = WING_LARGE if tail.side == AT_INFINITY else WING_SMALL
+    unit = _unit_spot_tail(tail, x0)
+    e_lo, e_hi = unit.r3 - 2.0, unit.r3 - 1.0
     if not e_lo > 0.0:
         raise InfinitePriceError(
             f"{wing}-wing expansion needs a positive exponent offset, got {e_lo} (record r3={tail.r3})"
         )
-    c = _wing_coefficients(r1n, tail.r2, e_lo, e_hi, tail.r4, T)
+    c = _wing_coefficients(unit.r1, unit.r2, e_lo, e_hi, unit.r4, T)
     return SmileExpansion(wing, *c, T=T, x0=x0)
 
 
@@ -287,14 +294,3 @@ def smile_expansion(model: MixedModel, wing: str) -> SmileExpansion:
     classify_wing(model, wing)  # surfaces degenerate regimes before any algebra
     return expansion_from_tail(mixed_asymptote(model, wing), model.x0, model.t)
 
-
-def implied_vol_approx(expansion: SmileExpansion, K: float, guard: float = 4.0) -> float:
-    """Evaluate the wing expansion at strike K (on the expansion's wing)."""
-    if not K > 0:
-        raise DomainError(f"need K > 0, got {K}")
-    L = math.log(K / expansion.x0) if expansion.wing == WING_LARGE else math.log(expansion.x0 / K)
-    if L < guard:
-        raise RegimeGuardError(
-            f"strike K={K} is not on the {expansion.wing} wing regime (L={L:.6g} < {guard})"
-        )
-    return expansion.evaluate(L)

@@ -63,11 +63,11 @@ class TestConfigLoading:
         ("heston", "mu"), ("heston", "a"), ("heston", "b"), ("heston", "c"), ("heston", "rho"),
         ("heston", "x0"), ("heston", "y0"),
         ("kou", "lam"), ("kou", "eta1"), ("kou", "eta2"), ("kou", "p"), ("kou", "q"),
-        ("tolerances", "rel"), ("tolerances", "abs"), ("tolerances", "max_iter"),
+        ("tolerances", "rel"), ("tolerances", "abs"),
     ])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_field_named(self, tmp_path, capsys, path, value):
-        payload = json.loads(json.dumps(dict(BASE_CONFIG, tolerances={"rel": 1e-10, "abs": 1e-13, "max_iter": 400})))
+        payload = json.loads(json.dumps(dict(BASE_CONFIG, tolerances={"rel": 1e-10, "abs": 1e-13})))
         *outer, key = path
         (payload[outer[0]] if outer else payload)[key] = value
         name = ".".join(path if outer else ("config", key))
@@ -189,6 +189,20 @@ class TestSmileCommand:
         assert all(v < 1.0 for v in by_spot[1.0])
         for x0 in (0.5, 2.0):
             assert by_spot[x0] == pytest.approx(by_spot[1.0], rel=0.0, abs=3e-13)
+
+    @pytest.mark.parametrize("x0, grid", [(0.01, "1e307:1e308:2"), (1e5, "1e-306:1e-305:2")])
+    def test_strikes_past_the_float_range_of_the_moneyness(self, tmp_path, capsys, x0, grid):
+        # K/x0 overflows (x0 = 0.01) or x0/K does (x0 = 1e5); the rows are
+        # built from L = log K - log x0 and never form either ratio
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["heston"]["x0"] = x0
+        config = write_config(tmp_path, payload)
+        assert cli.main(["smile", "--config", config, "--grid", grid]) == 0
+        out, err = capsys.readouterr()
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert err == ""
+        assert len(rows) == 2 and all(cell != "" for row in rows for cell in row)
+        assert all(float(row[1]) > 700.0 and float(row[5]) < 1.0 for row in rows)
 
 
 class TestMainEntry:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wingtail import heston, oracles
-from wingtail.errors import DomainError, MomentExplosionError, RegimeGuardError
+from wingtail.errors import DomainError, MomentExplosionError
 from wingtail.heston import HestonParams
 from wingtail.mellin import WING_LARGE, WING_SMALL
 from wingtail.mixed import MixedModel
@@ -186,15 +186,9 @@ class TestTailConstants:
 
 
 class TestDensityWings:
-    def test_guard_regions(self, ref_heston):
-        with pytest.raises(RegimeGuardError):
-            heston.wing_density(ref_heston, 2.0, WING_LARGE)
-        with pytest.raises(RegimeGuardError):
-            heston.wing_density(ref_heston, 0.5, WING_SMALL)
-
     def test_monotone_decreasing(self, ref_heston):
         xs = np.exp(np.linspace(4.0, 10.0, 12))
-        vals = [heston.wing_density(ref_heston, x, WING_LARGE) for x in xs]
+        vals = [heston.wing_record(ref_heston, WING_LARGE).value(x) for x in xs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_doubling_power_law(self, ref_heston):

@@ -277,7 +277,7 @@ class TestJumpMgf:
 
     def test_atom_subtraction_matches_quadrature(self, ref_kou):
         for s in (0.5, -0.5, 1.5):
-            closed = kou.h_moment(ref_kou, s)
+            closed = kou.jump_mgf(ref_kou, s) - ref_kou.atom_mass
             up = quad(lambda u: kou.g1(ref_kou, u) * math.exp((s - ref_kou.eta1) * u), 0, 300, limit=300)[0]
             dn = quad(lambda v: kou.g2(ref_kou, v) * math.exp(-(ref_kou.eta2 + s) * v), 0, 300, limit=300)[0]
             assert closed == pytest.approx(up + dn, abs=1e-10)

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from wingtail import mixed, smile
+from wingtail import acceptance, mixed, smile
 from wingtail.errors import (
     DomainError,
     InfinitePriceError,
@@ -24,11 +24,11 @@ from wingtail.mixed import WING_LARGE, WING_SMALL, MixedModel
 class TestRiskNeutralDrift:
     def test_exact_rational_point(self):
         j = KouJumpParams(lam=1.0, eta1=2.0, eta2=1.0, p=0.5, q=0.5, t=1.0)
-        assert smile.risk_neutral_drift(j) == pytest.approx(-0.25, rel=1e-14)
+        assert risk_neutral_drift(j) == pytest.approx(-0.25, rel=1e-14)
 
     def test_sign_in_pure_down_limit(self):
         j = KouJumpParams(lam=1.0, eta1=2.0, eta2=1.0, p=1e-9, q=1.0 - 1e-9, t=1.0)
-        assert smile.risk_neutral_drift(j) == pytest.approx(j.lam * j.q / (j.eta2 + 1.0), rel=1e-6)
+        assert risk_neutral_drift(j) == pytest.approx(j.lam * j.q / (j.eta2 + 1.0), rel=1e-6)
 
     def test_martingale_via_monte_carlo(self, kou_model, kou_sample):
         se = kou_sample.std() / math.sqrt(kou_sample.size)
@@ -66,7 +66,7 @@ class TestBlackScholes:
     def test_log_form_consistent_with_linear(self):
         for sigma in (0.2, 1.1):
             for k in (0.8, 1.6, 30.0):
-                assert smile.bs_log_call(1.0, k, 1.0, sigma) == pytest.approx(
+                assert smile.bs_log_call(math.log(k), 1.0, sigma) == pytest.approx(
                     math.log(smile.bs_call(1.0, k, 1.0, sigma)), rel=1e-10)
 
     def test_log_form_across_branch_switch(self):
@@ -98,19 +98,24 @@ class TestBlackScholes:
         assert smile.bs_implied_vol(price, 1.0, 1.0, 1.0) == pytest.approx(6.0, abs=1e-9)
 
 
+def call_asymptote(rec, K, x0, T):
+    """Leading-term call price at a float strike, from the log form."""
+    return x0 * math.exp(smile.call_asymptote_log(rec, math.log(K / x0), x0, T))
+
+
 class TestCallAsymptote:
     def test_prefactor_linearity(self):
         rec = TailAsymptote(r1=0.3, r2=1.0, r3=3.5, r4=-0.75, side=AT_INFINITY)
         scaled = rec.scaled(5.0)
         K = math.exp(8.0)
-        assert smile.call_asymptote(scaled, K, 1.0, 1.0) == pytest.approx(
-            5.0 * smile.call_asymptote(rec, K, 1.0, 1.0), rel=1e-14)
+        assert call_asymptote(scaled, K, 1.0, 1.0) == pytest.approx(
+            5.0 * call_asymptote(rec, K, 1.0, 1.0), rel=1e-14)
 
     def test_plain_power_law_value(self):
         # r = (1, 0, 3, 0): C(K) = K^-1 / 2
         rec = TailAsymptote(r1=1.0, r2=0.0, r3=3.0, r4=0.0, side=AT_INFINITY)
         K = math.exp(10.0)
-        assert smile.call_asymptote(rec, K, 1.0, 1.0) == pytest.approx(0.5 / K, rel=1e-13)
+        assert call_asymptote(rec, K, 1.0, 1.0) == pytest.approx(0.5 / K, rel=1e-13)
 
     def test_double_integral_oracle(self):
         # C(K) = int_K^inf (x - K) D(x) dx for the tail density
@@ -123,18 +128,18 @@ class TestCallAsymptote:
             K = math.exp(ell)
             oracle = quad(lambda v: (math.exp(v) - K) * tail_density(math.exp(v)) * math.exp(v),
                           ell, ell + 60.0, limit=400)[0]
-            approx = smile.call_asymptote(rec, K, 1.0, 1.0)
+            approx = call_asymptote(rec, K, 1.0, 1.0)
             assert abs(approx / oracle - 1.0) <= 2.0 / math.sqrt(ell)
 
     def test_infinite_price_rejected(self):
         rec = TailAsymptote(r1=1.0, r2=0.0, r3=1.9, r4=0.0, side=AT_INFINITY)
         with pytest.raises(InfinitePriceError):
-            smile.call_asymptote(rec, 100.0, 1.0, 1.0)
+            call_asymptote(rec, 100.0, 1.0, 1.0)
 
     def test_regime_guard(self):
         rec = TailAsymptote(r1=1.0, r2=0.0, r3=3.0, r4=0.0, side=AT_INFINITY)
         with pytest.raises(RegimeGuardError):
-            smile.call_asymptote(rec, 2.0, 1.0, 1.0)
+            call_asymptote(rec, 2.0, 1.0, 1.0)
 
 
 class TestExpansionCoefficients:
@@ -193,31 +198,43 @@ class TestSelfConsistency:
     the five-term expansion closes the loop the expansion is derived from;
     the residual scaled by L must stay bounded."""
 
-    def _residuals(self, record, expn, wing, grid):
+    def _residuals(self, model, wing, grid):
+        record = mixed.mixed_asymptote(model, wing)
+        expn = smile.smile_expansion(model, wing)
         out = []
         for L in grid:
-            k_eff = math.exp(L)
-            lp = smile.call_asymptote_log(record, k_eff, 1.0, expn.T)
-            iv_inv = smile.bs_implied_vol_from_log(lp, 1.0, k_eff, expn.T)
-            K = math.exp(L) if wing == WING_LARGE else math.exp(-L)
-            out.append(abs(iv_inv - smile.implied_vol_approx(expn, K)) * L)
+            lp = smile.call_asymptote_log(record, L, model.x0, model.t)
+            iv_inv = smile.bs_implied_vol_from_log(lp, L, model.t)
+            out.append(abs(iv_inv - expn.evaluate(L)) * L)
         return out
 
     def test_large_wing_bounded(self, kou_model):
-        rec = mixed.mixed_asymptote(kou_model, WING_LARGE)
-        expn = smile.smile_expansion(kou_model, WING_LARGE)
-        vals = self._residuals(rec, expn, WING_LARGE, (10.0, 30.0, 100.0))
+        vals = self._residuals(kou_model, WING_LARGE, (10.0, 30.0, 100.0))
         assert max(vals) < 1.0
 
     def test_small_wing_bounded(self, kou_model):
-        rec = mixed.mixed_asymptote(kou_model, WING_SMALL).reflected(kou_model.x0)
-        expn = smile.smile_expansion(kou_model, WING_SMALL)
-        vals = self._residuals(rec, expn, WING_SMALL, (10.0, 30.0, 100.0))
+        vals = self._residuals(kou_model, WING_SMALL, (10.0, 30.0, 100.0))
         assert max(vals) < 1.0
+
+    @pytest.mark.parametrize("wing", [WING_LARGE, WING_SMALL])
+    @pytest.mark.parametrize("variant", list(acceptance.smile_variants()))
+    def test_bounded_out_to_a_million(self, variant, wing):
+        # the log-moneyness path has no strike to overflow: the loop closes
+        # from L = 10 to L = 1e6 on every regime variant and both wings
+        model = acceptance.smile_variants()[variant]
+        vals = self._residuals(model, wing, (10.0, 1e2, 1e3, 1e4, 1e5, 1e6))
+        assert max(vals) < 1.0
+
+    def test_small_wing_past_strike_underflow(self, kou_model):
+        # at L = 710 the small-wing strike x0 e^-L is below the smallest
+        # normal double; the expansion and the priced inversion stay finite
+        expn = smile.smile_expansion(kou_model, WING_SMALL)
+        assert math.isfinite(expn.evaluate(710.0))
+        assert self._residuals(kou_model, WING_SMALL, (710.0,))[0] < 1.0
 
     def test_monotone_leading_behavior(self, kou_model):
         expn = smile.smile_expansion(kou_model, WING_LARGE)
-        ivs = [smile.implied_vol_approx(expn, math.exp(L)) for L in (8.0, 15.0, 40.0, 90.0)]
+        ivs = [expn.evaluate(L) for L in (8.0, 15.0, 40.0, 90.0)]
         assert all(b > a for a, b in zip(ivs, ivs[1:]))
 
     def test_nonunit_spot_consistency(self):
@@ -227,20 +244,13 @@ class TestSelfConsistency:
         h = HestonParams(mu=risk_neutral_drift(j), a=1.0, b=2.0, c=0.5, rho=-0.3,
                          x0=1.7, y0=0.04, t=1.0)
         model = MixedModel(heston=h, jumps=j)
-        rec = mixed.mixed_asymptote(model, WING_LARGE)
-        expn = smile.smile_expansion(model, WING_LARGE)
-        vals = []
-        for L in (10.0, 30.0, 100.0):
-            K = h.x0 * math.exp(L)
-            lp = smile.call_asymptote_log(rec, K, h.x0, h.t)
-            iv_inv = smile.bs_implied_vol_from_log(lp, h.x0, K, h.t)
-            vals.append(abs(iv_inv - smile.implied_vol_approx(expn, K)) * L)
+        vals = self._residuals(model, WING_LARGE, (10.0, 30.0, 100.0))
         assert max(vals) < 1.0
 
     def test_guard(self, kou_model):
         expn = smile.smile_expansion(kou_model, WING_LARGE)
         with pytest.raises(RegimeGuardError):
-            smile.implied_vol_approx(expn, math.exp(2.0))
+            expn.evaluate(2.0)
 
 
 class TestExactPriceAgreement:
@@ -251,4 +261,4 @@ class TestExactPriceAgreement:
         for L in (5.0, 8.0):
             K = math.exp(L)
             iv_exact = smile.bs_implied_vol(oracles.call_fourier(kou_model, K), 1.0, K, 1.0)
-            assert smile.implied_vol_approx(expn, K) == pytest.approx(iv_exact, rel=0.10)
+            assert expn.evaluate(L) == pytest.approx(iv_exact, rel=0.10)
