@@ -177,10 +177,9 @@ def criterion_4_mellin_asymptote(seed: int = 0, tol: Tolerance | None = None) ->
     # broken (coarse) tolerance makes this criterion fail by name
     rel = 1e-9 if tol is None else float(np.clip(tol.rel, 1e-12, 0.99))
     conv_tol = Tolerance(rel=rel, abs=1e-300)
-    density = np.vectorize(lambda v: kou.h_density(params, v), otypes=[float])
     scaled = []
     for ell in (15.0, 25.0, 40.0, 50.0):
-        conv = mellin.mellin_convolve(U, density, math.exp(ell), conv_tol)
+        conv = mellin.mellin_convolve(U, params.price_density, math.exp(ell), conv_tol)
         asym = mu_val * math.exp(-(params.eta1 + 1.0) * ell + kou.g1_log(params, ell))
         scaled.append(abs(conv / asym - 1.0) * math.sqrt(ell))
     ok = all(math.isfinite(v) for v in scaled) and max(scaled) <= 1.5 * scaled[0] + 0.05 and max(scaled) <= 10.0
@@ -269,12 +268,10 @@ def criterion_6_mixed_density_wings(seed: int = 0, tol: Tolerance | None = None)
     j_strip = MellinStrip(-dd.jumps.eta1 - 1.0, dd.jumps.eta2 - 1.0)
     for wing in (WING_LARGE, WING_SMALL):
         jrec = jd.jumps.wing_record(wing)
-        via = mellin.convolve_asymptote(None, jrec, jrec.mellin_point, h_strip,
-                                        mellin_value=heston.mgf(jd.heston, -jrec.mellin_point - 1.0))
+        via = mellin.convolve_asymptote(jrec, h_strip, heston.mgf(jd.heston, -jrec.mellin_point - 1.0))
         checks.append((f"jump-dom transfer identity ({wing})", _same(via, mixed.mixed_asymptote(jd, wing))))
         hrec = heston.wing_record(dd.heston, wing)
-        via = mellin.convolve_asymptote(None, hrec, hrec.mellin_point, j_strip,
-                                        mellin_value=dd.jumps.mgf(-hrec.mellin_point - 1.0))
+        via = mellin.convolve_asymptote(hrec, j_strip, dd.jumps.mgf(-hrec.mellin_point - 1.0))
         checks.append((f"diff-dom transfer identity ({wing})", _same(via, mixed.mixed_asymptote(dd, wing))))
     ok = all(c[1] for c in checks)
     failed = [c[0] for c in checks if not c[1]]
@@ -317,10 +314,9 @@ def criterion_8_moment_identities(seed: int = 0, tol: Tolerance | None = None) -
         ok = ok and abs(z) <= 3.0
     # MU(eta) equals the moment of order -eta-1: check on the closed-form jump density
     np_params = NIGParams(alpha=2.0, delta=1.0, t=1.0)
-    density = np.vectorize(lambda v: nig.nig_price_density(np_params, v), otypes=[float])
     gap = 0.0
     for eta in (-2.5, -0.5, 0.2):
-        mu_val = mellin.mellin_transform(density, eta, Tolerance(rel=1e-11, abs=1e-14))
+        mu_val = mellin.mellin_transform(np_params.price_density, eta, Tolerance(rel=1e-11, abs=1e-14))
         closed = nig.nig_mgf(np_params, -eta - 1.0)
         gap = max(gap, abs(mu_val - closed))
         ok = ok and abs(mu_val - closed) <= 1e-8

@@ -27,10 +27,12 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     complex_namespace,
+    domain_points,
     first_outside,
     integrate,
     log_gamma,
     require_finite,
+    shaped_like,
 )
 
 __all__ = [
@@ -134,7 +136,8 @@ class KouJumpParams:
     def wing_record(self, wing: str) -> TailAsymptote:
         return h_wing_record(self, wing)
 
-    def price_density(self, x: float) -> float:
+    def price_density(self, x):
+        """H(t, x) at x > 0, a scalar or an array (`h_density`)."""
         return h_density(self, x)
 
     def sample_factors(self, stream, size: int) -> np.ndarray:
@@ -186,7 +189,7 @@ def qnk(n: int, k: int, params: KouJumpParams) -> float:
 
 
 def _log_pnk_block(n_lo: int, n_hi: int, K: int, eta_num: float, eta_den: float, p: float, q: float) -> np.ndarray:
-    """log P_{n,K} for all n in [n_lo, n_hi], vectorized over the inner i-sum;
+    """log P_{n,K} for all n in [n_lo, n_hi], with numpy arrays over the inner i-sum;
     p^n at n = K. Q_{n,k} is the same sum with (eta1, p) and (eta2, q) swapped."""
     if not 1 <= K <= n_lo:
         raise DomainError(f"P_{{n,k}} needs 1 <= k <= n, got n={n_lo}, k={K}")
@@ -219,7 +222,7 @@ def _log_pnk_block(n_lo: int, n_hi: int, K: int, eta_num: float, eta_den: float,
 def _log_coefficient(params: KouJumpParams, k: int, tol: Tolerance, up: bool) -> tuple[float, float]:
     """log a_k (up=True) or log b_k, plus a geometric bound on the cut n-tail.
 
-    The Poisson-weighted n-series is summed in vectorized blocks until the
+    The Poisson-weighted n-series is summed in blocks of numpy arrays until the
     last term is below tol.rel of the partial sum with the terms decreasing
     for at least three consecutive n (the weights decay factorially, so the
     rule is reached quickly).
@@ -328,38 +331,39 @@ def _series_k_budget(b_const: float, u: float) -> int:
     return int(2.5 * math.sqrt(max(b_const * u, 1.0))) + 48
 
 
-def _log_series(log_coeffs: np.ndarray, u: float, tol: Tolerance) -> float:
-    if u == 0.0:
-        return float(log_coeffs[0])
+def _log_series(log_coeffs: np.ndarray, u: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """log sum_k exp(log_coeffs[k]) u^k at every point of u, one row of terms per point."""
     ks = np.arange(len(log_coeffs))
-    log_terms = log_coeffs + ks * math.log(u)
-    total = float(logsumexp(log_terms))
-    if log_terms[-1] > total + math.log(tol.rel):
+    zero = u == 0.0
+    with np.errstate(divide="ignore"):
+        log_terms = log_coeffs + ks * np.where(zero, 1.0, np.log(u))[:, None]
+    total = logsumexp(log_terms, axis=1)
+    if np.any(log_terms[~zero, -1] > total[~zero] + math.log(tol.rel)):
         raise ConvergenceError("series truncation too short", best_estimate=total)
-    return total
+    return np.where(zero, log_coeffs[0], total)
 
 
-def _g_log(params: KouJumpParams, u: float, tol: Tolerance, up: bool) -> float:
-    """log G1(t, u) (up=True) or log G2(t, u), with the table grown until the series truncates."""
+def _g_log(params: KouJumpParams, u, tol: Tolerance, up: bool):
+    """log G1(t, u) (up=True) or log G2(t, u) at every point of u, with one
+    table grown until the series truncates at the largest u."""
     name = "G1" if up else "G2"
-    if u < 0:
-        raise DomainError(f"{name} requires u >= 0, got {u}")
-    table = _table(params, _series_k_budget(params.b1_jump if up else params.b2_jump, u), tol)
+    us = domain_points(u, lambda v: v >= 0, f"{name} requires finite u >= 0")
+    table = _table(params, _series_k_budget(params.b1_jump if up else params.b2_jump, us.max(initial=0.0)), tol)
     for _ in range(6):
         try:
-            return _log_series(table.log_a if up else table.log_b, u, tol)
+            return shaped_like(u, _log_series(table.log_a if up else table.log_b, us, tol))
         except ConvergenceError:
             table = _table(params, 2 * table.truncation_k, tol)
-    raise ConvergenceError(f"{name} series did not truncate cleanly at u={u}")
+    raise ConvergenceError(f"{name} series did not truncate cleanly at u={us.max()}")
 
 
-def g1_log(params: KouJumpParams, u: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """log G1(t, u), overflow-safe for large u."""
+def g1_log(params: KouJumpParams, u, tol: Tolerance = DEFAULT_TOL):
+    """log G1(t, u) at u >= 0, a scalar (float result) or an array; overflow-safe for large u."""
     return _g_log(params, u, tol, up=True)
 
 
-def g2_log(params: KouJumpParams, u: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """log G2 series value at downward displacement u >= 0."""
+def g2_log(params: KouJumpParams, u, tol: Tolerance = DEFAULT_TOL):
+    """log G2 series value at downward displacement u >= 0, a scalar or an array."""
     return _g_log(params, u, tol, up=False)
 
 
@@ -373,21 +377,22 @@ def g2(params: KouJumpParams, u: float, tol: Tolerance = DEFAULT_TOL) -> float:
     return math.exp(g2_log(params, u, tol))
 
 
-def h_log_density(params: KouJumpParams, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """log H(t, x); the x = 1 boundary returns the right-limit log a_0."""
-    if not x > 0:
-        raise DomainError(f"h_density requires x > 0, got {x}")
-    if x == 1.0:
-        return float(_table(params, 0, tol).log_a[0])
-    u = math.log(x)
-    if u > 0:
-        return g1_log(params, u, tol) + (-params.eta1 - 1.0) * u
-    return g2_log(params, -u, tol) + (params.eta2 - 1.0) * u
+def h_log_density(params: KouJumpParams, x, tol: Tolerance = DEFAULT_TOL):
+    """log H(t, x) at x > 0, a scalar (float result) or an array; x = 1 gives
+    the right-limit log a_0, the value of the large-wing series at u = 0."""
+    u = np.log(domain_points(x, lambda v: v > 0, "the Kou jump density requires finite x > 0"))
+    out, up = np.empty(u.size), u >= 0
+    if up.any():
+        out[up] = g1_log(params, u[up], tol) + (-params.eta1 - 1.0) * u[up]
+    if not up.all():
+        out[~up] = g2_log(params, -u[~up], tol) + (params.eta2 - 1.0) * u[~up]
+    return shaped_like(x, out)
 
 
-def h_density(params: KouJumpParams, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Density H(t, x) of the absolutely continuous part of the jump-factor law."""
-    return math.exp(h_log_density(params, x, tol))
+def h_density(params: KouJumpParams, x, tol: Tolerance = DEFAULT_TOL):
+    """Density H(t, x) of the absolutely continuous part of the jump-factor law,
+    at x > 0, a scalar (float result) or an array."""
+    return shaped_like(x, np.exp(h_log_density(params, np.ravel(x), tol)))
 
 
 def frac_integral(order: float, s: float, r: float, u: float, tol: Tolerance = DEFAULT_TOL) -> float:

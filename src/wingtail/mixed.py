@@ -9,13 +9,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import heston as _heston
 from .errors import DegenerateRegimeError, DomainError
 from .heston import HestonParams, HestonTailConstants
 from .kou import KouJumpParams
-from .mellin import WING_LARGE, WING_SMALL, TailAsymptote, side_of
+from .mellin import WING_LARGE, WING_SMALL, TailAsymptote, mellin_convolve, side_of
 from .nig import NIGParams
 from .numerics import Tolerance
 
@@ -34,6 +32,9 @@ __all__ = [
 
 DOMINANT_JUMP = "jump"
 DOMINANT_DIFFUSION = "diffusion"
+
+# competing wing exponents within this relative distance are a degenerate wing
+DEGENERACY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,15 +57,15 @@ class MixedModel:
     `jumps=None` means the pure diffusion model (the zero-intensity limit).
     The jump law is used only through its interface (`KouJumpParams` and
     `NIGParams` both provide it): `kind`, `moment_strip()`, `log_mgf(z)`,
-    `cgf_derivatives(s)`, `mgf(s)`, `wing_record(wing)`, `price_density(x)`,
-    `atom_mass`, `sample_factors(stream, size)` and `martingale_drift()`.
+    `cgf_derivatives(s)`, `mgf(s)`, `wing_record(wing)`, `price_density(x)`
+    (x a scalar or an array), `atom_mass`, `sample_factors(stream, size)` and
+    `martingale_drift()`.
     Tail constants of the diffusion part are computed eagerly and stored in
     `derived`; the record is immutable after construction.
     """
 
     heston: HestonParams
     jumps: KouJumpParams | NIGParams | None = None
-    degeneracy_rtol: float = 1e-9
     derived: HestonTailConstants = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -137,7 +138,7 @@ def classify_wing(model: MixedModel, wing: str) -> WingRegime:
         diff_exp, jump_exp = model.derived.A3t, -jump_lo - 1.0
     gap = diff_exp - jump_exp
     scale = max(1.0, abs(diff_exp), abs(jump_exp))
-    if abs(gap) <= model.degeneracy_rtol * scale:
+    if abs(gap) <= DEGENERACY_RTOL * scale:
         raise DegenerateRegimeError(
             f"{wing} wing is degenerate: competing exponents coincide "
             f"(diffusion {diff_exp:.12g} vs jump {jump_exp:.12g}); the moment in the "
@@ -179,7 +180,6 @@ def mixed_density(model: MixedModel, x: float, tol: Tolerance | None = None) -> 
     density when the jump law has an atom at 1 (Kou).
     """
     from . import oracles  # local import: oracles depends on this module
-    from .mellin import mellin_convolve
 
     if not x > 0:
         raise DomainError(f"mixed_density requires x > 0, got {x}")
@@ -188,9 +188,6 @@ def mixed_density(model: MixedModel, x: float, tol: Tolerance | None = None) -> 
     d1 = lambda y: oracles.density_fourier(pure, y)
     if model.jumps is None:
         return d1(x)
-    # windowed variable = the diffusion factor (concentrated near t = 1), so
-    # the window sweep stays short for any x; the jump density is the smooth
-    # co-factor evaluated at x/t
     jumps = model.jumps
-    conv = mellin_convolve(np.vectorize(jumps.price_density, otypes=[float]), d1, x, tol, min_windows=24)
+    conv = mellin_convolve(jumps.price_density, d1, x, tol)
     return jumps.atom_mass * d1(x) + conv if jumps.atom_mass else conv

@@ -18,7 +18,7 @@ from scipy.special import k1e
 
 from .errors import DomainError, MomentExplosionError, NoArbitrageError
 from .mellin import AT_ZERO, ERROR_INV_LOG, TailAsymptote, side_of
-from .numerics import UnderflowWarning, complex_namespace, first_outside, require_finite
+from .numerics import UnderflowWarning, complex_namespace, domain_points, first_outside, require_finite, shaped_like
 
 __all__ = [
     "NIGParams",
@@ -79,7 +79,8 @@ class NIGParams:
     def wing_record(self, wing: str) -> TailAsymptote:
         return nig_wing_record(self, wing)
 
-    def price_density(self, x: float) -> float:
+    def price_density(self, x):
+        """Density of e^(Y_t) at x > 0, a scalar or an array (`nig_price_density`)."""
         return nig_price_density(self, x)
 
     def sample_factors(self, stream, size: int) -> np.ndarray:
@@ -89,43 +90,40 @@ class NIGParams:
         return nig_no_arb_drift(self)
 
 
-def _log_density_core(params: NIGParams, y: float) -> float:
+def _log_density_core(params: NIGParams, y: np.ndarray) -> np.ndarray:
     # log of k(t) K1(alpha s)/s at s = sqrt(y^2 + (delta t)^2), via the
     # exponentially scaled Bessel function so huge |y| stays finite
-    s = math.hypot(y, params.delta * params.t)
+    s = np.hypot(y, params.delta * params.t)
     z = params.alpha * s
-    scaled = float(k1e(z))
-    if scaled == 0.0 or not math.isfinite(scaled):
-        raise DomainError(f"Bessel evaluation failed at z={z}")
     adt = params.alpha * params.delta * params.t
-    return math.log(adt / math.pi) + adt + math.log(scaled) - z - math.log(s)
+    return math.log(adt / math.pi) + adt + np.log(k1e(z)) - z - np.log(s)
 
 
-def nig_log_density(params: NIGParams, y: float) -> float:
-    """Density of the log-jump Y_t at y (symmetric, unimodal at 0).
+def nig_log_density(params: NIGParams, y):
+    """Density of the log-jump Y_t at y, a scalar (float result) or an array
+    (symmetric, unimodal at 0).
 
-    For |y| so large that the value underflows double precision, returns 0.0
-    and emits an UnderflowWarning.
+    Where |y| is so large that the value underflows double precision, the
+    value is 0.0, and the call emits one UnderflowWarning.
     """
-    log_val = _log_density_core(params, y)
-    if log_val < -745.0:
-        warnings.warn(f"NIG density underflowed at y={y}", UnderflowWarning, stacklevel=2)
-        return 0.0
-    return math.exp(log_val)
+    ys = domain_points(y, np.isfinite, "nig_log_density requires finite y")
+    log_val = _log_density_core(params, ys)
+    under = log_val < -745.0
+    if under.any():
+        warnings.warn(f"NIG density underflowed at y={ys[under][0]}", UnderflowWarning, stacklevel=2)
+    return shaped_like(y, np.where(under, 0.0, np.exp(log_val)))
 
 
-def nig_price_density(params: NIGParams, x: float) -> float:
-    """Density of the jump factor e^{Y_t} at x > 0."""
-    if not x > 0:
-        raise DomainError(f"nig_price_density requires x > 0, got {x}")
-    return nig_log_density(params, math.log(x)) / x
+def nig_price_density(params: NIGParams, x):
+    """Density of the jump factor e^{Y_t} at x > 0, a scalar or an array."""
+    xs = domain_points(x, lambda v: v > 0, "nig_price_density requires finite x > 0")
+    return shaped_like(x, nig_log_density(params, np.log(xs)) / xs)
 
 
-def nig_price_log_density(params: NIGParams, x: float) -> float:
-    """log of nig_price_density, safe in the far tails."""
-    if not x > 0:
-        raise DomainError(f"nig_price_log_density requires x > 0, got {x}")
-    return _log_density_core(params, math.log(x)) - math.log(x)
+def nig_price_log_density(params: NIGParams, x):
+    """log of nig_price_density at x > 0 (a scalar or an array), safe in the far tails."""
+    ell = np.log(domain_points(x, lambda v: v > 0, "nig_price_log_density requires finite x > 0"))
+    return shaped_like(x, _log_density_core(params, ell) - ell)
 
 
 def nig_wing_record(params: NIGParams, wing: str) -> TailAsymptote:

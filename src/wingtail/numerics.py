@@ -26,6 +26,8 @@ __all__ = [
     "complex_namespace",
     "first_outside",
     "require_finite",
+    "domain_points",
+    "shaped_like",
     "RngStream",
 ]
 
@@ -45,6 +47,24 @@ def require_finite(record) -> None:
     if not all(map(math.isfinite, values.values())):
         name = next(key for key, value in values.items() if not math.isfinite(value))
         raise DomainError(f"{type(record).__name__}.{name} must be finite, got {values[name]}")
+
+
+def domain_points(x, ok, requirement: str) -> np.ndarray:
+    """x (a scalar or an array) as a flat float array whose points are finite with ok(points) true.
+
+    Refuses the first other point with a DomainError naming it after
+    `requirement`, as in "call_fourier requires finite K > 0, got inf".
+    """
+    points = np.asarray(x, dtype=float).ravel()
+    bad = ~(np.isfinite(points) & ok(points))
+    if bad.any():
+        raise DomainError(f"{requirement}, got {points[bad][0]}")
+    return points
+
+
+def shaped_like(template, values: np.ndarray):
+    """values shaped like `template`: a float for a scalar, else an array."""
+    return float(values[0]) if np.ndim(template) == 0 else values.reshape(np.shape(template))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp
 from .errors import DomainError, OracleError
 from .heston import HestonParams
 from .mixed import MixedModel
-from .numerics import RngStream, Tolerance, find_root, window_sweep
+from .numerics import RngStream, Tolerance, domain_points, find_root, shaped_like, window_sweep
 
 __all__ = [
     "MCResult",
@@ -77,11 +77,6 @@ def _peak_sweep(integrand, width: np.ndarray, tol: Tolerance, what) -> np.ndarra
     past 10 peak widths; each integrator call takes 8 segments of every running point."""
     return window_sweep(integrand, np.maximum(width, 1e-3), 10.0 * width, tol, what, growth=1.4, stop_run=3,
                         per_call=8)
-
-
-def _like(template, values: np.ndarray):
-    """values shaped like `template`: a float for a scalar, else an array."""
-    return float(values[0]) if np.ndim(template) == 0 else values.reshape(np.shape(template))
 
 
 @lru_cache(maxsize=256)
@@ -147,9 +142,7 @@ def log_density_fourier_logx(model: MixedModel, ell, tol: Tolerance | None = Non
     into the wings.
     """
     tol = tol or DEFAULT_FOURIER_TOL
-    ells = np.asarray(ell, dtype=float).ravel()
-    if not np.all(np.isfinite(ells)):
-        raise DomainError(f"density inversion requires finite log x, got {ells[~np.isfinite(ells)][0]}")
+    ells = domain_points(ell, np.isfinite, "density inversion requires finite log x")
     nu, k_nu, k2 = _saddle(model, ells)
 
     def integrand(u, point):
@@ -161,7 +154,7 @@ def log_density_fourier_logx(model: MixedModel, ell, tol: Tolerance | None = Non
     total = _peak_sweep(integrand, width, tol, what)
     if not np.all(total > 0):
         raise OracleError(f"{what(np.flatnonzero(~(total > 0))[0])} returned non-positive mass")
-    return _like(ell, np.log(total / math.pi) + k_nu - nu * ells - ells)
+    return shaped_like(ell, np.log(total / math.pi) + k_nu - nu * ells - ells)
 
 
 def density_fourier(model: MixedModel, x, tol: Tolerance | None = None):
@@ -170,10 +163,7 @@ def density_fourier(model: MixedModel, x, tol: Tolerance | None = None):
     Absolute/relative accuracy is certified for |log x| <= ORACLE_WINDOW; the
     routine works beyond that but reported reach should be quoted honestly.
     """
-    points = np.asarray(x, dtype=float)
-    bad = ~((points > 0) & np.isfinite(points))
-    if bad.any():
-        raise DomainError(f"density_fourier requires finite x > 0, got {points[bad].flat[0]}")
+    domain_points(x, lambda v: v > 0, "density_fourier requires finite x > 0")
     log_value = log_density_fourier_logx(model, np.log(x) if np.ndim(x) else math.log(x), tol)
     return np.exp(log_value) if np.ndim(x) else math.exp(log_value)
 
@@ -196,10 +186,7 @@ def call_fourier(
     and are corrected by the residues (put-call parity), so any admissible
     alpha returns the same call value.
     """
-    strikes = np.asarray(K, dtype=float).ravel()
-    bad = ~((strikes > 0) & np.isfinite(strikes))
-    if bad.any():
-        raise DomainError(f"call_fourier requires finite K > 0, got {strikes[bad][0]}")
+    strikes = domain_points(K, lambda v: v > 0, "call_fourier requires finite K > 0")
     tol = tol or DEFAULT_FOURIER_TOL
     lo, hi = model.moment_strip()
     if hi <= 1.0 + 1e-9:
@@ -244,17 +231,14 @@ def call_fourier(
     # of the damped payoff: alpha < 0 drops the stock term, alpha < -1 the
     # strike term; adding them back is put-call parity)
     value += np.where(alpha < -1.0, model.x0 - strikes, np.where(alpha < 0.0, model.x0, 0.0))
-    return _like(K, value)
+    return shaped_like(K, value)
 
 
-def simulate_paths(
-    model: MixedModel,
-    n_paths: int,
-    steps: int,
-    stream: RngStream,
-    *,
-    min_steps_per_year: int = 50,
-) -> np.ndarray:
+# the Euler scheme of simulate_paths needs at least this many steps per year
+MIN_STEPS_PER_YEAR = 50
+
+
+def simulate_paths(model: MixedModel, n_paths: int, steps: int, stream: RngStream) -> np.ndarray:
     """Terminal prices of the mixed model.
 
     Variance by full-truncation Euler; the log-price increment is conditionally
@@ -263,10 +247,8 @@ def simulate_paths(
     fixed blocks, so the result is deterministic in (seed, n_paths, steps).
     """
     hp = model.heston
-    if steps < min_steps_per_year * hp.t:
-        raise DomainError(
-            f"need at least {min_steps_per_year} steps per year, got {steps} for t={hp.t}"
-        )
+    if steps < MIN_STEPS_PER_YEAR * hp.t:
+        raise DomainError(f"need at least {MIN_STEPS_PER_YEAR} steps per year, got {steps} for t={hp.t}")
     dt = hp.t / steps
     sq_dt = math.sqrt(dt)
     rho_c = math.sqrt(1.0 - hp.rho * hp.rho)
@@ -296,7 +278,7 @@ def simulate_paths(
 # Riccati ODE oracle for moment explosions (independent of the closed form)
 # --------------------------------------------------------------------------- #
 
-def riccati_explosion_time(params: HestonParams, s: float, t_cap: float | None = None) -> float:
+def riccati_explosion_time(params: HestonParams, s: float, t_cap: float) -> float:
     """Moment explosion time by direct integration of the variance Riccati ODE.
 
     V' = (c^2/2) V^2 + (c rho s - b) V + (s^2 - s)/2, V(0) = 0; the moment of
@@ -310,13 +292,12 @@ def riccati_explosion_time(params: HestonParams, s: float, t_cap: float | None =
         return math.inf
     c2h = 0.5 * params.c * params.c
     beta = params.c * params.rho * s - params.b
-    cap = t_cap if t_cap is not None else max(200.0 * params.t, 50.0)
-
-    t1 = _event_time(lambda v: c2h * v * v + beta * v + k, cap, 0.0, lambda v: v - 1.0, 1.0, cap / 50.0)
+    t1 = _event_time(lambda v: c2h * v * v + beta * v + k, t_cap, 0.0, lambda v: v - 1.0, 1.0, t_cap / 50.0)
     if math.isinf(t1):
         return math.inf
     # in R = 1/V: R' = -(c^2/2 + beta R + k R^2), R(0) = 1, blow-up of V at R = 0
-    return t1 + _event_time(lambda r: -(c2h + beta * r + k * r * r), cap - t1, 1.0, lambda r: r, -1.0, cap / 50.0)
+    return t1 + _event_time(lambda r: -(c2h + beta * r + k * r * r), t_cap - t1, 1.0, lambda r: r, -1.0,
+                            t_cap / 50.0)
 
 
 def _event_time(rhs, span: float, start: float, event, direction: float, max_step: float) -> float:

@@ -209,8 +209,6 @@ class SmileExpansion:
     c_llog: float
     c_inv: float
     c_llog2: float
-    T: float
-    x0: float
     error_order: str = "1/L"
 
     def __post_init__(self):
@@ -275,7 +273,7 @@ def expansion_from_tail(tail: TailAsymptote, x0: float, T: float) -> SmileExpans
             f"{wing}-wing expansion needs a positive exponent offset, got {e_lo} (record r3={tail.r3})"
         )
     c = _wing_coefficients(unit.r1, unit.r2, e_lo, e_hi, unit.r4, T)
-    return SmileExpansion(wing, *c, T=T, x0=x0)
+    return SmileExpansion(wing, *c)
 
 
 def smile_expansion(model: MixedModel, wing: str) -> SmileExpansion:

@@ -195,6 +195,27 @@ class TestHDensity:
         with pytest.raises(DomainError):
             kou.h_density(ref_kou, 0.0)
 
+    @pytest.mark.parametrize("fn", [kou.h_density, kou.h_log_density, kou.g1_log, kou.g2_log])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_point_refused_by_value(self, ref_kou, fn, value):
+        for point in (value, np.array([2.0, value])):
+            with pytest.raises(DomainError, match=f"got {value}"):
+                fn(ref_kou, point)
+
+    @pytest.mark.parametrize("fn, points", [
+        (kou.h_density, [0.01, 0.5, 1.0, 1.0 + 1e-12, 3.0, math.exp(40.0)]),
+        (kou.h_log_density, [0.01, 0.5, 1.0, 1.0 + 1e-12, 3.0, math.exp(40.0)]),
+        (kou.g1_log, [0.0, 1e-12, 0.5, 3.0, 30.0, 1e4]),
+        (kou.g2_log, [0.0, 1e-12, 0.5, 3.0, 30.0, 1e4]),
+    ])
+    def test_array_call_is_the_scalar_calls(self, ref_kou, fn, points):
+        # the array call first, so that both read the one coefficient table it sizes
+        got = fn(ref_kou, np.array(points))
+        scalars = [fn(ref_kou, v) for v in points]
+        assert all(type(v) is float for v in scalars)
+        assert got.tolist() == scalars
+        assert fn(ref_kou, np.array(points).reshape(2, 3)).tolist() == [scalars[:3], scalars[3:]]
+
 
 class TestFracIntegral:
     def test_small_argument_limit(self, ref_kou):

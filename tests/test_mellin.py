@@ -145,7 +145,7 @@ class TestConvolve:
     def test_kou_jump_density_at_fractional_log_x(self, ref_kou):
         # the Kou jump density jumps at 1; as either factor it matches scipy
         # quad split at both jumps
-        h = np.vectorize(lambda t: kou.h_density(ref_kou, t), otypes=[float])
+        h = ref_kou.price_density
         f = lognormal(0.1, 0.4)
         for log_x in (-0.3, 2.7):
             x = math.exp(log_x)
@@ -164,6 +164,12 @@ class TestConvolve:
         h = lognormal(-0.2, math.hypot(0.5, 0.8))
         for x in (0.5, 1.0, 2.5):
             assert mellin_convolve(f, g, x) == pytest.approx(h(x), rel=1e-9)
+        # with g centred at log t = log x the integrand peaks there, at
+        # |log x| = 30 past the 24 unit windows the outward sweep must pass
+        tol = Tolerance(rel=1e-10, abs=1e-300)
+        for log_x in (-30.0, -20.0, 20.0, 30.0):
+            g, h = lognormal(log_x, 0.8), lognormal(log_x + 0.2, math.hypot(0.5, 0.8))
+            assert mellin_convolve(f, g, math.exp(log_x), tol) == pytest.approx(h(math.exp(log_x)), rel=1e-9)
 
     def test_reflection(self):
         f, g = lognormal(0.2, 0.5), expdens
@@ -181,7 +187,7 @@ class TestAsymptoteTransfer:
         # constant slowly varying part and unit transform leave the record unchanged
         rec = TailAsymptote(r1=0.7, r2=0.0, r3=3.0, r4=0.0, side=AT_INFINITY)
         strip = MellinStrip(-5.0, 5.0)
-        out = convolve_asymptote(None, rec, -3.0, strip, mellin_value=1.0)
+        out = convolve_asymptote(rec, strip, 1.0)
         assert out.r1 == rec.r1 and out.r2 == rec.r2 and out.r3 == rec.r3 and out.r4 == rec.r4
 
     def test_prefactor_is_transform_value(self, ref_kou):
@@ -189,28 +195,28 @@ class TestAsymptoteTransfer:
         rec = kou.h_wing_record(ref_kou, WING_LARGE)
         norm = quad(lambda v: (v - 0.5) ** 2 * (2.0 - v) ** 2, 0.5, 2.0)[0]
         U = lambda v: compact(v, norm)
-        out = convolve_asymptote(U, rec, -rec.r3, strip)
+        out = convolve_asymptote(rec, strip, mellin_transform(U, rec.mellin_point))
         mu = quad(lambda v: U(v) * v**ref_kou.eta1, 0.5, 2.0)[0]
         assert out.r1 == pytest.approx(rec.r1 * mu, rel=1e-9)
 
     def test_dominance_dichotomy_enforced(self, ref_kou):
         rec = kou.h_wing_record(ref_kou, WING_LARGE)  # power exponent 3
         with pytest.raises(DomainError):
-            convolve_asymptote(None, rec, -rec.r3, MellinStrip(-2.0, 5.0), mellin_value=1.0)
+            convolve_asymptote(rec, MellinStrip(-2.0, 5.0), 1.0)
 
     def test_numeric_ratio_to_quadrature(self, ref_kou):
         # compact factor times the jump density: quadrature over asymptote -> 1
         norm = quad(lambda v: (v - 0.5) ** 2 * (2.0 - v) ** 2, 0.5, 2.0)[0]
         U = lambda v: compact(v, norm)
         strip = MellinStrip(-10.0, 10.0)
-        rec = convolve_asymptote(U, kou.h_wing_record(ref_kou, WING_LARGE), -3.0, strip)
+        h_rec = kou.h_wing_record(ref_kou, WING_LARGE)
+        rec = convolve_asymptote(h_rec, strip, mellin_transform(U, h_rec.mellin_point))
         tolc = Tolerance(rel=1e-9, abs=1e-300)
         scaled = []
         for ell in (15.0, 30.0):
             x = math.exp(ell)
-            conv = mellin_convolve(U, np.vectorize(lambda v: kou.h_density(ref_kou, v)), x, tolc)
+            conv = mellin_convolve(U, ref_kou.price_density, x, tolc)
             # compare against the record with the exact slowly varying factor
-            h_rec = kou.h_wing_record(ref_kou, WING_LARGE)
             exact_slow = math.exp(kou.g1_log(ref_kou, ell)) / math.exp(
                 h_rec.log_value_logx(ell) + h_rec.r3 * ell)
             scaled.append(abs(conv / (rec.value(x) * exact_slow) - 1.0) * math.sqrt(ell))
@@ -222,21 +228,22 @@ class TestAsymptoteTransfer:
         strip = MellinStrip(-10.0, 10.0)
         zrec = kou.h_wing_record(ref_kou, WING_SMALL)
         f = lognormal(0.1, 0.6)
-        out_zero = convolve_asymptote(f, zrec, zrec.r3, strip)
+        out_zero = convolve_asymptote(zrec, strip, mellin_transform(f, zrec.mellin_point))
         refl = TailAsymptote(r1=zrec.r1, r2=zrec.r2, r3=-zrec.r3, r4=zrec.r4, side=AT_INFINITY,
                              error_order=zrec.error_order)
+        assert refl.mellin_point == zrec.mellin_point
         out_inf = convolve_asymptote(
-            lambda u: f(1.0 / u), refl, zrec.r3, MellinStrip(-strip.tau, -strip.sigma))
+            refl, MellinStrip(-strip.tau, -strip.sigma), mellin_transform(lambda u: f(1.0 / u), refl.mellin_point))
         assert out_zero.r1 == pytest.approx(out_inf.r1, rel=1e-8)
 
     def test_error_order_combination(self):
         rec = TailAsymptote(r1=1.0, r2=0.0, r3=4.0, r4=-1.5, side=AT_INFINITY,
                             error_order=ERROR_INV_LOG)
-        out = convolve_asymptote(None, rec, -4.0, MellinStrip(-5.0, 5.0), mellin_value=2.0)
+        out = convolve_asymptote(rec, MellinStrip(-5.0, 5.0), 2.0)
         assert out.error_order == ERROR_INV_LOG  # no exp-sqrt factor, so remainder is 1/log
         rec2 = TailAsymptote(r1=1.0, r2=1.0, r3=4.0, r4=-0.75, side=AT_INFINITY,
                              error_order=ERROR_INV_LOG)
-        out2 = convolve_asymptote(None, rec2, -4.0, MellinStrip(-5.0, 5.0), mellin_value=2.0)
+        out2 = convolve_asymptote(rec2, MellinStrip(-5.0, 5.0), 2.0)
         assert out2.error_order == ERROR_INV_SQRT_LOG
 
 

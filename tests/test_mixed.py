@@ -142,9 +142,7 @@ class TestTransferIdentity:
         # through the diffusion law, coefficient for coefficient
         strip = heston.mellin_strip(kou_model.heston)
         jrec = kou.h_wing_record(kou_model.jumps, WING_LARGE)
-        via = mellin.convolve_asymptote(
-            None, jrec, -jrec.r3, strip,
-            mellin_value=heston.mgf(kou_model.heston, jrec.r3 - 1.0))
+        via = mellin.convolve_asymptote(jrec, strip, heston.mgf(kou_model.heston, jrec.r3 - 1.0))
         direct = mixed.mixed_asymptote(kou_model, WING_LARGE)
         assert abs(via.r1 / direct.r1 - 1.0) <= 1e-12
         assert (via.r2, via.r3, via.r4) == (direct.r2, direct.r3, direct.r4)
@@ -169,7 +167,7 @@ class TestTransferIdentity:
             strip, moment = MellinStrip(-hi - 1.0, -lo - 1.0), model.jumps.mgf
         rho = record.mellin_point
         assert rho == (-record.r3 if wing == WING_LARGE else record.r3)
-        via = mellin.convolve_asymptote(None, record, rho, strip, mellin_value=moment(-rho - 1.0))
+        via = mellin.convolve_asymptote(record, strip, moment(-rho - 1.0))
         direct = mixed.mixed_asymptote(model, wing)
         assert via == direct and via.note == direct.note
 
@@ -245,6 +243,9 @@ class TestJumpInterface:
             assert got == want
         assert (j.mgf(0.5), n.mgf(0.5)) == (kou.jump_mgf(j, 0.5), nig.nig_mgf(n, 0.5))
         assert (j.price_density(1.7), n.price_density(1.7)) == (kou.h_density(j, 1.7), nig.nig_price_density(n, 1.7))
+        xs = np.array([0.5, 1.0, 1.7])
+        assert np.array_equal(j.price_density(xs), kou.h_density(j, xs))
+        assert np.array_equal(n.price_density(xs), nig.nig_price_density(n, xs))
         assert (j.martingale_drift(), n.martingale_drift()) == (risk_neutral_drift(j), nig_no_arb_drift(n))
         assert (j.atom_mass, n.atom_mass) == (math.exp(-j.lam * j.t), 0.0)
         assert (j.moment_strip(), n.moment_strip()) == ((-j.eta2, j.eta1), (-n.alpha, n.alpha))

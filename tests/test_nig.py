@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import warnings
+
 from scipy.integrate import quad
+from scipy.special import k1
 from scipy.stats import chi2
 
 from wingtail import nig
 from wingtail.errors import DomainError, MomentExplosionError, NoArbitrageError
 from wingtail.mellin import AT_ZERO, WING_LARGE, WING_SMALL
 from wingtail.nig import NIGParams
-from wingtail.numerics import RngStream
+from wingtail.numerics import RngStream, UnderflowWarning
 
 REF = NIGParams(alpha=2.0, delta=1.0, t=1.0)
 
@@ -32,6 +35,12 @@ class TestParams:
 
 
 class TestDensity:
+    def test_closed_form(self):
+        # k(t) K1(alpha s) / s with s = sqrt(y^2 + (delta t)^2)
+        for y in (0.0, -1.7, 6.0, 40.0):
+            s = math.hypot(y, REF.delta * REF.t)
+            assert nig.nig_log_density(REF, y) == pytest.approx(REF.k_factor * k1(REF.alpha * s) / s, rel=1e-14)
+
     def test_symmetric(self):
         for y in (0.3, 1.7, 6.0):
             assert nig.nig_log_density(REF, y) == nig.nig_log_density(REF, -y)
@@ -48,6 +57,31 @@ class TestDensity:
     def test_far_tail_underflows_to_zero_with_flag(self):
         with pytest.warns(RuntimeWarning):
             assert nig.nig_log_density(REF, 500.0) == 0.0
+
+    @pytest.mark.parametrize("fn, points, n_under", [
+        (nig.nig_log_density, [0.0, -1.7, 6.0, 500.0, -600.0], 1),
+        (nig.nig_price_density, [0.5, 1.0, 3.0, math.exp(500.0), math.exp(-600.0)], 1),
+        (nig.nig_price_log_density, [0.5, 1.0, 3.0, math.exp(500.0), math.exp(-600.0)], 0),
+    ])
+    def test_array_call_is_the_scalar_calls(self, fn, points, n_under):
+        # points past underflow give 0.0, with one warning for the whole array
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = fn(REF, np.array(points))
+        assert sum(issubclass(w.category, UnderflowWarning) for w in caught) == n_under
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnderflowWarning)
+            scalars = [fn(REF, v) for v in points]
+        assert all(type(v) is float for v in scalars)
+        assert got.tolist() == scalars
+        assert n_under == 0 or scalars[3:] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("fn", [nig.nig_log_density, nig.nig_price_density, nig.nig_price_log_density])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_point_refused_by_value(self, fn, value):
+        for point in (value, np.array([2.0, value])):
+            with pytest.raises(DomainError, match=f"got {value}"):
+                fn(REF, point)
 
     def test_price_density_change_of_variables(self):
         for x in (0.5, 1.0, 3.0):
