@@ -241,16 +241,24 @@ MIN_STEPS_PER_YEAR = 50
 def simulate_paths(model: MixedModel, n_paths: int, steps: int, stream: RngStream) -> np.ndarray:
     """Terminal prices of the mixed model.
 
-    Variance by full-truncation Euler; the log-price increment is conditionally
-    Gaussian given the variance path; the independent jump factor multiplies
-    the diffusion price at the end. Paths are partitioned over sub-streams in
+    The variance runs by full-truncation Euler, one normal per path and step.
+    The log-price is then drawn once per path from its exact conditional law
+    given the variance path (Broadie & Kaya 2006, Oper. Res. 54:217): with
+    I = sum y+ dt, the Euler identity gives the sum of the variance shocks as
+    w = (y_N - y0 - a t + b I) / c, and the independent shocks sum to N(0, I),
+    so log X = log x0 + mu t - I/2 + rho w + sqrt(1 - rho^2) sqrt(I) Z. This
+    is the terminal law of the Euler scheme that steps the log-price too, at
+    half its normal draws. The independent jump factor multiplies the
+    diffusion price at the end. Paths are partitioned over sub-streams in
     fixed blocks, so the result is deterministic in (seed, n_paths, steps).
     """
     hp = model.heston
+    if n_paths < 2:
+        raise DomainError(f"need n_paths >= 2 for a standard error, got {n_paths}")
     if steps < MIN_STEPS_PER_YEAR * hp.t:
         raise DomainError(f"need at least {MIN_STEPS_PER_YEAR} steps per year, got {steps} for t={hp.t}")
     dt = hp.t / steps
-    sq_dt = math.sqrt(dt)
+    vol_scale = hp.c * math.sqrt(dt)
     rho_c = math.sqrt(1.0 - hp.rho * hp.rho)
     out = np.empty(n_paths)
     block = 1 << 17
@@ -259,14 +267,25 @@ def simulate_paths(model: MixedModel, n_paths: int, steps: int, stream: RngStrea
         sub = stream.substream(index)
         gen = sub.generator
         y = np.full(m, hp.y0)
-        log_x = np.full(m, math.log(hp.x0) + hp.mu * hp.t)
+        integral = np.zeros(m)
+        pos, shock = np.empty(m), np.empty(m)
+        # y += (a - b y+) dt + c sqrt(y+ dt) z, in place through two scratch buffers
         for _ in range(steps):
-            z_var = gen.standard_normal(m)
-            z_perp = gen.standard_normal(m)
-            y_pos = np.maximum(y, 0.0)
-            vol = np.sqrt(y_pos)
-            log_x += -0.5 * y_pos * dt + vol * sq_dt * (hp.rho * z_var + rho_c * z_perp)
-            y = y + (hp.a - hp.b * y_pos) * dt + hp.c * vol * sq_dt * z_var
+            np.maximum(y, 0.0, out=pos)
+            integral += pos
+            np.multiply(pos, hp.b * dt, out=shock)
+            y -= shock
+            y += hp.a * dt
+            np.sqrt(pos, out=pos)
+            gen.standard_normal(out=shock)
+            shock *= pos
+            shock *= vol_scale
+            y += shock
+        integral *= dt
+        # w = sum sqrt(y+ dt) z, from the Euler identity y_N = y0 + a t - b I + c w
+        w = (y - hp.y0 - hp.a * hp.t + hp.b * integral) / hp.c
+        log_x = math.log(hp.x0) + hp.mu * hp.t - 0.5 * integral + hp.rho * w
+        log_x += rho_c * np.sqrt(integral) * gen.standard_normal(m)
         price = np.exp(log_x)
         if model.jumps is not None:
             price *= model.jumps.sample_factors(sub, m)

@@ -230,6 +230,11 @@ class TestMainEntry:
         assert payload["n_paths"] == 20000
         assert abs(payload["martingale_z"]) < 5.0
 
+    @pytest.mark.parametrize("paths", ["-5", "0", "1"])
+    def test_sample_too_few_paths_exit_one(self, paths, capsys):
+        assert cli.main(["sample", "--config", REFERENCE_KOU, "--paths", paths, "--steps", "60"]) == 1
+        assert "n_paths" in capsys.readouterr().err
+
     def test_validate_exit_codes(self, monkeypatch):
         results_pass = [acceptance.CriterionResult(1, "x", True, 0.0, "ok")]
         monkeypatch.setattr(acceptance, "run_all", lambda **kw: results_pass)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,15 +122,34 @@ class TestSimulatePaths:
     def test_moment_matches_closed_form(self, kou_model, kou_sample):
         from wingtail import kou as kou_mod
 
-        for s in (0.5, 1.5):
+        # orders with 2s inside the moment strip (-1, 2), so the standard error exists
+        for s in (-0.4, 0.5, 0.9):
             pows = kou_sample**s
             se = pows.std() / math.sqrt(pows.size)
             closed = heston.mgf(kou_model.heston, s) * kou_mod.jump_mgf(kou_model.jumps, s)
             assert abs(pows.mean() - closed) <= 3.0 * se
 
+    @pytest.mark.parametrize("rho", [-0.9, 0.9])
+    def test_leverage_moments(self, rho):
+        # HestonParams admits only rho <= 0, where the tail formulas are
+        # established; the scheme and the closed-form moments hold for either
+        # sign, so both cases run on a stand-in with the same fields
+        p = SimpleNamespace(mu=0.05, a=1.0, b=2.0, c=0.5, rho=rho, x0=1.0, y0=0.04, t=1.0)
+        sample = oracles.simulate_paths(SimpleNamespace(heston=p, jumps=None), 200_000, 200, RngStream(5))
+        for s in (-0.5, 0.5, 1.5):
+            assert heston.explosion_time(p, 2.0 * s) > p.t  # E[X^(2s)] finite, so the standard error exists
+            pows = sample**s
+            se = pows.std() / math.sqrt(pows.size)
+            assert abs(pows.mean() - heston.mgf(p, s)) <= 3.0 * se
+
     def test_step_floor_enforced(self, kou_model):
         with pytest.raises(DomainError):
             oracles.simulate_paths(kou_model, 1000, 10, RngStream(1))
+
+    @pytest.mark.parametrize("n_paths", [-5, 0, 1])
+    def test_too_few_paths_refused(self, kou_model, n_paths):
+        with pytest.raises(DomainError, match="n_paths"):
+            oracles.simulate_paths(kou_model, n_paths, 60, RngStream(1))
 
     def test_mc_result_invariants(self):
         with pytest.raises(DomainError):
