@@ -134,11 +134,6 @@ def _regime_field(model: MixedModel, wing: str) -> dict:
         return {"dominant": "degenerate", "reason": str(exc)}
 
 
-def _record_field(record) -> dict:
-    return {"r1": record.r1, "r2": record.r2, "r3": record.r3, "r4": record.r4,
-            "side": record.side, "error_order": record.error_order, "note": record.note}
-
-
 def cmd_constants(config: ModelConfig) -> dict:
     """Critical moments, wing constants, per-wing regimes, leading coefficients."""
     model = config.model
@@ -154,15 +149,14 @@ def cmd_constants(config: ModelConfig) -> dict:
     }
     for wing in (WING_LARGE, WING_SMALL):
         try:
-            report[f"{wing}_wing_asymptote"] = _record_field(mixed.mixed_asymptote(model, wing))
+            report[f"{wing}_wing_asymptote"] = asdict(mixed.mixed_asymptote(model, wing))
         except (DegenerateRegimeError, WingtailError) as exc:
             report[f"{wing}_wing_asymptote"] = {"error": str(exc)}
     if isinstance(model.jumps, KouJumpParams):
         table = kou.coefficients(model.jumps, 19, config.tol)
-        ks = np.arange(20)
         report["coefficients"] = [
             {
-                "k": int(k),
+                "k": k,
                 "a": float(table.a[k]),
                 "a_hat": float(table.a_hat[k]),
                 "a_rel_gap_scaled": float((table.a[k] - table.a_hat[k]) * (k + 1) / table.a_hat[k]),
@@ -170,7 +164,7 @@ def cmd_constants(config: ModelConfig) -> dict:
                 "b_hat": float(table.b_hat[k]),
                 "b_rel_gap_scaled": float((table.b[k] - table.b_hat[k]) * (k + 1) / table.b_hat[k]),
             }
-            for k in ks
+            for k in range(20)
         ]
     return report
 
@@ -188,28 +182,24 @@ def cmd_density(config: ModelConfig, grid: np.ndarray) -> list[list[str]]:
     oracle_values = np.full(grid.size, np.nan)
     if in_window.any():
         oracle_values[in_window] = oracles.density_fourier(model, grid[in_window], config.tol)
-    for x, in_reach, oracle in zip(grid, in_window, oracle_values):
-        ell = math.log(x / model.x0)
-        wing = WING_LARGE if ell >= 0 else WING_SMALL
+    for x, in_reach, oracle in zip(map(float, grid), in_window, oracle_values):
+        # the wing records are functions of log x, whatever the spot
+        wing = WING_LARGE if x >= 1.0 else WING_SMALL
         if wing not in records:
             try:
                 records[wing] = mixed.mixed_asymptote(model, wing)
-            except (DegenerateRegimeError, WingtailError):
-                records[wing] = None
-        record = records[wing]
-        asym = ""
-        bound = ""
-        if record is not None and (math.log(x) > 0) == (wing == WING_LARGE) and abs(math.log(x)) > 0.0:
-            try:
-                asym = record.value(float(x))
-                bound = record.error_bound_scale(float(x))
             except WingtailError:
-                asym = ""
+                records[wing] = None
+        asym = bound = ratio = ""
+        if records[wing] is not None:
+            try:
+                asym, bound = records[wing].value(x), records[wing].error_bound_scale(x)
+            except WingtailError:
+                pass
         oracle = float(oracle) if in_reach else ""
-        ratio = ""
         if asym != "" and oracle != "":
             ratio = oracle / asym
-        rows.append([repr(float(x)), _fmt(asym), _fmt(oracle), _fmt(ratio), _fmt(bound)])
+        rows.append([repr(x), _fmt(asym), _fmt(oracle), _fmt(ratio), _fmt(bound)])
     return rows
 
 
@@ -251,7 +241,7 @@ def cmd_smile(config: ModelConfig, grid: np.ndarray) -> list[list[str]]:
 
 
 def cmd_sample(config: ModelConfig, n_paths: int, steps: int) -> dict:
-    """Simulate terminal prices; summary statistics and martingale diagnostic."""
+    """Simulate terminal prices; summary statistics and the martingale z-score `oracles.martingale_z`."""
     stream = RngStream(config.seed)
     sample = oracles.simulate_paths(config.model, n_paths, steps, stream)
     res = oracles.summarize(sample, config.seed)
@@ -262,14 +252,14 @@ def cmd_sample(config: ModelConfig, n_paths: int, steps: int) -> dict:
         "n_paths": res.n_paths,
         "seed": res.seed,
         "x0": config.model.x0,
-        "martingale_z": (res.estimate - config.model.x0) / res.std_error,
+        "martingale_z": oracles.martingale_z(config.model, sample),
         "quantiles": {"1%": qs[0], "25%": qs[1], "50%": qs[2], "75%": qs[3], "99%": qs[4]},
     }
 
 
-def cmd_validate(config: ModelConfig, echo=print) -> int:
+def cmd_validate(config: ModelConfig) -> int:
     """Run the acceptance suite; returns the exit code."""
-    results = acceptance.run_all(seed=config.seed, tol=config.tol, echo=echo)
+    results = acceptance.run_all(seed=config.seed, tol=config.tol)
     return 0 if all(r.passed for r in results) else 2
 
 
@@ -308,11 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
         ("validate", "run the acceptance suite; exit 0 only if every criterion passes"),
         ("sample", "Monte Carlo terminal-price sample summary (JSON)"),
     ):
+        # each subcommand offers the flags its command reads, and no others
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON model config")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--tol", type=float, default=None, help="override the relative tolerance")
+        if name != "validate":
+            p.add_argument("--out", default=None, help="output path (default: stdout)")
+        if name in ("sample", "validate"):
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name in ("constants", "density", "validate"):
+            p.add_argument("--tol", type=float, default=None, help="override the relative tolerance")
         if name in ("density", "smile"):
             p.add_argument("--grid", required=True, help="grid spec a:b:n or a:b:nlog")
         if name == "sample":
@@ -324,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, seed_override=args.seed, tol_override=args.tol)
+        config = load_config(args.config, seed_override=getattr(args, "seed", None),
+                             tol_override=getattr(args, "tol", None))
         if args.command == "constants":
             _emit_json(cmd_constants(config), args.out)
         elif args.command == "density":

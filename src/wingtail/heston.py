@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, MomentExplosionError, SearchError
 from .mellin import AT_INFINITY, ERROR_INV_SQRT_LOG, MellinStrip, TailAsymptote, side_of
-from .numerics import Tolerance, complex_namespace, find_root, require_finite
+from .numerics import Tolerance, complex_namespace, find_root, moment_from_log, require_finite
 
 __all__ = [
     "HestonParams",
@@ -167,11 +167,6 @@ def explosion_time_slope(params: HestonParams, s: float) -> float:
     return 2.0 * theta_p / m - 2.0 * theta * m_p / (m * m)
 
 
-def _explosion_curvature(params: HestonParams, s: float, rel_step: float = 1e-5) -> float:
-    h = rel_step * max(1.0, abs(s))
-    return (explosion_time_slope(params, s + h) - explosion_time_slope(params, s - h)) / (2.0 * h)
-
-
 def _bracket_critical(params: HestonParams, upper: bool) -> tuple[float, float]:
     """Bracket [lo, hi] with T*(lo) > t >= T*(hi) on the requested side."""
     t = params.t
@@ -211,7 +206,8 @@ def critical_moments(params: HestonParams) -> CriticalMoments:
         tol = Tolerance(rel=4e-16, abs=1e-13, max_iter=300)
         s_crit = find_root(gap, lo, hi, tol)
         slope = explosion_time_slope(params, s_crit)
-        curv = _explosion_curvature(params, s_crit)
+        h = 1e-5 * max(1.0, abs(s_crit))
+        curv = (explosion_time_slope(params, s_crit + h) - explosion_time_slope(params, s_crit - h)) / (2.0 * h)
         results[upper] = (s_crit, abs(slope), curv)
 
     s_plus, sig_plus, kap_plus = results[True]
@@ -369,7 +365,7 @@ def mgf(params: HestonParams, s: float) -> float:
     val = log_mgf(params, s)
     if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
         raise SearchError(f"moment evaluation lost reality at s={s}: {val}")
-    return math.exp(val.real)
+    return moment_from_log(val.real, s)
 
 
 def mellin_strip(params: HestonParams) -> MellinStrip:

@@ -31,6 +31,7 @@ from .numerics import (
     first_outside,
     integrate,
     log_gamma,
+    moment_from_log,
     require_finite,
     shaped_like,
 )
@@ -130,9 +131,6 @@ class KouJumpParams:
     def cgf_derivatives(self, s):
         return jump_cgf_derivatives(self, s)
 
-    def mgf(self, s: float) -> float:
-        return jump_mgf(self, s)
-
     def wing_record(self, wing: str) -> TailAsymptote:
         return h_wing_record(self, wing)
 
@@ -152,8 +150,7 @@ class CoefficientTable:
     """Exact series coefficients with their closed-form approximations.
 
     Arrays are indexed by k. `log_a`/`log_b` duplicate a and b in log space for
-    overflow-safe series evaluation at large arguments. `tail_bound` is a
-    geometric bound on the truncated part of the slowest n-series encountered.
+    overflow-safe series evaluation at large arguments.
     """
 
     a: np.ndarray
@@ -165,7 +162,6 @@ class CoefficientTable:
     log_a: np.ndarray
     log_b: np.ndarray
     truncation_k: int
-    tail_bound: float
 
 
 _LGAMMA_CACHE = gammaln(np.arange(1024).astype(float) + 1.0)  # log(n!) at index n
@@ -219,8 +215,8 @@ def _log_pnk_block(n_lo: int, n_hi: int, K: int, eta_num: float, eta_den: float,
     return log_p
 
 
-def _log_coefficient(params: KouJumpParams, k: int, tol: Tolerance, up: bool) -> tuple[float, float]:
-    """log a_k (up=True) or log b_k, plus a geometric bound on the cut n-tail.
+def _log_coefficient(params: KouJumpParams, k: int, tol: Tolerance, up: bool) -> float:
+    """log a_k (up=True) or log b_k.
 
     The Poisson-weighted n-series is summed in blocks of numpy arrays until the
     last term is below tol.rel of the partial sum with the terms decreasing
@@ -245,9 +241,7 @@ def _log_coefficient(params: KouJumpParams, k: int, tol: Tolerance, up: bool) ->
         total = float(logsumexp(log_terms))
         decreasing = np.all(np.diff(log_terms[-4:]) < 0.0)
         if decreasing and log_terms[-1] < total + math.log(tol.rel):
-            ratio = math.exp(log_terms[-1] - log_terms[-2])
-            tail = math.exp(log_terms[-1] - total) * ratio / max(1.0 - ratio, 0.5)
-            return float(log_front + total), tail
+            return float(log_front + total)
         size *= 2
     raise ConvergenceError(f"coefficient n-series did not settle for k={k}")
 
@@ -260,11 +254,9 @@ def coefficients(params: KouJumpParams, k_max: int, tol: Tolerance = DEFAULT_TOL
     lf = _log_factorial(k_max + 4)
     log_a = np.empty(k_max + 1)
     log_b = np.empty(k_max + 1)
-    worst_tail = 0.0
     for k in ks:
-        log_a[k], ta = _log_coefficient(params, int(k), tol, up=True)
-        log_b[k], tb = _log_coefficient(params, int(k), tol, up=False)
-        worst_tail = max(worst_tail, ta, tb)
+        log_a[k] = _log_coefficient(params, int(k), tol, up=True)
+        log_b[k] = _log_coefficient(params, int(k), tol, up=False)
 
     log_a_hat = params._up_exp_shift() + (ks + 1) * math.log(params.b1_jump) - lf[ks] - lf[ks + 1]
     log_b_hat = params._down_exp_shift() + (ks + 1) * math.log(params.b2_jump) - lf[ks] - lf[ks + 1]
@@ -290,7 +282,6 @@ def coefficients(params: KouJumpParams, k_max: int, tol: Tolerance = DEFAULT_TOL
         log_a=log_a,
         log_b=log_b,
         truncation_k=k_max,
-        tail_bound=worst_tail,
     )
 
 
@@ -314,14 +305,15 @@ class _LRUCache(OrderedDict):
             self.popitem(last=False)
 
 
-# coefficient tables by parameter set, bounded like the lru_caches of heston
+# coefficient tables by parameter set, bounded like the lru_caches of heston;
+# every table is built, and every series below evaluated, at DEFAULT_TOL
 _TABLE_CACHE = _LRUCache(maxsize=256)
 
 
-def _table(params: KouJumpParams, k_min: int, tol: Tolerance = DEFAULT_TOL) -> CoefficientTable:
+def _table(params: KouJumpParams, k_min: int) -> CoefficientTable:
     cached = _TABLE_CACHE.get(params)
     if cached is None or cached.truncation_k < k_min:
-        cached = coefficients(params, max(k_min, 64), tol)
+        cached = coefficients(params, max(k_min, 64))
         _TABLE_CACHE[params] = cached
     return cached
 
@@ -331,75 +323,75 @@ def _series_k_budget(b_const: float, u: float) -> int:
     return int(2.5 * math.sqrt(max(b_const * u, 1.0))) + 48
 
 
-def _log_series(log_coeffs: np.ndarray, u: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _log_series(log_coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """log sum_k exp(log_coeffs[k]) u^k at every point of u, one row of terms per point."""
     ks = np.arange(len(log_coeffs))
     zero = u == 0.0
     with np.errstate(divide="ignore"):
         log_terms = log_coeffs + ks * np.where(zero, 1.0, np.log(u))[:, None]
     total = logsumexp(log_terms, axis=1)
-    if np.any(log_terms[~zero, -1] > total[~zero] + math.log(tol.rel)):
+    if np.any(log_terms[~zero, -1] > total[~zero] + math.log(DEFAULT_TOL.rel)):
         raise ConvergenceError("series truncation too short", best_estimate=total)
     return np.where(zero, log_coeffs[0], total)
 
 
-def _g_log(params: KouJumpParams, u, tol: Tolerance, up: bool):
+def _g_log(params: KouJumpParams, u, up: bool):
     """log G1(t, u) (up=True) or log G2(t, u) at every point of u, with one
     table grown until the series truncates at the largest u."""
     name = "G1" if up else "G2"
     us = domain_points(u, lambda v: v >= 0, f"{name} requires finite u >= 0")
-    table = _table(params, _series_k_budget(params.b1_jump if up else params.b2_jump, us.max(initial=0.0)), tol)
+    table = _table(params, _series_k_budget(params.b1_jump if up else params.b2_jump, us.max(initial=0.0)))
     for _ in range(6):
         try:
-            return shaped_like(u, _log_series(table.log_a if up else table.log_b, us, tol))
+            return shaped_like(u, _log_series(table.log_a if up else table.log_b, us))
         except ConvergenceError:
-            table = _table(params, 2 * table.truncation_k, tol)
+            table = _table(params, 2 * table.truncation_k)
     raise ConvergenceError(f"{name} series did not truncate cleanly at u={us.max()}")
 
 
-def g1_log(params: KouJumpParams, u, tol: Tolerance = DEFAULT_TOL):
+def g1_log(params: KouJumpParams, u):
     """log G1(t, u) at u >= 0, a scalar (float result) or an array; overflow-safe for large u."""
-    return _g_log(params, u, tol, up=True)
+    return _g_log(params, u, up=True)
 
 
-def g2_log(params: KouJumpParams, u, tol: Tolerance = DEFAULT_TOL):
+def g2_log(params: KouJumpParams, u):
     """log G2 series value at downward displacement u >= 0, a scalar or an array."""
-    return _g_log(params, u, tol, up=False)
+    return _g_log(params, u, up=False)
 
 
-def g1(params: KouJumpParams, u: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def g1(params: KouJumpParams, u: float) -> float:
     """G1(t, u) = sum_k a_k u^k (strictly increasing in u, positive)."""
-    return math.exp(g1_log(params, u, tol))
+    return math.exp(g1_log(params, u))
 
 
-def g2(params: KouJumpParams, u: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def g2(params: KouJumpParams, u: float) -> float:
     """G2 series value at downward displacement u >= 0."""
-    return math.exp(g2_log(params, u, tol))
+    return math.exp(g2_log(params, u))
 
 
-def h_log_density(params: KouJumpParams, x, tol: Tolerance = DEFAULT_TOL):
+def h_log_density(params: KouJumpParams, x):
     """log H(t, x) at x > 0, a scalar (float result) or an array; x = 1 gives
     the right-limit log a_0, the value of the large-wing series at u = 0."""
     u = np.log(domain_points(x, lambda v: v > 0, "the Kou jump density requires finite x > 0"))
     out, up = np.empty(u.size), u >= 0
     if up.any():
-        out[up] = g1_log(params, u[up], tol) + (-params.eta1 - 1.0) * u[up]
+        out[up] = g1_log(params, u[up]) + (-params.eta1 - 1.0) * u[up]
     if not up.all():
-        out[~up] = g2_log(params, -u[~up], tol) + (params.eta2 - 1.0) * u[~up]
+        out[~up] = g2_log(params, -u[~up]) + (params.eta2 - 1.0) * u[~up]
     return shaped_like(x, out)
 
 
-def h_density(params: KouJumpParams, x, tol: Tolerance = DEFAULT_TOL):
+def h_density(params: KouJumpParams, x):
     """Density H(t, x) of the absolutely continuous part of the jump-factor law,
     at x > 0, a scalar (float result) or an array."""
-    return shaped_like(x, np.exp(h_log_density(params, np.ravel(x), tol)))
+    return shaped_like(x, np.exp(h_log_density(params, np.ravel(x))))
 
 
-def frac_integral(order: float, s: float, r: float, u: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def frac_integral(order: float, s: float, r: float, u: float) -> float:
     """u^order * (fractional integral of order `order` of s*cosh(r*sqrt(.))) at u.
 
-    Only the comparison orders -3/2 and -5/2 are supported. Computed by
-    quadrature of the scaled kernel representation
+    Only the comparison orders -3/2 and -5/2 are supported. Computed (rel 1e-11)
+    by quadrature of the scaled kernel representation
         (s / Gamma(-order)) * int_0^1 cosh(r sqrt(u w)) (1-w)^(-order-1) dw
     in q with w = 1 - q^2, which removes the branch point of (1-w)^(-order-1)
     at w = 1 and leaves a smooth integrand.
@@ -413,7 +405,7 @@ def frac_integral(order: float, s: float, r: float, u: float, tol: Tolerance = D
     power = -2.0 * order - 1.0
     front = s / math.exp(log_gamma(-order))
     integrand = lambda q, _panel: 2.0 * q**power * np.cosh(r * np.sqrt(u * (1.0 - q * q)))
-    value, _ = integrate(integrand, 0.0, 1.0, Tolerance(rel=min(tol.rel, 1e-11), abs=0.0))
+    value, _ = integrate(integrand, 0.0, 1.0, Tolerance(rel=1e-11, abs=0.0))
     return front * float(value)
 
 
@@ -480,7 +472,7 @@ def jump_cgf_derivatives(params: KouJumpParams, s):
 
 def jump_mgf(params: KouJumpParams, s: float) -> float:
     """E[e^{s T_t}], the moment of order s of the jump factor."""
-    return math.exp(log_jump_mgf(params, complex(s)).real)
+    return moment_from_log(log_jump_mgf(params, complex(s)).real, s)
 
 
 def risk_neutral_drift(params: KouJumpParams) -> float:

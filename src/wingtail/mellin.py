@@ -55,11 +55,6 @@ def side_of(wing: str) -> str:
     return _SIDES[wing]
 
 
-def combine_error_orders(a: str, b: str) -> str:
-    """The slower-decaying (dominant) of two error-order tags."""
-    return a if _ERROR_RANK[a] >= _ERROR_RANK[b] else b
-
-
 @dataclass(frozen=True)
 class MellinStrip:
     """Open vertical strip (sigma, tau) on which the transform converges."""
@@ -177,14 +172,17 @@ def _two_sided(integrand, ends, width: float, min_windows: int, tol: Tolerance, 
     return float(middle.sum() + totals[0] + totals[1])
 
 
-def mellin_transform(U, z: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """MU(z) = integral_0^inf t^(-z-1) U(t) dt, in v = log t over octaves of t.
+TRANSFORM_TOL = Tolerance(rel=1e-11, abs=1e-14)
+
+
+def mellin_transform(U, z: float) -> float:
+    """MU(z) = integral_0^inf t^(-z-1) U(t) dt to TRANSFORM_TOL, in v = log t over octaves of t.
 
     U takes and returns numpy arrays; it may jump at t = 1, a window edge.
     Raises DivergenceError when the windowed partial sums keep growing, which
     is how an evaluation outside the convergence strip shows up numerically.
     """
-    return _two_sided(lambda v: np.exp(-z * v) * U(np.exp(v)), (0.0, 0.0), math.log(2.0), 40, tol,
+    return _two_sided(lambda v: np.exp(-z * v) * U(np.exp(v)), (0.0, 0.0), math.log(2.0), 40, TRANSFORM_TOL,
                       f"Mellin transform at z={z}")
 
 
@@ -224,7 +222,8 @@ def convolve_asymptote(f_tail: TailAsymptote, strip: MellinStrip, mellin_value: 
     mu = float(mellin_value)
     if not mu > 0:
         raise DomainError(f"Mellin transform value must be positive, got {mu}")
-    order = combine_error_orders(f_tail.error_order, f_tail.slow_variation_remainder_order())
+    # the slower-decaying (dominant) of the two error orders
+    order = max(f_tail.error_order, f_tail.slow_variation_remainder_order(), key=_ERROR_RANK.get)
     return replace(f_tail, r1=f_tail.r1 * mu, error_order=order)
 
 

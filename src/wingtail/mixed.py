@@ -15,7 +15,7 @@ from .heston import HestonParams, HestonTailConstants
 from .kou import KouJumpParams
 from .mellin import WING_LARGE, WING_SMALL, TailAsymptote, mellin_convolve, side_of
 from .nig import NIGParams
-from .numerics import Tolerance
+from .numerics import Tolerance, moment_from_log
 
 __all__ = [
     "WING_LARGE",
@@ -57,8 +57,8 @@ class MixedModel:
     `jumps=None` means the pure diffusion model (the zero-intensity limit).
     The jump law is used only through its interface (`KouJumpParams` and
     `NIGParams` both provide it): `kind`, `moment_strip()`, `log_mgf(z)`,
-    `cgf_derivatives(s)`, `mgf(s)`, `wing_record(wing)`, `price_density(x)`
-    (x a scalar or an array), `atom_mass`, `sample_factors(stream, size)` and
+    `cgf_derivatives(s)`, `wing_record(wing)`, `price_density(x)` (x a
+    scalar or an array), `atom_mass`, `sample_factors(stream, size)` and
     `martingale_drift()`.
     Tail constants of the diffusion part are computed eagerly and stored in
     `derived`; the record is immutable after construction.
@@ -115,8 +115,8 @@ class MixedModel:
         return lo, hi
 
     def jump_moment(self, s: float) -> float:
-        """Moment of order s of the jump factor (atom included for Kou)."""
-        return 1.0 if self.jumps is None else self.jumps.mgf(s)
+        """Moment of order s of the jump factor (atom included for Kou), by `moment_from_log`."""
+        return 1.0 if self.jumps is None else moment_from_log(self.jumps.log_mgf(complex(s)).real, s)
 
 
 def classify_wing(model: MixedModel, wing: str) -> WingRegime:
@@ -172,10 +172,13 @@ def mixed_asymptote(model: MixedModel, wing: str) -> TailAsymptote:
     return record.scaled(model.jump_moment(-record.mellin_point - 1.0))
 
 
-def mixed_density(model: MixedModel, x: float, tol: Tolerance | None = None) -> float:
+DENSITY_TOL = Tolerance(rel=1e-8, abs=1e-14)
+
+
+def mixed_density(model: MixedModel, x: float) -> float:
     """Exact mixed density by quadrature composition (oracle grade, not asymptote).
 
-    The multiplicative convolution of the diffusion density (Fourier
+    The multiplicative convolution, to DENSITY_TOL, of the diffusion density (Fourier
     inverted) with the jump price density, plus the atom-weighted diffusion
     density when the jump law has an atom at 1 (Kou).
     """
@@ -183,11 +186,10 @@ def mixed_density(model: MixedModel, x: float, tol: Tolerance | None = None) -> 
 
     if not x > 0:
         raise DomainError(f"mixed_density requires x > 0, got {x}")
-    tol = tol or Tolerance(rel=1e-8, abs=1e-14)
     pure = MixedModel(heston=model.heston, jumps=None)
     d1 = lambda y: oracles.density_fourier(pure, y)
     if model.jumps is None:
         return d1(x)
     jumps = model.jumps
-    conv = mellin_convolve(jumps.price_density, d1, x, tol)
+    conv = mellin_convolve(jumps.price_density, d1, x, DENSITY_TOL)
     return jumps.atom_mass * d1(x) + conv if jumps.atom_mass else conv

@@ -18,7 +18,8 @@ from scipy.special import k1e
 
 from .errors import DomainError, MomentExplosionError, NoArbitrageError
 from .mellin import AT_ZERO, ERROR_INV_LOG, TailAsymptote, side_of
-from .numerics import UnderflowWarning, complex_namespace, domain_points, first_outside, require_finite, shaped_like
+from .numerics import (UnderflowWarning, complex_namespace, domain_points, first_outside, moment_from_log,
+                       require_finite, shaped_like)
 
 __all__ = [
     "NIGParams",
@@ -72,9 +73,6 @@ class NIGParams:
 
     def cgf_derivatives(self, s):
         return nig_cgf_derivatives(self, s)
-
-    def mgf(self, s: float) -> float:
-        return nig_mgf(self, s)
 
     def wing_record(self, wing: str) -> TailAsymptote:
         return nig_wing_record(self, wing)
@@ -187,7 +185,7 @@ def nig_cgf_derivatives(params: NIGParams, s):
 
 def nig_mgf(params: NIGParams, s: float) -> float:
     """E[e^{s Y_t}] = exp(delta t (alpha - sqrt(alpha^2 - s^2))), |s| < alpha."""
-    return math.exp(log_nig_mgf(params, complex(s)).real)
+    return moment_from_log(log_nig_mgf(params, complex(s)).real, s)
 
 
 def _sample_inverse_gaussian(gen, mean: float, shape: float, size: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import BracketingError, ConvergenceError, DivergenceError, DomainError
+from .errors import BracketingError, ConvergenceError, DivergenceError, DomainError, MomentExplosionError
 
 __all__ = [
     "Tolerance",
@@ -28,6 +28,7 @@ __all__ = [
     "require_finite",
     "domain_points",
     "shaped_like",
+    "moment_from_log",
     "RngStream",
 ]
 
@@ -67,10 +68,19 @@ def shaped_like(template, values: np.ndarray):
     return float(values[0]) if np.ndim(template) == 0 else values.reshape(np.shape(template))
 
 
+def moment_from_log(log_moment: float, order) -> float:
+    """The moment e^log_moment of order `order`; one past the double range (inside the
+    strip, near a pole of the moment) raises MomentExplosionError naming the order."""
+    try:
+        return math.exp(log_moment)
+    except OverflowError:
+        raise MomentExplosionError(f"moment of order {order} overflows: its log is {log_moment:.6g}") from None
+
+
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative/absolute tolerance plus an iteration budget, which bounds find_root only
-    (floored at 100): integrate and window_sweep have the fixed PANEL_DEPTH and MAX_WINDOWS."""
+    """Relative/absolute tolerance plus an iteration budget, which bounds find_root only:
+    integrate and window_sweep have the fixed PANEL_DEPTH and MAX_WINDOWS."""
 
     rel: float = 1e-10
     abs: float = 1e-12
@@ -320,7 +330,7 @@ def find_root(f, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL) -> float:
 
     xtol = max(tol.abs, 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0))
     return float(
-        _sci_optimize.brentq(f, lo, hi, xtol=xtol, rtol=max(tol.rel, 8.9e-16), maxiter=max(tol.max_iter, 100))
+        _sci_optimize.brentq(f, lo, hi, xtol=xtol, rtol=max(tol.rel, 8.9e-16), maxiter=tol.max_iter)
     )
 
 
@@ -339,6 +349,3 @@ class RngStream:
 
     def uniform(self, size=None):
         return self.generator.uniform(size=size)
-
-    def normal(self, size=None):
-        return self.generator.standard_normal(size=size)

@@ -27,6 +27,7 @@ __all__ = [
     "call_fourier",
     "simulate_paths",
     "summarize",
+    "martingale_z",
     "riccati_explosion_time",
     "riccati_critical_moment",
     "riccati_log_mgf",
@@ -59,6 +60,23 @@ def summarize(samples: np.ndarray, seed: int) -> MCResult:
         n_paths=n,
         seed=seed,
     )
+
+
+def martingale_z(model: MixedModel, sample: np.ndarray) -> float | None:
+    """z-score of the capped mean of a terminal-price sample against its martingale value.
+
+    Where E[X^2] = inf the raw mean has no standard error, but min(X, 2 x0) is bounded and
+    E[min(X, 2 x0)] = E[X] - C(2 x0) is x0 - C(2 x0) exactly when X is a martingale. C is
+    priced at damping 0.1, clipped inside (0, hi - 1) for the moment strip (lo, hi), which adds
+    no put-call residue and so assumes nothing about E[X]. None when hi <= 1 or all are capped."""
+    hi = model.moment_strip()[1]
+    cap = 2.0 * model.x0
+    capped = np.minimum(sample, cap)
+    std_error = float(np.std(capped, ddof=1) / math.sqrt(capped.size))
+    if hi <= 1.0 + 1e-9 or std_error == 0.0:
+        return None
+    price = call_fourier(model, cap, damping=min(0.1, 0.5 * (hi - 1.0)))
+    return (float(np.mean(capped)) - model.x0 + price) / std_error
 
 
 # The saddle solve: a table of K', K'' on 257 orders per model gives the first

@@ -209,7 +209,6 @@ class SmileExpansion:
     c_llog: float
     c_inv: float
     c_llog2: float
-    error_order: str = "1/L"
 
     def __post_init__(self):
         if self.wing not in (WING_LARGE, WING_SMALL):

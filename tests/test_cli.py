@@ -1,12 +1,16 @@
+import argparse
+import dataclasses
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
-from wingtail import acceptance, cli
+from wingtail import acceptance, cli, heston, mixed
 from wingtail.errors import WingtailError
+from wingtail.mixed import WING_LARGE, WING_SMALL, MixedModel
 
 HERE = os.path.dirname(__file__)
 CONFIG_DIR = os.path.join(HERE, "..", "configs")
@@ -97,6 +101,36 @@ class TestConfigLoading:
         assert "rel" in capsys.readouterr().err
 
 
+class TestParser:
+    # the flags each command reads, besides --config
+    READS = {
+        "constants": {"--out", "--tol"},
+        "density": {"--out", "--tol", "--grid"},
+        "smile": {"--out", "--grid"},
+        "validate": {"--seed", "--tol"},
+        "sample": {"--out", "--seed", "--paths", "--steps"},
+    }
+
+    def test_each_subcommand_offers_exactly_the_flags_it_reads(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.READS)
+        for name, command in sub.choices.items():
+            offered = {flag for action in command._actions for flag in action.option_strings}
+            assert offered - {"-h", "--help", "--config"} == self.READS[name], name
+
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--seed", "3"], ["density", "--grid", "2:4:2", "--seed", "3"],
+        ["smile", "--grid", "60:80:2", "--seed", "3"], ["smile", "--grid", "60:80:2", "--tol", "1e-8"],
+        ["sample", "--tol", "1e-8"], ["validate", "--out", "x.txt"],
+    ])
+    def test_unread_flag_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--config", REFERENCE_KOU])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestGridParsing:
     def test_linear(self):
         grid = cli.parse_grid("1:5:5")
@@ -157,6 +191,54 @@ class TestDensityCommand:
         rows = cli.cmd_density(config, np.array([math.exp(13.0)]))
         assert rows[1][2] == "" and rows[1][3] == ""
         assert rows[1][1] != ""
+
+    def test_rows_between_one_and_the_spot_keep_their_asymptote(self, tmp_path):
+        # the wing records are functions of log x, so the large-wing record
+        # gives every row above 1, also the rows below the spot x0 = 2
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["heston"]["x0"] = 2.0
+        config = cli.load_config(write_config(tmp_path, payload))
+        grid = np.array([0.5, 1.2, 1.5, 1.9, 2.5])
+        rows = cli.cmd_density(config, grid)
+        for x, row in zip(grid, rows[1:]):
+            record = mixed.mixed_asymptote(config.model, WING_LARGE if x > 1.0 else WING_SMALL)
+            assert row[1] == repr(record.value(x)) and row[4] == repr(record.error_bound_scale(x))
+
+
+class TestNearDegenerateConfigs:
+    # eta1 next to the diffusion's s_plus: the wing stays classified (the
+    # exponent gap is far above DEGENERACY_RTOL), but the prefactor moment
+    # nears its pole and passes the double range for the closer offsets
+    @pytest.mark.parametrize("offset", [1e-2, -1e-2, 1e-3, -1e-3, 1e-4, -1e-4, 1e-6, -1e-6])
+    def test_commands_exit_zero_and_name_the_order(self, tmp_path, capsys, offset):
+        s_plus = heston.critical_moments(cli.load_config(REFERENCE_KOU).model.heston).s_plus
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["kou"]["eta1"] = s_plus + offset
+        config = write_config(tmp_path, payload)
+        report_path = str(tmp_path / "report.json")
+        assert cli.main(["constants", "--config", config, "--out", report_path]) == 0
+        with open(report_path) as fh:
+            report = json.load(fh)
+        assert "error" not in report["small_wing_asymptote"]
+        large = report["large_wing_asymptote"]
+        # the moment of order s_plus of the jump factor, or of order eta1 of the diffusion
+        overflows = abs(offset) < 1e-2
+        assert ("error" in large) == overflows
+        if overflows:
+            order = re.search(r"moment of order (\S+) overflows", large["error"]).group(1)
+            assert float(order) in (s_plus, s_plus + offset)
+        capsys.readouterr()
+        assert cli.main(["density", "--config", config, "--grid", "2:400:5log"]) == 0
+        out, err = capsys.readouterr()
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert err == "" and len(rows) == 5
+        assert all((row[1] == "") == overflows and row[2] != "" for row in rows)
+        assert cli.main(["smile", "--config", config, "--grid", "60:25000:5log"]) == 0
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if overflows:
+            assert all(row.endswith(",,,,") for row in out.splitlines()[1:])
+            assert len(err.splitlines()) == 5 and all("moment of order" in line for line in err.splitlines())
 
 
 class TestSmileCommand:
@@ -229,6 +311,36 @@ class TestMainEntry:
             payload = json.load(fh)
         assert payload["n_paths"] == 20000
         assert abs(payload["martingale_z"]) < 5.0
+
+    def test_sample_martingale_z_rejects_shifted_drifts(self):
+        # the capped-mean z-score: the martingale drift passes at 200k paths,
+        # and the drift shifted by -0.01 or +0.01 fails
+        base = cli.load_config(REFERENCE_KOU)
+        hp = base.model.heston
+        z = {}
+        for d in (-0.01, 0.0, 0.01):
+            model = MixedModel(heston=dataclasses.replace(hp, mu=hp.mu + d), jumps=base.model.jumps)
+            z[d] = cli.cmd_sample(dataclasses.replace(base, model=model), 200_000, 200)["martingale_z"]
+        assert abs(z[0.0]) <= 3.0
+        assert abs(z[-0.01]) > 3.0 and abs(z[0.01]) > 3.0
+
+    @pytest.mark.parametrize("law, mu, paths", [
+        ({"model": "heston+nig", "nig": {"alpha": 0.8, "delta": 1.0}}, 0.0, "2000"),
+        ({"model": "heston"}, 5.0, "2"),
+    ], ids=["no_mean", "all_capped"])
+    def test_sample_martingale_z_null(self, tmp_path, law, mu, paths):
+        # NIG alpha < 1 has no moment of order 1, so there is no martingale to
+        # test; with mu = 5 both draws lie above the cap 2 x0, so the capped
+        # mean has no standard error
+        payload = json.loads(json.dumps(dict(BASE_CONFIG, **law)))
+        payload["heston"]["mu"] = mu
+        out = str(tmp_path / "sample.json")
+        code = cli.main(["sample", "--config", write_config(tmp_path, payload), "--out", out,
+                         "--paths", paths, "--steps", "60"])
+        assert code == 0
+        with open(out) as fh:
+            payload = json.load(fh)
+        assert payload["martingale_z"] is None and payload["n_paths"] == int(paths)
 
     @pytest.mark.parametrize("paths", ["-5", "0", "1"])
     def test_sample_too_few_paths_exit_one(self, paths, capsys):

@@ -121,7 +121,7 @@ class TestTableCache:
         # coefficient computation (~50 ms per table)
         cache = type(kou._TABLE_CACHE)(kou._TABLE_CACHE.maxsize)
         monkeypatch.setattr(kou, "_TABLE_CACHE", cache)
-        monkeypatch.setattr(kou, "coefficients", lambda params, k_max, tol: SimpleNamespace(truncation_k=k_max))
+        monkeypatch.setattr(kou, "coefficients", lambda params, k_max: SimpleNamespace(truncation_k=k_max))
         return cache
 
     def test_bounded_like_the_heston_caches(self, fresh_cache):
