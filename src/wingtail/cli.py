@@ -58,9 +58,19 @@ def _number(value, field: str) -> float:
         number = float(value)
     except (TypeError, ValueError):
         raise WingtailError(f"config error: {field} must be a number, got {value!r}") from None
+    except OverflowError:  # an integer past the double range
+        number = math.inf
     if not math.isfinite(number):
         raise WingtailError(f"config error: {field} must be finite, got {value!r}")
     return number
+
+
+def _seed(value, field: str) -> int:
+    """A non-negative whole seed from a config value or flag; the error names the field."""
+    number = _number(value, field)
+    if number < 0 or not number.is_integer():
+        raise WingtailError(f"config error: {field} must be a non-negative integer, got {value!r}")
+    return int(value) if isinstance(value, int) else int(number)  # exact past 2**53
 
 
 def _field(mapping: dict, key: str, where: str) -> float:
@@ -96,7 +106,7 @@ def load_config(path: str, seed_override: int | None = None, tol_override: float
         t=t,
     )
     model = MixedModel(heston=hp, jumps=jumps)
-    seed = int(_number(raw.get("seed", 12345), "config.seed")) if seed_override is None else int(seed_override)
+    seed = _seed(raw.get("seed", 12345), "config.seed") if seed_override is None else _seed(seed_override, "--seed")
     tdict = raw.get("tolerances", {})
     tol = Tolerance(
         rel=_number(tdict.get("rel", 1e-10), "tolerances.rel") if tol_override is None

@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -338,6 +339,9 @@ class RngStream:
     """Reproducible uniform stream with index-derived independent sub-streams."""
 
     def __init__(self, seed: int, _spawn_key: tuple = ()):
+        whole = isinstance(seed, numbers.Integral) or (isinstance(seed, float) and seed.is_integer())
+        if not whole or seed < 0:
+            raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
         self._spawn_key = tuple(_spawn_key)
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self._spawn_key)

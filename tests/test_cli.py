@@ -69,7 +69,7 @@ class TestConfigLoading:
         ("kou", "lam"), ("kou", "eta1"), ("kou", "eta2"), ("kou", "p"), ("kou", "q"),
         ("tolerances", "rel"), ("tolerances", "abs"),
     ])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, pytest.param(10**400, id="int_past_double")])
     def test_non_finite_field_named(self, tmp_path, capsys, path, value):
         payload = json.loads(json.dumps(dict(BASE_CONFIG, tolerances={"rel": 1e-10, "abs": 1e-13})))
         *outer, key = path
@@ -346,6 +346,18 @@ class TestMainEntry:
     def test_sample_too_few_paths_exit_one(self, paths, capsys):
         assert cli.main(["sample", "--config", REFERENCE_KOU, "--paths", paths, "--steps", "60"]) == 1
         assert "n_paths" in capsys.readouterr().err
+
+    def test_sample_negative_seed_flag_exit_one(self, capsys):
+        assert cli.main(["sample", "--config", REFERENCE_KOU, "--seed", "-1", "--paths", "20", "--steps", "60"]) == 1
+        assert "error: config error: --seed must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x"])
+    def test_bad_config_seed_exit_one(self, tmp_path, capsys, seed):
+        path = write_config(tmp_path, dict(BASE_CONFIG, seed=seed))
+        with pytest.raises(WingtailError, match="config.seed"):
+            cli.load_config(path)
+        assert cli.main(["sample", "--config", path, "--paths", "20", "--steps", "60"]) == 1
+        assert "error: config error: config.seed" in capsys.readouterr().err
 
     def test_validate_exit_codes(self, monkeypatch):
         results_pass = [acceptance.CriterionResult(1, "x", True, 0.0, "ok")]

@@ -239,3 +239,11 @@ class TestRngStream:
         root = RngStream(55)
         child = RngStream(55).substream(3)
         assert not np.array_equal(root.uniform(size=8), child.uniform(size=8))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, -2.0, math.nan, math.inf, "7"])
+    def test_bad_seed_refused_by_name(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            RngStream(seed)
+
+    def test_whole_float_seed_is_the_integer_seed(self):
+        assert np.array_equal(RngStream(3.0).uniform(size=8), RngStream(3).uniform(size=8))

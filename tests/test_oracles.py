@@ -1,5 +1,7 @@
 import cmath
 import math
+import os
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -145,6 +147,32 @@ class TestSimulatePaths:
             pows = sample**s
             se = pows.std() / math.sqrt(pows.size)
             assert abs(pows.mean() - heston.mgf(p, s)) <= 3.0 * se
+
+    @pytest.mark.parametrize("law", ["kou", "nig"])
+    def test_sample_independent_of_core_count(self, request, monkeypatch, law):
+        model = request.getfixturevalue(f"{law}_model")
+        n_paths = 3 * 2**15 + 7  # three full blocks and a partial one
+        default = oracles.simulate_paths(model, n_paths, 60, RngStream(4))
+        for cores in ({0}, {0, 1, 2, 3}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+            assert np.array_equal(oracles.simulate_paths(model, n_paths, 60, RngStream(4)), default)
+
+    def test_blocks_partition_the_sample(self, kou_model):
+        threads_before = threading.active_count()
+        callers = []
+
+        class RecordingJumps:
+            def sample_factors(self, stream, size):
+                callers.append(threading.current_thread())
+                return kou_model.jumps.sample_factors(stream, size)
+
+        model = SimpleNamespace(heston=kou_model.heston, jumps=RecordingJumps())
+        sample = oracles.simulate_paths(model, 3 * 2**15 + 7, 60, RngStream(8))
+        assert threading.active_count() == threads_before
+        # one jump draw per block, each in the calling thread
+        assert callers == [threading.current_thread()] * 4
+        assert np.array_equal(sample, oracles.simulate_paths(kou_model, 3 * 2**15 + 7, 60, RngStream(8)))
+        assert np.array_equal(sample[: 2**15], oracles.simulate_paths(kou_model, 2**15, 60, RngStream(8)))
 
     def test_step_floor_enforced(self, kou_model):
         with pytest.raises(DomainError):
