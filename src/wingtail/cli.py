@@ -305,11 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("constants", "critical moments, wing constants, regimes, coefficients (JSON)"),
         ("density", "density asymptote vs Fourier oracle on a grid (CSV)"),
         ("smile", "implied-vol expansion vs asymptotic-price inversion on a strike grid (CSV)"),
-        ("validate", "run the acceptance suite; exit 0 only if every criterion passes"),
+        ("validate", "run the acceptance suite on its fixed acceptance models; of --config it reads only "
+                     "the seed and the tolerance; exit 0 only if every criterion passes"),
         ("sample", "Monte Carlo terminal-price sample summary (JSON)"),
     ):
         # each subcommand offers the flags its command reads, and no others
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", required=True, help="path to the JSON model config")
         if name != "validate":
             p.add_argument("--out", default=None, help="output path (default: stdout)")

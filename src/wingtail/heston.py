@@ -239,24 +239,27 @@ def log_mgf(params: HestonParams, z):
     drift = z * (math.log(params.x0) + params.mu * t)
     bb = b - rho * c * z  # = -beta(z)
     d2 = bb * bb + c * c * (z - z * z)
-    d = xp.sqrt(d2)
-    d = xp.where(d.real < 0, -d, d)
+    d = xp.sqrt(d2)  # the principal root, Re(d) >= 0
     c2 = c * c
     near_root = abs(d) * t < 2e-3
-    if xp.all(near_root):
-        C, V = _near_double_root(params, z, bb, d2, xp)
-        return drift + C + V * params.y0
+    some_near = xp.any(near_root)
+    if some_near:
+        C_near, V_near = _near_double_root(params, z, bb, d2, xp)
+        if xp.all(near_root):
+            return drift + C_near + V_near * params.y0
     with xp.errstate():  # array entries at the double root give 0/0 here and are replaced below
-        g = (bb - d) / (bb + d)
+        minus = bb - d
+        g = minus / (bb + d)
         edt = xp.exp(-d * t)
         denom = 1.0 - g * edt
-        explodes = xp.where(near_root, False, denom == 0)
-        if xp.any(explodes):
-            raise MomentExplosionError(f"moment of order {_first(z, explodes)} explodes exactly at t={t}")
-        V = (bb - d) / c2 * (1.0 - edt) / denom
-        C = a / c2 * ((bb - d) * t - 2.0 * xp.log(denom / (1.0 - g)))
-    if xp.any(near_root):
-        C_near, V_near = _near_double_root(params, z, bb, d2, xp)
+        at_pole = denom == 0
+        if xp.any(at_pole):
+            explodes = xp.where(near_root, False, at_pole)
+            if xp.any(explodes):
+                raise MomentExplosionError(f"moment of order {_first(z, explodes)} explodes exactly at t={t}")
+        V = minus / c2 * (1.0 - edt) / denom
+        C = a / c2 * (minus * t - 2.0 * xp.log(denom / (1.0 - g)))
+    if some_near:
         C, V = xp.where(near_root, C_near, C), xp.where(near_root, V_near, V)
     return drift + C + V * params.y0
 

@@ -119,6 +119,14 @@ class TestParser:
             offered = {flag for action in command._actions for flag in action.option_strings}
             assert offered - {"-h", "--help", "--config"} == self.READS[name], name
 
+    def test_validate_help_says_what_it_reads(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["validate", "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "fixed acceptance models" in text
+        assert "reads only the seed and the tolerance" in text
+
     @pytest.mark.parametrize("argv", [
         ["constants", "--seed", "3"], ["density", "--grid", "2:4:2", "--seed", "3"],
         ["smile", "--grid", "60:80:2", "--seed", "3"], ["smile", "--grid", "60:80:2", "--tol", "1e-8"],

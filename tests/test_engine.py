@@ -3,6 +3,7 @@ derivatives, the saddle solve and the batched inversion, checked against
 scalar evaluation and against an independent scipy `quad` inversion."""
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,6 +48,16 @@ class TestArrayLogMoment:
             assert values.shape == z.shape and values.dtype == complex
         assert isinstance(heston.log_mgf(kou_model.heston, 0.3), complex)
 
+    def test_no_floating_point_warning_across_the_strip(self, model, ref_heston):
+        lo, hi = model.moment_strip()
+        re = np.concatenate([np.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 41), [0.0, 1.0]])
+        im = np.concatenate([[0.0, -0.0], np.geomspace(1e-8, 1e3, 40)])
+        z = re[:, None] + 1j * im
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(model.log_moment(z)))
+            assert np.all(np.isfinite(heston.log_mgf(ref_heston, np.append(z.ravel(), DOUBLE_ROOTS))))
+
     def test_strip_checked_per_element(self, kou_model, nig_model):
         with pytest.raises(MomentExplosionError, match="2.5"):
             kou.log_jump_mgf(kou_model.jumps, np.array([0.1, 0.5 + 3j, 2.5]))
@@ -77,6 +88,32 @@ class TestDoubleRoot:
         z = np.array([DOUBLE_ROOTS[0], 0.5 + 2j, DOUBLE_ROOTS[1], DOUBLE_ROOTS[0] + 1e-7j])
         array = heston.log_mgf(ref_heston, z)
         assert np.allclose(array, [heston.log_mgf(ref_heston, v) for v in z], rtol=1e-14, atol=0.0)
+
+    def test_near_root_entries_among_ordinary_ones(self, ref_heston):
+        # entries in the |d t| < 2e-3 expansion and entries of the closed form in one array
+        rng = np.random.default_rng(12)
+        ordinary = rng.uniform(-5.0, 11.0, 60) + 1j * rng.uniform(0.0, 40.0, 60)
+        near = [root + step for root in DOUBLE_ROOTS for step in (0.0, 1e-9, -1e-8, 1e-8j, 2e-8 + 1e-8j)]
+        z = np.insert(ordinary, [0, 7, 7, 19, 30, 31, 44, 52, 59, 60], near).reshape(7, 10)
+        assert np.sum(np.abs(np.sqrt((2.0 + 0.15 * z) ** 2 + 0.25 * (z - z * z)))
+                      < 2e-3) == len(near)
+        array = heston.log_mgf(ref_heston, z)
+        assert array.shape == z.shape
+        scalar = np.array([heston.log_mgf(ref_heston, v) for v in z.ravel()]).reshape(z.shape)
+        assert np.allclose(array, scalar, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("with_near_root", [False, True])
+    def test_exact_explosion_named_among_other_entries(self, with_near_root):
+        # b = 0, c = 2, rho = 0.75 at z = 2: bb = -3 and d^2 = 1 exactly, so g = 2, and at
+        # t = log 2 the closed form's denominator 1 - g e^{-d t} is exactly 0; z = 0 is a
+        # double root (d = 0) of the same quadratic
+        p = SimpleNamespace(mu=0.0, a=1.0, b=0.0, c=2.0, rho=0.75, x0=1.0, y0=0.04, t=math.log(2.0))
+        z = np.array([0.5 + 1j, 0.0, 2.0, 3.0 + 0.5j] if with_near_root else [0.5 + 1j, 2.0, 3.0 + 0.5j])
+        for argument in (z, 2.0):
+            with pytest.raises(MomentExplosionError, match=r"moment of order \(?2(\+0j\))? explodes exactly"):
+                heston.log_mgf(p, argument)
+        finite = heston.log_mgf(p, np.delete(z, np.flatnonzero(z == 2.0)))
+        assert np.all(np.isfinite(finite))
 
 
 class TestCgfDerivatives:

@@ -10,6 +10,7 @@ from wingtail.nig import NIGParams
 from wingtail.numerics import (
     RngStream,
     Tolerance,
+    complex_namespace,
     find_root,
     integrate,
     log_gamma,
@@ -53,6 +54,51 @@ class TestLogGamma:
     def test_domain(self, x):
         with pytest.raises(DomainError):
             log_gamma(x)
+
+
+EPS = np.finfo(float).eps
+# the array namespace of the complex moment functions
+XP = complex_namespace(np.zeros(1))[1]
+
+
+def quadrant_points(seed, n=4000, re_max=700.0, im_max=1e3):
+    """Random complex points in all four quadrants, |Re| up to re_max, |Im| up to im_max,
+    with both magnitudes spread over many scales."""
+    rng = np.random.default_rng(seed)
+    re = rng.choice([-1.0, 1.0], n) * re_max * 10.0 ** rng.uniform(-8, 0, n)
+    im = rng.choice([-1.0, 1.0], n) * im_max * 10.0 ** rng.uniform(-8, 0, n)
+    return (re + 1j * im).reshape(40, -1)
+
+
+class TestArrayKernels:
+    """The array namespace's exp and log, built from real ufuncs, against numpy's complex ones."""
+
+    def test_exp_matches_numpy(self):
+        w = quadrant_points(1)
+        ref = np.exp(w)
+        assert np.max(np.abs(XP.exp(w) - ref) / np.abs(ref)) <= 4 * EPS
+
+    def test_log_matches_numpy(self):
+        w = quadrant_points(2, re_max=1e3)
+        ref = np.log(w)
+        # near |w| = 1 the real part log|w| is accurate to a few eps absolute, not relative
+        assert np.max(np.abs(XP.log(w) - ref) / np.maximum(1.0, np.abs(ref))) <= 4 * EPS
+
+    @pytest.mark.parametrize("w", [800.0 + 0j, complex(800.0, -0.0), -800.0 + 0j, complex(-800.0, -0.0),
+                                   0j, complex(-0.0, -0.0), complex(-3.5, 0.0), complex(-3.5, -0.0), 1.0 + 0j])
+    @pytest.mark.parametrize("name", ["exp", "log"])
+    def test_real_axis_is_numpys(self, name, w):
+        # overflow, underflow, the signed zeros of the cut and log 0 = -inf + 0j, bit for bit
+        with np.errstate(over="ignore", divide="ignore"):
+            got, ref = getattr(XP, name)(np.array([w]))[0], getattr(np, name)(w)
+        assert (got.real, got.imag) == (ref.real, ref.imag)
+        assert (math.copysign(1.0, got.real), math.copysign(1.0, got.imag)) == (
+            math.copysign(1.0, ref.real), math.copysign(1.0, ref.imag))
+
+    def test_shape_and_type_kept(self):
+        w = quadrant_points(3)[:3, :4]
+        for fn in (XP.exp, XP.log):
+            assert fn(w).shape == w.shape and fn(w).dtype == complex
 
 
 def bessel_k1(z):

@@ -157,6 +157,18 @@ class TestSimulatePaths:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
             assert np.array_equal(oracles.simulate_paths(model, n_paths, 60, RngStream(4)), default)
 
+    @pytest.mark.parametrize("cpu_count", [3, None])
+    def test_sample_without_sched_getaffinity(self, kou_model, monkeypatch, cpu_count):
+        # os.sched_getaffinity exists on Linux only; elsewhere the worker count
+        # comes from os.cpu_count(), which may return None
+        n_paths = 2 * 2**15 + 5
+        default = oracles.simulate_paths(kou_model, n_paths, 60, RngStream(6))
+        asked = []
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: asked.append(1) or cpu_count)
+        assert np.array_equal(oracles.simulate_paths(kou_model, n_paths, 60, RngStream(6)), default)
+        assert asked
+
     def test_blocks_partition_the_sample(self, kou_model):
         threads_before = threading.active_count()
         callers = []
