@@ -9,6 +9,12 @@ mixing Poisson weights with combinatorial up/down jump decompositions. This
 module computes the exact coefficients, their closed-form approximations, the
 fractional-integral comparison functions, and the wing asymptotes of H.
 
+Each exact coefficient is a Poisson-weighted series over n of Kou's up/down
+decomposition weights P_{n,k} (Kou 2002). The table is built in one array
+pass per series window over every k and both sides at once, in blocks of
+bounded size; each k stops by its own truncation rule, and the values are
+those of summing each k alone, bit for bit.
+
 All coefficient arithmetic runs in log space: the raw coefficients decay like
 1/(k! (k+1)!) and the series are needed at arguments u = log x up to 1e4.
 """
@@ -176,87 +182,128 @@ def _log_factorial(n: int) -> np.ndarray:
 
 def pnk(n: int, k: int, params: KouJumpParams) -> float:
     """Probability weight P_{n,k} of k surviving upward exponential phases."""
-    return math.exp(_log_pnk_block(n, n, k, params.eta1, params.eta2, params.p, params.q)[0])
+    return math.exp(_log_weights(n, k, params)[0])
 
 
 def qnk(n: int, k: int, params: KouJumpParams) -> float:
     """Downward-side weight Q_{n,k}; mirror of P under (p, eta1) <-> (q, eta2)."""
-    return math.exp(_log_pnk_block(n, n, k, params.eta2, params.eta1, params.q, params.p)[0])
+    return math.exp(_log_weights(n, k, params)[1])
 
 
-def _log_pnk_block(n_lo: int, n_hi: int, K: int, eta_num: float, eta_den: float, p: float, q: float) -> np.ndarray:
-    """log P_{n,K} for all n in [n_lo, n_hi], with numpy arrays over the inner i-sum;
-    p^n at n = K. Q_{n,k} is the same sum with (eta1, p) and (eta2, q) swapped."""
-    if not 1 <= K <= n_lo:
-        raise DomainError(f"P_{{n,k}} needs 1 <= k <= n, got n={n_lo}, k={K}")
-    lf = _log_factorial(n_hi + 2)
-    ns = np.arange(n_lo, n_hi + 1)
-    width = n_hi - K  # largest i-offset + 1
-    offs = np.arange(max(width, 1))
-    nn = ns[:, None]
-    oo = offs[None, :]
-    ii = K + oo
-    valid = oo <= nn - 1 - K
-    log_ratio_up = math.log(eta_num / (eta_num + eta_den))
-    log_ratio_dn = math.log(eta_den / (eta_num + eta_den))
+def _log_weights(n: int, k: int, params: KouJumpParams) -> np.ndarray:
+    """(log P_{n,k}, log Q_{n,k}) from one two-row block."""
+    if not 1 <= k <= n:
+        raise DomainError(f"P_{{n,k}} needs 1 <= k <= n, got n={n}, k={k}")
+    return _log_pnk_rows(np.full(2, k), np.full(2, n), max(n - k, 1), _SIDES, _side_logs(params))
+
+
+# rows of `_side_logs`: 0 is the up side (P), 1 the down side (Q)
+_SIDES = np.arange(2)
+
+
+def _side_logs(params: KouJumpParams) -> np.ndarray:
+    """Columns log(eta_num/(eta1+eta2)), log(eta_den/(eta1+eta2)), log p,
+    log q, log eta_num of the up side (eta_num = eta1) and the down side, which
+    is the up side with (eta1, p) and (eta2, q) swapped."""
+    def side(eta_num, eta_den, p, q):
+        return [math.log(eta_num / (eta_num + eta_den)), math.log(eta_den / (eta_num + eta_den)),
+                math.log(p), math.log(q), math.log(eta_num)]
+    e1, e2, p, q = params.eta1, params.eta2, params.p, params.q
+    return np.array([side(e1, e2, p, q), side(e2, e1, q, p)])
+
+
+def _log_pnk_rows(K: np.ndarray, n: np.ndarray, width: int, side: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """log P_{n,K} (side 0) or log Q_{n,K} (side 1) at every element of the
+    integer arrays K, n and side, one shape, 1 <= K <= n, with the inner i-sum
+    over the offsets 0..width-1 on a new last axis; P_{K,K} = p^K. Each
+    element is the same expression, in the same order, as for one K alone."""
+    lf = _log_factorial(int(n.max()) + 2)
+    nn, KK = n[..., None], K[..., None]
+    oo = np.arange(width)
+    ii = KK + oo
+    valid = oo <= nn - 1 - KK
+    ratio_up, ratio_dn, log_p, log_q = (logs[side, c][..., None] for c in range(4))
     with np.errstate(invalid="ignore", divide="ignore"):
         terms = np.where(
             valid,
-            (lf[np.maximum(nn - K - 1, 0)] - lf[oo] - lf[np.maximum(nn - 1 - K - oo, 0)])
+            (lf[np.maximum(nn - KK - 1, 0)] - lf[oo] - lf[np.maximum(nn - 1 - KK - oo, 0)])
             + (lf[nn] - lf[ii] - lf[np.maximum(nn - ii, 0)])
-            + oo * log_ratio_up
-            + (nn - ii) * log_ratio_dn
-            + ii * math.log(p)
-            + (nn - ii) * math.log(q),
+            + oo * ratio_up
+            + (nn - ii) * ratio_dn
+            + ii * log_p
+            + (nn - ii) * log_q,
             -np.inf,
         )
-        log_p = logsumexp(terms, axis=1)
-    log_p[ns == K] = K * math.log(p)
-    return log_p
+        out = logsumexp(terms, axis=-1)
+    return np.where(n == K, K * logs[side, 2], out)
 
 
-def _log_coefficient(params: KouJumpParams, k: int, tol: Tolerance, up: bool) -> float:
-    """log a_k (up=True) or log b_k.
+# i-sum terms of the rows that one pass of `_log_coefficients` evaluates at
+# once (one row at least: 590k terms at window 768). scipy's logsumexp holds
+# about five temporaries the size of its input; at 2**15 doubles (256 KB) a
+# 64-term table at lam = 100 peaks at 1.9 MB, where unblocked rows took 121 MB,
+# and larger blocks measured no faster
+_BLOCK_TERMS = 1 << 15
 
-    The Poisson-weighted n-series is summed in blocks of numpy arrays until the
-    last term is below tol.rel of the partial sum with the terms decreasing
-    for at least three consecutive n (the weights decay factorially, so the
-    rule is reached quickly).
+
+def _log_coefficients(params: KouJumpParams, k_max: int, tol: Tolerance) -> np.ndarray:
+    """log a_k at row 2k and log b_k at row 2k + 1, for every k <= k_max (in
+    this order the first unsettled row is the first k the error must name).
+
+    Each coefficient is its Poisson-weighted n-series over the window
+    n = K..K+size, K = k + 1: one row of terms. A pass builds and sums the rows
+    of every unsettled coefficient together, in blocks of at most
+    _BLOCK_TERMS i-sum terms. A row has settled when its last four terms
+    decrease and its last term is below tol.rel of its sum (the weights decay
+    factorially, so the rule is reached quickly); the rows that have not go
+    on to the next pass with the window doubled, up to 768 terms. Each row
+    sums exactly the terms the one-k-at-a-time series summed, so every value
+    is that series' value bit for bit.
     """
+    logs = _side_logs(params)
     lam_t = params.lam * params.t
-    if up:
-        eta_num, eta_den, p, q = params.eta1, params.eta2, params.p, params.q
-    else:
-        eta_num, eta_den, p, q = params.eta2, params.eta1, params.q, params.p
-    K = k + 1
-    log_front = K * math.log(eta_num) - _log_factorial(k + 2)[k]
-
+    ks = np.repeat(np.arange(k_max + 1), 2)
+    side = np.tile(_SIDES, k_max + 1)
+    K = ks + 1
+    total = np.empty(ks.size)
+    pending = np.arange(ks.size)
     size = 24
-    while size <= 768:
-        n_hi = K + size
-        lf = _log_factorial(n_hi + 2)
-        ns = np.arange(K, n_hi + 1)
-        log_pi = -lam_t + ns * math.log(lam_t) - lf[ns]
-        log_terms = log_pi + _log_pnk_block(K, n_hi, K, eta_num, eta_den, p, q)
-        total = float(logsumexp(log_terms))
-        decreasing = np.all(np.diff(log_terms[-4:]) < 0.0)
-        if decreasing and log_terms[-1] < total + math.log(tol.rel):
-            return float(log_front + total)
+    while pending.size and size <= 768:
+        offsets = np.arange(size + 1)
+        rows_per_block = max(1, _BLOCK_TERMS // ((size + 1) * size))
+        unsettled = []
+        for start in range(0, pending.size, rows_per_block):
+            rows = pending[start:start + rows_per_block]
+            ns = K[rows, None] + offsets
+            lf = _log_factorial(int(ns[-1, -1]) + 2)
+            log_pi = -lam_t + ns * math.log(lam_t) - lf[ns]
+            log_terms = log_pi + _log_pnk_rows(K[rows, None], ns, size, side[rows, None], logs)
+            sums = logsumexp(log_terms, axis=-1)
+            decreasing = np.all(np.diff(log_terms[:, -4:]) < 0.0, axis=-1)
+            settled = decreasing & (log_terms[:, -1] < sums + math.log(tol.rel))
+            total[rows[settled]] = sums[settled]
+            unsettled.append(rows[~settled])
+        pending = np.concatenate(unsettled)
         size *= 2
-    raise ConvergenceError(f"coefficient n-series did not settle for k={k}")
+    if pending.size:
+        raise ConvergenceError(f"coefficient n-series did not settle for k={ks[pending[0]]}")
+    return K * logs[side, 4] - _log_factorial(k_max + 2)[ks] + total
 
 
 def coefficients(params: KouJumpParams, k_max: int, tol: Tolerance = DEFAULT_TOL) -> CoefficientTable:
-    """Exact a_k, b_k for k <= k_max plus hat/d/l approximation sequences."""
-    if k_max < 0:
-        raise DomainError(f"k_max must be >= 0, got {k_max}")
+    """Exact a_k, b_k for k <= k_max plus hat/d/l approximation sequences.
+
+    The exact coefficients come from one array pass per window size over
+    every k and both sides (`_log_coefficients`). Each k stops by its own
+    rule, and ConvergenceError names the first k that has not settled at the
+    largest window. k_max must be an integer (Python or numpy, not bool).
+    """
+    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or k_max < 0:
+        raise DomainError(f"k_max must be an integer >= 0, got {k_max!r}")
     ks = np.arange(k_max + 1)
     lf = _log_factorial(k_max + 4)
-    log_a = np.empty(k_max + 1)
-    log_b = np.empty(k_max + 1)
-    for k in ks:
-        log_a[k] = _log_coefficient(params, int(k), tol, up=True)
-        log_b[k] = _log_coefficient(params, int(k), tol, up=False)
+    log_ab = _log_coefficients(params, k_max, tol)
+    log_a, log_b = log_ab[0::2].copy(), log_ab[1::2].copy()
 
     log_a_hat = params._up_exp_shift() + (ks + 1) * math.log(params.b1_jump) - lf[ks] - lf[ks + 1]
     log_b_hat = params._down_exp_shift() + (ks + 1) * math.log(params.b2_jump) - lf[ks] - lf[ks + 1]

@@ -1,21 +1,123 @@
 import math
+import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln, logsumexp
 
 from wingtail import kou
-from wingtail.errors import DomainError, MomentExplosionError
+from wingtail.errors import ConvergenceError, DomainError, MomentExplosionError
 from wingtail.kou import KouJumpParams
 from wingtail.mellin import WING_LARGE, WING_SMALL
-from wingtail.numerics import RngStream
+from wingtail.numerics import DEFAULT_TOL, RngStream, Tolerance
 
 
 def variant(**kwargs):
     base = dict(lam=1.0, eta1=2.0, eta2=1.0, p=0.5, q=0.5, t=1.0)
     base.update(kwargs)
     return KouJumpParams(**base)
+
+
+# The per-k algorithm that `kou.coefficients` replaced: one n-series per k and
+# side, each with its own block of P_{n,k} and its own logsumexp calls. The
+# one-pass table must reproduce it bit for bit.
+def _ref_log_factorial(n):
+    return gammaln(np.arange(n + 1).astype(float) + 1.0)
+
+
+def _ref_log_pnk_block(n_lo, n_hi, K, eta_num, eta_den, p, q):
+    """log P_{n,K} for all n in [n_lo, n_hi], one n at a time."""
+    if not 1 <= K <= n_lo:
+        raise DomainError(f"P_{{n,k}} needs 1 <= k <= n, got n={n_lo}, k={K}")
+    lf = _ref_log_factorial(n_hi + 2)
+    ns = np.arange(n_lo, n_hi + 1)
+    width = n_hi - K  # largest i-offset + 1
+    offs = np.arange(max(width, 1))
+    nn = ns[:, None]
+    oo = offs[None, :]
+    ii = K + oo
+    valid = oo <= nn - 1 - K
+    log_ratio_up = math.log(eta_num / (eta_num + eta_den))
+    log_ratio_dn = math.log(eta_den / (eta_num + eta_den))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        terms = np.where(
+            valid,
+            (lf[np.maximum(nn - K - 1, 0)] - lf[oo] - lf[np.maximum(nn - 1 - K - oo, 0)])
+            + (lf[nn] - lf[ii] - lf[np.maximum(nn - ii, 0)])
+            + oo * log_ratio_up
+            + (nn - ii) * log_ratio_dn
+            + ii * math.log(p)
+            + (nn - ii) * math.log(q),
+            -np.inf,
+        )
+        log_p = logsumexp(terms, axis=1)
+    log_p[ns == K] = K * math.log(p)
+    return log_p
+
+
+def _ref_log_coefficient(params, k, tol, up):
+    """(log a_k or log b_k, the window it settled at)"""
+    lam_t = params.lam * params.t
+    if up:
+        eta_num, eta_den, p, q = params.eta1, params.eta2, params.p, params.q
+    else:
+        eta_num, eta_den, p, q = params.eta2, params.eta1, params.q, params.p
+    K = k + 1
+    log_front = K * math.log(eta_num) - _ref_log_factorial(k + 2)[k]
+    size = 24
+    while size <= 768:
+        n_hi = K + size
+        lf = _ref_log_factorial(n_hi + 2)
+        ns = np.arange(K, n_hi + 1)
+        log_pi = -lam_t + ns * math.log(lam_t) - lf[ns]
+        log_terms = log_pi + _ref_log_pnk_block(K, n_hi, K, eta_num, eta_den, p, q)
+        total = float(logsumexp(log_terms))
+        decreasing = np.all(np.diff(log_terms[-4:]) < 0.0)
+        if decreasing and log_terms[-1] < total + math.log(tol.rel):
+            return float(log_front + total), size
+        size *= 2
+    raise ConvergenceError(f"coefficient n-series did not settle for k={k}")
+
+
+def _ref_table(params, k_max, tol):
+    """log a, log b and the window each k settled at, one k at a time."""
+    up = [_ref_log_coefficient(params, k, tol, True) for k in range(k_max + 1)]
+    down = [_ref_log_coefficient(params, k, tol, False) for k in range(k_max + 1)]
+    return (np.array([v for v, _ in up]), np.array([v for v, _ in down]),
+            np.array([[w for _, w in up], [w for _, w in down]]))
+
+
+# the Kou box of the param-sweep benchmark workload
+KOU_BOX = dict(lam=(0.5, 1.5), eta1=(2.0, 6.0), eta2=(1.0, 4.0), p=(0.3, 0.7))
+
+
+def _box_sample(count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        d = {key: float(rng.uniform(lo, hi)) for key, (lo, hi) in KOU_BOX.items()}
+        out.append(variant(q=1.0 - d["p"], **d))
+    return out
+
+
+BIT_SETS = [variant()] + _box_sample(4, seed=2024)
+RELS = sorted({1e-10, DEFAULT_TOL.rel, 1e-12})
+K_MAXES = (0, 1, 19, 64)
+
+
+def _assert_bit_identical(params, rel, k_top):
+    """Every table up to k_top matches the per-k reference bit for bit; the
+    windows the reference settled at are returned."""
+    tol = Tolerance(rel=rel)
+    ref_a, ref_b, windows = _ref_table(params, k_top, tol)
+    for k_max in (k for k in K_MAXES if k <= k_top):
+        tab = kou.coefficients(params, k_max, tol)
+        assert np.array_equal(tab.log_a, ref_a[:k_max + 1]), (params, rel, k_max)
+        assert np.array_equal(tab.log_b, ref_b[:k_max + 1]), (params, rel, k_max)
+    return windows
 
 
 class TestParams:
@@ -112,6 +214,68 @@ class TestCoefficients:
         assert ref_kou.b1_jump == pytest.approx(1.0)
         assert ref_kou.b2_jump == pytest.approx(0.5)
         assert ref_kou.c1_jump == pytest.approx(1.0 / (2 * math.pi) * math.exp(0.5 / 3.0 - 1.0))
+
+
+class TestOnePassTable:
+    # the reference stops per k, so a table to k_max is the prefix of the
+    # reference to 64 at every k_max
+
+    @pytest.mark.parametrize("rel", RELS)
+    @pytest.mark.parametrize("index", range(len(BIT_SETS)))
+    def test_bit_identical_to_per_k_reference(self, index, rel):
+        _assert_bit_identical(BIT_SETS[index], rel, 64)
+
+    @pytest.mark.parametrize("rel", RELS)
+    def test_rows_settling_in_different_passes(self, rel):
+        # at rel 1e-12, k = 0, 1, 2 need the 48-term window on both sides and
+        # the other 17 k settle at 24
+        windows = _assert_bit_identical(variant(lam=5.0), rel, 19)
+        expected = np.where(np.arange(20) < 3, 48, 24) if rel == 1e-12 else np.full(20, 24)
+        assert np.array_equal(windows, [expected, expected])
+
+    @pytest.mark.parametrize("rel", RELS)
+    def test_window_schedule(self, rel):
+        # at lam = 16 the terms past the window a k settles at still move the
+        # last bits of its sum, so any other window schedule changes the table
+        _assert_bit_identical(variant(lam=16.0), rel, 19)
+
+    def test_four_passes(self):
+        windows = _assert_bit_identical(variant(lam=100.0), DEFAULT_TOL.rel, 19)
+        assert np.all(windows == 192)
+
+    def test_unsettled_series_named(self):
+        with pytest.raises(ConvergenceError, match=r"for k=0$"):
+            kou.coefficients(variant(lam=1000.0), 2)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (5, 3), (30, 7), (40, 40), (60, 1)])
+    def test_weights_match_reference(self, ref_kou, n, k):
+        e1, e2, p, q = ref_kou.eta1, ref_kou.eta2, ref_kou.p, ref_kou.q
+        assert kou.pnk(n, k, ref_kou) == math.exp(_ref_log_pnk_block(n, n, k, e1, e2, p, q)[0])
+        assert kou.qnk(n, k, ref_kou) == math.exp(_ref_log_pnk_block(n, n, k, e2, e1, q, p)[0])
+
+    def test_memory_and_time_bounded(self):
+        # 65 k at windows 24 to 192 on both sides: unblocked, the i-sum terms
+        # of one pass alone take 130 * 193 * 192 doubles (39 MB)
+        params = variant(lam=100.0)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            kou.coefficients(params, 64)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+        assert elapsed < 1.7
+
+    @pytest.mark.parametrize("k_max", [2.5, 3.0, math.nan, math.inf, True, False, -1, np.int64(-2), "3", None])
+    def test_bad_k_max_refused_by_name(self, ref_kou, k_max):
+        with pytest.raises(DomainError, match="k_max"):
+            kou.coefficients(ref_kou, k_max)
+
+    def test_numpy_integer_k_max(self, ref_kou):
+        tab = kou.coefficients(ref_kou, np.int64(3))
+        assert np.array_equal(tab.log_a, kou.coefficients(ref_kou, 3).log_a)
 
 
 class TestTableCache:
