@@ -152,24 +152,27 @@ class TailAsymptote:
 
 
 def _two_sided(integrand, ends, width: float, min_windows: int, tol: Tolerance, what: str) -> float:
-    """Integral of integrand(v) over the real line, with window edges at both `ends`.
+    """Integral of integrand(v) over the real line, with panel edges on the lattice width * Z and at both `ends`.
 
-    The span between the two ends (none when they coincide) is one call of
-    the integrator on panels of about `width`. The two directions outward
-    from the ends are the two points of one window sweep, in windows of
-    `width` (one window per direction in each call of the integrator); a
-    direction may stop only once it reaches |v| > (min_windows - 1/2) * width.
+    The span from the last lattice point at or below the ends to the first at
+    or above them (none when both are that one lattice point) is one call of
+    the integrator, on its lattice panels split at the ends. The two
+    directions outward from the span are the two points of one window sweep,
+    in windows of `width` (one window per direction in each call of the
+    integrator); a direction may stop only once it reaches |v| > (min_windows
+    - 1/2) * width. So every panel but the two beside an end that is off the
+    lattice is the same for all ends.
     """
-    lo, hi = min(ends), max(ends)
-    edges = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / width)) + 1)
-    middle, _ = integrate(lambda v, _: integrand(v), edges[:-1], edges[1:], tol)
-    start, sign = np.array([hi, lo]), np.array([1.0, -1.0])
+    lo, hi = math.floor(min(ends) / width), math.ceil(max(ends) / width)
+    edges = np.union1d(np.arange(lo, hi + 1) * width, ends)
+    middle = integrate(lambda v, _: integrand(v), edges[:-1], edges[1:], tol)[0].sum() if edges.size > 1 else 0.0
+    start, sign = np.array([hi, lo]) * width, np.array([1.0, -1.0])
     # the half window keeps the summed octave edges of the transform off the stop position
     stop_at = np.maximum((min_windows - 0.5) * width - np.abs(start), 0.0)
     totals = window_sweep(lambda u, point: integrand(start[point, None] + sign[point, None] * u), np.full(2, width),
                           stop_at, tol, lambda i: f"{what}, v {'><'[i]} {start[i]:.6g}",
                           growth=1.0, stop_run=2, per_call=1)
-    return float(middle.sum() + totals[0] + totals[1])
+    return float(middle + totals[0] + totals[1])
 
 
 TRANSFORM_TOL = Tolerance(rel=1e-11, abs=1e-14)
@@ -187,17 +190,21 @@ def mellin_transform(U, z: float) -> float:
 
 
 def mellin_convolve(f, g, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """(f * g)(x) = integral_0^inf f(x/t) g(t) dt/t, in v = log t over unit windows.
+    """(f * g)(x) = integral_0^inf f(x/t) g(t) dt/t, in v = log t on unit panels.
 
     f and g take and return numpy arrays (the jump laws' `price_density`
-    does), and each may jump at 1: window edges sit at t = 1 and t = x. Any
-    other jump must fall on a point that bisecting a window reaches, or the
-    integrator raises ConvergenceError. The span between log t = 0 and
-    log x, where the integrand's mass lies for factors concentrated near 1,
-    is integrated whole; the sweep outward runs to |log t| > 23.5 at least.
+    does), and each may jump at 1: panel edges sit at t = 1 and t = x. Any
+    other jump must fall on a point that bisecting a panel reaches, or the
+    integrator raises ConvergenceError. The panels lie on the integer lattice
+    of v, with log x as one extra edge: the span between the lattice points
+    around 0 and log x, where the integrand's mass lies for factors
+    concentrated near 1, is integrated in one call, and the sweep outward
+    from it runs to |log t| > 23.5 at least. Only the two panels beside an
+    off-lattice log x place g's nodes differently for another x, so a g that
+    remembers its values is evaluated at few new nodes per x.
     """
-    if not x > 0:
-        raise DomainError(f"mellin_convolve requires x > 0, got {x}")
+    if not (math.isfinite(x) and x > 0):
+        raise DomainError(f"mellin_convolve requires finite x > 0, got {x}")
     return _two_sided(lambda v: f(x / np.exp(v)) * g(np.exp(v)), (0.0, math.log(x)), 1.0, 24, tol,
                       f"Mellin convolution at x={x}")
 

@@ -7,7 +7,11 @@ tail there, with equality of exponents a refused degenerate case.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import heston as _heston
 from .errors import DegenerateRegimeError, DomainError
@@ -174,22 +178,61 @@ def mixed_asymptote(model: MixedModel, wing: str) -> TailAsymptote:
 
 DENSITY_TOL = Tolerance(rel=1e-8, abs=1e-14)
 
+# The diffusion density at convolution nodes t, by Heston part: mellin_convolve
+# puts all but about 42 nodes of a point on panels that are the same for every
+# x, so each part is inverted about once per node. At most MEMO_MODELS parts
+# are kept, the least recently used dropped first, and at most MEMO_NODES
+# nodes per part: a part's memo is emptied before it would grow past that, and
+# keeps nothing of a call with more new nodes. A full part holds about 1.5 MB
+# (float keys and values in a dict), so the memo stays below about 6 MB. A
+# value never depends on the memo's state: the inversion of a point does not
+# depend on the other points of its batch. One lock guards the memo and is
+# held through an inversion, so threads on one part invert each node once.
+MEMO_MODELS = 4
+MEMO_NODES = 2**13
+_DIFFUSION_MEMO: OrderedDict[HestonParams, dict[float, float]] = OrderedDict()
+_MEMO_LOCK = threading.Lock()
+
+
+def _diffusion_density(heston: HestonParams):
+    """The density of the pure diffusion model on `heston` as an array callable read through its memo."""
+    from . import oracles  # local import: oracles depends on this module
+
+    with _MEMO_LOCK:
+        memo = _DIFFUSION_MEMO.pop(heston, {})
+        _DIFFUSION_MEMO[heston] = memo
+        if len(_DIFFUSION_MEMO) > MEMO_MODELS:
+            _DIFFUSION_MEMO.popitem(last=False)
+    pure = MixedModel(heston=heston)
+
+    def density(t: np.ndarray) -> np.ndarray:
+        keys = t.ravel().tolist()
+        with _MEMO_LOCK:
+            new = sorted(set(keys).difference(memo))
+            fresh = dict(zip(new, oracles.density_fourier(pure, np.array(new)).tolist())) if new else {}
+            values = np.array([memo[y] if y in memo else fresh[y] for y in keys]).reshape(t.shape)
+            if len(memo) + len(fresh) > MEMO_NODES:
+                memo.clear()
+            if len(fresh) <= MEMO_NODES:
+                memo.update(fresh)
+        return values
+
+    return density
+
 
 def mixed_density(model: MixedModel, x: float) -> float:
     """Exact mixed density by quadrature composition (oracle grade, not asymptote).
 
-    The multiplicative convolution, to DENSITY_TOL, of the diffusion density (Fourier
-    inverted) with the jump price density, plus the atom-weighted diffusion
-    density when the jump law has an atom at 1 (Kou).
+    The multiplicative convolution, to DENSITY_TOL, of the diffusion density
+    (Fourier inverted, through the memo of its Heston part) with the jump
+    price density, plus the atom-weighted diffusion density when the jump
+    law has an atom at 1 (Kou).
     """
-    from . import oracles  # local import: oracles depends on this module
-
-    if not x > 0:
-        raise DomainError(f"mixed_density requires x > 0, got {x}")
-    pure = MixedModel(heston=model.heston, jumps=None)
-    d1 = lambda y: oracles.density_fourier(pure, y)
-    if model.jumps is None:
-        return d1(x)
+    if not (math.isfinite(x) and x > 0):
+        raise DomainError(f"mixed_density requires finite x > 0, got {x}")
+    diffusion = _diffusion_density(model.heston)
     jumps = model.jumps
-    conv = mellin_convolve(jumps.price_density, d1, x, DENSITY_TOL)
-    return jumps.atom_mass * d1(x) + conv if jumps.atom_mass else conv
+    if jumps is None:
+        return float(diffusion(np.array([x]))[0])
+    conv = mellin_convolve(jumps.price_density, diffusion, x, DENSITY_TOL)
+    return jumps.atom_mass * float(diffusion(np.array([x]))[0]) + conv if jumps.atom_mass else conv

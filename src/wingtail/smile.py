@@ -85,10 +85,10 @@ def _mills_difference(z1: float, delta: float) -> float:
 def bs_log_call(k: float, T: float, sigma: float) -> float:
     """log(C/x0) of the Black-Scholes call at log-moneyness k = log(K/x0),
     stable for far out-of-the-money wings."""
-    if not (math.isfinite(k) and T > 0):
-        raise DomainError(f"need a finite k and T > 0, got {k}, {T}")
-    if not sigma > 0:
-        raise DomainError(f"bs_log_call needs sigma > 0, got {sigma}")
+    if not (math.isfinite(k) and math.isfinite(T) and T > 0):
+        raise DomainError(f"need a finite k and a finite T > 0, got {k}, {T}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise DomainError(f"bs_log_call needs a finite sigma > 0, got {sigma}")
     srt = sigma * math.sqrt(T)
     d1 = (-k + 0.5 * srt * srt) / srt
     d2 = d1 - srt
@@ -110,8 +110,10 @@ _INVERSION_TOL = Tolerance(rel=1e-15, abs=1e-14, max_iter=200)
 def bs_implied_vol_from_log(log_price: float, k: float, T: float) -> float:
     """Implied volatility of the log price log(C/x0) at log-moneyness k;
     bracketed, bisection-safe inversion."""
-    if not (math.isfinite(k) and T > 0):
-        raise DomainError(f"need a finite k and T > 0, got {k}, {T}")
+    if not (math.isfinite(k) and math.isfinite(T) and T > 0):
+        raise DomainError(f"need a finite k and a finite T > 0, got {k}, {T}")
+    if not math.isfinite(log_price):
+        raise DomainError(f"bs_implied_vol_from_log needs a finite log_price, got {log_price}")
     if log_price >= 0.0:
         raise InversionError(f"price {math.exp(log_price):.6g} x0 at or above the spot bound")
     if k < 0.0 and log_price <= math.log(-math.expm1(k)):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import k0
 
-from wingtail import kou
+from wingtail import kou, mellin, numerics
 from wingtail.errors import DivergenceError, DomainError
 from wingtail.mellin import (
     AT_INFINITY,
@@ -180,6 +180,38 @@ class TestConvolve:
     def test_commutativity(self):
         f, g = lognormal(0.2, 0.5), lognormal(-0.1, 0.3)
         assert mellin_convolve(f, g, 1.7) == pytest.approx(mellin_convolve(g, f, 1.7), rel=1e-9)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan, 0.0, -1.0])
+    def test_refuses_x_outside_the_domain(self, x):
+        with pytest.raises(DomainError, match=f"requires finite x > 0, got {x}"):
+            mellin_convolve(uniform01, uniform01, x)
+
+    @pytest.mark.parametrize("log_x, edges, starts", [
+        (2.37, [0.0, 1.0, 2.0, 2.37, 3.0], (3.0, 0.0)),
+        (-1.18, [-2.0, -1.18, -1.0, 0.0], (0.0, -2.0)),
+        (2.0, [0.0, 1.0, 2.0], (2.0, 0.0)),
+        (1e-12, [0.0, 1e-12, 1.0], (1.0, 0.0)),
+        (0.0, None, (0.0, 0.0)),
+    ])
+    def test_panels_lie_on_the_lattice(self, monkeypatch, log_x, edges, starts):
+        # the span is split at the integers and at log x, and the sweeps start
+        # from the integers around it
+        spans, names = [], []
+
+        def recording_integrate(f, a, b, tol):
+            spans.append(np.append(a, b[-1]).tolist())
+            return numerics.integrate(f, a, b, tol)
+
+        def recording_sweep(integrand, first, stop_at, tol, what, **kw):
+            names.extend([what(0), what(1)])
+            return numerics.window_sweep(integrand, first, stop_at, tol, what, **kw)
+
+        monkeypatch.setattr(mellin, "integrate", recording_integrate)
+        monkeypatch.setattr(mellin, "window_sweep", recording_sweep)
+        x = math.exp(log_x)
+        mellin_convolve(lognormal(0.2, 0.5), lognormal(-0.4, 0.8), x)
+        assert spans == ([] if edges is None else [[math.log(x) if v == log_x else v for v in edges]])
+        assert [name.split(", ")[-1] for name in names] == [f"v > {starts[0]:.6g}", f"v < {starts[1]:.6g}"]
 
 
 class TestAsymptoteTransfer:

@@ -1,5 +1,8 @@
+import dataclasses
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -223,6 +226,102 @@ class TestMixedDensity:
         stat = float(((counts[mask] - expected[mask]) ** 2 / expected[mask]).sum())
         p_value = chi2.sf(stat, int(mask.sum() - 1))
         assert p_value > 0.001
+
+
+class TestDiffusionMemo:
+    """mixed_density reads the diffusion density through a bounded memo per Heston part."""
+
+    @pytest.fixture(params=["kou", "nig"])
+    def model(self, request, kou_model, nig_model):
+        return kou_model if request.param == "kou" else nig_model
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan, 0.0, -2.0])
+    def test_refuses_x_outside_the_domain(self, model, x):
+        with pytest.raises(DomainError, match=f"requires finite x > 0, got {x}"):
+            mixed.mixed_density(model, x)
+
+    def test_values_do_not_depend_on_memo_state_or_order(self, model):
+        xs = [math.exp(v) for v in (-3.3, -1.0, -0.2, 0.0, 0.45, 1.5, 2.0 + 1e-12, 4.2)]
+        mixed._DIFFUSION_MEMO.clear()
+        forward = [mixed.mixed_density(model, x) for x in xs]
+        mixed._DIFFUSION_MEMO.clear()
+        backward = [mixed.mixed_density(model, x) for x in reversed(xs)]
+        assert forward == backward[::-1]
+
+    def test_second_point_inverts_few_diffusion_points(self, model, monkeypatch):
+        counts = []
+        fourier = oracles.density_fourier
+
+        def counting(m, x, tol=None):
+            counts.append(np.size(x))
+            return fourier(m, x, tol)
+
+        mixed._DIFFUSION_MEMO.clear()
+        monkeypatch.setattr(oracles, "density_fourier", counting)
+        mixed.mixed_density(model, math.exp(1.37))
+        first, counts[:] = sum(counts), []
+        mixed.mixed_density(model, math.exp(-0.61))
+        assert first > 500
+        assert sum(counts) <= 0.1 * first
+
+    def test_long_run_stays_within_the_bound(self, nig_model, monkeypatch):
+        xs = [math.exp(v) for v in np.linspace(-2.9, 3.1, 14)]
+        mixed._DIFFUSION_MEMO.clear()
+        unbounded = [mixed.mixed_density(nig_model, x) for x in xs]
+        assert len(mixed._DIFFUSION_MEMO[nig_model.heston]) <= mixed.MEMO_NODES
+        monkeypatch.setattr(mixed, "MEMO_NODES", 1200)
+        mixed._DIFFUSION_MEMO.clear()
+        sizes, bounded = [], []
+        for x in xs:
+            bounded.append(mixed.mixed_density(nig_model, x))
+            sizes.append(len(mixed._DIFFUSION_MEMO[nig_model.heston]))
+        assert max(sizes) <= 1200
+        assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # it was emptied
+        assert bounded == unbounded
+
+    def test_threads_share_the_memo(self, nig_model, monkeypatch):
+        # more threads than cores, frequent switches and a bound small enough
+        # that the memo is emptied while other threads read it
+        xs = [math.exp(v) for v in (-1.7, -0.3, 0.8, 1.9)]
+        mixed._DIFFUSION_MEMO.clear()
+        serial = [mixed.mixed_density(nig_model, x) for x in xs]
+        monkeypatch.setattr(mixed, "MEMO_NODES", 1100)
+        mixed._DIFFUSION_MEMO.clear()
+        results, errors = {}, []
+
+        def work(i):
+            try:
+                for x in xs[i:] + xs[:i]:
+                    results[i, x] = mixed.mixed_density(nig_model, x)
+            except Exception as exc:  # reported through the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert all(results[i, x] == want for i in range(3) for x, want in zip(xs, serial))
+        assert len(mixed._DIFFUSION_MEMO[nig_model.heston]) <= 1100
+
+    def test_at_most_memo_models_parts_are_kept(self, ref_heston):
+        parts = [dataclasses.replace(ref_heston, y0=0.03 + 0.002 * i) for i in range(mixed.MEMO_MODELS + 2)]
+        for h in parts:
+            mixed.mixed_density(MixedModel(heston=h), 1.3)
+        assert list(mixed._DIFFUSION_MEMO)[-mixed.MEMO_MODELS:] == parts[-mixed.MEMO_MODELS:]
+        assert len(mixed._DIFFUSION_MEMO) == mixed.MEMO_MODELS
+
+    @pytest.mark.parametrize("log_x", [-1.0, 2.0, -1.0 + 7e-13, 2.0 - 4e-13, 1e-12, 0.0])
+    def test_points_on_and_next_to_the_lattice(self, model, log_x):
+        x = math.exp(log_x)
+        assert mixed.mixed_density(model, x) == pytest.approx(oracles.density_fourier(model, x), rel=1e-8)
 
 
 class TestJumpInterface:

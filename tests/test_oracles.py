@@ -68,6 +68,18 @@ class TestDensityFourier:
         with pytest.raises(DomainError):
             oracles.density_fourier(kou_model, 0.0)
 
+    def test_point_does_not_depend_on_its_batch(self, nig_model):
+        # the diffusion memo of mixed_density stores values inverted in
+        # batches of varying make-up, so each point must come out bit for bit
+        # alike alone, in a batch and in a permuted batch
+        pure = MixedModel(heston=nig_model.heston)
+        ells = np.random.default_rng(7).uniform(-20.0, 20.0, 300)
+        perm = np.random.default_rng(8).permutation(ells.size)
+        batch = oracles.log_density_fourier_logx(pure, ells)
+        alone = np.array([oracles.log_density_fourier_logx(pure, v) for v in ells])
+        assert np.array_equal(batch, alone)
+        assert np.array_equal(batch[perm], oracles.log_density_fourier_logx(pure, ells[perm]))
+
 
 class TestCallFourier:
     def test_small_strike_limit(self, kou_model):

@@ -97,6 +97,23 @@ class TestBlackScholes:
         price = smile.bs_call(1.0, 1.0, 1.0, 6.0)
         assert smile.bs_implied_vol(price, 1.0, 1.0, 1.0) == pytest.approx(6.0, abs=1e-9)
 
+    @pytest.mark.parametrize("log_price", [math.nan, math.inf, -math.inf])
+    def test_inversion_refuses_non_finite_log_price(self, log_price):
+        with pytest.raises(DomainError, match=f"finite log_price, got {log_price}"):
+            smile.bs_implied_vol_from_log(log_price, 5.0, 1.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_log_call_refuses_non_finite_sigma(self, sigma):
+        with pytest.raises(DomainError, match=f"finite sigma > 0, got {sigma}"):
+            smile.bs_log_call(5.0, 1.0, sigma)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_non_finite_horizon_refused(self, T):
+        with pytest.raises(DomainError, match=f"finite T > 0, got 5.0, {T}"):
+            smile.bs_log_call(5.0, T, 0.3)
+        with pytest.raises(DomainError, match=f"finite T > 0, got 5.0, {T}"):
+            smile.bs_implied_vol_from_log(-3.0, 5.0, T)
+
 
 def call_asymptote(rec, K, x0, T):
     """Leading-term call price at a float strike, from the log form."""
