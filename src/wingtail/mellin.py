@@ -158,10 +158,13 @@ def _two_sided(integrand, ends, width: float, min_windows: int, tol: Tolerance, 
     or above them (none when both are that one lattice point) is one call of
     the integrator, on its lattice panels split at the ends. The two
     directions outward from the span are the two points of one window sweep,
-    in windows of `width` (one window per direction in each call of the
-    integrator); a direction may stop only once it reaches |v| > (min_windows
-    - 1/2) * width. So every panel but the two beside an end that is off the
-    lattice is the same for all ends.
+    in windows of `width`; a direction may stop only once it reaches |v| >
+    (min_windows - 1/2) * width. The sweep's first call takes every window
+    of each direction up to that reach, the two directions with their own
+    counts, and each later call one window per direction: two calls of the
+    integrator in all, unless a direction needs more windows. Every panel
+    but the two beside an end that is off the lattice is the same for all
+    ends.
     """
     lo, hi = math.floor(min(ends) / width), math.ceil(max(ends) / width)
     edges = np.union1d(np.arange(lo, hi + 1) * width, ends)
@@ -199,9 +202,11 @@ def mellin_convolve(f, g, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
     of v, with log x as one extra edge: the span between the lattice points
     around 0 and log x, where the integrand's mass lies for factors
     concentrated near 1, is integrated in one call, and the sweep outward
-    from it runs to |log t| > 23.5 at least. Only the two panels beside an
-    off-lattice log x place g's nodes differently for another x, so a g that
-    remembers its values is evaluated at few new nodes per x.
+    from it runs to |log t| > 23.5 at least, all of that in its first call.
+    So f and g see two calls for most x, each with all its nodes. Only the
+    two panels beside an off-lattice log x place g's nodes differently for
+    another x, so a g that remembers its values is evaluated at few new
+    nodes per x.
     """
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"mellin_convolve requires finite x > 0, got {x}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -283,35 +284,68 @@ DIVERGENCE_STEP = 1.02
 DIVERGENCE_GAIN = 50.0
 
 
+def _windows_past(ratio: float, growth: float, per_call: int) -> int:
+    """Windows from u = 0 up to the first one that ends past ratio * first, at least
+    per_call and at most MAX_WINDOWS: window j ends at first * (growth^(j+1) - 1) / (growth - 1)."""
+    reach = ratio if growth == 1.0 else math.log1p((growth - 1.0) * ratio) / math.log(growth)
+    return max(int(min(reach, MAX_WINDOWS - 1)) + 1, per_call)
+
+
 def window_sweep(integrand, first, stop_at, tol: Tolerance, what, *, growth: float, stop_run: int,
                  per_call: int) -> np.ndarray:
     """Integrals over (0, inf) of integrand(u, point), one for each point i.
 
     `integrand(u, point)` returns the integrand of point point[r] at the
     nodes u[r], one row per panel. Point i is integrated in adjacent windows
-    from u = 0, of lengths first[i] * growth^j; each call of `integrate` takes
-    the next `per_call` windows of every point still running. A window is
+    from u = 0, of lengths first[i] * growth^j (growth >= 1). A window is
     negligible when its value is within max(tol.abs, tol.rel * |running
     total|); a point stops after `stop_run` negligible windows in a row that
     end past stop_at[i] (an integrand peaked far out begins with negligible
-    windows). Past stop_at[i], a rising run of window sizes raises
-    DivergenceError; a point still running after MAX_WINDOWS windows raises
-    ConvergenceError. Both carry the running totals of all points as
-    best_estimate, and `what(i)` names point i in their message.
+    windows). The first call of `integrate` takes of each point every window
+    that cannot stop it, those up to the first one ending past stop_at[i],
+    and at least `per_call` windows: a ragged set of panels when points need
+    different counts, but none past a point's own stop. Each later call takes
+    the next `per_call` windows of every point still running. A point's
+    windows are summed in order from a total of 0, so the first call's
+    running totals are those of a sweep of one window per call. Past
+    stop_at[i], a rising run of window sizes raises DivergenceError; a point
+    still running when `per_call` more windows would take it past
+    MAX_WINDOWS raises ConvergenceError. Both carry the running totals of all
+    points as best_estimate, and `what(i)` names point i in their message.
     """
     seg, stop_at = np.array(first, dtype=float), np.asarray(stop_at, dtype=float)
-    steps = growth ** np.arange(per_call)
-    index = np.arange(per_call)
     u0, total = np.zeros(seg.size), np.zeros(seg.size)
-    run = np.zeros(seg.size, dtype=int)
     # sizes of each point's last windows; inf before the first, so that the
     # rule waits for DIVERGENCE_RUN windows
     recent = np.full((seg.size, DIVERGENCE_RUN - 1), np.inf)
+    # the first call takes every window that cannot stop a point: `taken`
+    # selects them (Ellipsis: all) from rows of count windows
+    ratios = (stop_at / seg).tolist()
+    index = np.arange(_windows_past(max(ratios, default=0.0), growth, per_call))
+    steps = growth ** index
+    first_count = count = index.size
+    run, taken, scale = np.zeros(seg.size, dtype=int), Ellipsis, steps
+    if index.size > per_call:
+        # Only now can the counts differ. A point with fewer windows than the
+        # most begins its row with empty ones, which are not integrated, so
+        # that every point's last window is in the last column. Its run of
+        # negligible windows starts as far below 0, so that it counts from the
+        # point's first window.
+        first_count = count = np.array([_windows_past(ratio, growth, per_call) for ratio in ratios])
+        pad = index.size - count
+        run, taken = -pad, index >= pad[:, None]
+        scale = np.where(taken, growth ** (index - pad[:, None]), 0.0)
+    # after this many calls, the point with the most windows in the first call
+    # has no budget left for per_call more
+    first_out = (MAX_WINDOWS - index.size) // per_call
     active = np.arange(seg.size)
-    for _ in range(MAX_WINDOWS // per_call):
-        lengths = seg[active, None] * steps
+    for call in itertools.count():
+        lengths = seg[active, None] * scale
         ends = u0[active, None] + np.cumsum(lengths, axis=1)
-        values, _ = integrate(lambda u, panel: integrand(u, active[panel // per_call]), ends - lengths, ends, tol)
+        owner = np.repeat(active, count)
+        values = np.zeros(lengths.shape)
+        values[taken] = integrate(lambda u, panel: integrand(u, owner[panel]), (ends - lengths)[taken], ends[taken],
+                                  tol)[0]
         partial = total[active, None] + np.cumsum(values, axis=1)
         negligible = np.abs(values) <= np.maximum(tol.abs, tol.rel * np.abs(partial))
         # length of the run of negligible windows ending at each window
@@ -320,14 +354,15 @@ def window_sweep(integrand, first, stop_at, tol: Tolerance, what, *, growth: flo
         past = ends > stop_at[active, None]
         stops = (runs >= stop_run) & past
         stopped = stops.any(axis=1)
-        last = np.where(stopped, stops.argmax(axis=1), per_call - 1)
+        last = np.where(stopped, stops.argmax(axis=1), index.size - 1)
         rows = np.arange(active.size)
         total[active], run[active] = partial[rows, last], runs[rows, last]
         sizes = np.concatenate([recent[active], np.abs(values)], axis=1)
         recent[active] = sizes[:, -(DIVERGENCE_RUN - 1):]
         # a window more than DIVERGENCE_GAIN times the one DIVERGENCE_RUN - 1
-        # before it is rare; only then is the whole rule tested
-        gained = sizes[:, DIVERGENCE_RUN - 1:] > DIVERGENCE_GAIN * sizes[:, :per_call]
+        # before it is rare; only then is the whole rule tested (an empty
+        # window of the first call is 0, so no run that holds one rises)
+        gained = sizes[:, DIVERGENCE_RUN - 1:] > DIVERGENCE_GAIN * sizes[:, :index.size]
         if gained.any():
             span = np.lib.stride_tricks.sliding_window_view(sizes, DIVERGENCE_RUN, axis=1)
             rising = (gained & past & (index <= last[:, None]) & (span[..., 0] > 0)
@@ -341,8 +376,12 @@ def window_sweep(integrand, first, stop_at, tol: Tolerance, what, *, growth: flo
         active = active[~stopped]
         if active.size == 0:
             return total
-    raise ConvergenceError(f"{what(active[0])}: window budget of {MAX_WINDOWS} exhausted by "
-                           f"u={u0[active[0]]:.3g}", best_estimate=total)
+        if call >= first_out:
+            spent = active[(MAX_WINDOWS - np.broadcast_to(first_count, seg.shape)[active]) // per_call <= call]
+            if spent.size:
+                raise ConvergenceError(f"{what(spent[0])}: window budget of {MAX_WINDOWS} exhausted by "
+                                       f"u={u0[spent[0]]:.3g}", best_estimate=total)
+        count, index, taken, scale = per_call, index[:per_call], Ellipsis, steps[:per_call]
 
 
 def find_root(f, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import re
 import sys
 import threading
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from wingtail import heston, kou, mellin, mixed, nig, oracles
+from wingtail import cli, heston, kou, mellin, mixed, nig, oracles
 from wingtail.errors import DegenerateRegimeError, DomainError, MomentExplosionError
 from wingtail.heston import HestonParams
 from wingtail.kou import KouJumpParams, risk_neutral_drift
@@ -16,6 +17,8 @@ from wingtail.mellin import MellinStrip
 from wingtail.mixed import DOMINANT_DIFFUSION, DOMINANT_JUMP, WING_LARGE, WING_SMALL, MixedModel
 from wingtail.nig import NIGParams, nig_no_arb_drift
 from wingtail.numerics import RngStream
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def make_nig_model(alpha):
@@ -30,6 +33,11 @@ def make_kou_model(eta1=2.0, eta2=1.0, lam=1.0, mu=None, **heston_kwargs):
     base.update(heston_kwargs)
     h = HestonParams(mu=risk_neutral_drift(j) if mu is None else mu, **base)
     return MixedModel(heston=h, jumps=j)
+
+
+def shape_of(model):
+    """The memo key of a model's diffusion density: its Heston part with unit forward."""
+    return dataclasses.replace(model.heston, mu=0.0, x0=1.0)
 
 
 class TestModel:
@@ -268,13 +276,13 @@ class TestDiffusionMemo:
         xs = [math.exp(v) for v in np.linspace(-2.9, 3.1, 14)]
         mixed._DIFFUSION_MEMO.clear()
         unbounded = [mixed.mixed_density(nig_model, x) for x in xs]
-        assert len(mixed._DIFFUSION_MEMO[nig_model.heston]) <= mixed.MEMO_NODES
+        assert len(mixed._DIFFUSION_MEMO[shape_of(nig_model)]) <= mixed.MEMO_NODES
         monkeypatch.setattr(mixed, "MEMO_NODES", 1200)
         mixed._DIFFUSION_MEMO.clear()
         sizes, bounded = [], []
         for x in xs:
             bounded.append(mixed.mixed_density(nig_model, x))
-            sizes.append(len(mixed._DIFFUSION_MEMO[nig_model.heston]))
+            sizes.append(len(mixed._DIFFUSION_MEMO[shape_of(nig_model)]))
         assert max(sizes) <= 1200
         assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # it was emptied
         assert bounded == unbounded
@@ -309,7 +317,7 @@ class TestDiffusionMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert all(results[i, x] == want for i in range(3) for x, want in zip(xs, serial))
-        assert len(mixed._DIFFUSION_MEMO[nig_model.heston]) <= 1100
+        assert len(mixed._DIFFUSION_MEMO[shape_of(nig_model)]) <= 1100
 
     def test_at_most_memo_models_parts_are_kept(self, ref_heston):
         parts = [dataclasses.replace(ref_heston, y0=0.03 + 0.002 * i) for i in range(mixed.MEMO_MODELS + 2)]
@@ -322,6 +330,31 @@ class TestDiffusionMemo:
     def test_points_on_and_next_to_the_lattice(self, model, log_x):
         x = math.exp(log_x)
         assert mixed.mixed_density(model, x) == pytest.approx(oracles.density_fourier(model, x), rel=1e-8)
+
+    def test_drift_and_spot_share_one_part(self):
+        models = [cli.load_config(os.path.join(CONFIG_DIR, f"{name}.json")).model
+                  for name in ("reference_kou", "reference_nig")]
+        assert models[0].heston != models[1].heston
+        mixed._DIFFUSION_MEMO.clear()
+        for m in models:
+            mixed.mixed_density(m, 1.3)
+        assert list(mixed._DIFFUSION_MEMO) == [shape_of(models[0])] == [shape_of(models[1])]
+
+    @pytest.mark.parametrize("log_z", [-1.0, 2.0, -1.0 + 7e-13, 2.0 - 4e-13, 1e-12, 0.0])
+    def test_forward_off_one_on_and_next_to_the_lattice(self, model, log_z):
+        # log(x/F) on the integer lattice, where the convolution's panels have
+        # their edges, and next to it
+        moved = dataclasses.replace(model, heston=dataclasses.replace(model.heston, x0=2.5, mu=0.1))
+        x = moved.heston.forward * math.exp(log_z)
+        assert mixed.mixed_density(moved, x) == pytest.approx(oracles.density_fourier(moved, x), rel=1e-8)
+
+    @pytest.mark.parametrize("x0, x", [(1e-10, 1e300), (1e10, 1e-300)])
+    def test_point_scaled_out_of_range_is_refused(self, model, x0, x):
+        moved = dataclasses.replace(model, heston=dataclasses.replace(model.heston, x0=x0))
+        forward = moved.heston.forward
+        with pytest.raises(DomainError, match=re.escape(f"x={x}")) as err:
+            mixed.mixed_density(moved, x)
+        assert f"{forward}" in str(err.value)
 
 
 class TestJumpInterface:

@@ -1,13 +1,18 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wingtail import nig
+from wingtail import cli, mellin, nig, numerics, oracles
 from wingtail.errors import BracketingError, ConvergenceError, DivergenceError, DomainError
 from wingtail.nig import NIGParams
 from wingtail.numerics import (
+    DIVERGENCE_GAIN,
+    DIVERGENCE_RUN,
+    DIVERGENCE_STEP,
+    MAX_WINDOWS,
     RngStream,
     Tolerance,
     complex_namespace,
@@ -212,6 +217,9 @@ class TestIntegratePanels:
             integrate(lambda x, owner: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)
 
 
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
 def sweep(integrand, first, stop_at, tol=Tolerance(), *, growth=1.0, stop_run=2, per_call=1):
     return window_sweep(integrand, first, stop_at, tol, lambda i: f"point {i}",
                         growth=growth, stop_run=stop_run, per_call=per_call)
@@ -248,6 +256,159 @@ class TestWindowSweep:
         with pytest.raises(ConvergenceError, match="point 0: window budget of 704") as err:
             sweep(lambda u, point: 1.0 / (1.0 + u), [1.0], [5.0])
         assert err.value.best_estimate == pytest.approx([math.log(705.0)], rel=1e-10)
+
+
+def _ref_window_sweep(integrand, first, stop_at, tol, what, *, growth, stop_run, per_call):
+    """The sweep of `per_call` windows in every call, the first call included, kept as the reference."""
+    seg, stop_at = np.array(first, dtype=float), np.asarray(stop_at, dtype=float)
+    steps = growth ** np.arange(per_call)
+    index = np.arange(per_call)
+    u0, total = np.zeros(seg.size), np.zeros(seg.size)
+    run = np.zeros(seg.size, dtype=int)
+    recent = np.full((seg.size, DIVERGENCE_RUN - 1), np.inf)
+    active = np.arange(seg.size)
+    for _ in range(MAX_WINDOWS // per_call):
+        lengths = seg[active, None] * steps
+        ends = u0[active, None] + np.cumsum(lengths, axis=1)
+        values, _ = numerics.integrate(lambda u, panel: integrand(u, active[panel // per_call]), ends - lengths, ends,
+                                       tol)
+        partial = total[active, None] + np.cumsum(values, axis=1)
+        negligible = np.abs(values) <= np.maximum(tol.abs, tol.rel * np.abs(partial))
+        last_kept = np.maximum.accumulate(np.where(negligible, -1, index), axis=1)
+        runs = np.where(last_kept < 0, run[active, None] + index + 1, index - last_kept)
+        past = ends > stop_at[active, None]
+        stops = (runs >= stop_run) & past
+        stopped = stops.any(axis=1)
+        last = np.where(stopped, stops.argmax(axis=1), per_call - 1)
+        rows = np.arange(active.size)
+        total[active], run[active] = partial[rows, last], runs[rows, last]
+        sizes = np.concatenate([recent[active], np.abs(values)], axis=1)
+        recent[active] = sizes[:, -(DIVERGENCE_RUN - 1):]
+        gained = sizes[:, DIVERGENCE_RUN - 1:] > DIVERGENCE_GAIN * sizes[:, :per_call]
+        if gained.any():
+            span = np.lib.stride_tricks.sliding_window_view(sizes, DIVERGENCE_RUN, axis=1)
+            rising = (gained & past & (index <= last[:, None]) & (span[..., 0] > 0)
+                      & np.all(span[..., 1:] >= DIVERGENCE_STEP * span[..., :-1], axis=-1))
+            if rising.any():
+                row, j = np.argwhere(rising)[0]
+                total[active[row]] = partial[row, j]
+                raise DivergenceError(f"{what(active[row])}: partial sums keep growing (window ending at "
+                                      f"u={ends[row, j]:.3g}, size {values[row, j]:.3g})", best_estimate=total)
+        u0[active], seg[active] = ends[:, -1], lengths[:, -1] * growth
+        active = active[~stopped]
+        if active.size == 0:
+            return total
+    raise ConvergenceError(f"{what(active[0])}: window budget of {MAX_WINDOWS} exhausted by "
+                           f"u={u0[active[0]]:.3g}", best_estimate=total)
+
+
+class TestFirstCall:
+    """The first integrator call of a point takes every window that cannot stop it."""
+
+    # integrands of three points each: decaying at different rates, peaked
+    # before and after the stop position, oscillating, zero for one point
+    # (whose run of negligible windows begins in its first window), and with
+    # a power tail;
+    # (integrand, first, stop_at, a bound on the integral of |integrand| where it cancels)
+    CASES = {
+        "decay": (lambda u, point: np.exp(-np.array([0.5, 1.0, 3.0])[point, None] * u), [1.0, 1.0, 1.0],
+                  [23.5, 3.5, 0.0], None),
+        "peaks": (lambda u, point: np.exp(-0.5 * (u - np.array([4.0, 30.0, 12.0])[point, None]) ** 2),
+                  [1.0, 1.0, 0.5], [23.5, 33.5, 2.2], None),
+        "wave": (lambda u, point: np.exp(-0.2 * u) * np.cos(np.array([1.0, 3.0, 7.0])[point, None] * u),
+                 [1.0, 0.7, 2.0], [0.0, 17.3, 39.0], 5.0),
+        "vanishing": (lambda u, point: np.where(point[:, None] == 1, 0.0, np.exp(-u)), [1.0, 1.0, 1.0],
+                      [23.5, 0.0, 5.5], None),
+        "power": (lambda u, point: (1.0 + u) ** -np.array([6.0, 8.0, 12.0])[point, None], [math.log(2.0)] * 3,
+                  [27.4, 13.0, 5.5], None),
+    }
+
+    @staticmethod
+    def traced(sweep_fn, integrand, first, stop_at, **kw):
+        """Totals, and the nodes and the farthest node of each point's integrand calls."""
+        nodes, reach = np.zeros(3, dtype=int), np.zeros(3)
+
+        def counted(u, point):
+            np.add.at(nodes, point, u.shape[1])
+            np.maximum.at(reach, point, u.max(axis=1))
+            return integrand(u, point)
+
+        totals = sweep_fn(counted, np.array(first), np.array(stop_at), Tolerance(), lambda i: f"point {i}", **kw)
+        return totals, nodes, reach
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("stop_run", [1, 2, 3])
+    @pytest.mark.parametrize("growth", [1.0, 1.4])
+    def test_same_totals_windows_and_nodes_as_one_window_per_call(self, case, stop_run, growth):
+        integrand, first, stop_at, scale = self.CASES[case]
+        kw = dict(growth=growth, stop_run=stop_run, per_call=1)
+        want, want_nodes, want_reach = self.traced(_ref_window_sweep, integrand, first, stop_at, **kw)
+        got, nodes, reach = self.traced(window_sweep, integrand, first, stop_at, **kw)
+        # a window value may differ in the last bit with the number of panels
+        # of a call; a total that cancels carries that bit of the integral of
+        # |integrand|
+        assert np.all(np.abs(got - want) <= 4.4e-16 * (scale or np.abs(want)))
+        # the same stop window of each point: its farthest node is the same
+        assert np.array_equal(reach, want_reach)
+        assert np.array_equal(nodes, want_nodes)
+
+    def test_the_first_call_takes_the_windows_before_the_stop(self, monkeypatch):
+        calls = []
+
+        def counting(f, a, b, tol=numerics.DEFAULT_TOL):
+            calls.append(np.size(a))
+            return integrate(f, a, b, tol)
+
+        monkeypatch.setattr(numerics, "integrate", counting)
+        sweep(lambda u, point: np.exp(-u), [1.0, 1.0], [23.5, 30.5])
+        # 24 and 31 windows, the last ones past the stop. Window (23, 24) is
+        # the first negligible one, so point 0 needs one more window and point
+        # 1 stops in the first call
+        assert calls == [24 + 31, 1]
+
+    def test_divergence_after_a_short_first_call(self):
+        # point 1 takes 6 windows in the first call, point 0 takes 21; point
+        # 1's rising run then spans the two calls
+        integrand = lambda u, point: np.exp(np.where(point[:, None] == 1, 0.5, -1.0) * u)
+        errors = []
+        for sweep_fn in (window_sweep, _ref_window_sweep):
+            with pytest.raises(DivergenceError) as err:
+                sweep_fn(integrand, np.ones(2), np.array([20.5, 5.5]), Tolerance(), lambda i: f"point {i}",
+                         growth=1.0, stop_run=2, per_call=1)
+            errors.append(err.value)
+        assert str(errors[0]) == str(errors[1])
+        np.testing.assert_allclose(errors[0].best_estimate[1], errors[1].best_estimate[1], rtol=4.4e-16)
+        assert "window ending at u=9," in str(errors[0])
+
+    @pytest.mark.parametrize("z", [-3.0, 1.5, 2.0])
+    def test_transform_outside_the_strip_raises_as_before(self, z, monkeypatch):
+        # 1/(1 + t^2) has the strip (-1, 1) of transform orders
+        U = lambda t: 1.0 / (1.0 + t * t)
+        with pytest.raises(DivergenceError) as got:
+            mellin.mellin_transform(U, z)
+        monkeypatch.setattr(mellin, "window_sweep", _ref_window_sweep)
+        with pytest.raises(DivergenceError) as want:
+            mellin.mellin_transform(U, z)
+        assert str(got.value) == str(want.value)
+        np.testing.assert_allclose(got.value.best_estimate, want.value.best_estimate, rtol=4.4e-16, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["pure_heston", "reference_kou", "reference_nig"])
+    def test_peak_sweep_makes_the_calls_it_made(self, name, monkeypatch):
+        model = cli.load_config(f"{CONFIG_DIR}/{name}.json").model
+        x = np.exp(np.linspace(-6.0, 6.0, 9))
+        calls = []
+
+        def counting(f, a, b, tol=numerics.DEFAULT_TOL):
+            calls.append(1)
+            return integrate(f, a, b, tol)
+
+        monkeypatch.setattr(numerics, "integrate", counting)
+        got, got_calls = oracles.density_fourier(model, x), len(calls)
+        monkeypatch.setattr(oracles, "window_sweep", _ref_window_sweep)
+        calls.clear()
+        want = oracles.density_fourier(model, x)
+        assert got_calls == len(calls)
+        assert np.array_equal(got, want)
 
 
 class TestFindRoot:
