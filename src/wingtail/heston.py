@@ -11,6 +11,7 @@ than extrapolated.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, MomentExplosionError, SearchError
 from .mellin import AT_INFINITY, ERROR_INV_SQRT_LOG, MellinStrip, TailAsymptote, side_of
-from .numerics import Tolerance, complex_namespace, find_root, moment_from_log, require_finite
+from .numerics import Tolerance, complex_namespace, find_root, inf_past_double, moment_from_log, require_finite
 
 __all__ = [
     "HestonParams",
@@ -68,6 +69,9 @@ class HestonParams:
             raise DomainError(f"need y0 > 0, got {self.y0}")
         if not self.t > 0:
             raise DomainError(f"need t > 0, got {self.t}")
+        if not sys.float_info.min <= inf_past_double(lambda: self.forward) <= sys.float_info.max:
+            raise DomainError(f"the forward x0 e^(mu t) must be a normal double, got mu={self.mu}, t={self.t}, "
+                              f"x0={self.x0}")
 
     @property
     def forward(self) -> float:
@@ -111,8 +115,8 @@ class HestonTailConstants:
 
     def __post_init__(self):
         for name in ("A1", "A2", "A3", "A1t", "A2t", "A3t", "B1", "B1t"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and within the double range, got {getattr(self, name)}")
 
 
 def _beta(p: HestonParams, s: float) -> float:
@@ -176,8 +180,7 @@ def _bracket_critical(params: HestonParams, upper: bool) -> tuple[float, float]:
     for _ in range(200):
         probe = probe + step if upper else probe - step
         if explosion_time(params, probe) < t:
-            lo, hi = (edge, probe) if upper else (probe, edge)
-            return lo, hi
+            return (edge, probe) if upper else (probe, edge)
         step *= 2.0
     raise SearchError(
         f"could not bracket the {'upper' if upper else 'lower'} critical moment: "
@@ -412,7 +415,8 @@ def tail_constants(params: HestonParams) -> HestonTailConstants:
     scaling X_t = (x0 e^{mu t}) * X_t^0: with M = x0 e^{mu t} the density obeys
     D(x) = D^0(x/M)/M, which gives B1 = A1 * M^(A3-1) and B1t = A1t * M^(-A3t-1)
     (the exponents are the critical moments s+ and s-). For M = 1 they reduce
-    to A1 and A1t exactly.
+    to A1 and A1t exactly. A constant past the double range comes out as inf,
+    which the record refuses by name.
     """
     cm = critical_moments(params)
     a, c, t, y0 = params.a, params.c, params.t, params.y0
@@ -432,15 +436,15 @@ def tail_constants(params: HestonParams) -> HestonTailConstants:
         bracket = 2.0 * _sinh_bracket(params, s) / (c2 * s * (s - 1.0))
         return pref * expo * bracket ** (2.0 * ac2)
 
-    A1 = one_side(cm.s_plus, cm.sigma_plus, cm.kappa_plus)
-    A1t = one_side(cm.s_minus, cm.sigma_minus, cm.kappa_minus)
+    A1 = inf_past_double(lambda: one_side(cm.s_plus, cm.sigma_plus, cm.kappa_plus))
+    A1t = inf_past_double(lambda: one_side(cm.s_minus, cm.sigma_minus, cm.kappa_minus))
     A2 = 2.0 * math.sqrt(2.0 * y0) / c / math.sqrt(cm.sigma_plus)
     A2t = 2.0 * math.sqrt(2.0 * y0) / c / math.sqrt(cm.sigma_minus)
     A3 = cm.s_plus + 1.0
     A3t = -(cm.s_minus + 1.0)
     M = params.forward
-    B1 = A1 * M ** (A3 - 1.0)
-    B1t = A1t * M ** (-A3t - 1.0)
+    B1 = inf_past_double(lambda: A1 * M ** (A3 - 1.0))
+    B1t = inf_past_double(lambda: A1t * M ** (-A3t - 1.0))
     return HestonTailConstants(A1=A1, A2=A2, A3=A3, A1t=A1t, A2t=A2t, A3t=A3t, B1=B1, B1t=B1t)
 
 

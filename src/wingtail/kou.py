@@ -27,14 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .errors import ConvergenceError, DomainError, MomentExplosionError
+from .errors import ConvergenceError, DomainError
 from .mellin import AT_INFINITY, ERROR_INV_SQRT_LOG, TailAsymptote, side_of
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
+    check_strip,
     complex_namespace,
     domain_points,
-    first_outside,
     integrate,
     log_gamma,
     moment_from_log,
@@ -332,36 +332,20 @@ def coefficients(params: KouJumpParams, k_max: int, tol: Tolerance = DEFAULT_TOL
     )
 
 
-class _LRUCache(OrderedDict):
-    """Mapping that keeps its `maxsize` most recently used entries."""
-
-    def __init__(self, maxsize: int):
-        super().__init__()
-        self.maxsize = maxsize
-
-    def get(self, key, default=None):
-        if key not in self:
-            return default
-        self.move_to_end(key)
-        return self[key]
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.move_to_end(key)
-        if len(self) > self.maxsize:
-            self.popitem(last=False)
-
-
-# coefficient tables by parameter set, bounded like the lru_caches of heston;
-# every table is built, and every series below evaluated, at DEFAULT_TOL
-_TABLE_CACHE = _LRUCache(maxsize=256)
+# coefficient tables by parameter set, least recently used first, bounded like
+# the lru_caches of heston; every table is built, and every series below
+# evaluated, at DEFAULT_TOL
+TABLE_CACHE_SIZE = 256
+_TABLE_CACHE: OrderedDict[KouJumpParams, CoefficientTable] = OrderedDict()
 
 
 def _table(params: KouJumpParams, k_min: int) -> CoefficientTable:
-    cached = _TABLE_CACHE.get(params)
+    cached = _TABLE_CACHE.pop(params, None)
     if cached is None or cached.truncation_k < k_min:
         cached = coefficients(params, max(k_min, 64))
-        _TABLE_CACHE[params] = cached
+    _TABLE_CACHE[params] = cached
+    if len(_TABLE_CACHE) > TABLE_CACHE_SIZE:
+        _TABLE_CACHE.popitem(last=False)
     return cached
 
 
@@ -480,15 +464,6 @@ def h_wing_record(params: KouJumpParams, wing: str) -> TailAsymptote:
     )
 
 
-def _check_strip(params: KouJumpParams, z) -> None:
-    bad = first_outside(z, *params.moment_strip())
-    if bad is not None:
-        raise MomentExplosionError(
-            f"jump moment of order {bad} undefined: admissible open interval is "
-            f"({-params.eta2}, {params.eta1})"
-        )
-
-
 def log_jump_mgf(params: KouJumpParams, z):
     """log E[exp(z * T_t)] for complex z with -eta2 < Re(z) < eta1.
 
@@ -496,7 +471,7 @@ def log_jump_mgf(params: KouJumpParams, z):
     element inside the strip).
     """
     z, _ = complex_namespace(z)
-    _check_strip(params, z)
+    check_strip(z, params.moment_strip(), "jump moment")
     e1, e2 = params.eta1, params.eta2
     return params.lam * params.t * (params.p * e1 / (e1 - z) + params.q * e2 / (e2 + z) - 1.0)
 
@@ -507,7 +482,7 @@ def jump_cgf_derivatives(params: KouJumpParams, s):
     s is a scalar or an array; returns three float arrays of its shape.
     """
     s = np.asarray(s, dtype=float)
-    _check_strip(params, s)
+    check_strip(s, params.moment_strip(), "jump moment")
     lam_t, e1, e2 = params.lam * params.t, params.eta1, params.eta2
     up, down = params.p * e1 / (e1 - s), params.q * e2 / (e2 + s)
     return (

@@ -154,19 +154,24 @@ class TailAsymptote:
 def _two_sided(integrand, ends, width: float, min_windows: int, tol: Tolerance, what: str) -> float:
     """Integral of integrand(v) over the real line, with panel edges on the lattice width * Z and at both `ends`.
 
-    The span from the last lattice point at or below the ends to the first at
-    or above them (none when both are that one lattice point) is one call of
-    the integrator, on its lattice panels split at the ends. The two
-    directions outward from the span are the two points of one window sweep,
-    in windows of `width`; a direction may stop only once it reaches |v| >
-    (min_windows - 1/2) * width. The sweep's first call takes every window
-    of each direction up to that reach, the two directions with their own
-    counts, and each later call one window per direction: two calls of the
+    The span is one call of the integrator, on its lattice panels split at
+    the ends. It runs from the last lattice point at or below the ends to the
+    first at or above them (none when both are that one lattice point), and
+    on to -far and far: far is the farther of those two lattice points from
+    v = 0, but no farther than the first lattice point past the stop position
+    (min_windows - 1/2) * width. The two directions outward from the span
+    are the two points of one window sweep, in windows of `width`; a
+    direction may stop only once it reaches |v| past the stop position. The
+    two directions start equally far out, or both past the stop position, so
+    the sweep's first call takes the same windows of each, all up to that
+    reach, and each later call one window per direction: two calls of the
     integrator in all, unless a direction needs more windows. Every panel
     but the two beside an end that is off the lattice is the same for all
     ends.
     """
     lo, hi = math.floor(min(ends) / width), math.ceil(max(ends) / width)
+    far = min(max(-lo, hi), math.ceil(min_windows - 0.5))
+    lo, hi = min(lo, -far), max(hi, far)
     edges = np.union1d(np.arange(lo, hi + 1) * width, ends)
     middle = integrate(lambda v, _: integrand(v), edges[:-1], edges[1:], tol)[0].sum() if edges.size > 1 else 0.0
     start, sign = np.array([hi, lo]) * width, np.array([1.0, -1.0])
@@ -201,12 +206,13 @@ def mellin_convolve(f, g, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
     integrator raises ConvergenceError. The panels lie on the integer lattice
     of v, with log x as one extra edge: the span between the lattice points
     around 0 and log x, where the integrand's mass lies for factors
-    concentrated near 1, is integrated in one call, and the sweep outward
-    from it runs to |log t| > 23.5 at least, all of that in its first call.
-    So f and g see two calls for most x, each with all its nodes. Only the
-    two panels beside an off-lattice log x place g's nodes differently for
-    another x, so a g that remembers its values is evaluated at few new
-    nodes per x.
+    concentrated near 1, widened to the same distance on both sides of 0 (at
+    most 24), is integrated in one call, and the sweep outward from it runs
+    to |log t| > 23.5 at least, both directions alike, all of that in its
+    first call. So f and g see two calls for most x, each with all its
+    nodes. Only the two panels beside an off-lattice log x place g's nodes
+    differently for another x, so a g that remembers its values is evaluated
+    at few new nodes per x.
     """
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"mellin_convolve requires finite x > 0, got {x}")

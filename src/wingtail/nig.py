@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import k1e
 
-from .errors import DomainError, MomentExplosionError, NoArbitrageError
+from .errors import DomainError, NoArbitrageError
 from .mellin import AT_ZERO, ERROR_INV_LOG, TailAsymptote, side_of
-from .numerics import (UnderflowWarning, complex_namespace, domain_points, first_outside, moment_from_log,
-                       require_finite, shaped_like)
+from .numerics import (UnderflowWarning, check_strip, complex_namespace, domain_points, inf_past_double,
+                       moment_from_log, require_finite, shaped_like)
 
 __all__ = [
     "NIGParams",
@@ -130,8 +130,12 @@ def nig_wing_record(params: NIGParams, wing: str) -> TailAsymptote:
     of the law, and its record carries a note saying so."""
     side = side_of(wing)
     small = side == AT_ZERO
+    r1 = inf_past_double(lambda: params.k_factor * math.sqrt(math.pi / (2.0 * params.alpha)))
+    if r1 == math.inf:
+        raise DomainError(f"NIG wing prefactor r1 = k(t) sqrt(pi / (2 alpha)) is past the double range at "
+                          f"alpha delta t = {params.alpha * params.delta * params.t}")
     return TailAsymptote(
-        r1=params.k_factor * math.sqrt(math.pi / (2.0 * params.alpha)),
+        r1=r1,
         r2=0.0,
         r3=params.alpha - 1.0 if small else params.alpha + 1.0,
         r4=-1.5,
@@ -151,15 +155,6 @@ def nig_no_arb_drift(params: NIGParams) -> float:
     return params.delta * (math.sqrt(params.alpha**2 - 1.0) - params.alpha)
 
 
-def _check_strip(params: NIGParams, z) -> None:
-    bad = first_outside(z, *params.moment_strip())
-    if bad is not None:
-        raise MomentExplosionError(
-            f"NIG moment of order {bad} undefined: admissible open interval is "
-            f"({-params.alpha}, {params.alpha})"
-        )
-
-
 def log_nig_mgf(params: NIGParams, z):
     """log E[e^{z Y_t}] for complex z with |Re z| < alpha.
 
@@ -167,7 +162,7 @@ def log_nig_mgf(params: NIGParams, z):
     (elementwise with numpy, every element inside the strip).
     """
     z, xp = complex_namespace(z)
-    _check_strip(params, z)
+    check_strip(z, params.moment_strip(), "NIG moment")
     return params.delta * params.t * (params.alpha - xp.sqrt(params.alpha**2 - z * z))
 
 
@@ -177,7 +172,7 @@ def nig_cgf_derivatives(params: NIGParams, s):
     s is a scalar or an array; returns three float arrays of its shape.
     """
     s = np.asarray(s, dtype=float)
-    _check_strip(params, s)
+    check_strip(s, params.moment_strip(), "NIG moment")
     dt, a2 = params.delta * params.t, params.alpha**2
     root = np.sqrt(a2 - s * s)
     return dt * (params.alpha - root), dt * s / root, dt * a2 / root**3

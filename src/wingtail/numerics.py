@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import cmath
 import contextlib
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -26,11 +25,12 @@ __all__ = [
     "window_sweep",
     "find_root",
     "complex_namespace",
-    "first_outside",
+    "check_strip",
     "require_finite",
     "domain_points",
     "shaped_like",
     "moment_from_log",
+    "inf_past_double",
     "RngStream",
 ]
 
@@ -77,6 +77,15 @@ def moment_from_log(log_moment: float, order) -> float:
         return math.exp(log_moment)
     except OverflowError:
         raise MomentExplosionError(f"moment of order {order} overflows: its log is {log_moment:.6g}") from None
+
+
+def inf_past_double(compute) -> float:
+    """compute() of a float expression, or inf where it raises OverflowError past the
+    double range (math.exp, float powers), for the caller to refuse by name."""
+    try:
+        return compute()
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -168,12 +177,19 @@ def complex_namespace(z):
     return complex(z), _SCALAR
 
 
-def first_outside(z, lo: float, hi: float):
-    """First element of z whose real part is not strictly inside (lo, hi), or None."""
+def check_strip(z, strip: tuple[float, float], what: str) -> None:
+    """Refuse z, a scalar or an array, unless the real part of every element is strictly
+    inside the open interval `strip`: MomentExplosionError names the first other element
+    as the order of a `what` ("jump moment of order 5.0 undefined: ...")."""
+    lo, hi = strip
     if isinstance(z, np.ndarray) and z.ndim:
         inside = (z.real > lo) & (z.real < hi)
-        return None if inside.all() else z[~inside].flat[0]
-    return None if lo < z.real < hi else z
+        if inside.all():
+            return
+        z = z[~inside].flat[0]
+    elif lo < z.real < hi:
+        return
+    raise MomentExplosionError(f"{what} of order {z} undefined: admissible open interval is ({lo}, {hi})")
 
 
 def log_gamma(x: float) -> float:
@@ -301,11 +317,11 @@ def window_sweep(integrand, first, stop_at, tol: Tolerance, what, *, growth: flo
     negligible when its value is within max(tol.abs, tol.rel * |running
     total|); a point stops after `stop_run` negligible windows in a row that
     end past stop_at[i] (an integrand peaked far out begins with negligible
-    windows). The first call of `integrate` takes of each point every window
-    that cannot stop it, those up to the first one ending past stop_at[i],
-    and at least `per_call` windows: a ragged set of panels when points need
-    different counts, but none past a point's own stop. Each later call takes
-    the next `per_call` windows of every point still running. A point's
+    windows). The first call of `integrate` takes the same number of windows
+    of every point: those up to the first one that ends past stop_at[i] for
+    the point whose stop is nearest in windows (the smallest stop_at[i] /
+    first[i]), and at least `per_call`. Each later call takes the next
+    `per_call` windows of every point still running. A point's
     windows are summed in order from a total of 0, so the first call's
     running totals are those of a sweep of one window per call. Past
     stop_at[i], a rising run of window sizes raises DivergenceError; a point
@@ -314,38 +330,18 @@ def window_sweep(integrand, first, stop_at, tol: Tolerance, what, *, growth: flo
     points as best_estimate, and `what(i)` names point i in their message.
     """
     seg, stop_at = np.array(first, dtype=float), np.asarray(stop_at, dtype=float)
-    u0, total = np.zeros(seg.size), np.zeros(seg.size)
+    u0, total, run = np.zeros(seg.size), np.zeros(seg.size), np.zeros(seg.size, dtype=int)
     # sizes of each point's last windows; inf before the first, so that the
     # rule waits for DIVERGENCE_RUN windows
     recent = np.full((seg.size, DIVERGENCE_RUN - 1), np.inf)
-    # the first call takes every window that cannot stop a point: `taken`
-    # selects them (Ellipsis: all) from rows of count windows
-    ratios = (stop_at / seg).tolist()
-    index = np.arange(_windows_past(max(ratios, default=0.0), growth, per_call))
+    index = np.arange(_windows_past(min((stop_at / seg).tolist(), default=0.0), growth, per_call))
     steps = growth ** index
-    first_count = count = index.size
-    run, taken, scale = np.zeros(seg.size, dtype=int), Ellipsis, steps
-    if index.size > per_call:
-        # Only now can the counts differ. A point with fewer windows than the
-        # most begins its row with empty ones, which are not integrated, so
-        # that every point's last window is in the last column. Its run of
-        # negligible windows starts as far below 0, so that it counts from the
-        # point's first window.
-        first_count = count = np.array([_windows_past(ratio, growth, per_call) for ratio in ratios])
-        pad = index.size - count
-        run, taken = -pad, index >= pad[:, None]
-        scale = np.where(taken, growth ** (index - pad[:, None]), 0.0)
-    # after this many calls, the point with the most windows in the first call
-    # has no budget left for per_call more
-    first_out = (MAX_WINDOWS - index.size) // per_call
     active = np.arange(seg.size)
-    for call in itertools.count():
-        lengths = seg[active, None] * scale
+    # the first call, and as many more as leave each point the budget for per_call windows
+    for _ in range((MAX_WINDOWS - index.size) // per_call + 1):
+        lengths = seg[active, None] * steps
         ends = u0[active, None] + np.cumsum(lengths, axis=1)
-        owner = np.repeat(active, count)
-        values = np.zeros(lengths.shape)
-        values[taken] = integrate(lambda u, panel: integrand(u, owner[panel]), (ends - lengths)[taken], ends[taken],
-                                  tol)[0]
+        values = integrate(lambda u, panel: integrand(u, active[panel // index.size]), ends - lengths, ends, tol)[0]
         partial = total[active, None] + np.cumsum(values, axis=1)
         negligible = np.abs(values) <= np.maximum(tol.abs, tol.rel * np.abs(partial))
         # length of the run of negligible windows ending at each window
@@ -360,8 +356,7 @@ def window_sweep(integrand, first, stop_at, tol: Tolerance, what, *, growth: flo
         sizes = np.concatenate([recent[active], np.abs(values)], axis=1)
         recent[active] = sizes[:, -(DIVERGENCE_RUN - 1):]
         # a window more than DIVERGENCE_GAIN times the one DIVERGENCE_RUN - 1
-        # before it is rare; only then is the whole rule tested (an empty
-        # window of the first call is 0, so no run that holds one rises)
+        # before it is rare; only then is the whole rule tested
         gained = sizes[:, DIVERGENCE_RUN - 1:] > DIVERGENCE_GAIN * sizes[:, :index.size]
         if gained.any():
             span = np.lib.stride_tricks.sliding_window_view(sizes, DIVERGENCE_RUN, axis=1)
@@ -376,12 +371,9 @@ def window_sweep(integrand, first, stop_at, tol: Tolerance, what, *, growth: flo
         active = active[~stopped]
         if active.size == 0:
             return total
-        if call >= first_out:
-            spent = active[(MAX_WINDOWS - np.broadcast_to(first_count, seg.shape)[active]) // per_call <= call]
-            if spent.size:
-                raise ConvergenceError(f"{what(spent[0])}: window budget of {MAX_WINDOWS} exhausted by "
-                                       f"u={u0[spent[0]]:.3g}", best_estimate=total)
-        count, index, taken, scale = per_call, index[:per_call], Ellipsis, steps[:per_call]
+        index, steps = index[:per_call], steps[:per_call]
+    raise ConvergenceError(f"{what(active[0])}: window budget of {MAX_WINDOWS} exhausted by u={u0[active[0]]:.3g}",
+                           best_estimate=total)
 
 
 def find_root(f, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL) -> float:

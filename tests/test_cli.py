@@ -310,6 +310,38 @@ class TestMainEntry:
         assert code == 1
         assert "eta1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("mu", 800.0, "forward x0 e^(mu t) must be a normal double, got mu=800.0"),
+        ("mu", -800.0, "forward x0 e^(mu t) must be a normal double, got mu=-800.0"),
+        ("mu", 100.0, "B1 must be positive and within the double range, got inf"),
+        ("y0", 500.0, "A1 must be positive and within the double range, got inf"),
+        ("a", 200.0, "A1 must be positive and within the double range, got inf"),
+    ])
+    def test_overflowing_heston_constants_exit_one(self, tmp_path, capsys, key, value, named):
+        # a forward x0 e^(mu t), a prefactor B1 = A1 M^(A3 - 1) or A1 itself past the double range
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        del payload["kou"]
+        payload["model"], payload["heston"]["mu"], payload["heston"][key] = "heston", 0.0, value
+        assert cli.main(["constants", "--config", write_config(tmp_path, payload)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+    def test_overflowing_nig_prefactor_reported_by_wing(self, tmp_path, capsys):
+        # k(t) = alpha delta t e^(alpha delta t) / pi past the double range: like
+        # any wing prefactor that overflows, each wing reports it and the rest stands
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload.update(model="heston+nig", nig={"alpha": 2.0, "delta": 400.0})
+        del payload["kou"]
+        payload["heston"]["mu"] = 0.0
+        out = str(tmp_path / "report.json")
+        assert cli.main(["constants", "--config", write_config(tmp_path, payload), "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out) as fh:
+            report = json.load(fh)
+        for wing in ("large", "small"):
+            assert "NIG wing prefactor r1" in report[f"{wing}_wing_asymptote"]["error"]
+        assert report["tail_constants"]["A3"] > 0
+
     def test_sample_summary(self, tmp_path):
         out = str(tmp_path / "sample.json")
         code = cli.main(["sample", "--config", REFERENCE_KOU, "--out", out,

@@ -281,20 +281,29 @@ class TestOnePassTable:
 class TestTableCache:
     @pytest.fixture
     def fresh_cache(self, monkeypatch):
-        # an empty cache of the same kind and bound, and a stand-in for the
-        # coefficient computation (~50 ms per table)
-        cache = type(kou._TABLE_CACHE)(kou._TABLE_CACHE.maxsize)
+        # an empty cache of the same kind, and a stand-in for the coefficient
+        # computation (~50 ms per table)
+        cache = type(kou._TABLE_CACHE)()
         monkeypatch.setattr(kou, "_TABLE_CACHE", cache)
         monkeypatch.setattr(kou, "coefficients", lambda params, k_max: SimpleNamespace(truncation_k=k_max))
         return cache
 
     def test_bounded_like_the_heston_caches(self, fresh_cache):
-        assert kou._TABLE_CACHE.maxsize == 256
+        assert kou.TABLE_CACHE_SIZE == 256
         for i in range(300):
             kou._table(variant(lam=1.0 + 0.001 * i), 0)
         assert len(fresh_cache) <= 256
         assert variant(lam=1.0) not in fresh_cache  # least recently used went first
         assert variant(lam=1.299) in fresh_cache
+
+    def test_a_hit_makes_a_table_the_most_recently_used(self, fresh_cache):
+        for i in range(256):
+            kou._table(variant(lam=1.0 + 0.001 * i), 0)
+        kou._table(variant(lam=1.0), 0)
+        kou._table(variant(lam=2.0), 0)
+        assert variant(lam=1.0) in fresh_cache
+        assert variant(lam=1.001) not in fresh_cache
+        assert len(fresh_cache) == 256
 
     def test_hit_returns_the_same_table(self, fresh_cache):
         first = kou._table(variant(), 10)

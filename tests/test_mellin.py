@@ -187,15 +187,16 @@ class TestConvolve:
             mellin_convolve(uniform01, uniform01, x)
 
     @pytest.mark.parametrize("log_x, edges, starts", [
-        (2.37, [0.0, 1.0, 2.0, 2.37, 3.0], (3.0, 0.0)),
-        (-1.18, [-2.0, -1.18, -1.0, 0.0], (0.0, -2.0)),
-        (2.0, [0.0, 1.0, 2.0], (2.0, 0.0)),
-        (1e-12, [0.0, 1e-12, 1.0], (1.0, 0.0)),
+        (2.37, [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 2.37, 3.0], (3.0, -3.0)),
+        (-1.18, [-2.0, -1.18, -1.0, 0.0, 1.0, 2.0], (2.0, -2.0)),
+        (2.0, [-2.0, -1.0, 0.0, 1.0, 2.0], (2.0, -2.0)),
+        (1e-12, [-1.0, 0.0, 1e-12, 1.0], (1.0, -1.0)),
         (0.0, None, (0.0, 0.0)),
+        (30.0, [float(v) for v in range(-24, 31)], (30.0, -24.0)),
     ])
     def test_panels_lie_on_the_lattice(self, monkeypatch, log_x, edges, starts):
-        # the span is split at the integers and at log x, and the sweeps start
-        # from the integers around it
+        # the span is split at the integers and at log x, and reaches as far
+        # below 0 as above it, at most to 24; the sweeps start from its ends
         spans, names = [], []
 
         def recording_integrate(f, a, b, tol):
@@ -212,6 +213,23 @@ class TestConvolve:
         mellin_convolve(lognormal(0.2, 0.5), lognormal(-0.4, 0.8), x)
         assert spans == ([] if edges is None else [[math.log(x) if v == log_x else v for v in edges]])
         assert [name.split(", ")[-1] for name in names] == [f"v > {starts[0]:.6g}", f"v < {starts[1]:.6g}"]
+
+    @pytest.mark.parametrize("log_x", [-30.0, -2.37, 0.0, 1.5, 5.2, 23.9, 30.0])
+    def test_first_sweep_call_takes_as_many_windows_each_way(self, monkeypatch, log_x):
+        first_call = []
+
+        def recording_sweep(integrand, *args, **kw):
+            def recording(u, point):
+                if not first_call:
+                    first_call.append(np.bincount(point, minlength=2).tolist())
+                return integrand(u, point)
+
+            return numerics.window_sweep(recording, *args, **kw)
+
+        monkeypatch.setattr(mellin, "window_sweep", recording_sweep)
+        mellin_convolve(lognormal(0.2, 0.5), lognormal(-0.4, 0.8), math.exp(log_x))
+        (up, down), = first_call
+        assert up == down > 0
 
 
 class TestAsymptoteTransfer:

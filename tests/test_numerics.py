@@ -360,11 +360,15 @@ class TestFirstCall:
             return integrate(f, a, b, tol)
 
         monkeypatch.setattr(numerics, "integrate", counting)
+        sweep(lambda u, point: np.exp(-u), [1.0, 1.0], [23.5, 23.5])
+        # 24 windows of each point, the last ones past the stop. Window
+        # (23, 24) is the first negligible one, so each point needs one more
+        assert calls == [24 + 24, 2]
+        calls.clear()
         sweep(lambda u, point: np.exp(-u), [1.0, 1.0], [23.5, 30.5])
-        # 24 and 31 windows, the last ones past the stop. Window (23, 24) is
-        # the first negligible one, so point 0 needs one more window and point
-        # 1 stops in the first call
-        assert calls == [24 + 31, 1]
+        # the nearer stop sets the first call: 24 windows of each point. Point
+        # 0 stops in the second call, point 1 one window at a time at (30, 31)
+        assert calls == [24 + 24, 2, 1, 1, 1, 1, 1, 1]
 
     def test_divergence_after_a_short_first_call(self):
         # point 1 takes 6 windows in the first call, point 0 takes 21; point
