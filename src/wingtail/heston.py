@@ -75,8 +75,9 @@ class HestonParams:
 
     @property
     def forward(self) -> float:
-        """x0 * exp(mu*t), the mean of the price at the horizon."""
-        return self.x0 * math.exp(self.mu * self.t)
+        """x0 * exp(mu*t), the mean of the price at the horizon, formed as
+        exp(log x0 + mu t) so that it is a double whenever the product is."""
+        return math.exp(math.log(self.x0) + self.mu * self.t)
 
 
 @dataclass(frozen=True)

@@ -380,7 +380,8 @@ def find_root(f, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Root of f on [lo, hi]; requires a sign change on the bracket.
 
     Interpolation-accelerated bisection (Brent), so convergence is guaranteed
-    for continuous f.
+    for continuous f. Its callers are `heston.critical_moments` and the
+    Riccati explosion oracle; implied volatility has its own Newton loop.
     """
     if not lo < hi:
         raise DomainError(f"find_root requires lo < hi, got [{lo}, {hi}]")

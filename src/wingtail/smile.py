@@ -11,18 +11,21 @@ works in the log-moneyness k = log(K/x0) and in log prices in units of the
 spot, log(C/x0), throughout; only `bs_call` and `bs_implied_vol` take float
 strikes. The small wing at L is priced as the large wing, at the same L, of
 the density reflected about the spot (see `TailAsymptote.reflected`).
+Implied volatility is found by safeguarded Newton on the log price, from a
+closed-form start (the leading-order Black-Scholes wing inversion with one
+Mills-ratio correction), not by a bracketed root-finder.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import DomainError, InfinitePriceError, InversionError, RegimeGuardError
 from .mellin import AT_INFINITY, TailAsymptote
 from .mixed import WING_LARGE, WING_SMALL, MixedModel, classify_wing, mixed_asymptote
-from .numerics import Tolerance, find_root
 
 __all__ = [
     "GUARD",
@@ -34,6 +37,8 @@ __all__ = [
     "call_asymptote_log",
     "expansion_from_tail",
     "smile_expansion",
+    "unit_call_asymptote_log",
+    "unit_spot_tail",
 ]
 
 # The wing formulas are used only at log-moneyness L >= GUARD.
@@ -104,12 +109,64 @@ def bs_log_call(k: float, T: float, sigma: float) -> float:
     return la + math.log1p(-math.exp(lb - la))
 
 
-_INVERSION_TOL = Tolerance(rel=1e-15, abs=1e-14, max_iter=200)
+# the lowest volatility the inversion returns: a price at or below its value
+# inverts to it
+_VOL_FLOOR = 1e-8
+# the loop ends in a few steps; the budget only bounds a broken evaluation
+_NEWTON_BUDGET = 200
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_EPS = sys.float_info.epsilon
+
+
+def _start_vol(log_price: float, k: float, T: float) -> float:
+    """Closed-form start for the inversion of log(C/x0) at log-moneyness k.
+
+    An in-the-money call is read as the out-of-the-money put of the same
+    volatility, by put-call parity and symmetry (P = C - (1 - e^k) at k, a
+    call of log price log P - k at -k). On the out-of-the-money side the
+    leading-order wing inversion (Gao-Lee) solves -log C = d1^2/2 for the
+    total volatility: v = sqrt(2(l + k)) - sqrt(2 l), l = -log C, with l
+    corrected once by the Mills ratio C ~ phi(d1) v / (d1 d2) where d1 < -1.
+    The at-the-money volatility of the same price, which is below the root
+    at every k >= 0, is the start where that is larger (near the money).
+    """
+    if k < 0.0:
+        put = math.exp(log_price) + math.expm1(k)
+        if put > 0.0:
+            log_price, k = math.log(put) - k, -k
+    v = -2.0 * float(ndtri(max(-0.5 * math.expm1(log_price), sys.float_info.min)))
+    if k > 0.0:
+        ell = -log_price
+        v0 = 2.0 * k / (math.sqrt(2.0 * (ell + k)) + math.sqrt(2.0 * ell))
+        d1 = -k / v0 + 0.5 * v0
+        if d1 < -1.0:
+            ell += math.log(v0 / (d1 * (d1 - v0))) - _HALF_LOG_2PI
+            if ell > 0.0:
+                v0 = 2.0 * k / (math.sqrt(2.0 * (ell + k)) + math.sqrt(2.0 * ell))
+        v = max(v, v0)
+    return max(v / math.sqrt(T), _VOL_FLOOR)
 
 
 def bs_implied_vol_from_log(log_price: float, k: float, T: float) -> float:
-    """Implied volatility of the log price log(C/x0) at log-moneyness k;
-    bracketed, bisection-safe inversion."""
+    """Implied volatility of the log price log(C/x0) at log-moneyness k.
+
+    Safeguarded Newton on g(sigma) = log C(sigma) - log_price from the
+    closed-form start `_start_vol`, with d log C / d sigma = phi(d1) sqrt(T) / C.
+    Every evaluation narrows a bracket (lo, hi) of the root, since g
+    increases. A Newton step that leaves it or more than doubles sigma, or
+    that has no accurate derivative (far below the root, where log C and
+    -d1^2/2 cancel), is replaced by a bisection, or by a doubling while no
+    upper end is known. Below the volatility floor 1e-8 is never evaluated:
+    a price at or below the floor's value returns the floor. The loop stops
+    - when the residual is small enough that the Newton step from it is
+      exact to rounding: the step's quadratic error |g''/g'| step^2, with
+      g''/g' = d1 d2 / sigma - g', is within one ulp of sigma; it returns
+      the stepped volatility;
+    - when the residual is at the rounding level of the log price;
+    - or when the bracket has collapsed to a few ulps, where rounding of g
+      keeps the residual from certifying a step (a price that barely
+      determines sigma, such as deep in the money).
+    """
     if not (math.isfinite(k) and math.isfinite(T) and T > 0):
         raise DomainError(f"need a finite k and a finite T > 0, got {k}, {T}")
     if not math.isfinite(log_price):
@@ -120,22 +177,36 @@ def bs_implied_vol_from_log(log_price: float, k: float, T: float) -> float:
         raise InversionError(
             f"price {math.exp(log_price):.6g} x0 at or below intrinsic value {-math.expm1(k):.6g} x0"
         )
-
-    def gap(sigma):
-        return bs_log_call(k, T, sigma) - log_price
-
-    lo, hi = 1e-8, 1.0
-    glo = gap(lo)
-    if glo >= 0.0:
-        # price below the tiny-vol value only through rounding; return the floor
-        return lo
-    for _ in range(60):
-        if gap(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise InversionError(f"no volatility below {hi} reproduces the price")
-    return find_root(gap, lo, hi, _INVERSION_TOL)
+    sqrt_t, half_log_t = math.sqrt(T), 0.5 * math.log(T)
+    lo, hi = 0.0, math.inf  # lo = 0: no volatility below the root evaluated yet
+    sigma = _start_vol(log_price, k, T)
+    for _ in range(_NEWTON_BUDGET):
+        log_c = bs_log_call(k, T, sigma)
+        g = log_c - log_price
+        if g == 0.0 or (g > 0.0 and sigma == _VOL_FLOOR):
+            return sigma
+        if g < 0.0:
+            lo = sigma
+        else:
+            hi = sigma
+        if abs(g) <= 2.0 * _EPS * -log_price or hi - lo <= 4.0 * _EPS * lo:
+            return sigma
+        v = sigma * sqrt_t
+        d1 = -k / v + 0.5 * v
+        log_dg = -0.5 * d1 * d1 - _HALF_LOG_2PI + half_log_t - log_c
+        nxt = math.nan
+        # a derivative in the double range, and with log_dg, a difference of
+        # two terms near d1^2 / 2, good to three digits
+        if abs(log_dg) < 700.0 and d1 * d1 * _EPS < 2e-3:
+            dg = math.exp(log_dg)
+            step = g / dg
+            nxt = sigma - step
+            if max(lo, _VOL_FLOOR) <= nxt <= hi and abs(d1 * (d1 - v) / sigma - dg) * step * step <= _EPS * nxt:
+                return nxt
+        if not lo < nxt < min(hi, 2.0 * sigma):
+            nxt = _VOL_FLOOR if lo == 0.0 else 2.0 * sigma if hi == math.inf else 0.5 * (lo + hi)
+        sigma = max(nxt, _VOL_FLOOR)
+    raise InversionError(f"no volatility in [{lo:.17g}, {hi:.17g}] certified within {_NEWTON_BUDGET} steps")
 
 
 def bs_implied_vol(price: float, x0: float, K: float, T: float) -> float:
@@ -154,7 +225,7 @@ def bs_implied_vol(price: float, x0: float, K: float, T: float) -> float:
 # Call-price tail from a density tail record
 # --------------------------------------------------------------------------- #
 
-def _unit_spot_tail(tail: TailAsymptote, x0: float) -> TailAsymptote:
+def unit_spot_tail(tail: TailAsymptote, x0: float) -> TailAsymptote:
     """The record at infinity that prices the wing of `tail`, at unit spot.
 
     C(x0 e^L)/x0 is the call at unit spot on the density of X/x0, whose
@@ -170,26 +241,35 @@ def call_asymptote_log(tail: TailAsymptote, L: float, x0: float, T: float) -> fl
     """log(C/x0) of the leading-term call price at log-moneyness L on the
     wing of a density tail record (either side).
 
-    Integrating the large-wing tail twice gives, at unit spot,
-        C = r1 / ((r3-1)(r3-2)) * L^r4 * exp(r2 sqrt(L)) * e^((2-r3) L),
-    with relative error of order L^(-1/2). A record at zero gives the price
-    whose implied volatility at k = L is the small-wing one at k = -L.
+    A record at zero gives the price whose implied volatility at k = L is
+    the small-wing one at k = -L. A caller pricing many strikes of one wing
+    builds `unit_spot_tail` once and calls `unit_call_asymptote_log`.
     """
     if not (x0 > 0 and T > 0):
         raise DomainError(f"need x0, T > 0, got {x0}, {T}")
-    tail = _unit_spot_tail(tail, x0)
-    if not tail.r3 > 2.0:
+    return unit_call_asymptote_log(unit_spot_tail(tail, x0), L)
+
+
+def unit_call_asymptote_log(unit: TailAsymptote, L: float) -> float:
+    """log(C/x0) of the leading-term call price at log-moneyness L on the
+    unit-spot record at infinity `unit`, as made by `unit_spot_tail`.
+
+    Integrating the large-wing tail twice gives, at unit spot,
+        C = r1 / ((r3-1)(r3-2)) * L^r4 * exp(r2 sqrt(L)) * e^((2-r3) L),
+    with relative error of order L^(-1/2).
+    """
+    if not unit.r3 > 2.0:
         raise InfinitePriceError(
-            f"call price diverges: tail power exponent {tail.r3} is not above 2"
+            f"call price diverges: tail power exponent {unit.r3} is not above 2"
         )
     if not L >= GUARD:
         raise RegimeGuardError(f"call_asymptote_log requires L >= {GUARD}, got {L:.6g}")
     return (
-        math.log(tail.r1)
-        - math.log((tail.r3 - 1.0) * (tail.r3 - 2.0))
-        + tail.r4 * math.log(L)
-        + tail.r2 * math.sqrt(L)
-        + (2.0 - tail.r3) * L
+        math.log(unit.r1)
+        - math.log((unit.r3 - 1.0) * (unit.r3 - 2.0))
+        + unit.r4 * math.log(L)
+        + unit.r2 * math.sqrt(L)
+        + (2.0 - unit.r3) * L
     )
 
 
@@ -262,12 +342,12 @@ def expansion_from_tail(tail: TailAsymptote, x0: float, T: float) -> SmileExpans
 
     The coefficients depend on the exponent offsets (r3 - 2, r3 - 1) and on
     the prefactor of the record at infinity that prices the wing at unit
-    spot (`_unit_spot_tail`): the record itself, r1 x0^(1-r3), on the large
+    spot (`unit_spot_tail`): the record itself, r1 x0^(1-r3), on the large
     wing; on the small wing (density ~ r1 x^(s3 - 1), s3 = r3 + 1) the
     record reflected about the spot, offsets (s3, s3 + 1), prefactor r1 x0^s3.
     """
     wing = WING_LARGE if tail.side == AT_INFINITY else WING_SMALL
-    unit = _unit_spot_tail(tail, x0)
+    unit = unit_spot_tail(tail, x0)
     e_lo, e_hi = unit.r3 - 2.0, unit.r3 - 1.0
     if not e_lo > 0.0:
         raise InfinitePriceError(

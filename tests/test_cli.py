@@ -8,8 +8,10 @@ import re
 import numpy as np
 import pytest
 
-from wingtail import acceptance, cli, heston, mixed
+from test_smile import agreement_bound, reference_implied_vol_from_log
+from wingtail import acceptance, cli, heston, mixed, smile
 from wingtail.errors import WingtailError
+from wingtail.heston import HestonParams
 from wingtail.mixed import WING_LARGE, WING_SMALL, MixedModel
 
 HERE = os.path.dirname(__file__)
@@ -280,6 +282,34 @@ class TestSmileCommand:
         for x0 in (0.5, 2.0):
             assert by_spot[x0] == pytest.approx(by_spot[1.0], rel=0.0, abs=3e-13)
 
+    @pytest.mark.parametrize("name", ["pure_heston", "reference_kou", "reference_nig"])
+    def test_rows_match_the_bracketed_reference(self, monkeypatch, capsys, name):
+        # the Newton inversion against the bracketed one it replaced, on every
+        # row of both wings out to L = 101, the guard rows included
+        config = cli.load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
+        grid = cli.parse_grid("1e-44:1e44:89log")
+        rows = cli.cmd_smile(config, grid)
+        err = capsys.readouterr().err
+        monkeypatch.setattr(smile, "bs_implied_vol_from_log", reference_implied_vol_from_log)
+        reference = cli.cmd_smile(config, grid)
+        assert capsys.readouterr().err == err
+        model = config.model
+        checked = 0
+        for row, ref in zip(rows[1:], reference[1:], strict=True):
+            assert [cell == "" for cell in row] == [cell == "" for cell in ref]
+            assert row[:3] == ref[:3]
+            if ref[3] == "":
+                continue
+            L = float(ref[1])
+            wing = WING_LARGE if float(ref[0]) >= model.x0 else WING_SMALL
+            log_price = smile.call_asymptote_log(mixed.mixed_asymptote(model, wing), L, model.x0, model.t)
+            bound = agreement_bound(float(ref[3]), log_price, L, model.t)
+            assert abs(float(row[3]) - float(ref[3])) <= bound
+            assert abs(float(row[4]) - float(ref[4])) <= bound
+            assert abs(float(row[5]) - float(ref[5])) <= bound * L
+            checked += 1
+        assert checked == 86
+
     @pytest.mark.parametrize("x0, grid", [(0.01, "1e307:1e308:2"), (1e5, "1e-306:1e-305:2")])
     def test_strikes_past_the_float_range_of_the_moneyness(self, tmp_path, capsys, x0, grid):
         # K/x0 overflows (x0 = 0.01) or x0/K does (x0 = 1e5); the rows are
@@ -325,6 +355,26 @@ class TestMainEntry:
         assert cli.main(["constants", "--config", write_config(tmp_path, payload)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("x0, exit_code, named", [
+        (1e-10, 1, "B1 must be positive and within the double range, got inf"),
+        (1e-300, 0, ""),
+    ])
+    def test_forward_past_the_range_of_exp_mu_t_accepted(self, tmp_path, capsys, x0, exit_code, named):
+        # e^(mu t) overflows at mu = 720, but the forward x0 e^(mu t) is about
+        # e^697 (x0 = 1e-10) or e^29 (x0 = 1e-300), a normal double, so the
+        # parameters stand; at x0 = 1e-10 the prefactor B1 = A1 F^(A3 - 1)
+        # is still past the double range and refused by name
+        params = HestonParams(mu=720.0, a=1.0, b=2.0, c=0.5, rho=-0.3, x0=x0, y0=0.04, t=1.0)
+        assert params.forward == pytest.approx(math.exp(720.0 + math.log(x0)), rel=1e-15)
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        del payload["kou"]
+        payload["model"] = "heston"
+        payload["heston"].update(mu=720.0, x0=x0)
+        assert cli.main(["constants", "--config", write_config(tmp_path, payload)]) == exit_code
+        err = capsys.readouterr().err
+        assert "forward" not in err and "Traceback" not in err
+        assert named in err if named else err == ""
 
     def test_overflowing_nig_prefactor_reported_by_wing(self, tmp_path, capsys):
         # k(t) = alpha delta t e^(alpha delta t) / pi past the double range: like

@@ -5,20 +5,87 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, seed, settings
+from hypothesis import strategies as st
+from mpmath import mp
 from scipy.integrate import quad
+from scipy.special import log_ndtr
 from scipy.stats import norm
 
-from wingtail import acceptance, mixed, smile
+from wingtail import acceptance, cli, mixed, smile
 from wingtail.errors import (
     DomainError,
     InfinitePriceError,
     InversionError,
     RegimeGuardError,
+    WingtailError,
 )
 from wingtail.heston import HestonParams
 from wingtail.kou import KouJumpParams, risk_neutral_drift
 from wingtail.mellin import AT_INFINITY, TailAsymptote
 from wingtail.mixed import WING_LARGE, WING_SMALL, MixedModel
+from wingtail.numerics import Tolerance, find_root
+
+VOL_FLOOR = 1e-8
+_REFERENCE_TOL = Tolerance(rel=1e-15, abs=1e-14, max_iter=200)
+
+
+def reference_implied_vol_from_log(log_price: float, k: float, T: float) -> float:
+    """The bracketed inversion that `smile.bs_implied_vol_from_log` replaced:
+    bracket the root in [1e-8, 2^j], then brentq at rel 1e-15, abs 1e-14."""
+    if not (math.isfinite(k) and math.isfinite(T) and T > 0):
+        raise DomainError(f"need a finite k and a finite T > 0, got {k}, {T}")
+    if not math.isfinite(log_price):
+        raise DomainError(f"bs_implied_vol_from_log needs a finite log_price, got {log_price}")
+    if log_price >= 0.0:
+        raise InversionError(f"price {math.exp(log_price):.6g} x0 at or above the spot bound")
+    if k < 0.0 and log_price <= math.log(-math.expm1(k)):
+        raise InversionError(
+            f"price {math.exp(log_price):.6g} x0 at or below intrinsic value {-math.expm1(k):.6g} x0"
+        )
+
+    def gap(sigma):
+        return smile.bs_log_call(k, T, sigma) - log_price
+
+    lo, hi = VOL_FLOOR, 1.0
+    if gap(lo) >= 0.0:
+        return lo
+    for _ in range(60):
+        if gap(hi) > 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise InversionError(f"no volatility below {hi} reproduces the price")
+    return find_root(gap, lo, hi, _REFERENCE_TOL)
+
+
+# The Newton inversion agrees with the reference within REFERENCE_REL
+# relative, plus the reference's own absolute stopping tolerance, plus the
+# rounding plateau of g(sigma) = log C - log_price: the volatilities over which
+# log C moves by less than its rounding error, where the price does not
+# determine sigma (deep in the money, or where the vega is far below the
+# price). That error is 8 eps max(1, |log C|, |k|), times Phi(d1)/C on the
+# direct branch of `bs_log_call`, which forms C/Phi(d1) as 1 - e^(lb - la).
+REFERENCE_REL = 4e-14
+
+
+def agreement_bound(sigma: float, log_price: float, k: float, T: float) -> float:
+    v = sigma * math.sqrt(T)
+    d1 = -k / v + 0.5 * v
+    log_dg = -0.5 * d1 * d1 - 0.5 * math.log(2.0 * math.pi) + 0.5 * math.log(T) - log_price
+    excess = float(log_ndtr(d1)) - log_price  # log(Phi(d1)/C)
+    mills_branch = d1 <= -20.0 and d1 - v <= -25.0
+    log_cancellation = 0.0 if mills_branch else max(excess, 0.0) + math.log1p(math.exp(-abs(excess)))
+    log_rounding = math.log(8.0 * sys.float_info.epsilon * max(1.0, abs(log_price), abs(k))) + log_cancellation
+    return REFERENCE_REL * sigma + _REFERENCE_TOL.abs + math.exp(min(log_rounding - log_dg, 700.0))
+
+
+def outcome(invert, log_price: float, k: float, T: float):
+    """The inversion's value, or the class and message of the error it raised."""
+    try:
+        return invert(log_price, k, T)
+    except WingtailError as exc:
+        return type(exc).__name__, str(exc)
 
 
 class TestRiskNeutralDrift:
@@ -113,6 +180,132 @@ class TestBlackScholes:
             smile.bs_log_call(5.0, T, 0.3)
         with pytest.raises(DomainError, match=f"finite T > 0, got 5.0, {T}"):
             smile.bs_implied_vol_from_log(-3.0, 5.0, T)
+
+
+class TestNewtonInversion:
+    """The safeguarded Newton inversion against the bracketed reference it
+    replaced, the cost it was made for, and a 50-digit root."""
+
+    @seed(16)
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(k=st.floats(-8.0, 40.0), T=st.floats(0.1, 2.0),
+           sigma=st.one_of(st.floats(0.02, 6.0), st.floats(1e-10, VOL_FLOOR)))
+    @example(k=5.0, T=1.0, sigma=1e-9)  # a price below the floor's value: both return the floor
+    @example(k=0.0, T=1.0, sigma=1e-9)
+    @example(k=-2.0, T=0.5, sigma=0.3)  # in the money
+    @example(k=-8.0, T=2.0, sigma=0.02)  # at intrinsic in double precision: both refuse
+    @example(k=0.0, T=2.0, sigma=6.0)  # huge volatility
+    @example(k=40.0, T=0.1, sigma=6.0)
+    def test_agrees_with_the_bracketed_reference(self, k, T, sigma):
+        try:
+            log_price = smile.bs_log_call(k, T, sigma)
+        except WingtailError:
+            reject()
+        ref = outcome(reference_implied_vol_from_log, log_price, k, T)
+        new = outcome(smile.bs_implied_vol_from_log, log_price, k, T)
+        if isinstance(ref, tuple) or isinstance(new, tuple):
+            assert new == ref
+        else:
+            assert new >= VOL_FLOOR
+            assert abs(new - ref) <= agreement_bound(ref, log_price, k, T)
+
+    @pytest.mark.parametrize("k, T, sigma", [(5.0, 1.0, 1e-9), (0.0, 1.0, 1e-9), (40.0, 0.1, 5e-9), (1e-6, 2.0, 2e-9)])
+    def test_price_below_the_floor_value_returns_the_floor(self, k, T, sigma):
+        log_price = smile.bs_log_call(k, T, sigma)
+        assert reference_implied_vol_from_log(log_price, k, T) == VOL_FLOOR
+        assert smile.bs_implied_vol_from_log(log_price, k, T) == VOL_FLOOR
+
+    @pytest.mark.parametrize("start", [VOL_FLOOR, 1e-3, 0.5, 5.0, 50.0])
+    @pytest.mark.parametrize("k, T, sigma", [
+        (5.0, 1.0, 1e-9), (0.0, 1.0, 1e-9), (5.0, 1.0, 0.3), (30.0, 0.5, 2.5), (0.0, 2.0, 6.0),
+        (0.146484375, 0.1, 0.0234375), (-0.5, 1.0, 0.4), (-2.0, 1.0, 0.3), (-7.0, 1.0, 1.0),
+    ])
+    def test_the_safeguards_reach_the_root_from_any_start(self, monkeypatch, start, k, T, sigma):
+        # the bisection, the doubling and the floor, without the closed-form start
+        log_price = smile.bs_log_call(k, T, sigma)
+        ref = reference_implied_vol_from_log(log_price, k, T)
+        monkeypatch.setattr(smile, "_start_vol", lambda *args: start)
+        new = smile.bs_implied_vol_from_log(log_price, k, T)
+        if sigma < VOL_FLOOR:
+            assert new == ref == VOL_FLOOR
+        assert abs(new - ref) <= agreement_bound(ref, log_price, k, T)
+
+    @pytest.mark.parametrize("log_price, k, T", [
+        (math.nan, 5.0, 1.0), (-3.0, math.inf, 1.0), (-3.0, 5.0, 0.0), (-3.0, 5.0, math.nan),
+        (0.0, 5.0, 1.0), (1e-300, -1.0, 1.0), (math.log(-math.expm1(-1.0)), -1.0, 1.0),
+    ])
+    def test_refuses_as_the_reference_does(self, log_price, k, T):
+        ref = outcome(reference_implied_vol_from_log, log_price, k, T)
+        assert isinstance(ref, tuple)
+        assert outcome(smile.bs_implied_vol_from_log, log_price, k, T) == ref
+
+    @pytest.mark.parametrize("k, T, sigma", [
+        (6.465236836934199, 1.2459089950745432, 0.040231053858653415),
+        (30.0, 1.0, 2.0), (5.0, 0.25, 0.7), (0.0, 1.0, 0.2), (-0.5, 1.0, 0.4),
+    ])
+    def test_matches_a_fifty_digit_root(self, k, T, sigma):
+        # the reference stops within its absolute 1e-14 (4.2e-14 relative at
+        # the first point); the Newton loop lands within the rounding plateau
+        log_price = smile.bs_log_call(k, T, sigma)
+        mp.dps = 50
+
+        def gap(s):
+            v = s * mp.sqrt(T)
+            d1 = -k / v + v / 2
+            return mp.log(mp.ncdf(d1) - mp.exp(k) * mp.ncdf(d1 - v)) - log_price
+
+        root = float(mp.findroot(gap, mp.mpf(sigma)))
+        new = smile.bs_implied_vol_from_log(log_price, k, T)
+        assert abs(new - root) <= agreement_bound(root, log_price, k, T) - _REFERENCE_TOL.abs
+
+    def test_param_sweep_grid_cost(self, monkeypatch, kou_model, nig_model, pure_model):
+        # the benchmark's param-sweep shape: reference Kou, NIG and pure
+        # Heston models, both wings, 24 log-spaced L in [5, 40]
+        ells = np.geomspace(5.0, 40.0, 24)
+        strikes = np.concatenate([np.exp(-ells[::-1]), np.exp(ells)])
+        evaluations, inversions = [], []
+        real_call, real_invert = smile.bs_log_call, smile.bs_implied_vol_from_log
+
+        def invert(*args):
+            inversions.append((args, real_invert(*args)))
+            return inversions[-1][1]
+
+        monkeypatch.setattr(smile, "bs_log_call", lambda *a: evaluations.append(1) or real_call(*a))
+        monkeypatch.setattr(smile, "bs_implied_vol_from_log", invert)
+        for model in (kou_model, nig_model, pure_model):
+            config = cli.ModelConfig(kind="", model=model, seed=0, tol=Tolerance())
+            rows = cli.cmd_smile(config, strikes)
+            assert all(cell != "" for row in rows[1:] for cell in row)
+        assert len(inversions) == 3 * strikes.size
+        assert len(evaluations) / len(inversions) <= 5.0
+        assert "find_root" not in vars(smile)
+        # the Mills-corrected start is within 1e-2 of the root at the median;
+        # the leading-order inversion alone is off by about 5e-2 there
+        start_errors = [abs(smile._start_vol(*args) / sigma - 1.0) for args, sigma in inversions]
+        assert float(np.median(start_errors)) <= 1e-2
+
+    def test_a_staircase_price_ends_on_the_collapsed_bracket(self, monkeypatch):
+        # log C rounded to 1e-9 has no root and no residual at the rounding
+        # level, and its derivative certifies no step: only the bracket ends it
+        real_call = smile.bs_log_call
+        monkeypatch.setattr(smile, "bs_log_call", lambda k, T, s: round(real_call(k, T, s), 9))
+        for k, T, sigma in ((5.0, 1.0, 0.3), (0.0, 1.0, 0.2), (-0.5, 0.5, 0.4)):
+            log_price = round(real_call(k, T, sigma), 9) + 0.5e-9
+            found = smile.bs_implied_vol_from_log(log_price, k, T)
+            assert abs(real_call(k, T, found) - log_price) <= 1e-9
+
+    def test_a_deep_in_the_money_price_ends_at_its_rounding_level(self, monkeypatch):
+        # the price barely determines sigma (vega/C is about 1e-14 here); the
+        # residual reaches the rounding level of log C in a few evaluations,
+        # where the bracket would take about 40 to collapse
+        k, T, sigma = -7.735660240373932, 0.3280848299081869, 1.8298687485210734
+        log_price = smile.bs_log_call(k, T, sigma)
+        evaluations = []
+        real_call = smile.bs_log_call
+        monkeypatch.setattr(smile, "bs_log_call", lambda *a: evaluations.append(1) or real_call(*a))
+        found = smile.bs_implied_vol_from_log(log_price, k, T)
+        assert len(evaluations) <= 6
+        assert abs(found - reference_implied_vol_from_log(log_price, k, T)) <= agreement_bound(found, log_price, k, T)
 
 
 def call_asymptote(rec, K, x0, T):
