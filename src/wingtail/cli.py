@@ -219,11 +219,10 @@ def cmd_smile(config: ModelConfig, grid: np.ndarray) -> list[list[str]]:
     Each strike is read as its log-moneyness L = |log K - log x0|. Rows inside
     the smile guard (L < smile.GUARD) are left empty; so is a row where a
     step raised, and it gets one stderr line naming K, L and the error. The
-    expansion and the unit-spot tail record are built once per wing."""
+    expansion, which also prices the wing, is built once per wing."""
     model = config.model
     rows = [SMILE_HEADER]
     expansions = {}
-    units = {}
     log_x0 = math.log(model.x0)
     for K in grid:
         ell = math.log(K) - log_x0
@@ -232,15 +231,14 @@ def cmd_smile(config: ModelConfig, grid: np.ndarray) -> list[list[str]]:
         if wing not in expansions:
             try:
                 expansions[wing] = smile.smile_expansion(model, wing)
-                units[wing] = smile.unit_spot_tail(mixed.mixed_asymptote(model, wing), model.x0)
             except WingtailError as exc:
                 expansions[wing] = exc
+        expn = expansions[wing]
         try:
-            if isinstance(expansions[wing], WingtailError):
-                raise expansions[wing]
-            iv_exp = expansions[wing].evaluate(L)
-            lp = smile.unit_call_asymptote_log(units[wing], L)
-            iv_inv = smile.bs_implied_vol_from_log(lp, L, model.t)
+            if isinstance(expn, WingtailError):
+                raise expn
+            iv_exp = expn.evaluate(L)
+            iv_inv = smile.bs_implied_vol_from_log(expn.log_call(L), L, model.t)
             resid = abs(iv_exp - iv_inv)
             resid_l = resid * L
         except WingtailError as exc:

@@ -8,9 +8,11 @@ coefficients for sqrt(L), 1, log L/sqrt(L), 1/sqrt(L) and log L/L, with a
 1/L error, where L is the log-moneyness of the wing. Deep wings underflow
 double precision as prices and overflow it as strikes, so the wing path
 works in the log-moneyness k = log(K/x0) and in log prices in units of the
-spot, log(C/x0), throughout; only `bs_call` and `bs_implied_vol` take float
-strikes. The small wing at L is priced as the large wing, at the same L, of
-the density reflected about the spot (see `TailAsymptote.reflected`).
+spot, log(C/x0), throughout; only `bs_call` takes a float strike. Each
+wing is one `SmileExpansion`, which carries the unit-spot record it was
+built from and prices the wing's calls from it. The small wing at L is
+priced as the large wing, at the same L, of the density reflected about
+the spot (see `TailAsymptote.reflected`).
 Implied volatility is found by safeguarded Newton on the log price, from a
 closed-form start (the leading-order Black-Scholes wing inversion with one
 Mills-ratio correction), not by a bracketed root-finder.
@@ -25,20 +27,16 @@ from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import DomainError, InfinitePriceError, InversionError, RegimeGuardError
 from .mellin import AT_INFINITY, TailAsymptote
-from .mixed import WING_LARGE, WING_SMALL, MixedModel, classify_wing, mixed_asymptote
+from .mixed import WING_LARGE, WING_SMALL, MixedModel, mixed_asymptote
 
 __all__ = [
     "GUARD",
     "SmileExpansion",
     "bs_call",
     "bs_log_call",
-    "bs_implied_vol",
     "bs_implied_vol_from_log",
-    "call_asymptote_log",
     "expansion_from_tail",
     "smile_expansion",
-    "unit_call_asymptote_log",
-    "unit_spot_tail",
 ]
 
 # The wing formulas are used only at log-moneyness L >= GUARD.
@@ -209,78 +207,16 @@ def bs_implied_vol_from_log(log_price: float, k: float, T: float) -> float:
     raise InversionError(f"no volatility in [{lo:.17g}, {hi:.17g}] certified within {_NEWTON_BUDGET} steps")
 
 
-def bs_implied_vol(price: float, x0: float, K: float, T: float) -> float:
-    """Implied volatility of a call price inside the no-arbitrage band."""
-    if not (x0 > 0 and K > 0 and T > 0):
-        raise DomainError(f"need x0, K, T > 0, got {x0}, {K}, {T}")
-    intrinsic = max(x0 - K, 0.0)
-    if not (intrinsic < price < x0):
-        raise InversionError(
-            f"price {price:.6g} outside the open no-arbitrage band ({intrinsic:.6g}, {x0:.6g})"
-        )
-    return bs_implied_vol_from_log(math.log(price / x0), math.log(K / x0), T)
-
-
 # --------------------------------------------------------------------------- #
-# Call-price tail from a density tail record
-# --------------------------------------------------------------------------- #
-
-def unit_spot_tail(tail: TailAsymptote, x0: float) -> TailAsymptote:
-    """The record at infinity that prices the wing of `tail`, at unit spot.
-
-    C(x0 e^L)/x0 is the call at unit spot on the density of X/x0, whose
-    record has prefactor r1 x0^(1-r3) at infinity and r1 x0^(1+r3) at zero.
-    A record at zero is then reflected about the unit spot, so the small
-    wing at log-moneyness L is priced as the large wing at L.
-    """
-    unit = tail.scaled(x0 ** (1.0 - tail.r3 if tail.side == AT_INFINITY else 1.0 + tail.r3))
-    return unit if unit.side == AT_INFINITY else unit.reflected(1.0)
-
-
-def call_asymptote_log(tail: TailAsymptote, L: float, x0: float, T: float) -> float:
-    """log(C/x0) of the leading-term call price at log-moneyness L on the
-    wing of a density tail record (either side).
-
-    A record at zero gives the price whose implied volatility at k = L is
-    the small-wing one at k = -L. A caller pricing many strikes of one wing
-    builds `unit_spot_tail` once and calls `unit_call_asymptote_log`.
-    """
-    if not (x0 > 0 and T > 0):
-        raise DomainError(f"need x0, T > 0, got {x0}, {T}")
-    return unit_call_asymptote_log(unit_spot_tail(tail, x0), L)
-
-
-def unit_call_asymptote_log(unit: TailAsymptote, L: float) -> float:
-    """log(C/x0) of the leading-term call price at log-moneyness L on the
-    unit-spot record at infinity `unit`, as made by `unit_spot_tail`.
-
-    Integrating the large-wing tail twice gives, at unit spot,
-        C = r1 / ((r3-1)(r3-2)) * L^r4 * exp(r2 sqrt(L)) * e^((2-r3) L),
-    with relative error of order L^(-1/2).
-    """
-    if not unit.r3 > 2.0:
-        raise InfinitePriceError(
-            f"call price diverges: tail power exponent {unit.r3} is not above 2"
-        )
-    if not L >= GUARD:
-        raise RegimeGuardError(f"call_asymptote_log requires L >= {GUARD}, got {L:.6g}")
-    return (
-        math.log(unit.r1)
-        - math.log((unit.r3 - 1.0) * (unit.r3 - 2.0))
-        + unit.r4 * math.log(L)
-        + unit.r2 * math.sqrt(L)
-        + (2.0 - unit.r3) * L
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Five-term wing expansions
+# Five-term wing expansions and the call-price tail
 # --------------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
 class SmileExpansion:
     """Implied-vol wing expansion: c_lead*sqrt(L) + c_const + c_llog*log(L)/sqrt(L)
-    + c_inv/sqrt(L) + c_llog2*log(L)/L, error O(1/L).
+    + c_inv/sqrt(L) + c_llog2*log(L)/L, error O(1/L), and the leading-term
+    call price of the wing, from `unit`, the record at infinity that prices
+    the wing at unit spot (see `_unit_spot_tail`).
 
     L is log(K/x0) on the large wing and log(x0/K) on the small wing.
     """
@@ -291,6 +227,7 @@ class SmileExpansion:
     c_llog: float
     c_inv: float
     c_llog2: float
+    unit: TailAsymptote
 
     def __post_init__(self):
         if self.wing not in (WING_LARGE, WING_SMALL):
@@ -309,11 +246,42 @@ class SmileExpansion:
         lg = math.log(L)
         return self.c_lead * sq + self.c_const + self.c_llog * lg / sq + self.c_inv / sq + self.c_llog2 * lg / L
 
+    def log_call(self, L: float) -> float:
+        """log(C/x0) of the leading-term call price at log-moneyness L >= GUARD
+        on this wing; on the small wing, the price whose implied volatility at
+        k = L is the small-wing one at k = -L.
 
-def _wing_coefficients(r1n: float, r2: float, e_lo: float, e_hi: float, r4: float, T: float):
-    """Shared coefficient algebra: e_hi/e_lo are the two exponent offsets
-    (r3-1, r3-2 on the large wing; s3+1, s3 on the small wing); r1n is the
-    unit-spot-normalized prefactor.
+        Integrating the large-wing tail of `unit` twice gives, at unit spot,
+            C = r1 / ((r3-1)(r3-2)) * L^r4 * exp(r2 sqrt(L)) * e^((2-r3) L),
+        with relative error of order L^(-1/2).
+        """
+        if not L >= GUARD:
+            raise RegimeGuardError(f"the {self.wing}-wing call price needs L >= {GUARD}, got {L:.6g}")
+        unit = self.unit
+        return (
+            math.log(unit.r1)
+            - math.log((unit.r3 - 1.0) * (unit.r3 - 2.0))
+            + unit.r4 * math.log(L)
+            + unit.r2 * math.sqrt(L)
+            + (2.0 - unit.r3) * L
+        )
+
+
+def _unit_spot_tail(tail: TailAsymptote, x0: float) -> TailAsymptote:
+    """The record at infinity that prices the wing of `tail`, at unit spot.
+
+    C(x0 e^L)/x0 is the call at unit spot on the density of X/x0, whose
+    record has prefactor r1 x0^(1-r3) at infinity and r1 x0^(1+r3) at zero.
+    A record at zero is then reflected about the unit spot, so the small
+    wing at log-moneyness L is priced as the large wing at L.
+    """
+    unit = tail.scaled(x0 ** (1.0 - tail.r3 if tail.side == AT_INFINITY else 1.0 + tail.r3))
+    return unit if unit.side == AT_INFINITY else unit.reflected(1.0)
+
+
+def _wing_coefficients(unit: TailAsymptote, T: float):
+    """Coefficient algebra on the unit-spot record at infinity `unit`, whose
+    exponent offsets are e_lo = r3 - 2 and e_hi = r3 - 1.
 
     The 1/sqrt(L) coefficient carries the same (1/sqrt(e_lo) - 1/sqrt(e_hi))
     factor as the other subleading terms: every perturbation of the matching
@@ -322,6 +290,8 @@ def _wing_coefficients(r1n: float, r2: float, e_lo: float, e_hi: float, r4: floa
     only with that factor in place (without it the residual grows like
     sqrt(L); see the wing self-consistency tests).
     """
+    r1n, r2, r4 = unit.r1, unit.r2, unit.r4
+    e_lo, e_hi = unit.r3 - 2.0, unit.r3 - 1.0
     sq_hi, sq_lo = math.sqrt(e_hi), math.sqrt(e_lo)
     s2t = math.sqrt(2.0 * T)
     base2 = 1.0 / sq_lo - 1.0 / sq_hi
@@ -342,19 +312,21 @@ def expansion_from_tail(tail: TailAsymptote, x0: float, T: float) -> SmileExpans
 
     The coefficients depend on the exponent offsets (r3 - 2, r3 - 1) and on
     the prefactor of the record at infinity that prices the wing at unit
-    spot (`unit_spot_tail`): the record itself, r1 x0^(1-r3), on the large
+    spot (`_unit_spot_tail`): the record itself, r1 x0^(1-r3), on the large
     wing; on the small wing (density ~ r1 x^(s3 - 1), s3 = r3 + 1) the
     record reflected about the spot, offsets (s3, s3 + 1), prefactor r1 x0^s3.
     """
+    for name, value in (("x0", x0), ("T", T)):
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"expansion_from_tail needs a finite {name} > 0, got {value}")
     wing = WING_LARGE if tail.side == AT_INFINITY else WING_SMALL
-    unit = unit_spot_tail(tail, x0)
-    e_lo, e_hi = unit.r3 - 2.0, unit.r3 - 1.0
+    unit = _unit_spot_tail(tail, x0)
+    e_lo = unit.r3 - 2.0
     if not e_lo > 0.0:
         raise InfinitePriceError(
             f"{wing}-wing expansion needs a positive exponent offset, got {e_lo} (record r3={tail.r3})"
         )
-    c = _wing_coefficients(unit.r1, unit.r2, e_lo, e_hi, unit.r4, T)
-    return SmileExpansion(wing, *c)
+    return SmileExpansion(wing, *_wing_coefficients(unit, T), unit)
 
 
 def smile_expansion(model: MixedModel, wing: str) -> SmileExpansion:
@@ -362,7 +334,7 @@ def smile_expansion(model: MixedModel, wing: str) -> SmileExpansion:
 
     Requires the martingale drift for the jump component (implied volatility
     is defined against the spot as forward); raises on a degenerate regime or
-    an exploding prefactor moment, propagated from the wing classification.
+    an exploding prefactor moment, propagated from the wing record.
     """
     mu_star = 0.0 if model.jumps is None else model.jumps.martingale_drift()
     if abs(model.heston.mu - mu_star) > 1e-9 * max(1.0, abs(mu_star)):
@@ -370,6 +342,4 @@ def smile_expansion(model: MixedModel, wing: str) -> SmileExpansion:
             f"model drift {model.heston.mu} is not the martingale drift {mu_star}; "
             "install the no-arbitrage drift before asking for smile asymptotics"
         )
-    classify_wing(model, wing)  # surfaces degenerate regimes before any algebra
     return expansion_from_tail(mixed_asymptote(model, wing), model.x0, model.t)
-

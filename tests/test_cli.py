@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -302,13 +303,38 @@ class TestSmileCommand:
                 continue
             L = float(ref[1])
             wing = WING_LARGE if float(ref[0]) >= model.x0 else WING_SMALL
-            log_price = smile.call_asymptote_log(mixed.mixed_asymptote(model, wing), L, model.x0, model.t)
+            log_price = smile.smile_expansion(model, wing).log_call(L)
             bound = agreement_bound(float(ref[3]), log_price, L, model.t)
             assert abs(float(row[3]) - float(ref[3])) <= bound
             assert abs(float(row[4]) - float(ref[4])) <= bound
             assert abs(float(row[5]) - float(ref[5])) <= bound * L
             checked += 1
         assert checked == 86
+
+    @pytest.mark.parametrize("name", ["pure_heston", "reference_kou", "reference_nig"])
+    def test_each_wing_record_is_built_once_per_command(self, monkeypatch, name):
+        # cmd_constants and cmd_smile each build each wing's record once (4 per
+        # model); every build classifies its wing, and so do the two regime
+        # fields of the constants report (6)
+        config = cli.load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
+        calls = {"mixed_asymptote": 0, "classify_wing": 0}
+        modules = [module for key, module in sys.modules.items() if key.split(".")[0] == "wingtail"]
+        for function in calls:
+            real = getattr(mixed, function)
+
+            def counted(*args, _real=real, _name=function, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            # every binding of the function, `from mixed import` ones included
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, counted)
+        cli.cmd_constants(config)
+        cli.cmd_smile(config, cli.parse_grid("1e-44:1e44:89log"))
+        assert calls["mixed_asymptote"] <= 4
+        assert calls["classify_wing"] <= 6
 
     @pytest.mark.parametrize("x0, grid", [(0.01, "1e307:1e308:2"), (1e5, "1e-306:1e-305:2")])
     def test_strikes_past_the_float_range_of_the_moneyness(self, tmp_path, capsys, x0, grid):

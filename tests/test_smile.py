@@ -128,7 +128,7 @@ class TestBlackScholes:
         for sigma in (0.1, 0.3, 0.9, 1.8):
             for k in (0.7, 1.0, 1.9):
                 price = smile.bs_call(1.0, k, 1.0, sigma)
-                assert smile.bs_implied_vol(price, 1.0, k, 1.0) == pytest.approx(sigma, abs=1e-10)
+                assert smile.bs_implied_vol_from_log(math.log(price), math.log(k), 1.0) == pytest.approx(sigma, abs=1e-10)
 
     def test_log_form_consistent_with_linear(self):
         for sigma in (0.2, 1.1):
@@ -156,13 +156,13 @@ class TestBlackScholes:
 
     def test_inversion_band_errors(self):
         with pytest.raises(InversionError):
-            smile.bs_implied_vol(0.5, 1.0, 0.5, 1.0)  # at intrinsic
+            smile.bs_implied_vol_from_log(math.log(0.5), math.log(0.5), 1.0)  # at intrinsic
         with pytest.raises(InversionError):
-            smile.bs_implied_vol(1.0, 1.0, 0.5, 1.0)  # at spot
+            smile.bs_implied_vol_from_log(math.log(1.0), math.log(0.5), 1.0)  # at spot
 
     def test_inversion_huge_vol(self):
         price = smile.bs_call(1.0, 1.0, 1.0, 6.0)
-        assert smile.bs_implied_vol(price, 1.0, 1.0, 1.0) == pytest.approx(6.0, abs=1e-9)
+        assert smile.bs_implied_vol_from_log(math.log(price), 0.0, 1.0) == pytest.approx(6.0, abs=1e-9)
 
     @pytest.mark.parametrize("log_price", [math.nan, math.inf, -math.inf])
     def test_inversion_refuses_non_finite_log_price(self, log_price):
@@ -310,7 +310,7 @@ class TestNewtonInversion:
 
 def call_asymptote(rec, K, x0, T):
     """Leading-term call price at a float strike, from the log form."""
-    return x0 * math.exp(smile.call_asymptote_log(rec, math.log(K / x0), x0, T))
+    return x0 * math.exp(smile.expansion_from_tail(rec, x0, T).log_call(math.log(K / x0)))
 
 
 class TestCallAsymptote:
@@ -396,6 +396,16 @@ class TestExpansionCoefficients:
             for field in ("c_lead", "c_const", "c_llog", "c_inv", "c_llog2"):
                 assert getattr(direct, field) == pytest.approx(getattr(via, field), rel=1e-12, abs=1e-13)
 
+    @pytest.mark.parametrize("x0, T, name", [
+        (1.0, 0.0, "T"), (1.0, -1.0, "T"), (1.0, math.inf, "T"), (1.0, math.nan, "T"),
+        (0.0, 1.0, "x0"), (-1.0, 1.0, "x0"), (math.inf, 1.0, "x0"), (math.nan, 1.0, "x0"),
+    ])
+    def test_refuses_a_spot_or_horizon_that_is_not_finite_and_positive(self, x0, T, name):
+        rec = TailAsymptote(r1=1.0, r2=0.0, r3=3.0, r4=0.0, side=AT_INFINITY)
+        bad = x0 if name == "x0" else T
+        with pytest.raises(DomainError, match=f"finite {name} > 0, got {bad}"):
+            smile.expansion_from_tail(rec, x0, T)
+
     def test_drift_precondition(self, ref_kou):
         h = HestonParams(mu=0.1, a=1.0, b=2.0, c=0.5, rho=-0.3, x0=1.0, y0=0.04, t=1.0)
         model = MixedModel(heston=h, jumps=ref_kou)
@@ -409,11 +419,10 @@ class TestSelfConsistency:
     the residual scaled by L must stay bounded."""
 
     def _residuals(self, model, wing, grid):
-        record = mixed.mixed_asymptote(model, wing)
         expn = smile.smile_expansion(model, wing)
         out = []
         for L in grid:
-            lp = smile.call_asymptote_log(record, L, model.x0, model.t)
+            lp = expn.log_call(L)
             iv_inv = smile.bs_implied_vol_from_log(lp, L, model.t)
             out.append(abs(iv_inv - expn.evaluate(L)) * L)
         return out
@@ -470,5 +479,5 @@ class TestExactPriceAgreement:
         expn = smile.smile_expansion(kou_model, WING_LARGE)
         for L in (5.0, 8.0):
             K = math.exp(L)
-            iv_exact = smile.bs_implied_vol(oracles.call_fourier(kou_model, K), 1.0, K, 1.0)
+            iv_exact = smile.bs_implied_vol_from_log(math.log(oracles.call_fourier(kou_model, K)), math.log(K), 1.0)
             assert expn.evaluate(L) == pytest.approx(iv_exact, rel=0.10)
