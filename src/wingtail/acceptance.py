@@ -171,8 +171,8 @@ def criterion_4_mellin_asymptote(seed: int = 0, tol: Tolerance | None = None) ->
         return np.where((v > 0.5) & (v < 2.0), (v - 0.5) ** 2 * (2.0 - v) ** 2 / norm_const, 0.0)
 
     mu_val = float(integrate(lambda v, _panel: U(v) * v ** params.eta1, 0.5, 2.0)[0])
-    # the windowed-convolution termination obeys the configured tolerance, so a
-    # broken (coarse) tolerance makes this criterion fail by name
+    # tol sets the convolution's rel (clipped to [1e-12, 0.99]), that is how much
+    # work each point does; the bounds below hold at every rel inside the clip
     rel = 1e-9 if tol is None else float(np.clip(tol.rel, 1e-12, 0.99))
     conv_tol = Tolerance(rel=rel, abs=1e-300)
     scaled = []
@@ -442,8 +442,9 @@ def criterion_11_degeneracy(seed: int = 0, tol: Tolerance | None = None) -> Crit
 def criterion_12_normalizations(seed: int = 0, tol: Tolerance | None = None) -> CriterionResult:
     """Atom + jump density mass = 1; jump-factor and mixed densities integrate to 1.
 
-    The quadrature accuracy follows the configured tolerance, so a config with
-    a broken (coarse) tolerance fails here by name rather than silently."""
+    tol sets the quadrature's eps (tol.rel clipped to [1e-10, 1e-2]): the Kou and
+    NIG masses integrate to eps/100 and the mixed mass to eps. The bounds hold at
+    every eps inside the clip."""
     t0 = time.time()
     eps = 1e-9 if tol is None else float(np.clip(tol.rel, 1e-10, 1e-2))
     params = _kou()

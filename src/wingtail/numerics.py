@@ -10,6 +10,7 @@ import cmath
 import contextlib
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -376,32 +377,86 @@ def window_sweep(integrand, first, stop_at, tol: Tolerance, what, *, growth: flo
                            best_estimate=total)
 
 
+def _finite_value(f, x: float) -> float:
+    """f(x) as a float; a NaN or infinite value is refused, naming x."""
+    fx = float(f(x))
+    if not math.isfinite(fx):
+        raise DomainError(f"find_root: f({x!r}) = {fx} is not finite")
+    return fx
+
+
 def find_root(f, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Root of f on [lo, hi]; requires a sign change on the bracket.
 
-    Interpolation-accelerated bisection (Brent), so convergence is guaranteed
-    for continuous f. Its callers are `heston.critical_moments` and the
+    Brent's method, as a line-for-line port of scipy's `brentq` (its C kernel,
+    `brentq.c`): interpolation-accelerated bisection, so convergence is
+    guaranteed for continuous f. With the same `xtol`, `rtol` and budget it
+    evaluates f at the same points and returns the same double as
+    `scipy.optimize.brentq`. Its callers are `heston.critical_moments` and the
     Riccati explosion oracle; implied volatility has its own Newton loop.
+
+    A NaN or infinite f value raises DomainError naming x; an exhausted
+    `tol.max_iter` raises ConvergenceError carrying the last iterate.
     """
     if not lo < hi:
         raise DomainError(f"find_root requires lo < hi, got [{lo}, {hi}]")
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = _finite_value(f, xpre), _finite_value(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
         raise BracketingError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={flo:.6g}, f(hi)={fhi:.6g}"
+            f"no sign change on [{lo}, {hi}]: f(lo)={fpre:.6g}, f(hi)={fcur:.6g}"
         )
-    # imported after oracles imports scipy.integrate: the other order made importing
-    # wingtail.cli 0.2 s slower (CPU time, 2-core host, scipy 1.17)
-    from scipy import optimize as _sci_optimize
+    xtol = max(tol.abs, 4.0 * sys.float_info.epsilon * max(abs(xpre), abs(xcur), 1.0))
+    rtol = max(tol.rel, 8.9e-16)
+    # xblk is the contrapoint: f(xblk) and f(xcur) have opposite signs, and
+    # |f(xcur)| <= |f(xblk)|; scur and spre are the last two steps
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(tol.max_iter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
 
-    xtol = max(tol.abs, 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0))
-    return float(
-        _sci_optimize.brentq(f, lo, hi, xtol=xtol, rtol=max(tol.rel, 8.9e-16), maxiter=tol.max_iter)
-    )
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C's quotient is then inf or NaN, which the test below refuses
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _finite_value(f, xcur)
+    raise ConvergenceError(f"find_root: budget of {tol.max_iter} iterations exhausted on [{lo}, {hi}] "
+                           f"at x={xcur!r}", best_estimate=xcur)
 
 
 class RngStream:

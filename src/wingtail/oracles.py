@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, OracleError
 from .heston import HestonParams
@@ -385,6 +384,8 @@ def riccati_explosion_time(params: HestonParams, s: float, t_cap: float) -> floa
 def _event_time(rhs, span: float, start: float, event, direction: float, max_step: float) -> float:
     """First time in (0, span) at which event(y) crosses 0 in `direction`, for
     y' = rhs(y), y(0) = start; +inf when it does not."""
+    from scipy.integrate import solve_ivp
+
     def crossing(_t, y):
         return event(y[0])
 
@@ -417,6 +418,8 @@ def riccati_critical_moment(params: HestonParams, upper: bool = True) -> float:
 
 def riccati_log_mgf(params: HestonParams, s: float) -> float:
     """log E[X_t^s] by integrating the Riccati pair (V, phi) to the horizon."""
+    from scipy.integrate import solve_ivp
+
     k = 0.5 * (s * s - s)
     c2h = 0.5 * params.c * params.c
     beta = params.c * params.rho * s - params.b

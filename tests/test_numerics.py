@@ -1,14 +1,18 @@
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
-from wingtail import cli, mellin, nig, numerics, oracles
+from wingtail import cli, heston, mellin, nig, numerics, oracles
 from wingtail.errors import BracketingError, ConvergenceError, DivergenceError, DomainError
+from wingtail.heston import HestonParams
 from wingtail.nig import NIGParams
 from wingtail.numerics import (
+    DEFAULT_TOL,
     DIVERGENCE_GAIN,
     DIVERGENCE_RUN,
     DIVERGENCE_STEP,
@@ -425,6 +429,101 @@ class TestFindRoot:
     def test_no_bracket(self):
         with pytest.raises(BracketingError):
             find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_no_bracket_at_underflowing_values(self):
+        # f(lo) * f(hi) underflows to 0 here: the signs are compared, not the product
+        with pytest.raises(BracketingError):
+            find_root(lambda x: 1e-200 * (x * x + 1.0), -1.0, 1.0)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0)])
+    def test_empty_bracket_refused(self, lo, hi):
+        with pytest.raises(DomainError, match="lo < hi"):
+            find_root(lambda x: x - 1.5, lo, hi)
+
+    @pytest.mark.parametrize("f, x", [
+        (lambda x: math.nan if x > 0.5 else x - 0.7, "1.0"),  # at the bracket end
+        (lambda x: math.inf if x > 0.5 else x - 0.7, "1.0"),
+        (lambda x: math.nan if 0.2 < x < 0.9 else x - 0.7, "0.7"),  # at the first iterate
+    ])
+    def test_non_finite_value_refused_naming_x(self, f, x):
+        with pytest.raises(DomainError, match=rf"f\({x}\) = (nan|inf) is not finite"):
+            find_root(f, 0.0, 1.0)
+
+    def test_exhausted_budget_carries_last_iterate(self):
+        tol = Tolerance(rel=1e-15, abs=1e-15, max_iter=3)
+        with pytest.raises(ConvergenceError, match="budget of 3 iterations") as err:
+            find_root(_sqrt2_gap, 1.0, 2.0, tol)
+        last, info = brentq(_sqrt2_gap, 1.0, 2.0, xtol=1e-15, rtol=1e-15, maxiter=3, disp=False, full_output=True)
+        assert not info.converged
+        assert err.value.best_estimate == last
+
+
+def _sqrt2_gap(x):
+    return x * x - 2.0
+
+
+def _scipy_find_root(f, lo, hi, tol):
+    """scipy.optimize.brentq at the xtol, rtol and budget that find_root uses."""
+    xtol = max(tol.abs, 4.0 * sys.float_info.epsilon * max(abs(lo), abs(hi), 1.0))
+    return brentq(f, lo, hi, xtol=xtol, rtol=max(tol.rel, 8.9e-16), maxiter=tol.max_iter)
+
+
+def _evaluations(solver, f, lo, hi, tol):
+    """(solver's root, every x at which it evaluated f, in order)."""
+    xs = []
+
+    def counted(x):
+        xs.append(x)
+        return f(x)
+
+    return solver(counted, lo, hi, tol), xs
+
+
+CRITICAL_TOL = Tolerance(rel=4e-16, abs=1e-13, max_iter=300)  # heston.critical_moments
+# the Heston box of perfbench's param-sweep, and a wider one around it
+SWEEP_BOX = dict(a=(0.6, 1.2), b=(1.0, 3.0), c=(0.45, 0.8), rho=(-0.7, -0.1), y0=(0.02, 0.08), t=(1.0, 1.0))
+WIDE_BOX = dict(a=(0.0, 6.0), b=(0.0, 8.0), c=(0.05, 3.0), rho=(-0.99, 0.0), y0=(0.001, 1.0), t=(0.05, 10.0))
+
+
+class TestBrentParity:
+    """find_root is a port of scipy's brentq: the same points evaluated, the same double returned."""
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, CRITICAL_TOL, Tolerance(rel=1e-4, abs=1e-6, max_iter=50)])
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: x - 2.0, 0.0, 5.0),
+        (_sqrt2_gap, 1.0, 2.0),
+        (lambda x: math.exp(x) - 1e6, 0.0, 20.0),
+        (lambda x: math.tanh(50.0 * x), -1.0, 3.0),
+        (lambda x: x - 1.0, 0.0, 1.0),  # root at the bracket end
+        (lambda x: math.sin(x), 3.0, 4.0),
+        # values near the bottom of the double range: the extrapolation's
+        # denominator underflows to 0, where scipy's C quotient is inf or NaN
+        (lambda x: 1e-300 * (x ** 3 - 2.0), 0.0, 4.0),
+    ])
+    def test_fixed_functions(self, f, lo, hi, tol):
+        got, xs = _evaluations(find_root, f, lo, hi, tol)
+        want, want_xs = _evaluations(_scipy_find_root, f, lo, hi, tol)
+        assert got == want
+        assert xs == want_xs
+
+    @pytest.mark.parametrize("box, seed", [(SWEEP_BOX, 101), (WIDE_BOX, 102)])
+    def test_critical_moments(self, box, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        problems = []
+
+        def spy(f, lo, hi, tol):
+            problems.append((f, lo, hi, tol))
+            return find_root(f, lo, hi, tol)
+
+        for _ in range(150):
+            params = HestonParams(mu=0.0, x0=1.0, **{key: float(rng.uniform(lo, hi)) for key, (lo, hi) in box.items()})
+            monkeypatch.setattr(heston, "find_root", spy)
+            got = heston.critical_moments.__wrapped__(params)
+            monkeypatch.setattr(heston, "find_root", _scipy_find_root)
+            assert got == heston.critical_moments.__wrapped__(params)
+        assert len(problems) == 300 and {tol for *_, tol in problems} == {CRITICAL_TOL}
+        for f, lo, hi, tol in problems:
+            assert _evaluations(find_root, f, lo, hi, tol) == _evaluations(_scipy_find_root, f, lo, hi, tol)
 
 
 class TestRngStream:
