@@ -23,7 +23,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from scipy.special import log_ndtr, ndtr, ndtri
+import numpy as np
+from scipy.special import erfcx, log_ndtr, ndtr, ndtri
 
 from .errors import DomainError, InfinitePriceError, InversionError, RegimeGuardError
 from .mellin import AT_INFINITY, TailAsymptote
@@ -61,13 +62,32 @@ def bs_call(x0: float, K: float, T: float, sigma: float) -> float:
     return x0 * ndtr(d1) - K * ndtr(d2)
 
 
-def _mills_difference(z1: float, delta: float) -> float:
-    """Mills(z1) - Mills(z1 + delta) for z1 >= 20, delta > 0, by term-wise
-    differencing of the asymptotic series Mills(z) = sum (-1)^k (2k-1)!! z^(-2k-1).
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_2 = math.log(2.0)
+_SQRT_HALF = math.sqrt(0.5)
+_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+# the 4-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial.legendre.leggauss(4)
+# gives it; calling that at import would start LAPACK, for about 0.8 MB of resident memory
+_GL_NODES = np.array([-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526])
+_GL_WEIGHTS = np.array([0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357])
 
-    Each term's difference is evaluated multiplicatively through expm1, so the
-    result stays accurate even when delta is many orders below z1.
+
+def _mills_difference(z1: float, delta: float) -> float:
+    """M(z1) - M(z1 + delta) of the Mills ratio M(z) = (1 - Phi(z)) / phi(z)
+    = sqrt(pi/2) erfcx(z / sqrt(2)) over a short step, z1 > 0 and
+    0 < delta < 0.02 max(z1, 1), where the plain difference would cancel.
+
+    - z1 < 20: the integral of -M'(s) = 1 - s M(s) over (z1, z1 + delta) by
+      4-point Gauss-Legendre. 1 - s M(s) loses about log2(3 s^2) bits to
+      cancellation; the rule's error is below 1e-16 of the integral.
+    - else term-wise differencing of the asymptotic series
+      M(z) = sum (-1)^k (2k-1)!! z^(-2k-1), each term's difference taken
+      multiplicatively through expm1; at z1 >= 20 it settles in about 10 terms.
     """
+    if z1 < 20.0:
+        half = 0.5 * delta
+        s = z1 + half * (1.0 + _GL_NODES)
+        return half * float(_GL_WEIGHTS @ (1.0 - s * _SQRT_HALF_PI * erfcx(s * _SQRT_HALF)))
     lr = math.log1p(delta / z1)  # log(z2/z1)
     total = 0.0
     sign = 1.0
@@ -94,14 +114,20 @@ def bs_log_call(k: float, T: float, sigma: float) -> float:
         raise DomainError(f"bs_log_call needs a finite sigma > 0, got {sigma}")
     srt = sigma * math.sqrt(T)
     d1 = (-k + 0.5 * srt * srt) / srt
-    d2 = d1 - srt
-    if d1 <= -20.0 and d2 <= -25.0:
-        # deep out of the money: x0 phi(d1) = K phi(d2) exactly, so
-        # C = K phi(d2) (Mills(|d1|) - Mills(|d2|)) with no cancellation
-        log_kphi = k - 0.5 * d2 * d2 - 0.5 * math.log(2.0 * math.pi)
-        return log_kphi + math.log(_mills_difference(-d1, srt))
+    if d1 < 0.0:
+        # out of the money: x0 phi(d1) = K phi(d2) exactly, so
+        # C = phi(d1) (M(-d1) - M(-d2)), M the Mills ratio, with no
+        # cancellation left in the difference (Phi(d1) - e^k Phi(d2) loses the
+        # digits of C / Phi(d1) to the rounding of two values near d1^2 / 2)
+        z1 = -d1
+        if srt >= 0.02 * z1 and srt >= 0.02:
+            # the two ratios differ by at least 1%: their plain difference,
+            # with phi(d1) sqrt(pi/2) = e^(-d1^2/2) / 2, loses at most 7 bits
+            diff = float(erfcx(z1 * _SQRT_HALF)) - float(erfcx((z1 + srt) * _SQRT_HALF))
+            return -0.5 * d1 * d1 - _LOG_2 + math.log(diff)
+        return -0.5 * d1 * d1 - _HALF_LOG_2PI + math.log(_mills_difference(z1, srt))
     la = float(log_ndtr(d1))
-    lb = k + float(log_ndtr(d2))
+    lb = k + float(log_ndtr(d1 - srt))
     if lb >= la:  # can only happen through rounding at machine level
         raise InversionError(f"degenerate Black-Scholes evaluation at k={k}, sigma={sigma}")
     return la + math.log1p(-math.exp(lb - la))
@@ -112,7 +138,6 @@ def bs_log_call(k: float, T: float, sigma: float) -> float:
 _VOL_FLOOR = 1e-8
 # the loop ends in a few steps; the budget only bounds a broken evaluation
 _NEWTON_BUDGET = 200
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _EPS = sys.float_info.epsilon
 
 
@@ -155,7 +180,11 @@ def bs_implied_vol_from_log(log_price: float, k: float, T: float) -> float:
     that has no accurate derivative (far below the root, where log C and
     -d1^2/2 cancel), is replaced by a bisection, or by a doubling while no
     upper end is known. Below the volatility floor 1e-8 is never evaluated:
-    a price at or below the floor's value returns the floor. The loop stops
+    a price at or below the floor's value returns the floor. An in-the-money
+    price whose put (by parity) is at its rounding level evaluates the floor
+    first, and returns it in that one evaluation when its price is as high:
+    from the parity start Newton would creep down the rounding plateau of
+    such a price, and stop at its top. The loop stops
     - when the residual is small enough that the Newton step from it is
       exact to rounding: the step's quadratic error |g''/g'| step^2, with
       g''/g' = d1 d2 / sigma - g', is within one ulp of sigma; it returns
@@ -175,6 +204,13 @@ def bs_implied_vol_from_log(log_price: float, k: float, T: float) -> float:
         raise InversionError(
             f"price {math.exp(log_price):.6g} x0 at or below intrinsic value {-math.expm1(k):.6g} x0"
         )
+    if k < 0.0:
+        # a put at the rounding level of the price: the price is intrinsic
+        # value in double precision, which every volatility up to some level
+        # gives. It inverts to the floor when the floor's price reaches it
+        price = math.exp(log_price)
+        if price + math.expm1(k) <= 4.0 * _EPS * price and bs_log_call(k, T, _VOL_FLOOR) >= log_price:
+            return _VOL_FLOOR
     sqrt_t, half_log_t = math.sqrt(T), 0.5 * math.log(T)
     lo, hi = 0.0, math.inf  # lo = 0: no volatility below the root evaluated yet
     sigma = _start_vol(log_price, k, T)

@@ -402,8 +402,8 @@ class TestFirstCall:
 
     @pytest.mark.parametrize("name", ["pure_heston", "reference_kou", "reference_nig"])
     def test_peak_sweep_makes_the_calls_it_made(self, name, monkeypatch):
+        # a single point takes 16 windows per call, 9 and 42 points take 8
         model = cli.load_config(f"{CONFIG_DIR}/{name}.json").model
-        x = np.exp(np.linspace(-6.0, 6.0, 9))
         calls = []
 
         def counting(f, a, b, tol=numerics.DEFAULT_TOL):
@@ -411,12 +411,15 @@ class TestFirstCall:
             return integrate(f, a, b, tol)
 
         monkeypatch.setattr(numerics, "integrate", counting)
-        got, got_calls = oracles.density_fourier(model, x), len(calls)
-        monkeypatch.setattr(oracles, "window_sweep", _ref_window_sweep)
-        calls.clear()
-        want = oracles.density_fourier(model, x)
-        assert got_calls == len(calls)
-        assert np.array_equal(got, want)
+        for x in (np.exp(np.linspace(-6.0, 6.0, 9)), np.exp(np.linspace(-6.0, 6.0, 42)), 2.5):
+            monkeypatch.setattr(oracles, "window_sweep", window_sweep)
+            calls.clear()
+            got, got_calls = oracles.density_fourier(model, x), len(calls)
+            monkeypatch.setattr(oracles, "window_sweep", _ref_window_sweep)
+            calls.clear()
+            want = oracles.density_fourier(model, x)
+            assert got_calls == len(calls)
+            assert np.array_equal(got, want)
 
 
 class TestFindRoot:

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wingtail import heston, oracles
+from wingtail import cli, heston, numerics, oracles
 from wingtail.errors import DomainError, OracleError
 from wingtail.heston import HestonParams
 from wingtail.kou import KouJumpParams
 from wingtail.mixed import MixedModel
 from wingtail.numerics import RngStream
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+CONFIGS = ("pure_heston", "reference_kou", "reference_nig")
 
 
 def mixed_cf(model, u):
@@ -115,6 +118,67 @@ class TestCallFourier:
     def test_infeasible_damping(self, kou_model):
         with pytest.raises(OracleError):
             oracles.call_fourier(kou_model, 1.0, damping=5.0)  # above eta1 - 1
+
+
+class TestScalarInversion:
+    """A scalar Fourier price is mostly fixed per-call cost: its saddle solve
+    makes one cgf_derivatives call, and most points one integrator call of
+    16 windows."""
+
+    @staticmethod
+    def configs():
+        return [cli.load_config(os.path.join(CONFIG_DIR, f"{name}.json")) for name in CONFIGS]
+
+    def test_most_scalar_points_take_one_integrator_call(self, monkeypatch):
+        calls = []
+
+        def counting(f, a, b, tol=numerics.DEFAULT_TOL):
+            calls.append(1)
+            return real_integrate(f, a, b, tol)
+
+        real_integrate = numerics.integrate
+        monkeypatch.setattr(numerics, "integrate", counting)
+        prices, densities = [], []
+        for config in self.configs():
+            for log_k in np.linspace(-8.0, 12.0, 41):
+                calls.clear()
+                oracles.call_fourier(config.model, math.exp(log_k), config.tol)
+                prices.append(len(calls))
+            for ell in np.linspace(-12.0, 12.0, 49):
+                calls.clear()
+                oracles.density_fourier(config.model, math.exp(ell), config.tol)
+                densities.append(len(calls))
+        # with 8 windows a call, as arrays take them, 116 of the 123 prices
+        # and 135 of the 147 densities take two calls or more; the far NIG
+        # densities (log x <= -10.5 or >= 9) need 17 or 18 windows
+        assert np.mean(np.array(prices) == 1) >= 0.9
+        assert np.mean(np.array(densities) == 1) >= 0.9
+
+    def test_saddle_takes_one_cgf_call(self, monkeypatch):
+        calls = []
+        real = MixedModel.cgf_derivatives
+        monkeypatch.setattr(MixedModel, "cgf_derivatives", lambda self, s: calls.append(1) or real(self, s))
+        ells = np.linspace(-12.0, 12.0, 481)
+        for config in self.configs():
+            oracles._saddle_table(config.model)
+            calls.clear()
+            oracles._saddle(config.model, ells)
+            assert len(calls) == 1
+            for ell in ells[::10]:
+                calls.clear()
+                oracles._saddle(config.model, np.array([ell]))
+                assert len(calls) == 1
+
+    def test_scalar_and_array_agree(self):
+        # the points group their windows into other integrator calls, so a
+        # total may differ in its last bits
+        strikes, x = np.exp(np.linspace(-8.0, 12.0, 41)), np.exp(np.linspace(-12.0, 12.0, 41))
+        for config in self.configs():
+            model, tol = config.model, config.tol
+            for price, K in zip(oracles.call_fourier(model, strikes, tol), strikes):
+                assert oracles.call_fourier(model, float(K), tol) == pytest.approx(price, rel=4.4e-15, abs=0.0)
+            for density, point in zip(oracles.density_fourier(model, x, tol), x):
+                assert oracles.density_fourier(model, float(point), tol) == pytest.approx(density, rel=4.4e-15, abs=0.0)
 
 
 class TestSimulatePaths:

@@ -137,8 +137,9 @@ class TestBlackScholes:
                     math.log(smile.bs_call(1.0, k, 1.0, sigma)), rel=1e-10)
 
     def test_log_form_across_branch_switch(self):
-        # the deep-wing evaluation switches to a Mills-ratio form; both
-        # representations must agree where both are accurate
+        # the short-step forms of the Mills-ratio difference (quadrature below
+        # |d1| = 20, the asymptotic series above) agree with the direct form
+        # where both are accurate
         from scipy.special import log_ndtr
 
         sigma, T = 0.37, 1.0
@@ -153,6 +154,22 @@ class TestBlackScholes:
             lb = math.log(K) + float(log_ndtr(d2))
             direct = la + math.log1p(-math.exp(lb - la))
             assert mills == pytest.approx(direct, rel=1e-9, abs=1e-9)
+
+    def test_log_form_matches_fifty_digits_out_of_the_money(self):
+        # across the switches of the out-of-the-money forms; the direct form
+        # la + log1p(-exp(lb - la)) was 7.4e-11 off at the first point and
+        # 2.1e-9 off at d1 = -24, total vol 1e-3
+        mp.dps = 50
+        points = [(0.146484375, 0.1, 0.0234375)]
+        for d1 in np.linspace(-30.0, -5.0, 26):
+            for v in np.geomspace(1e-3, 0.5, 12):
+                for T in (0.25, 1.0):
+                    points.append((float(-d1 * v + 0.5 * v * v), T, float(v / math.sqrt(T))))
+        for k, T, sigma in points:
+            v = mp.mpf(sigma) * mp.sqrt(T)
+            d1 = -mp.mpf(k) / v + v / 2
+            want = mp.log(mp.ncdf(d1) - mp.exp(k) * mp.ncdf(d1 - v))
+            assert abs(smile.bs_log_call(k, T, sigma) - float(want)) <= 1e-12
 
     def test_inversion_band_errors(self):
         with pytest.raises(InversionError):
@@ -293,6 +310,20 @@ class TestNewtonInversion:
             log_price = round(real_call(k, T, sigma), 9) + 0.5e-9
             found = smile.bs_implied_vol_from_log(log_price, k, T)
             assert abs(real_call(k, T, found) - log_price) <= 1e-9
+
+    def test_a_price_at_intrinsic_value_returns_the_floor_at_once(self, monkeypatch):
+        # every volatility below about 0.15 prices to this double, so its put
+        # by parity is 0; Newton from the parity start of 1.9 took 30
+        # evaluations and returned the top of that plateau, 0.1515
+        k, T = -1.5505162826047414, 1.7101241001807421
+        log_price = smile.bs_log_call(k, T, 2.6e-9)
+        assert math.exp(log_price) + math.expm1(k) == 0.0
+        evaluations = []
+        real_call = smile.bs_log_call
+        monkeypatch.setattr(smile, "bs_log_call", lambda *a: evaluations.append(a) or real_call(*a))
+        assert smile.bs_implied_vol_from_log(log_price, k, T) == VOL_FLOOR
+        assert evaluations == [(k, T, VOL_FLOOR)]
+        assert reference_implied_vol_from_log(log_price, k, T) == VOL_FLOOR
 
     def test_a_deep_in_the_money_price_ends_at_its_rounding_level(self, monkeypatch):
         # the price barely determines sigma (vega/C is about 1e-14 here); the
