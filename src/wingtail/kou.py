@@ -12,8 +12,9 @@ fractional-integral comparison functions, and the wing asymptotes of H.
 Each exact coefficient is a Poisson-weighted series over n of Kou's up/down
 decomposition weights P_{n,k} (Kou 2002). The table is built in one array
 pass per series window over every k and both sides at once, in blocks of
-bounded size; each k stops by its own truncation rule, and the values are
-those of summing each k alone, bit for bit.
+bounded size; a wider window adds only the terms of its new n. Each k stops
+by its own truncation rule, and the values are those of summing each k
+alone, bit for bit.
 
 All coefficient arithmetic runs in log space: the raw coefficients decay like
 1/(k! (k+1)!) and the series are needed at arguments u = log x up to 1e4.
@@ -25,7 +26,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import ConvergenceError, DomainError
 from .mellin import AT_INFINITY, ERROR_INV_SQRT_LOG, TailAsymptote, side_of
@@ -37,6 +38,7 @@ from .numerics import (
     domain_points,
     integrate,
     log_gamma,
+    logsumexp,
     moment_from_log,
     require_finite,
     shaped_like,
@@ -194,7 +196,8 @@ def _log_weights(n: int, k: int, params: KouJumpParams) -> np.ndarray:
     """(log P_{n,k}, log Q_{n,k}) from one two-row block."""
     if not 1 <= k <= n:
         raise DomainError(f"P_{{n,k}} needs 1 <= k <= n, got n={n}, k={k}")
-    return _log_pnk_rows(np.full(2, k), np.full(2, n), max(n - k, 1), _SIDES, _side_logs(params))
+    j = np.array([n - k])
+    return _log_pnk_rows(np.full(2, k), _SIDES, j, _index_plane(j, max(n - k, 1)), _side_logs(params))[:, 0]
 
 
 # rows of `_side_logs`: 0 is the up side (P), 1 the down side (Q)
@@ -212,82 +215,147 @@ def _side_logs(params: KouJumpParams) -> np.ndarray:
     return np.array([side(e1, e2, p, q), side(e2, e1, q, p)])
 
 
-def _log_pnk_rows(K: np.ndarray, n: np.ndarray, width: int, side: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """log P_{n,K} (side 0) or log Q_{n,K} (side 1) at every element of the
-    integer arrays K, n and side, one shape, 1 <= K <= n, with the inner i-sum
-    over the offsets 0..width-1 on a new last axis; P_{K,K} = p^K. Each
-    element is the same expression, in the same order, as for one K alone."""
-    lf = _log_factorial(int(n.max()) + 2)
-    nn, KK = n[..., None], K[..., None]
-    oo = np.arange(width)
-    ii = KK + oo
-    valid = oo <= nn - 1 - KK
-    ratio_up, ratio_dn, log_p, log_q = (logs[side, c][..., None] for c in range(4))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        terms = np.where(
-            valid,
-            (lf[np.maximum(nn - KK - 1, 0)] - lf[oo] - lf[np.maximum(nn - 1 - KK - oo, 0)])
-            + (lf[nn] - lf[ii] - lf[np.maximum(nn - ii, 0)])
-            + oo * ratio_up
-            + (nn - ii) * ratio_dn
-            + ii * log_p
-            + (nn - ii) * log_q,
-            -np.inf,
-        )
-        out = logsumexp(terms, axis=-1)
-    return np.where(n == K, K * logs[side, 2], out)
+def _index_plane(j: np.ndarray, width: int):
+    """The parts of the i-sum terms of log P_{K+j,K} that depend on the
+    offsets j (a 1-d integer array) and o = 0..width-1 alone, at shape
+    (j, o): the first term lf[j-1] - lf[o] - lf[j-1-o], -inf where
+    o > j - 1 (outside the sum, so every term there is -inf), lf[n - i] =
+    lf[j - o], n - i = j - o and o. Clamped indices only reach the entries
+    outside the sum. The planes are read-only."""
+    lf = _log_factorial(int(j.max()) + width + 2)
+    jj, oo = j[:, None], np.arange(width)
+    n_i = jj - oo
+    with np.errstate(invalid="ignore"):
+        first = np.where(oo <= jj - 1, lf[np.maximum(jj - 1, 0)] - lf[oo] - lf[np.maximum(jj - 1 - oo, 0)], -np.inf)
+    planes = first, lf[np.maximum(n_i, 0)], n_i, np.broadcast_to(oo, n_i.shape).copy()
+    for plane in planes:
+        plane.flags.writeable = False
+    return planes
 
 
-# i-sum terms of the rows that one pass of `_log_coefficients` evaluates at
-# once (one row at least: 590k terms at window 768). scipy's logsumexp holds
-# about five temporaries the size of its input; at 2**15 doubles (256 KB) a
-# 64-term table at lam = 100 peaks at 1.9 MB, where unblocked rows took 121 MB,
-# and larger blocks measured no faster
+# the planes of the windows up to 96 terms, which nearly every table uses
+# (0.4 MB in all); a wider window's planes (up to 9 MB at 768) are built per pass
+_KEPT_PLANES: dict[int, tuple] = {}
+
+
+def _window_plane(size: int):
+    """`_index_plane` of the offsets j that a coefficient window of `size`
+    terms adds (1..24 for the first, size/2 + 1..size after), at i-sum width
+    size."""
+    planes = _KEPT_PLANES.get(size)
+    if planes is None:
+        planes = _index_plane(np.arange(size // 2 + 1 if size > 24 else 1, size + 1), size)
+        if size <= 96:
+            _KEPT_PLANES[size] = planes
+    return planes
+
+
+def _log_pnk_rows(K: np.ndarray, side: np.ndarray, j: np.ndarray, planes, logs: np.ndarray) -> np.ndarray:
+    """log P_{n,K} (side 0) or log Q_{n,K} (side 1) at n = K + j, for each
+    row of the integer arrays K >= 1 and side (ascending: the rows of side 0
+    first) and each offset of the 1-d array j, shape (rows, j); P_{K,K} =
+    p^K. `planes` is `_index_plane(j, width)`, width >= max(j): the inner
+    i-sum runs over the offsets o = i - K = 0..width-1, on the last axis of
+    a (rows, j, o) block.
+
+    Each term is the six-term sum of the per-K series, in its order,
+    (lf[n-K-1] - lf[o] - lf[n-1-K-o]) + (lf[n] - lf[i] - lf[n-i])
+    + o log r_up + (n-i) log r_dn + i log p + (n-i) log q, with r_up, r_dn
+    the side's ratios of eta: the parts that depend on (j, o) alone come
+    from the planes, and each side's planes are added to its rows, so every
+    element is the same double as for one K alone."""
+    first, lf_n_i, n_i, o = planes
+    lf = _log_factorial(int(K.max()) + o.shape[1] + 2)
+    KK = K[:, None]
+    terms = lf[KK + j][:, :, None] - lf[KK + o[0]][:, None, :]
+    terms -= lf_n_i
+    terms += first
+    split = int(np.searchsorted(side, 1))
+    halves = list(zip(_SIDES, (slice(0, split), slice(split, None))))
+    for s, rows in halves:
+        terms[rows] += o * logs[s, 0]
+    for s, rows in halves:
+        terms[rows] += n_i * logs[s, 1]
+    terms += ((KK + o[0]) * logs[side, 2][:, None])[:, None, :]
+    for s, rows in halves:
+        terms[rows] += n_i * logs[s, 3]
+    out = logsumexp(terms)
+    if j[0] == 0:
+        out[:, 0] = K * logs[side, 2]
+    return out
+
+
+# i-sum terms that one block of `_log_coefficients` evaluates at once: whole
+# rows, or a run of one row's offsets j where a row's new terms are more (the
+# windows of 384 and 768). `logsumexp` holds at most two arrays the size of its
+# input at a time (a transposed copy for rows under 64 terms, then the shifted
+# exponentials) besides byte masks. At 2**15 doubles (256 KB) the 64-term table
+# at lam = 100 peaks at 1.2 MB under tracemalloc (1.4 MB when it also builds
+# the kept planes) and takes 0.19 s there, 0.06-0.09 s untraced (2-core
+# x86-64). Blocks of 2**13 and 2**14 measured slower; 2**16 measured the same
+# and 2**17 slower, with thousands of page faults per table from arrays past
+# glibc's mmap threshold.
 _BLOCK_TERMS = 1 << 15
+
+# terms of the widest series window
+_MAX_WINDOW = 768
 
 
 def _log_coefficients(params: KouJumpParams, k_max: int, tol: Tolerance) -> np.ndarray:
-    """log a_k at row 2k and log b_k at row 2k + 1, for every k <= k_max (in
-    this order the first unsettled row is the first k the error must name).
+    """log a_k at [0, k] and log b_k at [1, k], for every k <= k_max.
 
     Each coefficient is its Poisson-weighted n-series over the window
-    n = K..K+size, K = k + 1: one row of terms. A pass builds and sums the rows
-    of every unsettled coefficient together, in blocks of at most
-    _BLOCK_TERMS i-sum terms. A row has settled when its last four terms
-    decrease and its last term is below tol.rel of its sum (the weights decay
-    factorially, so the rule is reached quickly); the rows that have not go
-    on to the next pass with the window doubled, up to 768 terms. Each row
-    sums exactly the terms the one-k-at-a-time series summed, so every value
-    is that series' value bit for bit.
+    n = K..K+size, K = k + 1: one row of terms. A row has settled when its
+    last four terms decrease and its last term is below tol.rel of its sum
+    (the weights decay factorially, so the rule is reached quickly); the
+    rows that have not go on to the next pass with the window doubled, up to
+    768 terms. A pass computes only the terms of the new n, in blocks of at
+    most _BLOCK_TERMS i-sum terms, and sums each row over all its terms.
+
+    Each row sums exactly the terms the one-k-at-a-time series summed, so
+    every value is that series' value bit for bit. A term keeps its value
+    across passes, though the series recomputed it with a wider i-sum, which
+    only adds zeros after the same terms: numpy's pairwise sum keeps eight
+    running sums up to 128 terms and halves a longer row (at a multiple of
+    8), so at the widths 24 * 2^m the nonzero terms meet the same partial
+    sums in the same order.
     """
     logs = _side_logs(params)
     lam_t = params.lam * params.t
-    ks = np.repeat(np.arange(k_max + 1), 2)
-    side = np.tile(_SIDES, k_max + 1)
+    ks = np.arange(2 * (k_max + 1)) % (k_max + 1)
+    side = np.repeat(_SIDES, k_max + 1)
     K = ks + 1
-    total = np.empty(ks.size)
-    pending = np.arange(ks.size)
+    lf = _log_factorial(k_max + 1 + _MAX_WINDOW)
+    log_pi = -lam_t + np.arange(lf.size) * math.log(lam_t) - lf
+    total = np.empty(K.size)
+    pending = np.arange(K.size)
+    log_terms = (log_pi[K] + K * logs[side, 2])[:, None]
     size = 24
-    while pending.size and size <= 768:
-        offsets = np.arange(size + 1)
-        rows_per_block = max(1, _BLOCK_TERMS // ((size + 1) * size))
-        unsettled = []
+    while pending.size and size <= _MAX_WINDOW:
+        planes = _window_plane(size)
+        j = np.arange(log_terms.shape[1], size + 1)
+        new = np.empty((pending.size, j.size))
+        # a block is whole rows, or a run of the offsets j of one row
+        rows_per_block = max(1, _BLOCK_TERMS // (j.size * size))
+        j_per_block = min(j.size, max(1, _BLOCK_TERMS // size))
         for start in range(0, pending.size, rows_per_block):
             rows = pending[start:start + rows_per_block]
-            ns = K[rows, None] + offsets
-            lf = _log_factorial(int(ns[-1, -1]) + 2)
-            log_pi = -lam_t + ns * math.log(lam_t) - lf[ns]
-            log_terms = log_pi + _log_pnk_rows(K[rows, None], ns, size, side[rows, None], logs)
-            sums = logsumexp(log_terms, axis=-1)
-            decreasing = np.all(np.diff(log_terms[:, -4:]) < 0.0, axis=-1)
-            settled = decreasing & (log_terms[:, -1] < sums + math.log(tol.rel))
-            total[rows[settled]] = sums[settled]
-            unsettled.append(rows[~settled])
-        pending = np.concatenate(unsettled)
+            for a in range(0, j.size, j_per_block):
+                cut = slice(a, a + j_per_block)
+                new[start:start + rows.size, cut] = (
+                    log_pi[K[rows, None] + j[cut]]
+                    + _log_pnk_rows(K[rows], side[rows], j[cut], [plane[cut] for plane in planes], logs)
+                )
+        log_terms = np.concatenate([log_terms, new], axis=1)
+        sums = logsumexp(log_terms)
+        decreasing = np.all(log_terms[:, -3:] < log_terms[:, -4:-1], axis=-1)
+        settled = decreasing & (log_terms[:, -1] < sums + math.log(tol.rel))
+        total[pending[settled]] = sums[settled]
+        pending, log_terms = pending[~settled], log_terms[~settled]
         size *= 2
     if pending.size:
-        raise ConvergenceError(f"coefficient n-series did not settle for k={ks[pending[0]]}")
-    return K * logs[side, 4] - _log_factorial(k_max + 2)[ks] + total
+        raise ConvergenceError(f"coefficient n-series did not settle for k={ks[pending].min()}")
+    return (K * logs[side, 4] - lf[ks] + total).reshape(2, k_max + 1)
 
 
 def coefficients(params: KouJumpParams, k_max: int, tol: Tolerance = DEFAULT_TOL) -> CoefficientTable:
@@ -296,14 +364,17 @@ def coefficients(params: KouJumpParams, k_max: int, tol: Tolerance = DEFAULT_TOL
     The exact coefficients come from one array pass per window size over
     every k and both sides (`_log_coefficients`). Each k stops by its own
     rule, and ConvergenceError names the first k that has not settled at the
-    largest window. k_max must be an integer (Python or numpy, not bool).
+    largest window, 768 terms. That bounds the intensity: at the default
+    tolerance a 20-term table (k_max = 19) settles up to lam t = 629.7 with
+    eta1 = 2, eta2 = 1, p = 1/2, and up to 618-864 with the other jump
+    parameters tried (613 at rel = 1e-12). k_max must be an integer (Python
+    or numpy, not bool).
     """
     if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or k_max < 0:
         raise DomainError(f"k_max must be an integer >= 0, got {k_max!r}")
     ks = np.arange(k_max + 1)
     lf = _log_factorial(k_max + 4)
-    log_ab = _log_coefficients(params, k_max, tol)
-    log_a, log_b = log_ab[0::2].copy(), log_ab[1::2].copy()
+    log_a, log_b = _log_coefficients(params, k_max, tol)
 
     log_a_hat = params._up_exp_shift() + (ks + 1) * math.log(params.b1_jump) - lf[ks] - lf[ks + 1]
     log_b_hat = params._down_exp_shift() + (ks + 1) * math.log(params.b2_jump) - lf[ks] - lf[ks + 1]
@@ -360,7 +431,7 @@ def _log_series(log_coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     zero = u == 0.0
     with np.errstate(divide="ignore"):
         log_terms = log_coeffs + ks * np.where(zero, 1.0, np.log(u))[:, None]
-    total = logsumexp(log_terms, axis=1)
+    total = logsumexp(log_terms)
     if np.any(log_terms[~zero, -1] > total[~zero] + math.log(DEFAULT_TOL.rel)):
         raise ConvergenceError("series truncation too short", best_estimate=total)
     return np.where(zero, log_coeffs[0], total)

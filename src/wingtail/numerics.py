@@ -22,6 +22,7 @@ __all__ = [
     "Tolerance",
     "UnderflowWarning",
     "log_gamma",
+    "logsumexp",
     "integrate",
     "window_sweep",
     "find_root",
@@ -198,6 +199,55 @@ def log_gamma(x: float) -> float:
     if not x > 0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
+
+
+# numpy reduces a contiguous row with one inner-loop call per row, which
+# dominates for short rows: below this width `logsumexp` takes the maximum and
+# the count of maxima (in bytes, which hold it) down the columns of a
+# transposed copy, 2x faster at 24 and 48 terms and slower from 130; neither
+# depends on the order
+_SHORT_ROW = 64
+
+
+def logsumexp(a):
+    """log(sum(exp(a))) along the last axis of a real array, by the algorithm
+    of scipy.special.logsumexp(a, axis=-1) in scipy 1.17, double for double.
+
+    With a_max the largest term of a row and m the number of terms equal to
+    it, the row's value is log1p(s/m) + log(m) + a_max, s the sum of
+    exp(a - a_max) over the other terms (0 stays 0). The sum runs on the
+    contiguous last axis, so numpy adds in its pairwise order, as scipy
+    does. An empty last axis gives -inf. A 1-d input gives a numpy scalar.
+
+    exp runs only on the terms strictly between -inf and the maximum: the
+    others add the 0 they add in scipy, and numpy's exp is 5-10x slower per
+    element on -inf. Its value at a term does not depend on the terms around
+    it, which `tests/test_numerics.py` checks against scipy. scipy replaces
+    a value that is not finite by log(sum(exp(a))), which it computes for
+    every row first; skipping those terms, the shifted form gives that value
+    itself: -inf on a row of -inf, inf with a term of inf, NaN with a NaN.
+    """
+    a = np.ascontiguousarray(a, dtype=float)
+    shape = a.shape[:-1]
+    if a.shape[-1] == 0:
+        return np.full(shape, -np.inf)[()]
+    a = a.reshape(-1, a.shape[-1])
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        if a.shape[1] < _SHORT_ROW:
+            cols = np.ascontiguousarray(a.T)
+            a_max = cols.max(axis=0)
+            m = np.add.reduce((cols == a_max).view(np.uint8), axis=0).astype(float)
+            del cols  # at most two arrays of the input's size at a time
+        else:
+            a_max = a.max(axis=-1)
+            m = np.count_nonzero(a == a_max[:, None], axis=-1).astype(float)
+        e = np.subtract(a, a_max[:, None])
+        below = (e < 0.0) & (e > -np.inf)
+        np.exp(e, out=e, where=below)
+        np.copyto(e, 0.0, where=~below)
+        s = e.sum(axis=-1)
+        out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max
+    return out.reshape(shape)[()]
 
 
 # 21-point Gauss-Kronrod rule (QUADPACK qk21): Kronrod nodes on [-1, 1] with

@@ -247,6 +247,15 @@ class TestOnePassTable:
         with pytest.raises(ConvergenceError, match=r"for k=0$"):
             kou.coefficients(variant(lam=1000.0), 2)
 
+    def test_reach_of_a_20_term_table(self):
+        # with these jump parameters and the default tolerance a 20-term table
+        # settles within the 768-term window up to lam t = 629.7 (the reach the
+        # docstring of kou.coefficients states); past it k = 0 is named
+        tab = kou.coefficients(variant(lam=629.0), 19)
+        assert np.all(tab.a > tab.a_hat) and np.all(tab.b > tab.b_hat)
+        with pytest.raises(ConvergenceError, match=r"for k=0$"):
+            kou.coefficients(variant(lam=631.0), 19)
+
     @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (5, 3), (30, 7), (40, 40), (60, 1)])
     def test_weights_match_reference(self, ref_kou, n, k):
         e1, e2, p, q = ref_kou.eta1, ref_kou.eta2, ref_kou.p, ref_kou.q
@@ -334,6 +343,17 @@ class TestSeries:
         f3 = kou.frac_integral(-1.5, s, r, u)
         f5 = kou.frac_integral(-2.5, s, r, u)
         assert abs(g1v - f3) <= 3.0 * f5
+
+    @pytest.mark.parametrize("up", [True, False])
+    def test_series_sum_is_scipys_logsumexp(self, ref_kou, up):
+        # the sum over k of the table's terms at u, as scipy sums them
+        g_log = kou.g1_log if up else kou.g2_log
+        for u in (0.5, 10.0, 1e3, 1e4):
+            value = g_log(ref_kou, u)
+            table = kou._TABLE_CACHE[ref_kou]  # the table the value was summed from
+            log_coeffs = table.log_a if up else table.log_b
+            terms = log_coeffs + np.arange(log_coeffs.size) * np.log(np.array([u]))[:, None]
+            assert value == float(logsumexp(terms, axis=1)[0])
 
     def test_huge_argument_log_form(self, ref_kou):
         # series evaluation stays finite in log space at u = 1e4

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import logsumexp as scipy_logsumexp
 
-from wingtail import cli, heston, mellin, nig, numerics, oracles
+from wingtail import cli, heston, kou, mellin, nig, numerics, oracles
 from wingtail.errors import BracketingError, ConvergenceError, DivergenceError, DomainError
 from wingtail.heston import HestonParams
 from wingtail.nig import NIGParams
@@ -23,6 +24,7 @@ from wingtail.numerics import (
     find_root,
     integrate,
     log_gamma,
+    logsumexp,
     window_sweep,
 )
 
@@ -63,6 +65,82 @@ class TestLogGamma:
     def test_domain(self, x):
         with pytest.raises(DomainError):
             log_gamma(x)
+
+
+class TestLogSumExpParity:
+    """The port returns scipy's logsumexp along the last axis, double for double."""
+
+    @staticmethod
+    def assert_parity(a):
+        ours, theirs = logsumexp(a), scipy_logsumexp(a, axis=-1)
+        assert np.shape(ours) == np.shape(theirs)
+        assert np.array_equal(ours, theirs, equal_nan=True)
+
+    @pytest.mark.parametrize("width", [24, 48, 192, 768, 25, 49, 193])
+    def test_rows_padded_with_minus_inf(self, width):
+        # row r keeps its first r + 1 terms, as the i-sums of the Kou table do
+        rng = np.random.default_rng(width)
+        a = rng.normal(scale=30.0, size=(width, width))
+        a[np.arange(width)[None, :] > np.arange(width)[:, None]] = -np.inf
+        self.assert_parity(a)
+        self.assert_parity(a[:, ::-1].copy())
+        scattered = rng.normal(scale=30.0, size=(64, width))
+        scattered[rng.random(scattered.shape) < 0.4] = -np.inf
+        self.assert_parity(scattered)
+
+    def test_rows_all_minus_inf(self):
+        a = np.full((3, 24), -np.inf)
+        a[1, 5] = 0.5
+        self.assert_parity(a)
+        self.assert_parity(np.full(7, -np.inf))
+
+    @pytest.mark.parametrize("width", [2, 24, 65])
+    def test_tied_maxima(self, width):
+        rng = np.random.default_rng(width)
+        a = rng.normal(size=(6, width))
+        a[0] = 1.0
+        a[1, ::2] = 4.0
+        a[2, :2] = -np.inf
+        a[2, 2:] = 3.0
+        self.assert_parity(a)
+
+    def test_one_column(self):
+        self.assert_parity(np.array([[0.0], [-3.5], [-np.inf], [np.inf], [np.nan], [700.0]]))
+
+    def test_inf_and_nan_rows(self):
+        a = np.random.default_rng(3).normal(size=(4, 24))
+        a[0, 3], a[1, 7], a[2, [0, 9]], a[3, 1] = np.inf, np.nan, np.inf, -1e308
+        self.assert_parity(a)
+
+    @pytest.mark.parametrize("width", [24, 193])
+    def test_spread_past_underflow(self, width):
+        # terms 800 below the maximum underflow in exp and add 0
+        rng = np.random.default_rng(width)
+        a = -800.0 * rng.random((40, width))
+        a[:, 0] = 0.0
+        self.assert_parity(a)
+        self.assert_parity(a - 1e3)
+
+    def test_shapes(self):
+        a = np.random.default_rng(5).normal(size=(2, 3, 25))
+        self.assert_parity(a)
+        self.assert_parity(a[0, 0])
+        self.assert_parity(np.zeros((2, 0)))
+
+    @pytest.mark.parametrize("lam, k_max", [(1.0, 19), (1.0, 64), (100.0, 64)])
+    def test_blocks_of_the_kou_table(self, monkeypatch, lam, k_max):
+        # every block the table sums: its i-sums at each window and its n-series
+        blocks = []
+
+        def recorded(a):
+            blocks.append(np.array(a))
+            return logsumexp(a)
+
+        monkeypatch.setattr(kou, "logsumexp", recorded)
+        kou.coefficients(kou.KouJumpParams(lam=lam, eta1=2.0, eta2=1.0, p=0.5, q=0.5, t=1.0), k_max)
+        assert {b.ndim for b in blocks} == {2, 3}
+        for block in blocks:
+            self.assert_parity(block)
 
 
 EPS = np.finfo(float).eps
