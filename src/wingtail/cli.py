@@ -266,10 +266,9 @@ def cmd_sample(config: ModelConfig, n_paths: int, steps: int) -> dict:
     }
 
 
-def cmd_validate(config: ModelConfig) -> int:
+def cmd_validate() -> int:
     """Run the acceptance suite; returns the exit code."""
-    results = acceptance.run_all(seed=config.seed, tol=config.tol)
-    return 0 if all(r.passed for r in results) else 2
+    return 0 if all(r.passed for r in acceptance.run_all()) else 2
 
 
 def _fmt(value) -> str:
@@ -304,18 +303,19 @@ def build_parser() -> argparse.ArgumentParser:
         ("constants", "critical moments, wing constants, regimes, coefficients (JSON)"),
         ("density", "density asymptote vs Fourier oracle on a grid (CSV)"),
         ("smile", "implied-vol expansion vs asymptotic-price inversion on a strike grid (CSV)"),
-        ("validate", "run the acceptance suite on its fixed acceptance models; of --config it reads only "
-                     "the seed and the tolerance; exit 0 only if every criterion passes"),
+        ("validate", "run the acceptance suite with its fixed acceptance models, seeds and tolerances; "
+                     "exit 0 only if every criterion passes"),
         ("sample", "Monte Carlo terminal-price sample summary (JSON)"),
     ):
         # each subcommand offers the flags its command reads, and no others
         p = sub.add_parser(name, help=help_text, description=help_text)
+        if name == "validate":
+            continue
         p.add_argument("--config", required=True, help="path to the JSON model config")
-        if name != "validate":
-            p.add_argument("--out", default=None, help="output path (default: stdout)")
-        if name in ("sample", "validate"):
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        if name == "sample":
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if name in ("constants", "density", "validate"):
+        if name in ("constants", "density"):
             p.add_argument("--tol", type=float, default=None, help="override the relative tolerance")
         if name in ("density", "smile"):
             p.add_argument("--grid", required=True, help="grid spec a:b:n or a:b:nlog")
@@ -328,6 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command == "validate":
+            return cmd_validate()
         config = load_config(args.config, seed_override=getattr(args, "seed", None),
                              tol_override=getattr(args, "tol", None))
         if args.command == "constants":
@@ -338,8 +340,6 @@ def main(argv=None) -> int:
             _emit_csv(cmd_smile(config, parse_grid(args.grid)), args.out)
         elif args.command == "sample":
             _emit_json(cmd_sample(config, args.paths, args.steps), args.out)
-        elif args.command == "validate":
-            return cmd_validate(config)
     except WingtailError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

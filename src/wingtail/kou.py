@@ -37,7 +37,6 @@ from .numerics import (
     complex_namespace,
     domain_points,
     integrate,
-    log_gamma,
     logsumexp,
     moment_from_log,
     require_finite,
@@ -47,11 +46,8 @@ from .numerics import (
 __all__ = [
     "KouJumpParams",
     "CoefficientTable",
-    "pnk",
-    "qnk",
     "coefficients",
     "g1",
-    "g2",
     "g1_log",
     "g2_log",
     "h_density",
@@ -113,10 +109,6 @@ class KouJumpParams:
     @property
     def c1_jump(self) -> float:
         return self.b1_jump / (2.0 * math.pi) * math.exp(self._up_exp_shift())
-
-    @property
-    def c2_jump(self) -> float:
-        return self.b2_jump / (2.0 * math.pi) * math.exp(self._down_exp_shift())
 
     def _up_exp_shift(self) -> float:
         # exponential prefactor of the upward-side coefficients
@@ -180,24 +172,6 @@ def _log_factorial(n: int) -> np.ndarray:
     if n >= len(_LGAMMA_CACHE):
         _LGAMMA_CACHE = gammaln(np.arange(2 * n + 2).astype(float) + 1.0)
     return _LGAMMA_CACHE
-
-
-def pnk(n: int, k: int, params: KouJumpParams) -> float:
-    """Probability weight P_{n,k} of k surviving upward exponential phases."""
-    return math.exp(_log_weights(n, k, params)[0])
-
-
-def qnk(n: int, k: int, params: KouJumpParams) -> float:
-    """Downward-side weight Q_{n,k}; mirror of P under (p, eta1) <-> (q, eta2)."""
-    return math.exp(_log_weights(n, k, params)[1])
-
-
-def _log_weights(n: int, k: int, params: KouJumpParams) -> np.ndarray:
-    """(log P_{n,k}, log Q_{n,k}) from one two-row block."""
-    if not 1 <= k <= n:
-        raise DomainError(f"P_{{n,k}} needs 1 <= k <= n, got n={n}, k={k}")
-    j = np.array([n - k])
-    return _log_pnk_rows(np.full(2, k), _SIDES, j, _index_plane(j, max(n - k, 1)), _side_logs(params))[:, 0]
 
 
 # rows of `_side_logs`: 0 is the up side (P), 1 the down side (Q)
@@ -379,16 +353,14 @@ def coefficients(params: KouJumpParams, k_max: int, tol: Tolerance = DEFAULT_TOL
     log_a_hat = params._up_exp_shift() + (ks + 1) * math.log(params.b1_jump) - lf[ks] - lf[ks + 1]
     log_b_hat = params._down_exp_shift() + (ks + 1) * math.log(params.b2_jump) - lf[ks] - lf[ks + 1]
 
-    def closed_form_seq(c_const, b_const):
-        out = np.empty(k_max + 1)
-        out[0] = math.log(c_const)
-        if k_max >= 1:
-            kk = ks[1:].astype(float)
-            out[1:] = math.log(c_const) + kk * math.log(b_const) + 2.0 * kk - (2.0 * kk + 2.0) * np.log(kk)
-        return out
+    def closed_form_seq(b_const, shift):
+        # log c = log(b/(2 pi)) + shift, which stays finite where c underflows
+        log_c = math.log(b_const / (2.0 * math.pi)) + shift
+        kk = ks[1:].astype(float)
+        return np.concatenate([[log_c], log_c + kk * math.log(b_const) + 2.0 * kk - (2.0 * kk + 2.0) * np.log(kk)])
 
-    log_d = closed_form_seq(params.c1_jump, params.b1_jump)
-    log_l = closed_form_seq(params.c2_jump, params.b2_jump)
+    log_d = closed_form_seq(params.b1_jump, params._up_exp_shift())
+    log_l = closed_form_seq(params.b2_jump, params._down_exp_shift())
 
     return CoefficientTable(
         a=np.exp(log_a),
@@ -466,11 +438,6 @@ def g1(params: KouJumpParams, u: float) -> float:
     return math.exp(g1_log(params, u))
 
 
-def g2(params: KouJumpParams, u: float) -> float:
-    """G2 series value at downward displacement u >= 0."""
-    return math.exp(g2_log(params, u))
-
-
 def h_log_density(params: KouJumpParams, x):
     """log H(t, x) at x > 0, a scalar (float result) or an array; x = 1 gives
     the right-limit log a_0, the value of the large-wing series at u = 0."""
@@ -505,7 +472,7 @@ def frac_integral(order: float, s: float, r: float, u: float) -> float:
     if not u > 0:
         raise DomainError(f"need u > 0, got {u}")
     power = -2.0 * order - 1.0
-    front = s / math.exp(log_gamma(-order))
+    front = s / math.exp(math.lgamma(-order))
     integrand = lambda q, _panel: 2.0 * q**power * np.cosh(r * np.sqrt(u * (1.0 - q * q)))
     value, _ = integrate(integrand, 0.0, 1.0, Tolerance(rel=1e-11, abs=0.0))
     return front * float(value)

@@ -21,7 +21,6 @@ from .errors import BracketingError, ConvergenceError, DivergenceError, DomainEr
 __all__ = [
     "Tolerance",
     "UnderflowWarning",
-    "log_gamma",
     "logsumexp",
     "integrate",
     "window_sweep",
@@ -192,13 +191,6 @@ def check_strip(z, strip: tuple[float, float], what: str) -> None:
     elif lo < z.real < hi:
         return
     raise MomentExplosionError(f"{what} of order {z} undefined: admissible open interval is ({lo}, {hi})")
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 # numpy reduces a contiguous row with one inner-loop call per row, which
@@ -522,7 +514,8 @@ def find_root(f, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL) -> float:
 
 
 class RngStream:
-    """Reproducible uniform stream with index-derived independent sub-streams."""
+    """Reproducible random stream (`generator`, a numpy Generator) with
+    index-derived independent sub-streams."""
 
     def __init__(self, seed: int, _spawn_key: tuple = ()):
         whole = isinstance(seed, numbers.Integral) or (isinstance(seed, float) and seed.is_integer())
@@ -536,6 +529,3 @@ class RngStream:
     def substream(self, index: int) -> "RngStream":
         """Independent stream derived deterministically from (seed, index)."""
         return RngStream(self.seed, self._spawn_key + (int(index),))
-
-    def uniform(self, size=None):
-        return self.generator.uniform(size=size)

@@ -99,7 +99,7 @@ class TestConfigLoading:
     def test_broken_tolerance_rejected(self, tmp_path, capsys):
         payload = json.loads(json.dumps(BASE_CONFIG))
         payload["tolerances"] = {"rel": -1.0}
-        code = cli.main(["validate", "--config", write_config(tmp_path, payload)])
+        code = cli.main(["constants", "--config", write_config(tmp_path, payload)])
         assert code == 1
         assert "rel" in capsys.readouterr().err
 
@@ -110,7 +110,7 @@ class TestParser:
         "constants": {"--out", "--tol"},
         "density": {"--out", "--tol", "--grid"},
         "smile": {"--out", "--grid"},
-        "validate": {"--seed", "--tol"},
+        "validate": set(),
         "sample": {"--out", "--seed", "--paths", "--steps"},
     }
 
@@ -127,8 +127,16 @@ class TestParser:
             cli.main(["validate", "--help"])
         assert exit_info.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
-        assert "fixed acceptance models" in text
-        assert "reads only the seed and the tolerance" in text
+        assert "fixed acceptance models, seeds and tolerances" in text
+
+    @pytest.mark.parametrize("argv", [
+        ["--config", REFERENCE_KOU], ["--seed", "3"], ["--tol", "1e-8"],
+    ])
+    def test_validate_takes_no_flags(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["validate", *argv])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["constants", "--seed", "3"], ["density", "--grid", "2:4:2", "--seed", "3"],
@@ -477,11 +485,11 @@ class TestMainEntry:
 
     def test_validate_exit_codes(self, monkeypatch):
         results_pass = [acceptance.CriterionResult(1, "x", True, 0.0, "ok")]
-        monkeypatch.setattr(acceptance, "run_all", lambda **kw: results_pass)
-        assert cli.main(["validate", "--config", REFERENCE_KOU]) == 0
+        monkeypatch.setattr(acceptance, "run_all", lambda: results_pass)
+        assert cli.main(["validate"]) == 0
         results_fail = [acceptance.CriterionResult(1, "x", False, 0.0, "no")]
-        monkeypatch.setattr(acceptance, "run_all", lambda **kw: results_fail)
-        assert cli.main(["validate", "--config", REFERENCE_KOU]) == 2
+        monkeypatch.setattr(acceptance, "run_all", lambda: results_fail)
+        assert cli.main(["validate"]) == 2
 
     @pytest.mark.parametrize("command", ["density", "smile"])
     @pytest.mark.parametrize("grid", ["0:2:3", "-1:2:3", "0:2:3log", "a:2:3", "1:2:x", "1:inf:3"])

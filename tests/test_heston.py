@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from wingtail import heston, oracles
 from wingtail.errors import DomainError, MomentExplosionError
@@ -84,6 +86,18 @@ class TestCriticalMoments:
             p = variant(t=t)
             cm = heston.critical_moments(p)
             assert abs(heston.explosion_time(p, cm.s_plus) - t) <= 1e-8
+
+    # the Heston box of the param-sweep benchmark workload, over criterion
+    # 5's horizons 0.25 to 4 and at its bound
+    @seed(5)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(a=st.floats(0.6, 1.2), b=st.floats(1.0, 3.0), c=st.floats(0.45, 0.8), rho=st.floats(-0.7, -0.1),
+           y0=st.floats(0.02, 0.08), t=st.floats(0.25, 4.0))
+    def test_round_trip_over_the_benchmark_box(self, a, b, c, rho, y0, t):
+        p = HestonParams(mu=0.0, a=a, b=b, c=c, rho=rho, x0=1.0, y0=y0, t=t)
+        cm = heston.critical_moments(p)
+        assert abs(heston.explosion_time(p, cm.s_plus) - t) <= 1e-8
+        assert abs(heston.explosion_time(p, cm.s_minus) - t) <= 1e-8
 
     def test_golden_reference_record(self, ref_heston):
         # frozen after verification against the Riccati ODE oracle and

@@ -136,23 +136,26 @@ class TestParams:
             variant(**{field: value})
 
 
+def _ref_weights(n, k, params):
+    """(P_{n,k}, Q_{n,k}) from the reference block; Q is P with (eta1, p)
+    and (eta2, q) swapped."""
+    e1, e2, p, q = params.eta1, params.eta2, params.p, params.q
+    return (math.exp(_ref_log_pnk_block(n, n, k, e1, e2, p, q)[0]),
+            math.exp(_ref_log_pnk_block(n, n, k, e2, e1, q, p)[0]))
+
+
 class TestWeights:
+    # the reference weights the table test compares against, at closed forms
     def test_all_up(self, ref_kou):
-        assert kou.pnk(1, 1, ref_kou) == pytest.approx(0.5, rel=1e-14)
-        assert kou.pnk(4, 4, ref_kou) == pytest.approx(0.5**4, rel=1e-13)
-        assert kou.qnk(3, 3, ref_kou) == pytest.approx(0.5**3, rel=1e-13)
+        assert _ref_weights(1, 1, ref_kou)[0] == pytest.approx(0.5, rel=1e-14)
+        assert _ref_weights(4, 4, ref_kou)[0] == pytest.approx(0.5**4, rel=1e-13)
+        assert _ref_weights(3, 3, ref_kou)[1] == pytest.approx(0.5**3, rel=1e-13)
 
     def test_two_jump_closed_form(self, ref_kou):
         # coefficient of e^(-eta1 y) in the two-fold convolution of the
         # two-sided exponential law: 2 p q eta2 / (eta1 + eta2)
         expected = 2.0 * 0.5 * 0.5 * ref_kou.eta2 / (ref_kou.eta1 + ref_kou.eta2)
-        assert kou.pnk(2, 1, ref_kou) == pytest.approx(expected, rel=1e-13)
-
-    def test_domain(self, ref_kou):
-        with pytest.raises(DomainError):
-            kou.pnk(2, 3, ref_kou)
-        with pytest.raises(DomainError):
-            kou.pnk(2, 0, ref_kou)
+        assert _ref_weights(2, 1, ref_kou)[0] == pytest.approx(expected, rel=1e-13)
 
 
 class TestCoefficients:
@@ -207,8 +210,19 @@ class TestCoefficients:
         for u in (0.3, 0.7, 1.5, 3.0, -0.5, -2.0):
             idx = int(round(u / dx)) + N // 2
             series = (kou.g1(ref_kou, u) * math.exp(-2.0 * u) if u > 0
-                      else kou.g2(ref_kou, -u) * math.exp(u))
+                      else math.exp(kou.g2_log(ref_kou, -u)) * math.exp(u))
             assert dens[idx] == pytest.approx(series, rel=2e-3)
+
+    def test_closed_forms_where_their_constant_underflows(self):
+        # c1 = b1/(2 pi) e^(-757.4) is 0 in double precision here; the closed
+        # forms d and l are formed from log c, so the table and the density build
+        params = variant(lam=775.0, eta1=1.05, eta2=0.05)
+        assert params.c1_jump == 0.0
+        tab = kou.coefficients(params, 19)
+        assert tab.log_a[0] == pytest.approx(-231.35065790006826, rel=1e-12)
+        assert np.all(tab.l > 0) and tab.d[0] == 0.0 and np.all(tab.d[2:] > 0)
+        assert kou.h_density(params, 5.0) == pytest.approx(5.303035702583993e-102, rel=1e-10)
+        assert kou.g1_log(params, 3.0) == pytest.approx(-228.63960441542346, rel=1e-12)
 
     def test_table_constants(self, ref_kou):
         assert ref_kou.b1_jump == pytest.approx(1.0)
@@ -258,9 +272,11 @@ class TestOnePassTable:
 
     @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (5, 3), (30, 7), (40, 40), (60, 1)])
     def test_weights_match_reference(self, ref_kou, n, k):
-        e1, e2, p, q = ref_kou.eta1, ref_kou.eta2, ref_kou.p, ref_kou.q
-        assert kou.pnk(n, k, ref_kou) == math.exp(_ref_log_pnk_block(n, n, k, e1, e2, p, q)[0])
-        assert kou.qnk(n, k, ref_kou) == math.exp(_ref_log_pnk_block(n, n, k, e2, e1, q, p)[0])
+        # the table's row kernel at one n, both sides
+        j = np.array([n - k])
+        logs = kou._log_pnk_rows(np.full(2, k), np.arange(2), j, kou._index_plane(j, max(n - k, 1)),
+                                 kou._side_logs(ref_kou))[:, 0]
+        assert tuple(map(math.exp, logs)) == _ref_weights(n, k, ref_kou)
 
     def test_memory_and_time_bounded(self):
         # 65 k at windows 24 to 192 on both sides: unblocked, the i-sum terms
@@ -368,7 +384,7 @@ class TestHDensity:
 
     def test_normalization(self, ref_kou):
         up = quad(lambda u: kou.g1(ref_kou, u) * math.exp(-ref_kou.eta1 * u), 0, 200, limit=300)[0]
-        dn = quad(lambda v: kou.g2(ref_kou, v) * math.exp(-ref_kou.eta2 * v), 0, 200, limit=300)[0]
+        dn = quad(lambda v: math.exp(kou.g2_log(ref_kou, v)) * math.exp(-ref_kou.eta2 * v), 0, 200, limit=300)[0]
         assert ref_kou.atom_mass + up + dn == pytest.approx(1.0, abs=1e-8)
 
     def test_decomposition_record(self, ref_kou):
@@ -493,7 +509,8 @@ class TestJumpMgf:
         for s in (0.5, -0.5, 1.5):
             closed = kou.jump_mgf(ref_kou, s) - ref_kou.atom_mass
             up = quad(lambda u: kou.g1(ref_kou, u) * math.exp((s - ref_kou.eta1) * u), 0, 300, limit=300)[0]
-            dn = quad(lambda v: kou.g2(ref_kou, v) * math.exp(-(ref_kou.eta2 + s) * v), 0, 300, limit=300)[0]
+            dn = quad(lambda v: math.exp(kou.g2_log(ref_kou, v)) * math.exp(-(ref_kou.eta2 + s) * v), 0, 300,
+                      limit=300)[0]
             assert closed == pytest.approx(up + dn, abs=1e-10)
 
     def test_pole_rejection(self, ref_kou):

@@ -23,7 +23,6 @@ from wingtail.numerics import (
     complex_namespace,
     find_root,
     integrate,
-    log_gamma,
     logsumexp,
     window_sweep,
 )
@@ -47,24 +46,20 @@ class TestTolerance:
 
 
 class TestLogGamma:
+    # kou.frac_integral divides by Gamma(-order) = exp(math.lgamma(-order))
     def test_at_one(self):
-        assert log_gamma(1.0) == 0.0
+        assert math.lgamma(1.0) == 0.0
 
     def test_factorial(self):
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
+        assert math.lgamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
 
     def test_half_integer(self):
         # Gamma(5/2) = 3 sqrt(pi) / 4
-        assert log_gamma(2.5) == pytest.approx(math.log(3.0 * math.sqrt(math.pi) / 4.0), rel=1e-14)
+        assert math.lgamma(2.5) == pytest.approx(math.log(3.0 * math.sqrt(math.pi) / 4.0), rel=1e-14)
 
     def test_recursion_on_grid(self):
         for x in np.linspace(0.5, 100.0, 200):
-            assert log_gamma(x + 1.0) - log_gamma(x) == pytest.approx(math.log(x), abs=1e-12, rel=1e-12)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_domain(self, x):
-        with pytest.raises(DomainError):
-            log_gamma(x)
+            assert math.lgamma(x + 1.0) - math.lgamma(x) == pytest.approx(math.log(x), abs=1e-12, rel=1e-12)
 
 
 class TestLogSumExpParity:
@@ -609,27 +604,27 @@ class TestBrentParity:
 
 class TestRngStream:
     def test_reproducible(self):
-        a = RngStream(987).uniform(size=32)
-        b = RngStream(987).uniform(size=32)
+        a = RngStream(987).generator.uniform(size=32)
+        b = RngStream(987).generator.uniform(size=32)
         assert np.array_equal(a, b)
 
     def test_substreams_uncorrelated(self):
         n = 1_000_000
         root = RngStream(2024)
-        u = root.substream(0).uniform(size=n)
-        v = root.substream(1).uniform(size=n)
+        u = root.substream(0).generator.uniform(size=n)
+        v = root.substream(1).generator.uniform(size=n)
         r = np.corrcoef(u, v)[0, 1]
         assert abs(r) < 3.0 / math.sqrt(n)
 
     def test_uniform_mean(self):
         n = 1_000_000
-        u = RngStream(7).uniform(size=n)
+        u = RngStream(7).generator.uniform(size=n)
         assert abs(u.mean() - 0.5) < 3.0 * (1.0 / math.sqrt(12.0)) / math.sqrt(n)
 
     def test_substream_differs_from_parent(self):
         root = RngStream(55)
         child = RngStream(55).substream(3)
-        assert not np.array_equal(root.uniform(size=8), child.uniform(size=8))
+        assert not np.array_equal(root.generator.uniform(size=8), child.generator.uniform(size=8))
 
     @pytest.mark.parametrize("seed", [-1, 1.5, -2.0, math.nan, math.inf, "7"])
     def test_bad_seed_refused_by_name(self, seed):
@@ -637,4 +632,4 @@ class TestRngStream:
             RngStream(seed)
 
     def test_whole_float_seed_is_the_integer_seed(self):
-        assert np.array_equal(RngStream(3.0).uniform(size=8), RngStream(3).uniform(size=8))
+        assert np.array_equal(RngStream(3.0).generator.uniform(size=8), RngStream(3).generator.uniform(size=8))
