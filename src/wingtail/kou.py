@@ -26,7 +26,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConvergenceError, DomainError
 from .mellin import AT_INFINITY, ERROR_INV_SQRT_LOG, TailAsymptote, side_of
@@ -37,6 +36,7 @@ from .numerics import (
     complex_namespace,
     domain_points,
     integrate,
+    log_factorials,
     logsumexp,
     moment_from_log,
     require_finite,
@@ -164,13 +164,13 @@ class CoefficientTable:
     truncation_k: int
 
 
-_LGAMMA_CACHE = gammaln(np.arange(1024).astype(float) + 1.0)  # log(n!) at index n
+_LGAMMA_CACHE = log_factorials(1024)  # log(n!) at index n
 
 
 def _log_factorial(n: int) -> np.ndarray:
     global _LGAMMA_CACHE
     if n >= len(_LGAMMA_CACHE):
-        _LGAMMA_CACHE = gammaln(np.arange(2 * n + 2).astype(float) + 1.0)
+        _LGAMMA_CACHE = log_factorials(2 * n + 2)
     return _LGAMMA_CACHE
 
 
@@ -268,7 +268,9 @@ def _log_pnk_rows(K: np.ndarray, side: np.ndarray, j: np.ndarray, planes, logs: 
 # the kept planes) and takes 0.19 s there, 0.06-0.09 s untraced (2-core
 # x86-64). Blocks of 2**13 and 2**14 measured slower; 2**16 measured the same
 # and 2**17 slower, with thousands of page faults per table from arrays past
-# glibc's mmap threshold.
+# glibc's mmap threshold. These runs loaded scipy, which left that threshold
+# near 460 KB; `numerics` now lifts it to 1 MiB at import (see the note there),
+# so a block larger than 2**15 would need measuring again.
 _BLOCK_TERMS = 1 << 15
 
 # terms of the widest series window

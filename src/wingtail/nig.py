@@ -14,11 +14,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import k1e
 
 from .errors import DomainError, NoArbitrageError
 from .mellin import AT_ZERO, ERROR_INV_LOG, TailAsymptote, side_of
-from .numerics import (UnderflowWarning, check_strip, complex_namespace, domain_points, inf_past_double,
+from .numerics import (UnderflowWarning, check_strip, complex_namespace, domain_points, inf_past_double, k1e,
                        moment_from_log, require_finite, shaped_like)
 
 __all__ = [

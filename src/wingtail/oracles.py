@@ -96,8 +96,9 @@ DEFAULT_FOURIER_TOL = Tolerance(rel=1e-10, abs=1e-14)
 # panel rows per evaluation of a Fourier integrand. At the 336 rows of an
 # exact-density call each complex temporary took 113 KB, and glibc grew its heap
 # for them and trimmed it after every call: 15,000 page faults per op. At 128
-# rows (43 KB a temporary) they fit the heap's free space: no faults after the
-# first op, in each of 5 runs (x86-64 Linux, glibc malloc).
+# rows (43 KB a temporary) they stay far below glibc's mmap and trim thresholds,
+# which `numerics` lifts to 1 and 2 MiB at import (see the note there): about 2
+# faults per op after the first (x86-64 Linux, glibc malloc).
 _ROW_BLOCK = 128
 
 

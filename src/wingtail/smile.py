@@ -23,12 +23,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.special import erfcx, log_ndtr, ndtr, ndtri
-
 from .errors import DomainError, InfinitePriceError, InversionError, RegimeGuardError
 from .mellin import AT_INFINITY, TailAsymptote
 from .mixed import WING_LARGE, WING_SMALL, MixedModel, mixed_asymptote
+from .numerics import erfcx, ndtri
 
 __all__ = [
     "GUARD",
@@ -56,6 +54,8 @@ def bs_call(x0: float, K: float, T: float, sigma: float) -> float:
         raise DomainError(f"need sigma >= 0, got {sigma}")
     if sigma == 0.0:
         return max(x0 - K, 0.0)
+    from scipy.special import ndtr  # loaded on first use: no CLI path prices by strike
+
     srt = sigma * math.sqrt(T)
     d1 = (math.log(x0 / K) + 0.5 * srt * srt) / srt
     d2 = d1 - srt
@@ -68,8 +68,8 @@ _SQRT_HALF = math.sqrt(0.5)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 # the 4-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial.legendre.leggauss(4)
 # gives it; calling that at import would start LAPACK, for about 0.8 MB of resident memory
-_GL_NODES = np.array([-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526])
-_GL_WEIGHTS = np.array([0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357])
+_GL_RULE = ((-0.8611363115940526, 0.34785484513745357), (-0.33998104358485626, 0.6521451548625464),
+            (0.33998104358485626, 0.6521451548625464), (0.8611363115940526, 0.34785484513745357))
 
 
 def _mills_difference(z1: float, delta: float) -> float:
@@ -86,8 +86,11 @@ def _mills_difference(z1: float, delta: float) -> float:
     """
     if z1 < 20.0:
         half = 0.5 * delta
-        s = z1 + half * (1.0 + _GL_NODES)
-        return half * float(_GL_WEIGHTS @ (1.0 - s * _SQRT_HALF_PI * erfcx(s * _SQRT_HALF)))
+        total = 0.0
+        for node, weight in _GL_RULE:
+            s = z1 + half * (1.0 + node)
+            total += weight * (1.0 - s * _SQRT_HALF_PI * erfcx(s * _SQRT_HALF))
+        return half * total
     lr = math.log1p(delta / z1)  # log(z2/z1)
     total = 0.0
     sign = 1.0
@@ -107,7 +110,17 @@ def _mills_difference(z1: float, delta: float) -> float:
 
 def bs_log_call(k: float, T: float, sigma: float) -> float:
     """log(C/x0) of the Black-Scholes call at log-moneyness k = log(K/x0),
-    stable for far out-of-the-money wings."""
+    by one of three forms of C, none of which forms the difference
+    Phi(d1) - e^k Phi(d2) of two values close to each other:
+    - out of the money (d1 < 0): a difference of two Mills ratios
+      (`_log_call_out_of_the_money`);
+    - near the money (d1 >= 0 >= d2): C = (erf(d1/sqrt 2) - erf(d2/sqrt 2))/2
+      - (e^k - 1) erfc(-d2/sqrt 2)/2, whose erf difference adds two terms of
+      one sign, and whose last term is below C/2 where it subtracts (k > 0);
+    - in the money (d2 > 0): put-call parity, C = 1 - e^k + P, two positive
+      terms, with the put P = e^k C(-k) (put-call symmetry at zero rates)
+      out of the money.
+    """
     if not (math.isfinite(k) and math.isfinite(T) and T > 0):
         raise DomainError(f"need a finite k and a finite T > 0, got {k}, {T}")
     if not (math.isfinite(sigma) and sigma > 0):
@@ -115,22 +128,30 @@ def bs_log_call(k: float, T: float, sigma: float) -> float:
     srt = sigma * math.sqrt(T)
     d1 = (-k + 0.5 * srt * srt) / srt
     if d1 < 0.0:
-        # out of the money: x0 phi(d1) = K phi(d2) exactly, so
-        # C = phi(d1) (M(-d1) - M(-d2)), M the Mills ratio, with no
-        # cancellation left in the difference (Phi(d1) - e^k Phi(d2) loses the
-        # digits of C / Phi(d1) to the rounding of two values near d1^2 / 2)
-        z1 = -d1
-        if srt >= 0.02 * z1 and srt >= 0.02:
-            # the two ratios differ by at least 1%: their plain difference,
-            # with phi(d1) sqrt(pi/2) = e^(-d1^2/2) / 2, loses at most 7 bits
-            diff = float(erfcx(z1 * _SQRT_HALF)) - float(erfcx((z1 + srt) * _SQRT_HALF))
-            return -0.5 * d1 * d1 - _LOG_2 + math.log(diff)
-        return -0.5 * d1 * d1 - _HALF_LOG_2PI + math.log(_mills_difference(z1, srt))
-    la = float(log_ndtr(d1))
-    lb = k + float(log_ndtr(d1 - srt))
-    if lb >= la:  # can only happen through rounding at machine level
-        raise InversionError(f"degenerate Black-Scholes evaluation at k={k}, sigma={sigma}")
-    return la + math.log1p(-math.exp(lb - la))
+        return _log_call_out_of_the_money(d1, srt)
+    d2 = d1 - srt
+    if d2 > 0.0:
+        # the call at -k has d1 = -d2
+        return math.log(-math.expm1(k) + math.exp(k + _log_call_out_of_the_money(-d2, srt)))
+    return math.log(0.5 * (math.erf(d1 * _SQRT_HALF) - math.erf(d2 * _SQRT_HALF))
+                    - 0.5 * math.expm1(k) * math.erfc(-d2 * _SQRT_HALF))
+
+
+def _log_call_out_of_the_money(d1: float, srt: float) -> float:
+    """log(C/x0) of the call whose d1 is negative, at total volatility srt.
+
+    x0 phi(d1) = K phi(d2) exactly, so C = phi(d1) (M(-d1) - M(-d2)), M the
+    Mills ratio, with no cancellation left in the difference (Phi(d1) -
+    e^k Phi(d2) loses the digits of C / Phi(d1) to the rounding of two
+    values near d1^2 / 2).
+    """
+    z1 = -d1
+    if srt >= 0.02 * z1 and srt >= 0.02:
+        # the two ratios differ by at least 1%: their plain difference,
+        # with phi(d1) sqrt(pi/2) = e^(-d1^2/2) / 2, loses at most 7 bits
+        diff = erfcx(z1 * _SQRT_HALF) - erfcx((z1 + srt) * _SQRT_HALF)
+        return -0.5 * d1 * d1 - _LOG_2 + math.log(diff)
+    return -0.5 * d1 * d1 - _HALF_LOG_2PI + math.log(_mills_difference(z1, srt))
 
 
 # the lowest volatility the inversion returns: a price at or below its value
@@ -157,16 +178,19 @@ def _start_vol(log_price: float, k: float, T: float) -> float:
         put = math.exp(log_price) + math.expm1(k)
         if put > 0.0:
             log_price, k = math.log(put) - k, -k
-    v = -2.0 * float(ndtri(max(-0.5 * math.expm1(log_price), sys.float_info.min)))
+    v = 0.0
     if k > 0.0:
         ell = -log_price
-        v0 = 2.0 * k / (math.sqrt(2.0 * (ell + k)) + math.sqrt(2.0 * ell))
-        d1 = -k / v0 + 0.5 * v0
+        v = 2.0 * k / (math.sqrt(2.0 * (ell + k)) + math.sqrt(2.0 * ell))
+        d1 = -k / v + 0.5 * v
         if d1 < -1.0:
-            ell += math.log(v0 / (d1 * (d1 - v0))) - _HALF_LOG_2PI
+            ell += math.log(v / (d1 * (d1 - v))) - _HALF_LOG_2PI
             if ell > 0.0:
-                v0 = 2.0 * k / (math.sqrt(2.0 * (ell + k)) + math.sqrt(2.0 * ell))
-        v = max(v, v0)
+                v = 2.0 * k / (math.sqrt(2.0 * (ell + k)) + math.sqrt(2.0 * ell))
+    # the at-the-money volatility w, C = erf(w / sqrt 8), where it can be the
+    # larger: erfc(y) <= e^(-y^2) bounds w^2 by -8 log(1 - C)
+    if v * v < -8.0 * math.log(-math.expm1(log_price)):
+        v = max(v, -2.0 * ndtri(max(-0.5 * math.expm1(log_price), sys.float_info.min)))
     return max(v / math.sqrt(T), _VOL_FLOOR)
 
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from mpmath import mp
+from scipy import special
 from scipy.special import logsumexp as scipy_logsumexp
 
 from wingtail import cli, heston, kou, mellin, nig, numerics, oracles
@@ -21,9 +23,13 @@ from wingtail.numerics import (
     RngStream,
     Tolerance,
     complex_namespace,
+    erfcx,
     find_root,
     integrate,
+    k1e,
+    log_factorials,
     logsumexp,
+    ndtri,
     window_sweep,
 )
 
@@ -60,6 +66,55 @@ class TestLogGamma:
     def test_recursion_on_grid(self):
         for x in np.linspace(0.5, 100.0, 200):
             assert math.lgamma(x + 1.0) - math.lgamma(x) == pytest.approx(math.log(x), abs=1e-12, rel=1e-12)
+
+
+class TestSpecialFunctionPorts:
+    """The ports of scipy.special that the CLI runs on, against scipy and mpmath,
+    across every switch of their forms."""
+
+    def test_log_factorials_are_scipys_gammaln(self):
+        # bit for bit through both switches of lgam (x = 13 and 1000), past the
+        # largest table the tests build (3,078 entries)
+        n = np.arange(5000)
+        assert np.array_equal(log_factorials(5000), special.gammaln(n + 1.0))
+        assert log_factorials(0).shape == (0,)
+
+    def test_erfcx_against_scipy_and_mpmath(self):
+        # both sides of the switch to the asymptotic series at 26: within 8
+        # ulps of scipy, and within 5e-16 of 40 digits
+        xs = np.concatenate([np.geomspace(1e-300, 1e-3, 30), np.linspace(0.0, 26.0, 2601)[:-1],
+                             [math.nextafter(26.0, 0.0), 26.0], np.geomspace(26.0, 1e6, 200)[1:]])
+        for x in map(float, xs):
+            want = special.erfcx(x)
+            assert abs(erfcx(x) - want) <= 8 * math.ulp(want)
+        with mp.workdps(40):
+            for x in map(float, xs[::5]):
+                want = mp.exp(mp.mpf(x) ** 2) * mp.erfc(x)
+                assert abs(erfcx(x) - want) <= 5e-16 * want
+
+    def test_k1e_against_scipy_and_mpmath(self):
+        # both sides of the switch at 1 and of scipy's at 2: within 1e-15 of
+        # scipy, and within 4e-16 of 40 digits
+        xs = np.concatenate([np.geomspace(1e-300, 0.5, 40), np.linspace(0.5, 3.0, 251),
+                             [math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 2.0],
+                             np.geomspace(3.0, 1e6, 60)])
+        got = k1e(xs)
+        assert np.all(np.abs(got / special.k1e(xs) - 1.0) <= 1e-15)
+        with mp.workdps(40):
+            for x, value in zip(map(float, xs), got):
+                want = mp.exp(mp.mpf(x)) * mp.besselk(1, x)
+                assert abs(value - want) <= 4e-16 * want
+        assert k1e(np.array([[0.5, 4.0]])).shape == (1, 2)
+
+    def test_ndtri_against_scipy(self):
+        # from the smallest normal double through 1/2 to 1 - 1e-16: within
+        # 1e-15 max(1, |z|) of scipy
+        ps = np.concatenate([np.geomspace(sys.float_info.min, 0.5, 3000), np.linspace(0.4, 0.6, 401),
+                             1.0 - np.geomspace(1e-16, 0.4, 300)])
+        for p in map(float, ps):
+            want = special.ndtri(p)
+            assert abs(ndtri(p) - want) <= 1e-15 * max(1.0, abs(want))
+        assert ndtri(0.5) == pytest.approx(0.0, abs=1e-17)
 
 
 class TestLogSumExpParity:

@@ -64,8 +64,9 @@ def reference_implied_vol_from_log(log_price: float, k: float, T: float) -> floa
 # rounding plateau of g(sigma) = log C - log_price: the volatilities over which
 # log C moves by less than its rounding error, where the price does not
 # determine sigma (deep in the money, or where the vega is far below the
-# price). That error is 8 eps max(1, |log C|, |k|), times Phi(d1)/C on the
-# direct branch of `bs_log_call`, which forms C/Phi(d1) as 1 - e^(lb - la).
+# price). That error is 8 eps max(1, |log C|, |k|), times Phi(d1)/C where
+# d1 >= 0 (the cancellation of forming C/Phi(d1) as 1 - e^(lb - la), which
+# `bs_log_call` no longer does there: the bound only widens by it).
 REFERENCE_REL = 4e-14
 
 
@@ -170,6 +171,32 @@ class TestBlackScholes:
             d1 = -mp.mpf(k) / v + v / 2
             want = mp.log(mp.ncdf(d1) - mp.exp(k) * mp.ncdf(d1 - v))
             assert abs(smile.bs_log_call(k, T, sigma) - float(want)) <= 1e-12
+
+    def test_log_form_matches_sixty_digits_in_and_near_the_money(self):
+        # near the money at total volatility 1e-5 (the direct form
+        # la + log1p(-exp(lb - la)) was 1.2e-11 to 3.0e-11 off there), and deep
+        # in the money at tiny volatility, where it was 6.8e-14 off: within 2
+        # ulps of log C
+        points = [(float(k), T, 1e-5 / math.sqrt(T)) for k in np.linspace(-3e-11, 3e-11, 61) for T in (0.5, 1.0)]
+        points.append((-8.107362721638151e-4, 1.852222948188307, 8.801441300258757e-6))
+        with mp.workdps(60):
+            for k, T, sigma in points:
+                v = mp.mpf(sigma) * mp.sqrt(T)
+                d1 = -mp.mpf(k) / v + v / 2
+                want = mp.log(mp.ncdf(d1) - mp.exp(k) * mp.ncdf(d1 - v))
+                assert abs(smile.bs_log_call(k, T, sigma) - want) <= 2 * math.ulp(float(want))
+
+    def test_in_the_money_sweep_matches_fifty_digits(self):
+        # the parity form carries the out-of-the-money form's error on the
+        # put, whose two-ratio difference loses up to 7 bits: within 3e-14
+        rng = np.random.default_rng(23)
+        with mp.workdps(50):
+            for _ in range(150):
+                k, T, sigma = -10 ** rng.uniform(-5, 1), rng.uniform(0.05, 2.0), 10 ** rng.uniform(-10, 0.5)
+                v = mp.mpf(sigma) * mp.sqrt(T)
+                d1 = -mp.mpf(k) / v + v / 2
+                want = mp.log(mp.ncdf(d1) - mp.exp(k) * mp.ncdf(d1 - v))
+                assert abs(smile.bs_log_call(k, T, sigma) - want) <= 3e-14
 
     def test_inversion_band_errors(self):
         with pytest.raises(InversionError):
@@ -301,6 +328,33 @@ class TestNewtonInversion:
         start_errors = [abs(smile._start_vol(*args) / sigma - 1.0) for args, sigma in inversions]
         assert float(np.median(start_errors)) <= 1e-2
 
+    def test_in_the_money_sweep_cost(self, monkeypatch):
+        # k = -10^U(-5, 1), T in [0.05, 2], sigma = 10^U(-10, 0.5): with the
+        # direct form a fifth of these inversions took more than 6 calls, up to
+        # 67 (and the price at k = -8.107e-4, T = 1.852, sigma = 8.80e-6 took
+        # 46 and inverted to 8.7e-5). Stated before the run: at most 12 calls
+        # each and 5 on average, and agreement with the bracketed reference,
+        # which refuses the same prices at intrinsic value
+        rng = np.random.default_rng(19)
+        evaluations = []
+        real_call = smile.bs_log_call
+        monkeypatch.setattr(smile, "bs_log_call", lambda *a: evaluations.append(1) or real_call(*a))
+        calls = []
+        for _ in range(2000):
+            k, T, sigma = -10 ** rng.uniform(-5, 1), rng.uniform(0.05, 2.0), 10 ** rng.uniform(-10, 0.5)
+            log_price = real_call(k, T, sigma)
+            evaluations.clear()
+            new = outcome(smile.bs_implied_vol_from_log, log_price, k, T)
+            used = len(evaluations)
+            ref = outcome(reference_implied_vol_from_log, log_price, k, T)
+            if isinstance(new, tuple) or isinstance(ref, tuple):
+                assert new == ref
+                continue
+            calls.append(used)
+            assert abs(new - ref) <= agreement_bound(ref, log_price, k, T)
+        assert max(calls) <= 12
+        assert np.mean(calls) <= 5.0
+
     def test_a_staircase_price_ends_on_the_collapsed_bracket(self, monkeypatch):
         # log C rounded to 1e-9 has no root and no residual at the rounding
         # level, and its derivative certifies no step: only the bracket ends it
@@ -312,18 +366,29 @@ class TestNewtonInversion:
             assert abs(real_call(k, T, found) - log_price) <= 1e-9
 
     def test_a_price_at_intrinsic_value_returns_the_floor_at_once(self, monkeypatch):
-        # every volatility below about 0.15 prices to this double, so its put
-        # by parity is 0; Newton from the parity start of 1.9 took 30
-        # evaluations and returned the top of that plateau, 0.1515
-        k, T = -1.5505162826047414, 1.7101241001807421
-        log_price = smile.bs_log_call(k, T, 2.6e-9)
-        assert math.exp(log_price) + math.expm1(k) == 0.0
+        # one ulp above the log of intrinsic value, near the money: the put by
+        # parity is at the rounding level of the price, and the floor prices
+        # to this double; Newton alone took 4 evaluations and returned the top
+        # of that plateau, 1.0118e-8
+        k, T = -1.2303825366430593e-07, 2.754121102608744
+        log_price = math.nextafter(math.log(-math.expm1(k)), 0.0)
+        price = math.exp(log_price)
+        assert 0.0 < price + math.expm1(k) <= 4.0 * sys.float_info.epsilon * price
         evaluations = []
         real_call = smile.bs_log_call
         monkeypatch.setattr(smile, "bs_log_call", lambda *a: evaluations.append(a) or real_call(*a))
         assert smile.bs_implied_vol_from_log(log_price, k, T) == VOL_FLOOR
         assert evaluations == [(k, T, VOL_FLOOR)]
         assert reference_implied_vol_from_log(log_price, k, T) == VOL_FLOOR
+        # deep in the money, every volatility below about 0.15 prices to
+        # intrinsic value itself, which both inversions refuse unevaluated
+        k, T = -1.5505162826047414, 1.7101241001807421
+        log_price = real_call(k, T, 2.6e-9)
+        assert log_price == math.log(-math.expm1(k))
+        evaluations.clear()
+        assert outcome(smile.bs_implied_vol_from_log, log_price, k, T) == outcome(
+            reference_implied_vol_from_log, log_price, k, T)
+        assert evaluations == []
 
     def test_a_deep_in_the_money_price_ends_at_its_rounding_level(self, monkeypatch):
         # the price barely determines sigma (vega/C is about 1e-14 here); the
