@@ -21,7 +21,7 @@ from .errors import (
 )
 from .heston import CriticalMoments, HestonParams, HestonTailConstants
 from .kou import CoefficientTable, KouJumpParams
-from .mellin import MellinStrip, TailAsymptote
+from .mellin import TailAsymptote
 from .mixed import MixedModel, WingRegime
 from .nig import NIGParams
 from .numerics import RngStream, Tolerance
@@ -48,7 +48,6 @@ __all__ = [
     "HestonTailConstants",
     "CoefficientTable",
     "KouJumpParams",
-    "MellinStrip",
     "TailAsymptote",
     "MixedModel",
     "WingRegime",

@@ -21,7 +21,7 @@ from . import heston, kou, mellin, mixed, nig, oracles, smile
 from .errors import DegenerateRegimeError, InversionError
 from .heston import HestonParams
 from .kou import KouJumpParams
-from .mellin import MellinStrip, TailAsymptote
+from .mellin import TailAsymptote
 from .mixed import MixedModel, WING_LARGE, WING_SMALL
 from .nig import NIGParams
 from .numerics import RngStream, Tolerance, integrate
@@ -122,7 +122,7 @@ def criterion_2_fractional_envelope() -> tuple[bool, str]:
     us = np.geomspace(1.0, 400.0, 40)
     ratios = []
     for u in us:
-        g1v = kou.g1(params, float(u))
+        g1v = math.exp(kou.g1_log(params, float(u)))
         f3 = kou.frac_integral(-1.5, s, r, float(u))
         f5 = kou.frac_integral(-2.5, s, r, float(u))
         ratios.append(abs(g1v - f3) / f5)
@@ -233,7 +233,7 @@ def criterion_6_mixed_density_wings() -> tuple[bool, str]:
     jd = _kou_model(eta1=2.0, eta2=1.0, a=1.0)
     dd = _kou_model(eta1=15.0, eta2=8.0, a=0.25)
     for model, want in ((jd, mixed.DOMINANT_JUMP), (dd, mixed.DOMINANT_DIFFUSION)):
-        large, small = mixed.classify(model)
+        large, small = (mixed.classify_wing(model, wing) for wing in (WING_LARGE, WING_SMALL))
         checks.append((f"{want} classify", large.dominant == want and small.dominant == want))
         for wing, sign in ((WING_LARGE, +1), (WING_SMALL, -1)):
             ratios, limit = _ratio_trend(model, mixed.mixed_asymptote(model, wing), sign, window)
@@ -243,24 +243,18 @@ def criterion_6_mixed_density_wings() -> tuple[bool, str]:
     dd_ref = _kou_model(eta1=15.0, eta2=8.0, a=1.0)
     ratios, limit = _ratio_trend(dd_ref, mixed.mixed_asymptote(dd_ref, WING_LARGE), +1, [200.0, 500.0, 1000.0])
     checks.append((f"reference dd far-field limit {limit:.3f}", _monotone(ratios) and abs(limit - 1.0) <= 0.15))
-    # coefficient-level identity with the Mellin transfer rule (the proof route):
-    # jump-dominant wing = jump record scaled by the diffusion transform value;
-    # diffusion-dominant wing = diffusion record scaled by the jump-law value
-    def _same(via, direct):
-        return (abs(via.r1 / direct.r1 - 1.0) <= 1e-12 and via.r2 == direct.r2
-                and via.r3 == direct.r3 and via.r4 == direct.r4)
-
-    h_strip = heston.mellin_strip(jd.heston)
-    # jump-law transform strip: the moment of order -eta-1 is finite for eta in it
-    lo, hi = dd.jumps.moment_strip()
-    j_strip = MellinStrip(-hi - 1.0, -lo - 1.0)
+    # record-level identity with the Mellin transfer rule (the proof route):
+    # jump-dominant wing = jump record scaled by the diffusion moment, on the
+    # diffusion's moment strip; diffusion-dominant wing = diffusion record
+    # scaled by the jump-law moment, on the jump law's strip
+    cm = heston.critical_moments(jd.heston)
     for wing in (WING_LARGE, WING_SMALL):
         jrec = jd.jumps.wing_record(wing)
-        via = mellin.convolve_asymptote(jrec, h_strip, heston.mgf(jd.heston, -jrec.mellin_point - 1.0))
-        checks.append((f"jump-dom transfer identity ({wing})", _same(via, mixed.mixed_asymptote(jd, wing))))
+        via = mellin.convolve_asymptote(jrec, (cm.s_minus, cm.s_plus), heston.mgf(jd.heston, -jrec.mellin_point - 1.0))
+        checks.append((f"jump-dom transfer identity ({wing})", via == mixed.mixed_asymptote(jd, wing)))
         hrec = heston.wing_record(dd.heston, wing)
-        via = mellin.convolve_asymptote(hrec, j_strip, dd.jump_moment(-hrec.mellin_point - 1.0))
-        checks.append((f"diff-dom transfer identity ({wing})", _same(via, mixed.mixed_asymptote(dd, wing))))
+        via = mellin.convolve_asymptote(hrec, dd.jumps.moment_strip(), dd.jump_moment(-hrec.mellin_point - 1.0))
+        checks.append((f"diff-dom transfer identity ({wing})", via == mixed.mixed_asymptote(dd, wing)))
     return _verdict(checks, "all ratio trends and identities hold")
 
 
@@ -300,18 +294,18 @@ def criterion_8_moment_identities() -> tuple[bool, str]:
     ok = True
     zs = []
     for s in (-1.0, 0.5, 2.0):
-        closed = heston.mgf(model.heston, s) * kou.jump_mgf(j, s)
+        closed = heston.mgf(model.heston, s) * model.jump_moment(s)
         pows = sample**s
         mc, se = float(np.mean(pows)), float(np.std(pows) / math.sqrt(pows.size))
         z = (mc - closed) / se
         zs.append(z)
         ok = ok and abs(z) <= 3.0
     # MU(eta) equals the moment of order -eta-1: check on the closed-form jump density
-    np_params = NIGParams(alpha=2.0, delta=1.0, t=1.0)
+    nig_model = _nig_model()
     gap = 0.0
     for eta in (-2.5, -0.5, 0.2):
-        mu_val = mellin.mellin_transform(np_params.price_density, eta)
-        closed = nig.nig_mgf(np_params, -eta - 1.0)
+        mu_val = mellin.mellin_transform(nig_model.jumps.price_density, eta)
+        closed = nig_model.jump_moment(-eta - 1.0)
         gap = max(gap, abs(mu_val - closed))
         ok = ok and abs(mu_val - closed) <= 1e-8
     return ok, f"MC z-scores {', '.join(f'{z:+.2f}' for z in zs)}; max transform-moment gap {gap:.2e}"

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, MomentExplosionError, SearchError
-from .mellin import AT_INFINITY, ERROR_INV_SQRT_LOG, MellinStrip, TailAsymptote, side_of
+from .mellin import AT_INFINITY, ERROR_INV_SQRT_LOG, TailAsymptote, side_of
 from .numerics import Tolerance, complex_namespace, find_root, inf_past_double, moment_from_log, require_finite
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "log_mgf",
     "cgf_derivatives",
     "wing_record",
-    "mellin_strip",
 ]
 
 
@@ -373,16 +372,6 @@ def mgf(params: HestonParams, s: float) -> float:
     if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
         raise SearchError(f"moment evaluation lost reality at s={s}: {val}")
     return moment_from_log(val.real, s)
-
-
-def mellin_strip(params: HestonParams) -> MellinStrip:
-    """Open strip on which the Mellin transform of the price density converges.
-
-    The transform at eta equals the moment of order -eta-1, so the strip is
-    (-A3, A3t) = (-s_plus - 1, -s_minus - 1).
-    """
-    cm = critical_moments(params)
-    return MellinStrip(sigma=-(cm.s_plus + 1.0), tau=-(cm.s_minus + 1.0))
 
 
 def _sinh_bracket(params: HestonParams, s: float) -> float:

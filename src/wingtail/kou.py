@@ -22,6 +22,7 @@ All coefficient arithmetic runs in log space: the raw coefficients decay like
 from __future__ import annotations
 
 import math
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -38,7 +39,6 @@ from .numerics import (
     integrate,
     log_factorials,
     logsumexp,
-    moment_from_log,
     require_finite,
     shaped_like,
 )
@@ -47,14 +47,12 @@ __all__ = [
     "KouJumpParams",
     "CoefficientTable",
     "coefficients",
-    "g1",
     "g1_log",
     "g2_log",
     "h_density",
     "h_log_density",
     "frac_integral",
     "h_wing_record",
-    "jump_mgf",
     "log_jump_mgf",
     "jump_cgf_derivatives",
     "risk_neutral_drift",
@@ -108,7 +106,8 @@ class KouJumpParams:
 
     @property
     def c1_jump(self) -> float:
-        return self.b1_jump / (2.0 * math.pi) * math.exp(self._up_exp_shift())
+        shift = self._up_exp_shift()
+        return _normal_prefactor(self.b1_jump / (2.0 * math.pi) * math.exp(shift), "c1_jump", shift)
 
     def _up_exp_shift(self) -> float:
         # exponential prefactor of the upward-side coefficients
@@ -172,6 +171,13 @@ def _log_factorial(n: int) -> np.ndarray:
     if n >= len(_LGAMMA_CACHE):
         _LGAMMA_CACHE = log_factorials(2 * n + 2)
     return _LGAMMA_CACHE
+
+
+def _normal_prefactor(value: float, name: str, shift: float) -> float:
+    """value, refused by name where its factor e^shift takes it below the normal double range."""
+    if not value >= sys.float_info.min:
+        raise DomainError(f"Kou {name} underflows the double range: {value} at the log shift {shift:.6g}")
+    return value
 
 
 # rows of `_side_logs`: 0 is the up side (P), 1 the down side (Q)
@@ -399,30 +405,31 @@ def _series_k_budget(b_const: float, u: float) -> int:
     return int(2.5 * math.sqrt(max(b_const * u, 1.0))) + 48
 
 
-def _log_series(log_coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """log sum_k exp(log_coeffs[k]) u^k at every point of u, one row of terms per point."""
+def _log_series(log_coeffs: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, bool]:
+    """log sum_k exp(log_coeffs[k]) u^k at every point of u, one row of terms per point, and
+    whether the truncation is short (a last term above DEFAULT_TOL.rel of its sum)."""
     ks = np.arange(len(log_coeffs))
     zero = u == 0.0
     with np.errstate(divide="ignore"):
         log_terms = log_coeffs + ks * np.where(zero, 1.0, np.log(u))[:, None]
     total = logsumexp(log_terms)
-    if np.any(log_terms[~zero, -1] > total[~zero] + math.log(DEFAULT_TOL.rel)):
-        raise ConvergenceError("series truncation too short", best_estimate=total)
-    return np.where(zero, log_coeffs[0], total)
+    short = bool(np.any(log_terms[~zero, -1] > total[~zero] + math.log(DEFAULT_TOL.rel)))
+    return np.where(zero, log_coeffs[0], total), short
 
 
 def _g_log(params: KouJumpParams, u, up: bool):
     """log G1(t, u) (up=True) or log G2(t, u) at every point of u, with one
-    table grown until the series truncates at the largest u."""
+    table doubled (up to five times) until the series truncates at the largest u."""
     name = "G1" if up else "G2"
     us = domain_points(u, lambda v: v >= 0, f"{name} requires finite u >= 0")
     table = _table(params, _series_k_budget(params.b1_jump if up else params.b2_jump, us.max(initial=0.0)))
-    for _ in range(6):
-        try:
-            return shaped_like(u, _log_series(table.log_a if up else table.log_b, us))
-        except ConvergenceError:
+    for growth in range(6):
+        if growth:
             table = _table(params, 2 * table.truncation_k)
-    raise ConvergenceError(f"{name} series did not truncate cleanly at u={us.max()}")
+        values, short = _log_series(table.log_a if up else table.log_b, us)
+        if not short:
+            return shaped_like(u, values)
+    raise ConvergenceError(f"{name} series did not truncate cleanly at u={us.max()}", best_estimate=values)
 
 
 def g1_log(params: KouJumpParams, u):
@@ -433,11 +440,6 @@ def g1_log(params: KouJumpParams, u):
 def g2_log(params: KouJumpParams, u):
     """log G2 series value at downward displacement u >= 0, a scalar or an array."""
     return _g_log(params, u, up=False)
-
-
-def g1(params: KouJumpParams, u: float) -> float:
-    """G1(t, u) = sum_k a_k u^k (strictly increasing in u, positive)."""
-    return math.exp(g1_log(params, u))
 
 
 def h_log_density(params: KouJumpParams, x):
@@ -495,7 +497,7 @@ def h_wing_record(params: KouJumpParams, wing: str) -> TailAsymptote:
     else:
         b, shift, r3 = params.b2_jump, params._down_exp_shift(), params.eta2 - 1.0
     return TailAsymptote(
-        r1=0.5 / math.sqrt(math.pi) * b**0.25 * math.exp(shift),
+        r1=_normal_prefactor(0.5 / math.sqrt(math.pi) * b**0.25 * math.exp(shift), f"{wing}-wing prefactor r1", shift),
         r2=2.0 * math.sqrt(b),
         r3=r3,
         r4=-0.75,
@@ -530,11 +532,6 @@ def jump_cgf_derivatives(params: KouJumpParams, s):
         lam_t * (up / (e1 - s) - down / (e2 + s)),
         2.0 * lam_t * (up / (e1 - s) ** 2 + down / (e2 + s) ** 2),
     )
-
-
-def jump_mgf(params: KouJumpParams, s: float) -> float:
-    """E[e^{s T_t}], the moment of order s of the jump factor."""
-    return moment_from_log(log_jump_mgf(params, complex(s)).real, s)
 
 
 def risk_neutral_drift(params: KouJumpParams) -> float:

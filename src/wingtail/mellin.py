@@ -1,5 +1,5 @@
-"""Mellin transform and convolution: exact values by quadrature, tail transfer
-by the asymptotic multiplication rule, and slow-variation diagnostics.
+"""Mellin transform and convolution: exact values by quadrature, and tail
+transfer by the asymptotic multiplication rule.
 
 The multiplicative convolution here is
     (f * g)(x) = integral_0^inf f(x/t) g(t) dt/t,
@@ -25,13 +25,10 @@ __all__ = [
     "side_of",
     "ERROR_INV_SQRT_LOG",
     "ERROR_INV_LOG",
-    "MellinStrip",
     "TailAsymptote",
     "mellin_transform",
     "mellin_convolve",
     "convolve_asymptote",
-    "zygmund_epsilon",
-    "slow_variation_remainder",
 ]
 
 AT_INFINITY = "infinity"
@@ -53,21 +50,6 @@ def side_of(wing: str) -> str:
     if wing not in _SIDES:
         raise DomainError(f"unknown wing {wing!r}")
     return _SIDES[wing]
-
-
-@dataclass(frozen=True)
-class MellinStrip:
-    """Open vertical strip (sigma, tau) on which the transform converges."""
-
-    sigma: float
-    tau: float
-
-    def __post_init__(self):
-        if not self.sigma < self.tau:
-            raise DomainError(f"strip requires sigma < tau, got ({self.sigma}, {self.tau})")
-
-    def contains(self, rho: float) -> bool:
-        return self.sigma < rho < self.tau
 
 
 @dataclass(frozen=True)
@@ -146,10 +128,6 @@ class TailAsymptote:
             raise DomainError(f"error bound evaluated on the wrong side: x={x}")
         return ell ** -0.5 if self.error_order == ERROR_INV_SQRT_LOG else 1.0 / ell
 
-    def slow_variation_remainder_order(self) -> str:
-        """Remainder class of the slowly varying factor exp(r2 sqrt(log)) (log)^r4."""
-        return ERROR_INV_SQRT_LOG if self.r2 > 0 else ERROR_INV_LOG
-
 
 def _two_sided(integrand, ends, width: float, min_windows: int, tol: Tolerance, what: str) -> float:
     """Integral of integrand(v) over the real line, with panel edges on the lattice width * Z and at both `ends`.
@@ -220,50 +198,24 @@ def mellin_convolve(f, g, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
                       f"Mellin convolution at x={x}")
 
 
-def convolve_asymptote(f_tail: TailAsymptote, strip: MellinStrip, mellin_value: float) -> TailAsymptote:
+def convolve_asymptote(f_tail: TailAsymptote, strip: tuple[float, float], moment: float) -> TailAsymptote:
     """Wing asymptote of U * f when f has the given power tail on that wing.
 
-    The prefactor is multiplied by mellin_value = MU(rho), the co-factor U's
-    transform at rho = f_tail.mellin_point: -r3 for a tail at infinity and
-    +r3 for a tail at zero (the mirror of the rule under x -> 1/x). rho must
-    lie strictly inside U's convergence strip (the dominance condition). The
-    slowly varying factor of f_tail is passed through unchanged, and the
-    error order is the dominant of f_tail's own order and the remainder
-    class of its slowly varying factor.
+    The prefactor is multiplied by `moment`, the co-factor U's moment of
+    order s = -rho - 1, its transform MU(rho) at rho = f_tail.mellin_point:
+    -r3 for a tail at infinity and +r3 for a tail at zero (the mirror of the
+    rule under x -> 1/x). s must lie strictly inside U's moment strip
+    (lo, hi): the dominance condition. The slowly varying factor of f_tail
+    is passed through unchanged, and the error order is the dominant of
+    f_tail's own order and the remainder class of its slowly varying factor:
+    (log x)^(-1/2) with an exp(r2 sqrt(log x)) factor (r2 > 0), else (log x)^(-1).
     """
-    rho = f_tail.mellin_point
-    if not strip.contains(rho):
-        raise DomainError(
-            f"rho={rho} outside the open strip ({strip.sigma}, {strip.tau}); "
-            "the convolved tail is not dominated by this factor"
-        )
-    mu = float(mellin_value)
+    s, (lo, hi) = -f_tail.mellin_point - 1.0, strip
+    if not lo < s < hi:
+        raise DomainError(f"moment order {s} outside the co-factor's open moment strip ({lo}, {hi}); "
+                          "the convolved tail is not dominated by this factor")
+    mu = float(moment)
     if not mu > 0:
-        raise DomainError(f"Mellin transform value must be positive, got {mu}")
-    # the slower-decaying (dominant) of the two error orders
-    order = max(f_tail.error_order, f_tail.slow_variation_remainder_order(), key=_ERROR_RANK.get)
+        raise DomainError(f"co-factor moment must be positive, got {mu}")
+    order = max(f_tail.error_order, ERROR_INV_SQRT_LOG if f_tail.r2 > 0 else ERROR_INV_LOG, key=_ERROR_RANK.get)
     return replace(f_tail, r1=f_tail.r1 * mu, error_order=order)
-
-
-def zygmund_epsilon(l, x: float) -> float:
-    """Normalized slow-variation index x*l'(x)/l(x), the derivative by a
-    central difference of step 1e-6 x.
-
-    Values tending to 0 diagnose membership in the normalized slowly varying
-    (Zygmund) class.
-    """
-    lx = l(x)
-    if lx == 0:
-        raise DomainError(f"zygmund_epsilon requires l(x) != 0 at x={x}")
-    h = 1e-6 * x
-    return x * (l(x + h) - l(x - h)) / (2.0 * h) / lx
-
-
-def slow_variation_remainder(l, lam: float, x: float) -> float:
-    """l(lam*x)/l(x) - 1, the quantity a remainder class must bound."""
-    if not lam > 1:
-        raise DomainError(f"slow_variation_remainder requires lambda > 1, got {lam}")
-    lx = l(x)
-    if lx == 0:
-        raise DomainError(f"slow_variation_remainder requires l(x) != 0 at x={x}")
-    return l(lam * x) / lx - 1.0

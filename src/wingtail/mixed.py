@@ -18,7 +18,7 @@ from . import heston as _heston
 from .errors import DegenerateRegimeError, DomainError
 from .heston import HestonParams, HestonTailConstants
 from .kou import KouJumpParams
-from .mellin import WING_LARGE, WING_SMALL, TailAsymptote, mellin_convolve, side_of
+from .mellin import WING_LARGE, WING_SMALL, TailAsymptote, convolve_asymptote, mellin_convolve, side_of
 from .nig import NIGParams
 from .numerics import Tolerance, moment_from_log
 
@@ -29,7 +29,6 @@ __all__ = [
     "DOMINANT_DIFFUSION",
     "WingRegime",
     "MixedModel",
-    "classify",
     "classify_wing",
     "mixed_asymptote",
     "mixed_density",
@@ -153,28 +152,24 @@ def classify_wing(model: MixedModel, wing: str) -> WingRegime:
     return WingRegime(wing=wing, dominant=dominant, margin=abs(gap))
 
 
-def classify(model: MixedModel) -> tuple[WingRegime, WingRegime]:
-    """Regimes at the large and small wings (raises on a degenerate wing)."""
-    return classify_wing(model, WING_LARGE), classify_wing(model, WING_SMALL)
-
-
 def mixed_asymptote(model: MixedModel, wing: str) -> TailAsymptote:
     """Leading term of the mixed density on one wing (x -> inf or x -> 0).
 
-    The dominant component's wing record is scaled by the co-factor's moment
-    of order -rho - 1, where rho is the record's Mellin point (-r3 at
-    infinity, +r3 at zero): this is the Mellin transform of the co-factor at
-    rho. Jump-dominant: the jump record times a diffusion moment.
+    The Mellin transfer rule `convolve_asymptote` applied to the dominant
+    component's wing record, the co-factor's moment strip and its moment of
+    order -rho - 1, where rho is the record's Mellin point (-r3 at infinity,
+    +r3 at zero). Jump-dominant: the jump record times a diffusion moment.
     Diffusion-dominant: the diffusion record times a jump-factor moment.
     """
     regime = classify_wing(model, wing)
     if model.jumps is None:
         return _heston.wing_record(model.heston, wing)
     if regime.dominant == DOMINANT_JUMP:
-        record = model.jumps.wing_record(wing)
-        return record.scaled(_heston.mgf(model.heston, -record.mellin_point - 1.0))
-    record = _heston.wing_record(model.heston, wing)
-    return record.scaled(model.jump_moment(-record.mellin_point - 1.0))
+        record, cm = model.jumps.wing_record(wing), _heston.critical_moments(model.heston)
+        strip, moment = (cm.s_minus, cm.s_plus), lambda s: _heston.mgf(model.heston, s)
+    else:
+        record, strip, moment = _heston.wing_record(model.heston, wing), model.jumps.moment_strip(), model.jump_moment
+    return convolve_asymptote(record, strip, moment(-record.mellin_point - 1.0))
 
 
 DENSITY_TOL = Tolerance(rel=1e-8, abs=1e-14)

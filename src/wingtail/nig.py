@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, NoArbitrageError
 from .mellin import AT_ZERO, ERROR_INV_LOG, TailAsymptote, side_of
 from .numerics import (UnderflowWarning, check_strip, complex_namespace, domain_points, inf_past_double, k1e,
-                       moment_from_log, require_finite, shaped_like)
+                       require_finite, shaped_like)
 
 __all__ = [
     "NIGParams",
@@ -27,7 +27,6 @@ __all__ = [
     "nig_price_log_density",
     "nig_wing_record",
     "nig_no_arb_drift",
-    "nig_mgf",
     "log_nig_mgf",
     "nig_cgf_derivatives",
     "sample_nigs",
@@ -175,11 +174,6 @@ def nig_cgf_derivatives(params: NIGParams, s):
     dt, a2 = params.delta * params.t, params.alpha**2
     root = np.sqrt(a2 - s * s)
     return dt * (params.alpha - root), dt * s / root, dt * a2 / root**3
-
-
-def nig_mgf(params: NIGParams, s: float) -> float:
-    """E[e^{s Y_t}] = exp(delta t (alpha - sqrt(alpha^2 - s^2))), |s| < alpha."""
-    return moment_from_log(log_nig_mgf(params, complex(s)).real, s)
 
 
 def _sample_inverse_gaussian(gen, mean: float, shape: float, size: int) -> np.ndarray:

@@ -170,7 +170,8 @@ def _start_vol(log_price: float, k: float, T: float) -> float:
     call of log price log P - k at -k). On the out-of-the-money side the
     leading-order wing inversion (Gao-Lee) solves -log C = d1^2/2 for the
     total volatility: v = sqrt(2(l + k)) - sqrt(2 l), l = -log C, with l
-    corrected once by the Mills ratio C ~ phi(d1) v / (d1 d2) where d1 < -1.
+    corrected once by the Mills ratio C ~ phi(d1) v / (d1 d2) where d1 < -1
+    at both the uncorrected and the corrected start.
     The at-the-money volatility of the same price, which is below the root
     at every k >= 0, is the start where that is larger (near the money).
     """
@@ -186,7 +187,9 @@ def _start_vol(log_price: float, k: float, T: float) -> float:
         if d1 < -1.0:
             ell += math.log(v / (d1 * (d1 - v))) - _HALF_LOG_2PI
             if ell > 0.0:
-                v = 2.0 * k / (math.sqrt(2.0 * (ell + k)) + math.sqrt(2.0 * ell))
+                corrected = 2.0 * k / (math.sqrt(2.0 * (ell + k)) + math.sqrt(2.0 * ell))
+                if -k / corrected + 0.5 * corrected < -1.0:
+                    v = corrected
     # the at-the-money volatility w, C = erf(w / sqrt 8), where it can be the
     # larger: erfc(y) <= e^(-y^2) bounds w^2 by -8 log(1 - C)
     if v * v < -8.0 * math.log(-math.expm1(log_price)):

@@ -39,6 +39,17 @@ def pure_model(ref_heston):
 
 
 @pytest.fixture(scope="session")
+def jump_moment():
+    """moment(law, s): the moment of order s of a jump law by `MixedModel.jump_moment`,
+    on the reference Heston part at the law's horizon."""
+    def moment(law, s):
+        heston = HestonParams(mu=0.0, **dict(REF_HESTON, t=law.t))
+        return MixedModel(heston=heston, jumps=law).jump_moment(s)
+
+    return moment
+
+
+@pytest.fixture(scope="session")
 def kou_sample(kou_model):
     """One shared Monte Carlo sample of the reference mixed model."""
     return oracles.simulate_paths(kou_model, 200_000, 200, RngStream(42))

@@ -209,20 +209,31 @@ class TestCoefficients:
         dens = np.fft.fftshift(np.fft.irfft(dens_hat)) / dx
         for u in (0.3, 0.7, 1.5, 3.0, -0.5, -2.0):
             idx = int(round(u / dx)) + N // 2
-            series = (kou.g1(ref_kou, u) * math.exp(-2.0 * u) if u > 0
+            series = (math.exp(kou.g1_log(ref_kou, u)) * math.exp(-2.0 * u) if u > 0
                       else math.exp(kou.g2_log(ref_kou, -u)) * math.exp(u))
             assert dens[idx] == pytest.approx(series, rel=2e-3)
 
     def test_closed_forms_where_their_constant_underflows(self):
-        # c1 = b1/(2 pi) e^(-757.4) is 0 in double precision here; the closed
-        # forms d and l are formed from log c, so the table and the density build
+        # c1 = b1/(2 pi) e^(-757.4) underflows here and is refused by name; the
+        # closed forms d and l are formed from log c, so the table and the density build
         params = variant(lam=775.0, eta1=1.05, eta2=0.05)
-        assert params.c1_jump == 0.0
+        with pytest.raises(DomainError, match=r"c1_jump underflows .* log shift -757\.386"):
+            params.c1_jump
         tab = kou.coefficients(params, 19)
         assert tab.log_a[0] == pytest.approx(-231.35065790006826, rel=1e-12)
         assert np.all(tab.l > 0) and tab.d[0] == 0.0 and np.all(tab.d[2:] > 0)
         assert kou.h_density(params, 5.0) == pytest.approx(5.303035702583993e-102, rel=1e-10)
         assert kou.g1_log(params, 3.0) == pytest.approx(-228.63960441542346, rel=1e-12)
+
+    def test_prefactors_that_underflow_are_refused_by_name(self):
+        # the large-wing prefactor and c1 carry e^(-757.4); the small wing's
+        # shift is -37.8 and its record builds
+        params = variant(lam=775.0, eta1=1.05, eta2=0.05)
+        with pytest.raises(DomainError, match=r"large-wing prefactor r1 underflows .* log shift -757\.386"):
+            kou.h_wing_record(params, WING_LARGE)
+        with pytest.raises(DomainError, match=r"c1_jump underflows .* log shift -757\.386"):
+            kou.watson_params(params)
+        assert kou.h_wing_record(params, WING_SMALL).r1 == pytest.approx(6.8e-177, rel=1e-2)
 
     def test_table_constants(self, ref_kou):
         assert ref_kou.b1_jump == pytest.approx(1.0)
@@ -345,17 +356,17 @@ class TestTableCache:
 class TestSeries:
     def test_value_at_zero_is_a0(self, ref_kou):
         tab = kou.coefficients(ref_kou, 2)
-        assert kou.g1(ref_kou, 0.0) == pytest.approx(float(tab.a[0]), rel=1e-13)
+        assert math.exp(kou.g1_log(ref_kou, 0.0)) == pytest.approx(float(tab.a[0]), rel=1e-13)
 
     def test_strictly_increasing(self, ref_kou):
         us = np.linspace(0.0, 30.0, 16)
-        vals = [kou.g1(ref_kou, float(u)) for u in us]
+        vals = [math.exp(kou.g1_log(ref_kou, float(u))) for u in us]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_matches_fractional_integral_envelope(self, ref_kou):
         s, r = kou.watson_params(ref_kou)
         u = 50.0
-        g1v = kou.g1(ref_kou, u)
+        g1v = math.exp(kou.g1_log(ref_kou, u))
         f3 = kou.frac_integral(-1.5, s, r, u)
         f5 = kou.frac_integral(-2.5, s, r, u)
         assert abs(g1v - f3) <= 3.0 * f5
@@ -371,6 +382,31 @@ class TestSeries:
             terms = log_coeffs + np.arange(log_coeffs.size) * np.log(np.array([u]))[:, None]
             assert value == float(logsumexp(terms, axis=1)[0])
 
+    @pytest.mark.parametrize("up, u", [(True, 5e3), (False, 1e4)])
+    def test_a_short_table_grows_to_the_same_values(self, monkeypatch, ref_kou, up, u):
+        # a budget of 0 terms starts from the smallest table, 64 terms, which
+        # is too short at u: the series doubles it once, to 128
+        g_log = kou.g1_log if up else kou.g2_log
+        monkeypatch.setattr(kou, "_TABLE_CACHE", type(kou._TABLE_CACHE)())
+        want = g_log(ref_kou, u)
+        requests, real_table = [], kou._table
+        monkeypatch.setattr(kou, "_series_k_budget", lambda b_const, v: 0)
+        monkeypatch.setattr(kou, "_table", lambda params, k_min: requests.append(k_min) or real_table(params, k_min))
+        monkeypatch.setattr(kou, "_TABLE_CACHE", type(kou._TABLE_CACHE)())
+        assert g_log(ref_kou, u) == want
+        assert requests == [0, 128]
+
+    def test_a_series_short_after_the_last_growth_is_refused(self, monkeypatch, ref_kou):
+        # five doublings of the table, then ConvergenceError with the sum so far
+        requests, real_table = [], kou._table
+        monkeypatch.setattr(kou, "_log_series", lambda log_coeffs, u: (np.full(u.shape, 1.5), True))
+        monkeypatch.setattr(kou, "_table", lambda params, k_min: requests.append(k_min) or real_table(params, k_min))
+        monkeypatch.setattr(kou, "_TABLE_CACHE", type(kou._TABLE_CACHE)())
+        with pytest.raises(ConvergenceError, match="G2 series did not truncate cleanly at u=3.0") as err:
+            kou.g2_log(ref_kou, 3.0)
+        assert requests[1:] == [128, 256, 512, 1024, 2048]
+        assert err.value.best_estimate.tolist() == [1.5]
+
     def test_huge_argument_log_form(self, ref_kou):
         # series evaluation stays finite in log space at u = 1e4
         val = kou.g1_log(ref_kou, 1e4)
@@ -383,7 +419,7 @@ class TestHDensity:
         assert kou.h_density(ref_kou, 1.0) == pytest.approx(float(tab.a[0]), rel=1e-13)
 
     def test_normalization(self, ref_kou):
-        up = quad(lambda u: kou.g1(ref_kou, u) * math.exp(-ref_kou.eta1 * u), 0, 200, limit=300)[0]
+        up = quad(lambda u: math.exp(kou.g1_log(ref_kou, u)) * math.exp(-ref_kou.eta1 * u), 0, 200, limit=300)[0]
         dn = quad(lambda v: math.exp(kou.g2_log(ref_kou, v)) * math.exp(-ref_kou.eta2 * v), 0, 200, limit=300)[0]
         assert ref_kou.atom_mass + up + dn == pytest.approx(1.0, abs=1e-8)
 
@@ -443,7 +479,7 @@ class TestFracIntegral:
         s, r = kou.watson_params(ref_kou)
         cs = []
         for u in np.geomspace(1.0, 400.0, 12):
-            diff = abs(kou.g1(ref_kou, float(u)) - kou.frac_integral(-1.5, s, r, float(u)))
+            diff = abs(math.exp(kou.g1_log(ref_kou, float(u))) - kou.frac_integral(-1.5, s, r, float(u)))
             cs.append(diff / kou.frac_integral(-2.5, s, r, float(u)))
         assert max(cs) < 5.0
 
@@ -493,31 +529,32 @@ class TestWingAsymptotes:
 
 
 class TestJumpMgf:
-    def test_unit_at_zero(self, ref_kou):
-        assert kou.jump_mgf(ref_kou, 0.0) == 1.0
+    def test_unit_at_zero(self, ref_kou, jump_moment):
+        assert jump_moment(ref_kou, 0.0) == 1.0
 
-    def test_zero_intensity_limit(self):
+    def test_zero_intensity_limit(self, jump_moment):
         params = variant(lam=1e-14)
         for s in (-0.5, 0.5, 1.5):
-            assert kou.jump_mgf(params, s) == pytest.approx(1.0, abs=1e-12)
+            assert jump_moment(params, s) == pytest.approx(1.0, abs=1e-12)
 
-    def test_martingale_identity(self, ref_kou):
+    def test_martingale_identity(self, ref_kou, jump_moment):
         mu = kou.risk_neutral_drift(ref_kou)
-        assert math.exp(mu * ref_kou.t) * kou.jump_mgf(ref_kou, 1.0) == pytest.approx(1.0, rel=1e-14)
+        assert math.exp(mu * ref_kou.t) * jump_moment(ref_kou, 1.0) == pytest.approx(1.0, rel=1e-14)
 
-    def test_atom_subtraction_matches_quadrature(self, ref_kou):
+    def test_atom_subtraction_matches_quadrature(self, ref_kou, jump_moment):
         for s in (0.5, -0.5, 1.5):
-            closed = kou.jump_mgf(ref_kou, s) - ref_kou.atom_mass
-            up = quad(lambda u: kou.g1(ref_kou, u) * math.exp((s - ref_kou.eta1) * u), 0, 300, limit=300)[0]
+            closed = jump_moment(ref_kou, s) - ref_kou.atom_mass
+            up = quad(lambda u: math.exp(kou.g1_log(ref_kou, u)) * math.exp((s - ref_kou.eta1) * u), 0, 300,
+                      limit=300)[0]
             dn = quad(lambda v: math.exp(kou.g2_log(ref_kou, v)) * math.exp(-(ref_kou.eta2 + s) * v), 0, 300,
                       limit=300)[0]
             assert closed == pytest.approx(up + dn, abs=1e-10)
 
-    def test_pole_rejection(self, ref_kou):
+    def test_pole_rejection(self, ref_kou, jump_moment):
         with pytest.raises(MomentExplosionError):
-            kou.jump_mgf(ref_kou, ref_kou.eta1)
+            jump_moment(ref_kou, ref_kou.eta1)
         with pytest.raises(MomentExplosionError):
-            kou.jump_mgf(ref_kou, -ref_kou.eta2)
+            jump_moment(ref_kou, -ref_kou.eta2)
 
 
 class TestCoefficientIdentities:
@@ -556,10 +593,10 @@ class TestSampling:
         se = math.sqrt(p_one * (1 - p_one) / draws.size)
         assert abs(p_one - math.exp(-0.05)) <= 3.0 * se + 1e-12
 
-    def test_mean_matches_mgf(self, ref_kou):
+    def test_mean_matches_mgf(self, ref_kou, jump_moment):
         draws = kou.sample_jump_factors(ref_kou, RngStream(6), 1_000_000)
         se = draws.std() / math.sqrt(draws.size)
-        assert abs(draws.mean() - kou.jump_mgf(ref_kou, 1.0)) <= 3.0 * se
+        assert abs(draws.mean() - jump_moment(ref_kou, 1.0)) <= 3.0 * se
 
     def test_single_draw(self, ref_kou):
         val = ref_kou.sample_factors(RngStream(7), 1)[0]

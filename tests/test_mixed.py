@@ -13,7 +13,6 @@ from wingtail import cli, heston, kou, mellin, mixed, nig, oracles
 from wingtail.errors import DegenerateRegimeError, DomainError, MomentExplosionError
 from wingtail.heston import HestonParams
 from wingtail.kou import KouJumpParams, risk_neutral_drift
-from wingtail.mellin import MellinStrip
 from wingtail.mixed import DOMINANT_DIFFUSION, DOMINANT_JUMP, WING_LARGE, WING_SMALL, MixedModel
 from wingtail.nig import NIGParams, nig_no_arb_drift
 from wingtail.numerics import RngStream
@@ -33,6 +32,11 @@ def make_kou_model(eta1=2.0, eta2=1.0, lam=1.0, mu=None, **heston_kwargs):
     base.update(heston_kwargs)
     h = HestonParams(mu=risk_neutral_drift(j) if mu is None else mu, **base)
     return MixedModel(heston=h, jumps=j)
+
+
+def classify(model):
+    """The regimes of the large and small wings."""
+    return mixed.classify_wing(model, WING_LARGE), mixed.classify_wing(model, WING_SMALL)
 
 
 def shape_of(model):
@@ -63,13 +67,13 @@ class TestModel:
 
 class TestClassify:
     def test_jump_dominant_when_exponent_smaller(self, kou_model):
-        large, small = mixed.classify(kou_model)
+        large, small = classify(kou_model)
         assert large.dominant == DOMINANT_JUMP and small.dominant == DOMINANT_JUMP
         assert large.margin == pytest.approx(kou_model.derived.A3 - 3.0)
 
     def test_diffusion_dominant_when_exponent_larger(self):
         model = make_kou_model(eta1=15.0, eta2=8.0)
-        large, small = mixed.classify(model)
+        large, small = classify(model)
         assert large.dominant == DOMINANT_DIFFUSION and small.dominant == DOMINANT_DIFFUSION
 
     def test_engineered_equality_raises(self, ref_heston):
@@ -80,13 +84,13 @@ class TestClassify:
             mixed.classify_wing(model, WING_LARGE)
 
     def test_nig_classification(self, nig_model):
-        large, small = mixed.classify(nig_model)
+        large, small = classify(nig_model)
         assert large.dominant == DOMINANT_JUMP  # alpha + 1 = 3 < A3
         model = MixedModel(heston=nig_model.heston, jumps=NIGParams(alpha=15.0, delta=1.0, t=1.0))
         assert mixed.classify_wing(model, WING_LARGE).dominant == DOMINANT_DIFFUSION
 
     def test_pure_diffusion(self, pure_model):
-        large, small = mixed.classify(pure_model)
+        large, small = classify(pure_model)
         assert large.dominant == DOMINANT_DIFFUSION and large.margin == math.inf
 
     def test_anti_symmetry_of_regimes(self):
@@ -113,7 +117,7 @@ class TestTailAsymptotes:
         k = model.derived
         assert rec.r3 == k.A3 and rec.r2 == k.A2
         assert rec.r4 == pytest.approx(-0.75 + model.heston.a / model.heston.c**2)
-        assert rec.r1 == pytest.approx(kou.jump_mgf(model.jumps, k.A3 - 1.0) * k.B1, rel=1e-14)
+        assert rec.r1 == pytest.approx(model.jump_moment(k.A3 - 1.0) * k.B1, rel=1e-14)
 
     def test_zero_intensity_limit_is_pure_heston(self, ref_heston):
         model = make_kou_model(eta1=15.0, eta2=8.0, lam=1e-12, mu=0.0)
@@ -152,7 +156,8 @@ class TestTransferIdentity:
     def test_jump_dominant_route_equality(self, kou_model):
         # the mixed asymptote equals the Mellin transfer of the jump tail
         # through the diffusion law, coefficient for coefficient
-        strip = heston.mellin_strip(kou_model.heston)
+        cm = heston.critical_moments(kou_model.heston)
+        strip = (cm.s_minus, cm.s_plus)
         jrec = kou.h_wing_record(kou_model.jumps, WING_LARGE)
         via = mellin.convolve_asymptote(jrec, strip, heston.mgf(kou_model.heston, jrec.r3 - 1.0))
         direct = mixed.mixed_asymptote(kou_model, WING_LARGE)
@@ -164,19 +169,20 @@ class TestTransferIdentity:
     @pytest.mark.parametrize("law", ["kou", "nig"])
     def test_transfer_rule_on_every_wing(self, law, wing, dominant):
         # mixed_asymptote equals convolve_asymptote of the dominant component's
-        # record with the co-factor's moment of order -rho - 1 as the Mellin value
+        # record with the co-factor's moment strip and its moment of order
+        # -rho - 1 as the Mellin value
         if law == "kou":
             model = make_kou_model() if dominant == DOMINANT_JUMP else make_kou_model(eta1=15.0, eta2=8.0)
         else:
             model = make_nig_model(2.0 if dominant == DOMINANT_JUMP else 15.0)
         assert mixed.classify_wing(model, wing).dominant == dominant
         if dominant == DOMINANT_JUMP:
-            record, strip = model.jumps.wing_record(wing), heston.mellin_strip(model.heston)
+            cm = heston.critical_moments(model.heston)
+            record, strip = model.jumps.wing_record(wing), (cm.s_minus, cm.s_plus)
             moment = lambda s: heston.mgf(model.heston, s)
         else:
-            lo, hi = model.jumps.moment_strip()
             record = heston.wing_record(model.heston, wing)
-            strip, moment = MellinStrip(-hi - 1.0, -lo - 1.0), model.jump_moment
+            strip, moment = model.jumps.moment_strip(), model.jump_moment
         rho = record.mellin_point
         assert rho == (-record.r3 if wing == WING_LARGE else record.r3)
         via = mellin.convolve_asymptote(record, strip, moment(-rho - 1.0))
@@ -389,8 +395,7 @@ class TestJumpInterface:
         lo, hi = law.moment_strip()
         assert model.jump_kind == law.kind
         assert model.moment_strip() == (max(cm.s_minus, lo), min(cm.s_plus, hi))
-        jump_mgf = kou.jump_mgf if law.kind == "kou" else nig.nig_mgf
-        assert model.jump_moment(0.5) == jump_mgf(law, 0.5)
+        assert model.jump_moment(0.5) == math.exp(law.log_mgf(0.5 + 0j).real)
         assert model.log_moment(0.3 + 1.0j) == heston.log_mgf(h, 0.3 + 1.0j) + law.log_mgf(0.3 + 1.0j)
 
 
@@ -398,11 +403,11 @@ class TestMomentOverflow:
     # orders inside the moment strip whose moment is past the double range:
     # near the upper end of the strip, or for a wide NIG scale
     @pytest.mark.parametrize("case", ["heston", "kou", "nig", "jump_moment"])
-    def test_refused_with_the_order_named(self, case, ref_heston, ref_kou, kou_model):
+    def test_refused_with_the_order_named(self, case, ref_heston, ref_kou, kou_model, jump_moment):
         moment, order = {
             "heston": (lambda s: heston.mgf(ref_heston, s), heston.critical_moments(ref_heston).s_plus - 1e-3),
-            "kou": (lambda s: kou.jump_mgf(ref_kou, s), ref_kou.eta1 - 1e-5),
-            "nig": (lambda s: nig.nig_mgf(NIGParams(alpha=2.0, delta=1000.0, t=1.0), s), 1.9),
+            "kou": (lambda s: jump_moment(ref_kou, s), ref_kou.eta1 - 1e-5),
+            "nig": (lambda s: jump_moment(NIGParams(alpha=2.0, delta=1000.0, t=1.0), s), 1.9),
             "jump_moment": (kou_model.jump_moment, ref_kou.eta1 - 1e-5),
         }[case]
         with pytest.raises(MomentExplosionError, match=re.escape(f"moment of order {order} overflows")):

@@ -139,28 +139,28 @@ class TestNoArbDrift:
 
 
 class TestMgf:
-    def test_at_zero(self):
-        assert nig.nig_mgf(REF, 0.0) == 1.0
+    def test_at_zero(self, jump_moment):
+        assert jump_moment(REF, 0.0) == 1.0
 
-    def test_boundary_limit(self):
-        val = nig.nig_mgf(REF, REF.alpha - 1e-9)
+    def test_boundary_limit(self, jump_moment):
+        val = jump_moment(REF, REF.alpha - 1e-9)
         assert val == pytest.approx(math.exp(REF.delta * REF.t * REF.alpha), rel=1e-4)
 
-    def test_exact_value(self):
+    def test_exact_value(self, jump_moment):
         p = NIGParams(alpha=1.25, delta=1.0, t=1.0)
-        assert nig.nig_mgf(p, 1.0) == pytest.approx(math.exp(0.5), rel=1e-14)
+        assert jump_moment(p, 1.0) == pytest.approx(math.exp(0.5), rel=1e-14)
 
-    def test_even_and_log_convex(self):
+    def test_even_and_log_convex(self, jump_moment):
         ss = np.linspace(-1.8, 1.8, 19)
-        vals = np.array([math.log(nig.nig_mgf(REF, float(s))) for s in ss])
+        vals = np.array([math.log(jump_moment(REF, float(s))) for s in ss])
         assert np.allclose(vals, vals[::-1], rtol=1e-13)
         assert np.all(np.diff(vals, 2) >= -1e-10)
 
-    def test_out_of_domain(self):
+    def test_out_of_domain(self, jump_moment):
         with pytest.raises(MomentExplosionError):
-            nig.nig_mgf(REF, REF.alpha)
+            jump_moment(REF, REF.alpha)
         with pytest.raises(MomentExplosionError):
-            nig.nig_mgf(REF, -2.5)
+            jump_moment(REF, -2.5)
 
 
 @pytest.fixture(scope="module")
@@ -174,10 +174,10 @@ class TestSampling:
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean()) <= 3.0 * se
 
-    def test_exponential_moment(self, draws):
+    def test_exponential_moment(self, draws, jump_moment):
         vals = np.exp(draws)
         se = vals.std() / math.sqrt(vals.size)
-        assert abs(vals.mean() - nig.nig_mgf(REF, 1.0)) <= 3.0 * se
+        assert abs(vals.mean() - jump_moment(REF, 1.0)) <= 3.0 * se
 
     def test_histogram_chi2(self, draws):
         edges = np.linspace(-4.0, 4.0, 41)

@@ -202,13 +202,11 @@ class TestSimulatePaths:
         assert abs(sample.mean() - p.forward) <= 3.0 * se
 
     def test_moment_matches_closed_form(self, kou_model, kou_sample):
-        from wingtail import kou as kou_mod
-
         # orders with 2s inside the moment strip (-1, 2), so the standard error exists
         for s in (-0.4, 0.5, 0.9):
             pows = kou_sample**s
             se = pows.std() / math.sqrt(pows.size)
-            closed = heston.mgf(kou_model.heston, s) * kou_mod.jump_mgf(kou_model.jumps, s)
+            closed = heston.mgf(kou_model.heston, s) * kou_model.jump_moment(s)
             assert abs(pows.mean() - closed) <= 3.0 * se
 
     @pytest.mark.parametrize("rho", [-0.9, 0.9])

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -24,6 +25,7 @@ from wingtail.heston import HestonParams
 from wingtail.kou import KouJumpParams, risk_neutral_drift
 from wingtail.mellin import AT_INFINITY, TailAsymptote
 from wingtail.mixed import WING_LARGE, WING_SMALL, MixedModel
+from wingtail.nig import NIGParams
 from wingtail.numerics import Tolerance, find_root
 
 VOL_FLOOR = 1e-8
@@ -355,6 +357,21 @@ class TestNewtonInversion:
         assert max(calls) <= 12
         assert np.mean(calls) <= 5.0
 
+    def test_a_near_money_start_keeps_the_wing_inversion(self, monkeypatch):
+        # the put of this price has k = 3.0e-5 and d1 = -2.2 at the leading
+        # start, but the Mills correction drove l to near 0 and the start to
+        # 1.66e-4, 15x the root, for 12 calls. Stated before the run: a start
+        # below the root (4.3e-6), at most 8 calls, and the reference's root
+        k, T, sigma = -3.03945112e-5, 1.49785167, 1.11765333e-5
+        log_price = smile.bs_log_call(k, T, sigma)
+        assert smile._start_vol(log_price, k, T) < sigma
+        evaluations = []
+        real_call = smile.bs_log_call
+        monkeypatch.setattr(smile, "bs_log_call", lambda *a: evaluations.append(1) or real_call(*a))
+        found = smile.bs_implied_vol_from_log(log_price, k, T)
+        assert len(evaluations) <= 8
+        assert abs(found - reference_implied_vol_from_log(log_price, k, T)) <= agreement_bound(found, log_price, k, T)
+
     def test_a_staircase_price_ends_on_the_collapsed_bracket(self, monkeypatch):
         # log C rounded to 1e-9 has no root and no residual at the rounding
         # level, and its derivative certifies no step: only the bracket ends it
@@ -448,7 +465,45 @@ class TestCallAsymptote:
             call_asymptote(rec, 2.0, 1.0, 1.0)
 
 
+def benchmark_boxes() -> dict[str, dict]:
+    """HESTON_BOX, KOU_BOX and NIG_BOX of the param-sweep benchmark workload,
+    `dict(name=(lo, hi), ...)` read from its source."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")) as fh:
+        tree = ast.parse(fh.read())
+    return {node.targets[0].id: {kw.arg: ast.literal_eval(kw.value) for kw in node.value.keywords}
+            for node in tree.body if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("HESTON_BOX", "KOU_BOX", "NIG_BOX")}
+
+
+BOXES = benchmark_boxes()
+
+
+def box_draw(box: str):
+    return st.fixed_dictionaries({key: st.floats(lo, hi) for key, (lo, hi) in BOXES[box].items()})
+
+
 class TestExpansionCoefficients:
+    # Lee's moment formula, c_lead^2 T = 2 - 4 (sqrt(p^2 + p) - p), with p =
+    # hi - 1 on the large wing and -lo on the small, (lo, hi) the moment strip,
+    # over the parameter boxes of the param-sweep benchmark, at the relative
+    # tolerance its check uses; draws with a regime margin below 0.5 are
+    # drawn again there and rejected here
+    @seed(10)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(kind=st.sampled_from(["heston", "kou", "nig"]), h=box_draw("HESTON_BOX"), kou=box_draw("KOU_BOX"),
+           nig=box_draw("NIG_BOX"))
+    def test_lee_moment_formula_over_the_benchmark_boxes(self, kind, h, kou, nig):
+        jumps = {"heston": None, "nig": NIGParams(t=1.0, **nig),
+                 "kou": KouJumpParams(t=1.0, q=1.0 - kou["p"], **kou)}[kind]
+        mu = 0.0 if jumps is None else jumps.martingale_drift()
+        model = MixedModel(heston=HestonParams(mu=mu, x0=1.0, t=1.0, **h), jumps=jumps)
+        if min(mixed.classify_wing(model, wing).margin for wing in (WING_LARGE, WING_SMALL)) < 0.5:
+            reject()
+        lo, hi = model.moment_strip()
+        for wing, p in ((WING_LARGE, hi - 1.0), (WING_SMALL, -lo)):
+            c_lead = smile.smile_expansion(model, wing).c_lead
+            assert c_lead**2 * model.t == pytest.approx(2.0 - 4.0 * (math.sqrt(p * p + p) - p), rel=1e-9)
+
     def test_leading_coefficient_formula(self, kou_model):
         expn = smile.smile_expansion(kou_model, WING_LARGE)
         rec = mixed.mixed_asymptote(kou_model, WING_LARGE)
