@@ -171,7 +171,7 @@ def criterion_4_mellin_asymptote() -> tuple[bool, str]:
     scaled = []
     for ell in (15.0, 25.0, 40.0, 50.0):
         conv = mellin.mellin_convolve(U, params.price_density, math.exp(ell), conv_tol)
-        asym = mu_val * math.exp(kou.h_log_density(params, math.exp(ell)))
+        asym = mu_val * math.exp(kou.h_log_density_logx(params, ell))
         scaled.append(abs(conv / asym - 1.0) * math.sqrt(ell))
     ok = all(math.isfinite(v) for v in scaled) and max(scaled) <= 1.5 * scaled[0] + 0.05 and max(scaled) <= 10.0
     return ok, f"|conv/asym - 1|*sqrt(log x) over log x in [15,50]: max {max(scaled):.4f}"
@@ -420,12 +420,13 @@ def criterion_12_normalizations() -> tuple[bool, str]:
     eps = 1e-9
     params = _kou()
     fine = Tolerance(rel=eps * 1e-2, abs=eps * 1e-2)
-    # H(x) dx in u = log x, with a panel edge at the kink u = 0
-    h_mass = integrate(lambda u, _panel: np.exp(kou.h_log_density(params, np.exp(u)) + u),
+    # the masses of H(x) dx and of the NIG price density in u = log x; a panel edge at Kou's kink u = 0
+    h_mass = integrate(lambda u, _panel: np.exp(kou.h_log_density_logx(params, u) + u),
                        [-300.0, 0.0], [0.0, 300.0], fine)[0]
     gap_h = abs(params.atom_mass + float(h_mass.sum()) - 1.0)
     np_params = NIGParams(alpha=2.0, delta=1.0, t=1.0)
-    nig_mass = float(integrate(lambda y, _panel: nig.nig_log_density(np_params, y), -80.0, 80.0, fine)[0])
+    nig_mass = float(integrate(lambda y, _panel: np.exp(nig.nig_price_log_density_logx(np_params, y) + y),
+                               -80.0, 80.0, fine)[0])
     gap_nig = abs(nig_mass - 1.0)
     model = _kou_model()
     # panels of width 6 in log x: one 21-point panel over the whole range

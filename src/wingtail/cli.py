@@ -46,14 +46,22 @@ class ModelConfig:
     tol: Tolerance
 
 
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise WingtailError(f"config error: {where} must be an object, got {value!r}")
+    return value
+
+
 def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
+    if key not in _mapping(mapping, where):
         raise WingtailError(f"config error: missing '{key}' in {where}")
     return mapping[key]
 
 
 def _number(value, field: str) -> float:
     """A finite float from a config value; the error names the field."""
+    if isinstance(value, bool):  # a JSON true or false, which float() reads as 1.0 or 0.0
+        raise WingtailError(f"config error: {field} must be a number, got {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -89,7 +97,7 @@ def load_config(path: str, seed_override: int | None = None, tol_override: float
     except (OSError, json.JSONDecodeError) as exc:
         raise WingtailError(f"config error: cannot read {path}: {exc}") from exc
     kind = _require(raw, "model", "config")
-    if kind not in JUMP_LAWS:
+    if not isinstance(kind, str) or kind not in JUMP_LAWS:
         raise WingtailError(f"config error: model must be one of {tuple(JUMP_LAWS)}, got {kind!r}")
     t = _field(raw, "t", "config")
     h = _require(raw, "heston", "config")
@@ -107,7 +115,7 @@ def load_config(path: str, seed_override: int | None = None, tol_override: float
     )
     model = MixedModel(heston=hp, jumps=jumps)
     seed = _seed(raw.get("seed", 12345), "config.seed") if seed_override is None else _seed(seed_override, "--seed")
-    tdict = raw.get("tolerances", {})
+    tdict = _mapping(raw.get("tolerances", {}), "tolerances")
     tol = Tolerance(
         rel=_number(tdict.get("rel", 1e-10), "tolerances.rel") if tol_override is None
         else _number(tol_override, "--tol"),
@@ -202,8 +210,9 @@ def cmd_density(config: ModelConfig, grid: np.ndarray) -> list[list[str]]:
                 records[wing] = None
         asym = bound = ratio = ""
         if records[wing] is not None:
+            ell = abs(math.log(x))
             try:
-                asym, bound = records[wing].value(x), records[wing].error_bound_scale(x)
+                asym, bound = math.exp(records[wing].log_value_logx(ell)), records[wing].error_bound_logx(ell)
             except WingtailError:
                 pass
         oracle = float(oracle) if in_reach else ""
@@ -340,7 +349,7 @@ def main(argv=None) -> int:
             _emit_csv(cmd_smile(config, parse_grid(args.grid)), args.out)
         elif args.command == "sample":
             _emit_json(cmd_sample(config, args.paths, args.steps), args.out)
-    except WingtailError as exc:
+    except (WingtailError, MemoryError) as exc:  # MemoryError: a grid or a sample too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

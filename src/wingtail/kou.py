@@ -50,7 +50,7 @@ __all__ = [
     "g1_log",
     "g2_log",
     "h_density",
-    "h_log_density",
+    "h_log_density_logx",
     "frac_integral",
     "h_wing_record",
     "log_jump_mgf",
@@ -442,22 +442,23 @@ def g2_log(params: KouJumpParams, u):
     return _g_log(params, u, up=False)
 
 
-def h_log_density(params: KouJumpParams, x):
-    """log H(t, x) at x > 0, a scalar (float result) or an array; x = 1 gives
-    the right-limit log a_0, the value of the large-wing series at u = 0."""
-    u = np.log(domain_points(x, lambda v: v > 0, "the Kou jump density requires finite x > 0"))
+def h_log_density_logx(params: KouJumpParams, ell):
+    """log H(t, x) at x = e^ell, a scalar (float result) or an array of finite
+    ell; ell = 0 gives the right-limit log a_0, the large-wing series at u = 0."""
+    u = domain_points(ell, np.isfinite, "the Kou jump density requires finite ell = log x")
     out, up = np.empty(u.size), u >= 0
     if up.any():
         out[up] = g1_log(params, u[up]) + (-params.eta1 - 1.0) * u[up]
     if not up.all():
         out[~up] = g2_log(params, -u[~up]) + (params.eta2 - 1.0) * u[~up]
-    return shaped_like(x, out)
+    return shaped_like(ell, out)
 
 
 def h_density(params: KouJumpParams, x):
     """Density H(t, x) of the absolutely continuous part of the jump-factor law,
     at x > 0, a scalar (float result) or an array."""
-    return shaped_like(x, np.exp(h_log_density(params, np.ravel(x))))
+    xs = domain_points(x, lambda v: v > 0, "the Kou jump density requires finite x > 0")
+    return shaped_like(x, np.exp(h_log_density_logx(params, np.log(xs))))
 
 
 def frac_integral(order: float, s: float, r: float, u: float) -> float:

@@ -85,47 +85,24 @@ class TailAsymptote:
             raise DomainError(f"asymptote needs |log x| > 0, got {ell} on side {self.side}")
         return math.log(self.r1) - self.r3 * ell + self.r2 * math.sqrt(ell) + self.r4 * math.log(ell)
 
-    def _ell(self, x: float) -> float:
-        return math.log(x) if self.side == AT_INFINITY else -math.log(x)
-
-    def log_value(self, x: float) -> float:
-        return self.log_value_logx(self._ell(x))
-
-    def value(self, x: float) -> float:
-        return math.exp(self.log_value(x))
-
-    def scaled(self, factor: float) -> "TailAsymptote":
-        """Same form with the prefactor multiplied by `factor`."""
-        if not factor > 0:
-            raise DomainError(f"prefactor scale must be > 0, got {factor}")
-        return replace(self, r1=self.r1 * factor)
-
     @property
     def mellin_point(self) -> float:
         """Order rho at which the transfer rule evaluates the co-factor's Mellin
         transform: -r3 for a tail at infinity, +r3 for a tail at zero."""
         return -self.r3 if self.side == AT_INFINITY else self.r3
 
-    def reflected(self, x0: float) -> "TailAsymptote":
-        """Record at infinity of x0^3 y^-3 D(x0^2/y), for D this record at zero.
-
-        The reflection x -> x0^2/x about the spot maps the small wing onto the
-        large one, which is how small-wing prices follow from the large-wing
-        rules: r1 becomes r1 x0^(2 r3 + 3) and r3 becomes r3 + 3. The slowly
-        varying factor keeps its form, since shifting log x by 2 log x0 leaves
-        it asymptotically unchanged.
-        """
+    def reflected(self) -> "TailAsymptote":
+        """Record at infinity of y^-3 D(1/y), for D this record at zero: the
+        reflection x -> 1/x about the unit spot, by which the large-wing rules
+        price the small wing. r3 becomes r3 + 3; the rest is a function of |log x|."""
         if self.side != AT_ZERO:
             raise DomainError("reflected() needs a tail record at zero")
-        if not x0 > 0:
-            raise DomainError(f"reflection needs a spot x0 > 0, got {x0}")
-        return replace(self, r1=self.r1 * x0 ** (2.0 * self.r3 + 3.0), r3=self.r3 + 3.0, side=AT_INFINITY)
+        return replace(self, r3=self.r3 + 3.0, side=AT_INFINITY)
 
-    def error_bound_scale(self, x: float) -> float:
-        """Value of the error-order function at x (relative-error scale)."""
-        ell = self._ell(x)
+    def error_bound_logx(self, ell: float) -> float:
+        """Value of the error-order function at |log x| = ell > 0 (relative-error scale)."""
         if ell <= 0:
-            raise DomainError(f"error bound evaluated on the wrong side: x={x}")
+            raise DomainError(f"error bound needs |log x| > 0, got {ell} on side {self.side}")
         return ell ** -0.5 if self.error_order == ERROR_INV_SQRT_LOG else 1.0 / ell
 
 

@@ -22,9 +22,8 @@ from .numerics import (UnderflowWarning, check_strip, complex_namespace, domain_
 
 __all__ = [
     "NIGParams",
-    "nig_log_density",
     "nig_price_density",
-    "nig_price_log_density",
+    "nig_price_log_density_logx",
     "nig_wing_record",
     "nig_no_arb_drift",
     "log_nig_mgf",
@@ -86,40 +85,31 @@ class NIGParams:
         return nig_no_arb_drift(self)
 
 
-def _log_density_core(params: NIGParams, y: np.ndarray) -> np.ndarray:
-    # log of k(t) K1(alpha s)/s at s = sqrt(y^2 + (delta t)^2), via the
-    # exponentially scaled Bessel function so huge |y| stays finite
-    s = np.hypot(y, params.delta * params.t)
+def _log_price_density(params: NIGParams, ell: np.ndarray) -> np.ndarray:
+    # log of the log-jump's density k(t) K1(alpha s)/s, s = sqrt(ell^2 + (delta t)^2),
+    # less ell, via the exponentially scaled Bessel function so huge |ell| stays finite
+    s = np.hypot(ell, params.delta * params.t)
     z = params.alpha * s
     adt = params.alpha * params.delta * params.t
-    return math.log(adt / math.pi) + adt + np.log(k1e(z)) - z - np.log(s)
+    return math.log(adt / math.pi) + adt + np.log(k1e(z)) - z - np.log(s) - ell
 
 
-def nig_log_density(params: NIGParams, y):
-    """Density of the log-jump Y_t at y, a scalar (float result) or an array
-    (symmetric, unimodal at 0).
-
-    Where |y| is so large that the value underflows double precision, the
-    value is 0.0, and the call emits one UnderflowWarning.
-    """
-    ys = domain_points(y, np.isfinite, "nig_log_density requires finite y")
-    log_val = _log_density_core(params, ys)
-    under = log_val < -745.0
-    if under.any():
-        warnings.warn(f"NIG density underflowed at y={ys[under][0]}", UnderflowWarning, stacklevel=2)
-    return shaped_like(y, np.where(under, 0.0, np.exp(log_val)))
+def nig_price_log_density_logx(params: NIGParams, ell):
+    """log density of e^(Y_t) at x = e^ell, a scalar (float result) or an array of
+    finite ell; exp(nig_price_log_density_logx(y) + y) is the density of Y_t at y."""
+    ells = domain_points(ell, np.isfinite, "nig_price_log_density_logx requires finite ell = log x")
+    return shaped_like(ell, _log_price_density(params, ells))
 
 
 def nig_price_density(params: NIGParams, x):
-    """Density of the jump factor e^{Y_t} at x > 0, a scalar or an array."""
+    """Density of the jump factor e^(Y_t) at x > 0, a scalar or an array; 0.0 where
+    it underflows double precision, with one UnderflowWarning for the call."""
     xs = domain_points(x, lambda v: v > 0, "nig_price_density requires finite x > 0")
-    return shaped_like(x, nig_log_density(params, np.log(xs)) / xs)
-
-
-def nig_price_log_density(params: NIGParams, x):
-    """log of nig_price_density at x > 0 (a scalar or an array), safe in the far tails."""
-    ell = np.log(domain_points(x, lambda v: v > 0, "nig_price_log_density requires finite x > 0"))
-    return shaped_like(x, _log_density_core(params, ell) - ell)
+    log_val = _log_price_density(params, np.log(xs))
+    under = log_val < -745.0
+    if under.any():
+        warnings.warn(f"NIG price density underflowed at x={xs[under][0]}", UnderflowWarning, stacklevel=2)
+    return shaped_like(x, np.where(under, 0.0, np.exp(log_val)))
 
 
 def nig_wing_record(params: NIGParams, wing: str) -> TailAsymptote:

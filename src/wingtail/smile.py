@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError, InfinitePriceError, InversionError, RegimeGuardError
 from .mellin import AT_INFINITY, TailAsymptote
@@ -75,11 +75,12 @@ _GL_RULE = ((-0.8611363115940526, 0.34785484513745357), (-0.33998104358485626, 0
 def _mills_difference(z1: float, delta: float) -> float:
     """M(z1) - M(z1 + delta) of the Mills ratio M(z) = (1 - Phi(z)) / phi(z)
     = sqrt(pi/2) erfcx(z / sqrt(2)) over a short step, z1 > 0 and
-    0 < delta < 0.02 max(z1, 1), where the plain difference would cancel.
+    0 < delta < max(0.07, 0.02 z1), where the plain difference would cancel.
 
     - z1 < 20: the integral of -M'(s) = 1 - s M(s) over (z1, z1 + delta) by
       4-point Gauss-Legendre. 1 - s M(s) loses about log2(3 s^2) bits to
-      cancellation; the rule's error is below 1e-16 of the integral.
+      cancellation; against 40-digit mpmath the rule's own error is below 1.2e-16
+      of the integral there (steps of 0.07 z1 would leave 8e-14 near z1 = 20).
     - else term-wise differencing of the asymptotic series
       M(z) = sum (-1)^k (2k-1)!! z^(-2k-1), each term's difference taken
       multiplicatively through expm1; at z1 >= 20 it settles in about 10 terms.
@@ -146,9 +147,10 @@ def _log_call_out_of_the_money(d1: float, srt: float) -> float:
     values near d1^2 / 2).
     """
     z1 = -d1
-    if srt >= 0.02 * z1 and srt >= 0.02:
-        # the two ratios differ by at least 1%: their plain difference,
-        # with phi(d1) sqrt(pi/2) = e^(-d1^2/2) / 2, loses at most 7 bits
+    if srt >= 0.02 * z1 and srt >= 0.07:
+        # the two ratios differ by at least 1.7% (the least at z1 = 3.5): their plain
+        # difference, with phi(d1) sqrt(pi/2) = e^(-d1^2/2) / 2, loses at most 6 bits;
+        # below srt = 0.07 it would lose up to 6.6 near the money, the short step none
         diff = erfcx(z1 * _SQRT_HALF) - erfcx((z1 + srt) * _SQRT_HALF)
         return -0.5 * d1 * d1 - _LOG_2 + math.log(diff)
     return -0.5 * d1 * d1 - _HALF_LOG_2PI + math.log(_mills_difference(z1, srt))
@@ -338,8 +340,8 @@ def _unit_spot_tail(tail: TailAsymptote, x0: float) -> TailAsymptote:
     A record at zero is then reflected about the unit spot, so the small
     wing at log-moneyness L is priced as the large wing at L.
     """
-    unit = tail.scaled(x0 ** (1.0 - tail.r3 if tail.side == AT_INFINITY else 1.0 + tail.r3))
-    return unit if unit.side == AT_INFINITY else unit.reflected(1.0)
+    unit = replace(tail, r1=tail.r1 * x0 ** (1.0 - tail.r3 if tail.side == AT_INFINITY else 1.0 + tail.r3))
+    return unit if unit.side == AT_INFINITY else unit.reflected()
 
 
 def _wing_coefficients(unit: TailAsymptote, T: float):

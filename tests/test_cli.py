@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, seed, settings
+from hypothesis import strategies as st
 
 from test_smile import agreement_bound, reference_implied_vol_from_log
 from wingtail import acceptance, cli, heston, mixed, smile
@@ -35,6 +39,21 @@ BASE_CONFIG = {
     "kou": {"lam": 1.0, "eta1": 2.0, "eta2": 1.0, "p": 0.5, "q": 0.5},
     "seed": 12345,
 }
+
+
+# a field that the fuzzed-config test drops
+DROP = object()
+
+
+def refusing_above(allocate, size_of):
+    """`allocate`, but raising the MemoryError numpy raises where the system
+    refuses the memory for an array of more than 1e9 doubles (8 GB)."""
+    def guarded(*args, **kwargs):
+        size = size_of(*args, **kwargs)
+        if isinstance(size, int) and size > 10**9:
+            raise MemoryError(f"Unable to allocate {size * 8 / 2**30:.3g} GiB for an array with shape ({size},)")
+        return allocate(*args, **kwargs)
+    return guarded
 
 
 class TestConfigLoading:
@@ -95,6 +114,50 @@ class TestConfigLoading:
         payload["heston"]["a"] = "one"
         with pytest.raises(WingtailError, match="heston.a must be a number"):
             cli.load_config(write_config(tmp_path, payload))
+
+    @pytest.mark.parametrize("path", [("t",), ("seed",), ("heston", "y0"), ("kou", "lam"), ("tolerances", "rel")])
+    def test_boolean_field_named(self, tmp_path, path):
+        # JSON true is no number, though float() reads it as 1.0
+        payload = json.loads(json.dumps(dict(BASE_CONFIG, tolerances={"rel": 1e-10, "abs": 1e-13})))
+        *outer, key = path
+        (payload[outer[0]] if outer else payload)[key] = True
+        name = ".".join(path if outer else ("config", key))
+        with pytest.raises(WingtailError, match=f"config error: {name} must be a number, got True"):
+            cli.load_config(write_config(tmp_path, payload))
+
+    @pytest.mark.parametrize("section", ["heston", "kou", "tolerances"])
+    def test_section_that_is_no_object_named(self, tmp_path, section):
+        payload = json.loads(json.dumps(dict(BASE_CONFIG, **{section: [1.0]})))
+        with pytest.raises(WingtailError, match=f"config error: {section} must be an object, got \\[1.0\\]"):
+            cli.load_config(write_config(tmp_path, payload))
+
+    # one field of a shipped config set to a value of another JSON type, or
+    # to a non-finite number, or dropped where it has no default
+    @seed(27)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_fuzzed_shipped_config_exits_one(self, tmp_path_factory, data):
+        name = data.draw(st.sampled_from(sorted(os.listdir(CONFIG_DIR))))
+        with open(os.path.join(CONFIG_DIR, name)) as fh:
+            payload = json.load(fh)
+        paths = [(key,) for key in payload] + [(key, inner) for key, value in payload.items()
+                                               if isinstance(value, dict) for inner in value]
+        path = data.draw(st.sampled_from(paths))
+        value = data.draw(st.sampled_from([True, None, "x", [], {}, math.nan, math.inf, DROP]))
+        if value is DROP and path[0] in ("seed", "tolerances"):
+            reject()
+        *outer, key = path
+        target = payload[outer[0]] if outer else payload
+        if value is DROP:
+            del target[key]
+        else:
+            target[key] = value
+        config = tmp_path_factory.mktemp("fuzz") / "config.json"
+        config.write_text(json.dumps(payload))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(["constants", "--config", str(config)]) == 1
+        assert err.getvalue().startswith("error: ")
 
     def test_broken_tolerance_rejected(self, tmp_path, capsys):
         payload = json.loads(json.dumps(BASE_CONFIG))
@@ -221,7 +284,8 @@ class TestDensityCommand:
         rows = cli.cmd_density(config, grid)
         for x, row in zip(grid, rows[1:]):
             record = mixed.mixed_asymptote(config.model, WING_LARGE if x > 1.0 else WING_SMALL)
-            assert row[1] == repr(record.value(x)) and row[4] == repr(record.error_bound_scale(x))
+            ell = abs(math.log(x))
+            assert row[1] == repr(math.exp(record.log_value_logx(ell))) and row[4] == repr(record.error_bound_logx(ell))
 
 
 class TestNearDegenerateConfigs:
@@ -482,6 +546,17 @@ class TestMainEntry:
             cli.load_config(path)
         assert cli.main(["sample", "--config", path, "--paths", "20", "--steps", "60"]) == 1
         assert "error: config error: config.seed" in capsys.readouterr().err
+
+    def test_unallocatable_grid_exit_one(self, monkeypatch, capsys):
+        # the refusal the host's allocator gives at 99999999999 points, without the allocation
+        monkeypatch.setattr(np, "linspace", refusing_above(np.linspace, lambda a, b, n: n))
+        assert cli.main(["density", "--config", PURE_HESTON, "--grid=1:2:99999999999"]) == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+    def test_unallocatable_sample_exit_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(np, "empty", refusing_above(np.empty, lambda shape, *args, **kwargs: shape))
+        assert cli.main(["sample", "--config", REFERENCE_KOU, "--paths", "100000000000", "--steps", "60"]) == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
     def test_validate_exit_codes(self, monkeypatch):
         results_pass = [acceptance.CriterionResult(1, "x", True, 0.0, "ok")]

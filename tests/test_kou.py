@@ -6,13 +6,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from hypothesis import given, seed, settings
 from scipy.special import gammaln, logsumexp
 
 from wingtail import kou
 from wingtail.errors import ConvergenceError, DomainError, MomentExplosionError
 from wingtail.kou import KouJumpParams
 from wingtail.mellin import WING_LARGE, WING_SMALL
-from wingtail.numerics import DEFAULT_TOL, RngStream, Tolerance
+from wingtail.numerics import DEFAULT_TOL, RngStream, Tolerance, integrate
+
+from benchmark_boxes import box_draw
 
 
 def variant(**kwargs):
@@ -431,16 +434,16 @@ class TestHDensity:
     def test_power_factor_slowly_varying(self):
         # H(t,x) x^(eta1+1) moves slowly: doubling x changes it by o(1) factors
         params = variant(lam=2.0, t=1.0)
-        x = math.exp(40.0)
-        lhs = kou.h_log_density(params, 2 * x) + (params.eta1 + 1) * math.log(2 * x)
-        rhs = kou.h_log_density(params, x) + (params.eta1 + 1) * math.log(x)
+        ell = 40.0
+        lhs = kou.h_log_density_logx(params, ell + math.log(2)) + (params.eta1 + 1) * (ell + math.log(2))
+        rhs = kou.h_log_density_logx(params, ell) + (params.eta1 + 1) * ell
         assert abs(lhs - rhs) < 0.2
 
     def test_domain(self, ref_kou):
         with pytest.raises(DomainError):
             kou.h_density(ref_kou, 0.0)
 
-    @pytest.mark.parametrize("fn", [kou.h_density, kou.h_log_density, kou.g1_log, kou.g2_log])
+    @pytest.mark.parametrize("fn", [kou.h_density, kou.h_log_density_logx, kou.g1_log, kou.g2_log])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_point_refused_by_value(self, ref_kou, fn, value):
         for point in (value, np.array([2.0, value])):
@@ -449,7 +452,7 @@ class TestHDensity:
 
     @pytest.mark.parametrize("fn, points", [
         (kou.h_density, [0.01, 0.5, 1.0, 1.0 + 1e-12, 3.0, math.exp(40.0)]),
-        (kou.h_log_density, [0.01, 0.5, 1.0, 1.0 + 1e-12, 3.0, math.exp(40.0)]),
+        (kou.h_log_density_logx, [-4.6, -0.7, 0.0, 1e-12, 1.1, 40.0]),
         (kou.g1_log, [0.0, 1e-12, 0.5, 3.0, 30.0, 1e4]),
         (kou.g2_log, [0.0, 1e-12, 0.5, 3.0, 30.0, 1e4]),
     ])
@@ -526,6 +529,32 @@ class TestWingAsymptotes:
         assert rec.r3 == ref_kou.eta1 + 1.0 and rec.r4 == -0.75
         zrec = kou.h_wing_record(ref_kou, WING_SMALL)
         assert zrec.r3 == ref_kou.eta2 - 1.0
+
+
+class TestLogDensityReach:
+    # the log body is read at ell = log x past the double range of x, where
+    # x = e^ell itself overflows (ell > 709.78) or underflows (ell < -745.13)
+    def test_wings_of_the_reference_law_past_the_double_range(self, ref_kou):
+        # sqrt(ell) log(H / record) at ell = |log x| stays bounded on both
+        # wings: the record's relative error is of order (log x)^(-1/2)
+        for wing, sign in ((WING_LARGE, 1.0), (WING_SMALL, -1.0)):
+            rec = kou.h_wing_record(ref_kou, wing)
+            for ell in (1e2, 1e3, 1e4):
+                scaled = math.sqrt(ell) * (kou.h_log_density_logx(ref_kou, sign * ell) - rec.log_value_logx(ell))
+                assert -0.25 <= scaled <= 0.0, (wing, ell, scaled)
+
+    # the Kou box of perfbench's param-sweep, at t = 1
+    @seed(27)
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(draw=box_draw("KOU_BOX"))
+    def test_mass_and_reach_over_the_benchmark_box(self, draw):
+        params = KouJumpParams(t=1.0, q=1.0 - draw["p"], **draw)
+        fine = Tolerance(rel=1e-11, abs=1e-11)
+        # H(x) dx in u = log x, with a panel edge at the kink u = 0 (criterion 12's integral)
+        mass = integrate(lambda u, _panel: np.exp(kou.h_log_density_logx(params, u) + u),
+                         [-300.0, 0.0], [0.0, 300.0], fine)[0]
+        assert abs(params.atom_mass + float(mass.sum()) - 1.0) <= 1e-8
+        assert np.all(np.isfinite(kou.h_log_density_logx(params, np.array([-1e4, 1e4]))))
 
 
 class TestJumpMgf:

@@ -54,15 +54,20 @@ class TestStripAndRecord:
         rec = TailAsymptote(r1=2.0, r2=1.0, r3=3.0, r4=-0.75, side=AT_INFINITY)
         x = math.exp(9.0)
         expected = 2.0 * x**-3.0 * math.exp(math.sqrt(9.0)) * 9.0**-0.75
-        assert rec.value(x) == pytest.approx(expected, rel=1e-12)
+        assert math.exp(rec.log_value_logx(9.0)) == pytest.approx(expected, rel=1e-12)
         rec0 = TailAsymptote(r1=2.0, r2=1.0, r3=3.0, r4=-0.75, side=AT_ZERO)
         x = math.exp(-9.0)
-        assert rec0.value(x) == pytest.approx(2.0 * x**3.0 * math.exp(3.0) * 9.0**-0.75, rel=1e-12)
+        assert math.exp(rec0.log_value_logx(9.0)) == pytest.approx(2.0 * x**3.0 * math.exp(3.0) * 9.0**-0.75,
+                                                                   rel=1e-12)
 
     def test_record_wrong_side(self):
         rec = TailAsymptote(r1=1.0, r2=0.0, r3=3.0, r4=0.0, side=AT_INFINITY)
-        with pytest.raises(DomainError):
-            rec.value(0.5)
+        # a record is read at ell = |log x| > 0; x = 0.5 would be ell = log 0.5 < 0
+        for ell in (math.log(0.5), 0.0):
+            with pytest.raises(DomainError):
+                rec.log_value_logx(ell)
+            with pytest.raises(DomainError):
+                rec.error_bound_logx(ell)
 
 
 class TestWingsAndReflection:
@@ -76,25 +81,19 @@ class TestWingsAndReflection:
         assert TailAsymptote(r1=1.0, r2=0.0, r3=3.0, r4=0.0, side=AT_ZERO).mellin_point == 3.0
 
     def test_reflected_is_the_density_reflected_about_the_spot(self):
-        # pure power: x0^3 y^-3 D(x0^2/y) equals the reflected record exactly
-        zrec = TailAsymptote(r1=0.7, r2=0.0, r3=1.5, r4=0.0, side=AT_ZERO)
-        for x0 in (0.5, 1.0, 2.0):
-            refl = zrec.reflected(x0)
+        # y^-3 D(1/y) equals the record reflected about the unit spot, with or
+        # without a slowly varying factor: at y = e^ell, 1/y is at |log x| = ell
+        # too (reflection about other spots: test_smile's put-call symmetry)
+        for r2, r4 in ((0.0, 0.0), (1.2, -0.75)):
+            zrec = TailAsymptote(r1=0.7, r2=r2, r3=1.5, r4=r4, side=AT_ZERO)
+            refl = zrec.reflected()
             assert (refl.side, refl.r3) == (AT_INFINITY, zrec.r3 + 3.0)
-            for y in (1e3, 1e8):
-                assert refl.value(y) == pytest.approx(x0**3 * y**-3.0 * zrec.value(x0 * x0 / y), rel=1e-12)
-        # with a slowly varying factor the two agree asymptotically
-        zrec = TailAsymptote(r1=0.7, r2=1.2, r3=1.5, r4=-0.75, side=AT_ZERO)
-        refl = zrec.reflected(2.0)
-        gaps = [abs(refl.log_value_logx(ell) - (3.0 * math.log(2.0) - 3.0 * ell
-                + zrec.log_value_logx(ell - 2.0 * math.log(2.0)))) for ell in (1e2, 1e4, 1e6)]
-        assert gaps[0] > gaps[1] > gaps[2] and gaps[2] < 1e-3
+            for ell in (math.log(1e3), math.log(1e8), 1e4, 1e6):
+                assert refl.log_value_logx(ell) == pytest.approx(-3.0 * ell + zrec.log_value_logx(ell), rel=1e-12)
 
     def test_reflected_needs_a_record_at_zero(self):
         with pytest.raises(DomainError):
-            TailAsymptote(r1=1.0, r2=0.0, r3=3.0, r4=0.0, side=AT_INFINITY).reflected(1.0)
-        with pytest.raises(DomainError):
-            TailAsymptote(r1=1.0, r2=0.0, r3=3.0, r4=0.0, side=AT_ZERO).reflected(0.0)
+            TailAsymptote(r1=1.0, r2=0.0, r3=3.0, r4=0.0, side=AT_INFINITY).reflected()
 
 
 class TestTransform:
@@ -268,7 +267,7 @@ class TestAsymptoteTransfer:
             # compare against the record with the exact slowly varying factor
             exact_slow = math.exp(kou.g1_log(ref_kou, ell)) / math.exp(
                 h_rec.log_value_logx(ell) + h_rec.r3 * ell)
-            scaled.append(abs(conv / (rec.value(x) * exact_slow) - 1.0) * math.sqrt(ell))
+            scaled.append(abs(conv / (math.exp(rec.log_value_logx(ell)) * exact_slow) - 1.0) * math.sqrt(ell))
         assert all(v < 2.0 for v in scaled)
 
     def test_zero_side_matches_reflected_infinity(self, ref_kou):

@@ -239,9 +239,10 @@ class TestArrayKernels:
 
 
 def bessel_k1(z):
-    """K1(z) as the library evaluates it: inside the NIG log-jump density, which
-    at y = 0 with alpha = 1 and delta t = z equals e^z K1(z) / pi."""
-    return math.pi * math.exp(-z) * nig.nig_log_density(NIGParams(alpha=1.0, delta=z, t=1.0), 0.0)
+    """K1(z) as the library evaluates it: inside the NIG price density, which
+    at x = 1 with alpha = 1 and delta t = z equals e^z K1(z) / pi."""
+    log_density = nig.nig_price_log_density_logx(NIGParams(alpha=1.0, delta=z, t=1.0), 0.0)
+    return math.pi * math.exp(-z) * math.exp(log_density)
 
 
 class TestBesselK1:
@@ -262,9 +263,10 @@ class TestBesselK1:
         assert bessel_k1(z) == pytest.approx(1.0 / z, rel=1e-3)
 
     def test_underflow_flag(self):
-        # at y with alpha sqrt(y^2 + (delta t)^2) = 780 the density underflows
+        # at x = e^400 the price density, e^-400 times the log-jump's density
+        # e^(400 + ...) K1(400.001) / 400.001, underflows
         with pytest.warns(RuntimeWarning):
-            assert nig.nig_log_density(NIGParams(alpha=1.0, delta=1.0, t=1.0), math.sqrt(780.0**2 - 1.0)) == 0.0
+            assert nig.nig_price_density(NIGParams(alpha=1.0, delta=1.0, t=1.0), math.exp(400.0)) == 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):

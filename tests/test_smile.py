@@ -1,8 +1,8 @@
-import ast
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +27,8 @@ from wingtail.mellin import AT_INFINITY, TailAsymptote
 from wingtail.mixed import WING_LARGE, WING_SMALL, MixedModel
 from wingtail.nig import NIGParams
 from wingtail.numerics import Tolerance, find_root
+
+from benchmark_boxes import box_draw
 
 VOL_FLOOR = 1e-8
 _REFERENCE_TOL = Tolerance(rel=1e-15, abs=1e-14, max_iter=200)
@@ -199,6 +201,17 @@ class TestBlackScholes:
                 d1 = -mp.mpf(k) / v + v / 2
                 want = mp.log(mp.ncdf(d1) - mp.exp(k) * mp.ncdf(d1 - v))
                 assert abs(smile.bs_log_call(k, T, sigma) - want) <= 3e-14
+
+    def test_near_money_parity_point_matches_fifty_digits(self):
+        # d2 = 0.0021 at total volatility 0.0218: the put that parity adds was
+        # priced by the two-ratio difference, which lost 6.6 bits there (log C
+        # 1.2e-14 off); the short-step form takes it now
+        k, T, sigma = -2.844921454193347e-4, 1.0573101135804215, 0.021216384939513246
+        with mp.workdps(50):
+            v = mp.mpf(sigma) * mp.sqrt(T)
+            d1 = -mp.mpf(k) / v + v / 2
+            want = mp.log(mp.ncdf(d1) - mp.exp(k) * mp.ncdf(d1 - v))
+            assert abs(smile.bs_log_call(k, T, sigma) - want) <= 1e-15
 
     def test_inversion_band_errors(self):
         with pytest.raises(InversionError):
@@ -429,7 +442,7 @@ def call_asymptote(rec, K, x0, T):
 class TestCallAsymptote:
     def test_prefactor_linearity(self):
         rec = TailAsymptote(r1=0.3, r2=1.0, r3=3.5, r4=-0.75, side=AT_INFINITY)
-        scaled = rec.scaled(5.0)
+        scaled = replace(rec, r1=5.0 * rec.r1)
         K = math.exp(8.0)
         assert call_asymptote(scaled, K, 1.0, 1.0) == pytest.approx(
             5.0 * call_asymptote(rec, K, 1.0, 1.0), rel=1e-14)
@@ -444,12 +457,12 @@ class TestCallAsymptote:
         # C(K) = int_K^inf (x - K) D(x) dx for the tail density
         rec = TailAsymptote(r1=0.7, r2=1.2, r3=4.0, r4=-0.75, side=AT_INFINITY)
 
-        def tail_density(x):
-            return rec.value(x)
+        def tail_density(v):
+            return math.exp(rec.log_value_logx(v))
 
         for ell in (6.0, 12.0, 25.0):
             K = math.exp(ell)
-            oracle = quad(lambda v: (math.exp(v) - K) * tail_density(math.exp(v)) * math.exp(v),
+            oracle = quad(lambda v: (math.exp(v) - K) * tail_density(v) * math.exp(v),
                           ell, ell + 60.0, limit=400)[0]
             approx = call_asymptote(rec, K, 1.0, 1.0)
             assert abs(approx / oracle - 1.0) <= 2.0 / math.sqrt(ell)
@@ -463,23 +476,6 @@ class TestCallAsymptote:
         rec = TailAsymptote(r1=1.0, r2=0.0, r3=3.0, r4=0.0, side=AT_INFINITY)
         with pytest.raises(RegimeGuardError):
             call_asymptote(rec, 2.0, 1.0, 1.0)
-
-
-def benchmark_boxes() -> dict[str, dict]:
-    """HESTON_BOX, KOU_BOX and NIG_BOX of the param-sweep benchmark workload,
-    `dict(name=(lo, hi), ...)` read from its source."""
-    with open(os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")) as fh:
-        tree = ast.parse(fh.read())
-    return {node.targets[0].id: {kw.arg: ast.literal_eval(kw.value) for kw in node.value.keywords}
-            for node in tree.body if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id in ("HESTON_BOX", "KOU_BOX", "NIG_BOX")}
-
-
-BOXES = benchmark_boxes()
-
-
-def box_draw(box: str):
-    return st.fixed_dictionaries({key: st.floats(lo, hi) for key, (lo, hi) in BOXES[box].items()})
 
 
 class TestExpansionCoefficients:
@@ -542,7 +538,8 @@ class TestExpansionCoefficients:
             model = MixedModel(heston=h, jumps=ref_kou)
             zrec = mixed.mixed_asymptote(model, WING_SMALL)
             direct = smile.expansion_from_tail(zrec, x0, model.t)
-            via = smile.expansion_from_tail(zrec.reflected(x0), x0, model.t)
+            reflected = replace(zrec, r1=zrec.r1 * x0 ** (2.0 * zrec.r3 + 3.0), r3=zrec.r3 + 3.0, side=AT_INFINITY)
+            via = smile.expansion_from_tail(reflected, x0, model.t)
             assert (direct.wing, via.wing) == (WING_SMALL, WING_LARGE)
             for field in ("c_lead", "c_const", "c_llog", "c_inv", "c_llog2"):
                 assert getattr(direct, field) == pytest.approx(getattr(via, field), rel=1e-12, abs=1e-13)
