@@ -171,7 +171,7 @@ def cmd_constants(config: ModelConfig) -> dict:
         except (DegenerateRegimeError, WingtailError) as exc:
             report[f"{wing}_wing_asymptote"] = {"error": str(exc)}
     if isinstance(model.jumps, KouJumpParams):
-        table = kou.coefficients(model.jumps, 19, config.tol)
+        table = kou.coefficients(model.jumps, 19)
         report["coefficients"] = [
             {
                 "k": k,
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         if name == "sample":
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if name in ("constants", "density"):
+        if name == "density":
             p.add_argument("--tol", type=float, default=None, help="override the relative tolerance")
         if name in ("density", "smile"):
             p.add_argument("--grid", required=True, help="grid spec a:b:n or a:b:nlog")

@@ -4,17 +4,15 @@ The law of the jump factor at horizon t is an atom of mass e^(-lam*t) at 1
 plus an absolutely continuous part
     H(t, x) = G1(t, log x) x^(-eta1-1)   for x > 1,
     H(t, x) = G2(t, -log x) x^(eta2-1)   for 0 < x < 1,
-where G1 and G2 are entire power series whose coefficients a_k, b_k come from
-mixing Poisson weights with combinatorial up/down jump decompositions. This
+where G1 and G2 are entire power series with coefficients a_k, b_k. This
 module computes the exact coefficients, their closed-form approximations, the
 fractional-integral comparison functions, and the wing asymptotes of H.
 
-Each exact coefficient is a Poisson-weighted series over n of Kou's up/down
-decomposition weights P_{n,k} (Kou 2002). The table is built in one array
-pass per series window over every k and both sides at once, in blocks of
-bounded size; a wider window adds only the terms of its new n. Each k stops
-by its own truncation rule, and the values are those of summing each k
-alone, bit for bit.
+Each exact coefficient is read off the principal part of the jump law's
+moment function E[e^(zT)] at its essential singularity z = eta1 (a_k) or
+z = -eta2 (b_k): a double sum of positive terms, summed to rounding. Its
+first term is the closed-form approximation a_hat_k or b_hat_k, so the
+exact coefficient exceeds it.
 
 All coefficient arithmetic runs in log space: the raw coefficients decay like
 1/(k! (k+1)!) and the series are needed at arguments u = log x up to 1e4.
@@ -163,14 +161,24 @@ class CoefficientTable:
     truncation_k: int
 
 
-_LGAMMA_CACHE = log_factorials(1024)  # log(n!) at index n
+_LOG_FACTORIALS = np.zeros(1)  # log(n!) at index n
 
 
 def _log_factorial(n: int) -> np.ndarray:
-    global _LGAMMA_CACHE
-    if n >= len(_LGAMMA_CACHE):
-        _LGAMMA_CACHE = log_factorials(2 * n + 2)
-    return _LGAMMA_CACHE
+    """log(m!) for m = 0 .. n at least, by a compensated (Kahan) running sum
+    of log m: within 0.65 ulp up to m = 3000, where `log_factorials`, scipy's
+    gammaln double for double, is up to 2 ulps off (3.5e-14 at m = 60)."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS  # returned as checked or built, whatever another thread stores
+    if n >= len(table):
+        out, total, carry = [0.0], 0.0, 0.0
+        for m in range(1, 2 * n + 2):
+            step = math.log(m) - carry
+            new_total = total + step
+            carry, total = (new_total - total) - step, new_total
+            out.append(total)
+        table = _LOG_FACTORIALS = np.array(out)
+    return table
 
 
 def _normal_prefactor(value: float, name: str, shift: float) -> float:
@@ -180,183 +188,81 @@ def _normal_prefactor(value: float, name: str, shift: float) -> float:
     return value
 
 
-# rows of `_side_logs`: 0 is the up side (P), 1 the down side (Q)
-_SIDES = np.arange(2)
+_LOG_TAIL = -57.0 * math.log(2.0)
+# terms of either index past which a table is refused
+_MAX_TERMS = 4096
+# series terms evaluated at once (512 KB)
+_BLOCK_TERMS = 1 << 16
 
 
-def _side_logs(params: KouJumpParams) -> np.ndarray:
-    """Columns log(eta_num/(eta1+eta2)), log(eta_den/(eta1+eta2)), log p,
-    log q, log eta_num of the up side (eta_num = eta1) and the down side, which
-    is the up side with (eta1, p) and (eta2, q) swapped."""
-    def side(eta_num, eta_den, p, q):
-        return [math.log(eta_num / (eta_num + eta_den)), math.log(eta_den / (eta_num + eta_den)),
-                math.log(p), math.log(q), math.log(eta_num)]
-    e1, e2, p, q = params.eta1, params.eta2, params.p, params.q
-    return np.array([side(e1, e2, p, q), side(e2, e1, q, p)])
+def _log_row_sums(log_terms, rows: np.ndarray, width: int) -> tuple[np.ndarray, bool]:
+    """Log sums of the rows of log_terms(rows), (rows, width) arrays formed in blocks of at most
+    _BLOCK_TERMS terms, and whether every row has settled: its last term is at most half the one
+    before it and below 2^-57 of its sum (_LOG_TAIL), a 16th of the unit roundoff. Where the ratio of a
+    row's terms keeps falling, the terms after its last add at most the last."""
+    sums, settled = [], True
+    for block in np.array_split(rows, -(-rows.size * width // _BLOCK_TERMS)):
+        terms = log_terms(block)
+        sums.append(logsumexp(terms))
+        last = terms[:, -1]
+        settled &= bool(np.all((last - terms[:, -2] <= -math.log(2.0)) & (last < sums[-1] + _LOG_TAIL)))
+    return np.concatenate(sums), settled
 
 
-def _index_plane(j: np.ndarray, width: int):
-    """The parts of the i-sum terms of log P_{K+j,K} that depend on the
-    offsets j (a 1-d integer array) and o = 0..width-1 alone, at shape
-    (j, o): the first term lf[j-1] - lf[o] - lf[j-1-o], -inf where
-    o > j - 1 (outside the sum, so every term there is -inf), lf[n - i] =
-    lf[j - o], n - i = j - o and o. Clamped indices only reach the entries
-    outside the sum. The planes are read-only."""
-    lf = _log_factorial(int(j.max()) + width + 2)
-    jj, oo = j[:, None], np.arange(width)
-    n_i = jj - oo
-    with np.errstate(invalid="ignore"):
-        first = np.where(oo <= jj - 1, lf[np.maximum(jj - 1, 0)] - lf[oo] - lf[np.maximum(jj - 1 - oo, 0)], -np.inf)
-    planes = first, lf[np.maximum(n_i, 0)], n_i, np.broadcast_to(oo, n_i.shape).copy()
-    for plane in planes:
-        plane.flags.writeable = False
-    return planes
+def _log_residues(lam_t: float, eta_num: float, eta_den: float, p: float, q: float, k_max: int) -> np.ndarray:
+    """log a_k for k <= k_max; log b_k with (eta1, p) and (eta2, q) swapped.
 
-
-# the planes of the windows up to 96 terms, which nearly every table uses
-# (0.4 MB in all); a wider window's planes (up to 9 MB at 768) are built per pass
-_KEPT_PLANES: dict[int, tuple] = {}
-
-
-def _window_plane(size: int):
-    """`_index_plane` of the offsets j that a coefficient window of `size`
-    terms adds (1..24 for the first, size/2 + 1..size after), at i-sum width
-    size."""
-    planes = _KEPT_PLANES.get(size)
-    if planes is None:
-        planes = _index_plane(np.arange(size // 2 + 1 if size > 24 else 1, size + 1), size)
-        if size <= 96:
-            _KEPT_PLANES[size] = planes
-    return planes
-
-
-def _log_pnk_rows(K: np.ndarray, side: np.ndarray, j: np.ndarray, planes, logs: np.ndarray) -> np.ndarray:
-    """log P_{n,K} (side 0) or log Q_{n,K} (side 1) at n = K + j, for each
-    row of the integer arrays K >= 1 and side (ascending: the rows of side 0
-    first) and each offset of the 1-d array j, shape (rows, j); P_{K,K} =
-    p^K. `planes` is `_index_plane(j, width)`, width >= max(j): the inner
-    i-sum runs over the offsets o = i - K = 0..width-1, on the last axis of
-    a (rows, j, o) block.
-
-    Each term is the six-term sum of the per-K series, in its order,
-    (lf[n-K-1] - lf[o] - lf[n-1-K-o]) + (lf[n] - lf[i] - lf[n-i])
-    + o log r_up + (n-i) log r_dn + i log p + (n-i) log q, with r_up, r_dn
-    the side's ratios of eta: the parts that depend on (j, o) alone come
-    from the planes, and each side's planes are added to its rows, so every
-    element is the same double as for one K alone."""
-    first, lf_n_i, n_i, o = planes
-    lf = _log_factorial(int(K.max()) + o.shape[1] + 2)
-    KK = K[:, None]
-    terms = lf[KK + j][:, :, None] - lf[KK + o[0]][:, None, :]
-    terms -= lf_n_i
-    terms += first
-    split = int(np.searchsorted(side, 1))
-    halves = list(zip(_SIDES, (slice(0, split), slice(split, None))))
-    for s, rows in halves:
-        terms[rows] += o * logs[s, 0]
-    for s, rows in halves:
-        terms[rows] += n_i * logs[s, 1]
-    terms += ((KK + o[0]) * logs[side, 2][:, None])[:, None, :]
-    for s, rows in halves:
-        terms[rows] += n_i * logs[s, 3]
-    out = logsumexp(terms)
-    if j[0] == 0:
-        out[:, 0] = K * logs[side, 2]
-    return out
-
-
-# i-sum terms that one block of `_log_coefficients` evaluates at once: whole
-# rows, or a run of one row's offsets j where a row's new terms are more (the
-# windows of 384 and 768). `logsumexp` holds at most two arrays the size of its
-# input at a time (a transposed copy for rows under 64 terms, then the shifted
-# exponentials) besides byte masks. At 2**15 doubles (256 KB) the 64-term table
-# at lam = 100 peaks at 1.2 MB under tracemalloc (1.4 MB when it also builds
-# the kept planes) and takes 0.19 s there, 0.06-0.09 s untraced (2-core
-# x86-64). Blocks of 2**13 and 2**14 measured slower; 2**16 measured the same
-# and 2**17 slower, with thousands of page faults per table from arrays past
-# glibc's mmap threshold. These runs loaded scipy, which left that threshold
-# near 460 KB; `numerics` now lifts it to 1 MiB at import (see the note there),
-# so a block larger than 2**15 would need measuring again.
-_BLOCK_TERMS = 1 << 15
-
-# terms of the widest series window
-_MAX_WINDOW = 768
-
-
-def _log_coefficients(params: KouJumpParams, k_max: int, tol: Tolerance) -> np.ndarray:
-    """log a_k at [0, k] and log b_k at [1, k], for every k <= k_max.
-
-    Each coefficient is its Poisson-weighted n-series over the window
-    n = K..K+size, K = k + 1: one row of terms. A row has settled when its
-    last four terms decrease and its last term is below tol.rel of its sum
-    (the weights decay factorially, so the rule is reached quickly); the
-    rows that have not go on to the next pass with the window doubled, up to
-    768 terms. A pass computes only the terms of the new n, in blocks of at
-    most _BLOCK_TERMS i-sum terms, and sums each row over all its terms.
-
-    Each row sums exactly the terms the one-k-at-a-time series summed, so
-    every value is that series' value bit for bit. A term keeps its value
-    across passes, though the series recomputed it with a wider i-sum, which
-    only adds zeros after the same terms: numpy's pairwise sum keeps eight
-    running sums up to 128 terms and halves a longer row (at a multiple of
-    8), so at the widths 24 * 2^m the nonzero terms meet the same partial
-    sums in the same order.
+    Near its singularity, at w = eta_num - z, E[e^(zT)] is e^(-lam t) exp(A / w)
+    exp(c mu / (c - w)), with A = lam t p eta_num, c = eta1 + eta2 and
+    mu = lam t q eta_den / c. The density's part e^(-eta_num u) sum_k a_k u^k
+    gives it the principal part sum_k a_k k! / w^(k+1), so
+        a_k = e^(-lam t) / k! sum_{j>=0} h_j A^(k+j+1) / (k+j+1)!,
+    where h_0 = e^mu and h_j = c^-j sum_{i>=1} mu^i / i! C(i+j-1, j) are the
+    Taylor coefficients of exp(c mu / (c - w)). The j = 0 term is a_hat_k.
+    Both sums are of positive terms, in log space. The term ratio of an i-sum
+    falls in i; that of a j-sum falls from j = 1 on in every law tried (lam t
+    from 0.01 to 1000). Each index doubles its terms, from 32, until its rows
+    have settled, up to _MAX_TERMS.
     """
-    logs = _side_logs(params)
-    lam_t = params.lam * params.t
-    ks = np.arange(2 * (k_max + 1)) % (k_max + 1)
-    side = np.repeat(_SIDES, k_max + 1)
-    K = ks + 1
-    lf = _log_factorial(k_max + 1 + _MAX_WINDOW)
-    log_pi = -lam_t + np.arange(lf.size) * math.log(lam_t) - lf
-    total = np.empty(K.size)
-    pending = np.arange(K.size)
-    log_terms = (log_pi[K] + K * logs[side, 2])[:, None]
-    size = 24
-    while pending.size and size <= _MAX_WINDOW:
-        planes = _window_plane(size)
-        j = np.arange(log_terms.shape[1], size + 1)
-        new = np.empty((pending.size, j.size))
-        # a block is whole rows, or a run of the offsets j of one row
-        rows_per_block = max(1, _BLOCK_TERMS // (j.size * size))
-        j_per_block = min(j.size, max(1, _BLOCK_TERMS // size))
-        for start in range(0, pending.size, rows_per_block):
-            rows = pending[start:start + rows_per_block]
-            for a in range(0, j.size, j_per_block):
-                cut = slice(a, a + j_per_block)
-                new[start:start + rows.size, cut] = (
-                    log_pi[K[rows, None] + j[cut]]
-                    + _log_pnk_rows(K[rows], side[rows], j[cut], [plane[cut] for plane in planes], logs)
-                )
-        log_terms = np.concatenate([log_terms, new], axis=1)
-        sums = logsumexp(log_terms)
-        decreasing = np.all(log_terms[:, -3:] < log_terms[:, -4:-1], axis=-1)
-        settled = decreasing & (log_terms[:, -1] < sums + math.log(tol.rel))
-        total[pending[settled]] = sums[settled]
-        pending, log_terms = pending[~settled], log_terms[~settled]
-        size *= 2
-    if pending.size:
-        raise ConvergenceError(f"coefficient n-series did not settle for k={ks[pending].min()}")
-    return (K * logs[side, 4] - lf[ks] + total).reshape(2, k_max + 1)
+    mu = lam_t * q * eta_den / (eta_num + eta_den)
+    log_a, log_mu, log_c = math.log(lam_t * p * eta_num), math.log(mu), math.log(eta_num + eta_den)
+    n_j = n_i = 32
+    while max(n_j, n_i) <= _MAX_TERMS:
+        lf = _log_factorial(n_i + n_j + k_max + 2)
+        i, j, jj = np.arange(1, n_i), np.arange(1, n_j), np.arange(n_j)
+
+        def i_terms(rows):
+            return i * log_mu - lf[i] - lf[i - 1] + lf[i + rows[:, None] - 1]
+
+        def j_terms(rows):
+            kj = rows[:, None] + jj + 1
+            return log_h + kj * log_a - lf[kj]
+
+        i_sums, i_done = _log_row_sums(i_terms, j, i.size)
+        log_h = np.concatenate([[mu], i_sums - lf[j] - j * log_c])
+        j_sums, j_done = _log_row_sums(j_terms, np.arange(k_max + 1), n_j)
+        if i_done and j_done:
+            return j_sums - lam_t - lf[:k_max + 1]
+        n_i, n_j = n_i * (2 - i_done), n_j * (2 - j_done)
+    raise ConvergenceError(f"Kou coefficient table needs more than {_MAX_TERMS} series terms at lam t = {lam_t:g}")
 
 
-def coefficients(params: KouJumpParams, k_max: int, tol: Tolerance = DEFAULT_TOL) -> CoefficientTable:
+def coefficients(params: KouJumpParams, k_max: int) -> CoefficientTable:
     """Exact a_k, b_k for k <= k_max plus hat/d/l approximation sequences.
 
-    The exact coefficients come from one array pass per window size over
-    every k and both sides (`_log_coefficients`). Each k stops by its own
-    rule, and ConvergenceError names the first k that has not settled at the
-    largest window, 768 terms. That bounds the intensity: at the default
-    tolerance a 20-term table (k_max = 19) settles up to lam t = 629.7 with
-    eta1 = 2, eta2 = 1, p = 1/2, and up to 618-864 with the other jump
-    parameters tried (613 at rel = 1e-12). k_max must be an integer (Python
-    or numpy, not bool).
+    The exact coefficients come from the principal parts of the jump law's
+    moment function at its singularities (`_log_residues`), summed to
+    rounding. A table needs more terms as lam t grows, and ConvergenceError
+    refuses one that needs more than _MAX_TERMS of either index: with
+    eta1 = 2, eta2 = 1, p = 1/2 a 20-term table (k_max = 19) reaches
+    lam t = 3071. k_max must be an integer (Python or numpy, not bool).
     """
     if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or k_max < 0:
         raise DomainError(f"k_max must be an integer >= 0, got {k_max!r}")
+    log_a = _log_residues(params.lam * params.t, params.eta1, params.eta2, params.p, params.q, k_max)
+    log_b = _log_residues(params.lam * params.t, params.eta2, params.eta1, params.q, params.p, k_max)
     ks = np.arange(k_max + 1)
-    lf = _log_factorial(k_max + 4)
-    log_a, log_b = _log_coefficients(params, k_max, tol)
+    lf = log_factorials(k_max + 2)
 
     log_a_hat = params._up_exp_shift() + (ks + 1) * math.log(params.b1_jump) - lf[ks] - lf[ks + 1]
     log_b_hat = params._down_exp_shift() + (ks + 1) * math.log(params.b2_jump) - lf[ks] - lf[ks + 1]
@@ -370,22 +276,12 @@ def coefficients(params: KouJumpParams, k_max: int, tol: Tolerance = DEFAULT_TOL
     log_d = closed_form_seq(params.b1_jump, params._up_exp_shift())
     log_l = closed_form_seq(params.b2_jump, params._down_exp_shift())
 
-    return CoefficientTable(
-        a=np.exp(log_a),
-        b=np.exp(log_b),
-        a_hat=np.exp(log_a_hat),
-        b_hat=np.exp(log_b_hat),
-        d=np.exp(log_d),
-        l=np.exp(log_l),
-        log_a=log_a,
-        log_b=log_b,
-        truncation_k=k_max,
-    )
+    linear = map(np.exp, (log_a, log_b, log_a_hat, log_b_hat, log_d, log_l))
+    return CoefficientTable(*linear, log_a=log_a, log_b=log_b, truncation_k=k_max)
 
 
 # coefficient tables by parameter set, least recently used first, bounded like
-# the lru_caches of heston; every table is built, and every series below
-# evaluated, at DEFAULT_TOL
+# the lru_caches of heston; every series below is evaluated at DEFAULT_TOL
 TABLE_CACHE_SIZE = 256
 _TABLE_CACHE: OrderedDict[KouJumpParams, CoefficientTable] = OrderedDict()
 

@@ -170,7 +170,7 @@ class TestConfigLoading:
 class TestParser:
     # the flags each command reads, besides --config
     READS = {
-        "constants": {"--out", "--tol"},
+        "constants": {"--out"},
         "density": {"--out", "--tol", "--grid"},
         "smile": {"--out", "--grid"},
         "validate": set(),
@@ -202,7 +202,7 @@ class TestParser:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["constants", "--seed", "3"], ["density", "--grid", "2:4:2", "--seed", "3"],
+        ["constants", "--seed", "3"], ["constants", "--tol", "1e-8"], ["density", "--grid", "2:4:2", "--seed", "3"],
         ["smile", "--grid", "60:80:2", "--seed", "3"], ["smile", "--grid", "60:80:2", "--tol", "1e-8"],
         ["sample", "--tol", "1e-8"], ["validate", "--out", "x.txt"],
     ])

@@ -1,19 +1,21 @@
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from hypothesis import given, seed, settings
+from mpmath import mp
 from scipy.special import gammaln, logsumexp
 
 from wingtail import kou
 from wingtail.errors import ConvergenceError, DomainError, MomentExplosionError
 from wingtail.kou import KouJumpParams
 from wingtail.mellin import WING_LARGE, WING_SMALL
-from wingtail.numerics import DEFAULT_TOL, RngStream, Tolerance, integrate
+from wingtail.numerics import RngStream, Tolerance, integrate
 
 from benchmark_boxes import box_draw
 
@@ -24,9 +26,10 @@ def variant(**kwargs):
     return KouJumpParams(**base)
 
 
-# The per-k algorithm that `kou.coefficients` replaced: one n-series per k and
-# side, each with its own block of P_{n,k} and its own logsumexp calls. The
-# one-pass table must reproduce it bit for bit.
+# Kou's (2002) series of the coefficients: one Poisson-weighted n-series of the
+# up/down weights P_{n,k} per k and side, each summed to a relative tolerance.
+# It is an independent formula for the table `kou.coefficients` builds from the
+# principal parts of the moment function, and the oracle it is checked against.
 def _ref_log_factorial(n):
     return gammaln(np.arange(n + 1).astype(float) + 1.0)
 
@@ -62,7 +65,7 @@ def _ref_log_pnk_block(n_lo, n_hi, K, eta_num, eta_den, p, q):
 
 
 def _ref_log_coefficient(params, k, tol, up):
-    """(log a_k or log b_k, the window it settled at)"""
+    """log a_k or log b_k, its n-series over windows of 24 to 768 terms"""
     lam_t = params.lam * params.t
     if up:
         eta_num, eta_den, p, q = params.eta1, params.eta2, params.p, params.q
@@ -80,17 +83,15 @@ def _ref_log_coefficient(params, k, tol, up):
         total = float(logsumexp(log_terms))
         decreasing = np.all(np.diff(log_terms[-4:]) < 0.0)
         if decreasing and log_terms[-1] < total + math.log(tol.rel):
-            return float(log_front + total), size
+            return float(log_front + total)
         size *= 2
     raise ConvergenceError(f"coefficient n-series did not settle for k={k}")
 
 
 def _ref_table(params, k_max, tol):
-    """log a, log b and the window each k settled at, one k at a time."""
-    up = [_ref_log_coefficient(params, k, tol, True) for k in range(k_max + 1)]
-    down = [_ref_log_coefficient(params, k, tol, False) for k in range(k_max + 1)]
-    return (np.array([v for v, _ in up]), np.array([v for v, _ in down]),
-            np.array([[w for _, w in up], [w for _, w in down]]))
+    """log a and log b, one k at a time."""
+    return tuple(np.array([_ref_log_coefficient(params, k, tol, up) for k in range(k_max + 1)])
+                 for up in (True, False))
 
 
 # the Kou box of the param-sweep benchmark workload
@@ -106,21 +107,48 @@ def _box_sample(count, seed):
     return out
 
 
-BIT_SETS = [variant()] + _box_sample(4, seed=2024)
-RELS = sorted({1e-10, DEFAULT_TOL.rel, 1e-12})
-K_MAXES = (0, 1, 19, 64)
+def _mp_log_kou_series(params, k, up):
+    """log a_k (up) or log b_k by Kou's n-series of P_{n,k} at 40 digits:
+    P_{n,K} = p^K sum_o C(n-K-1, o) C(n, K+o) (r_up p)^o (r_dn q)^(n-K-o),
+    o = 0..n-K-1 (p^K at n = K), K = k + 1, r_up = eta_num/(eta1+eta2), r_dn = 1 - r_up."""
+    e_num, e_den, p, q = (params.eta1, params.eta2, params.p, params.q) if up else \
+        (params.eta2, params.eta1, params.q, params.p)
+    with mp.workdps(40):
+        lam_t, e_num, e_den, p, q = (mp.mpf(v) for v in (params.lam * params.t, e_num, e_den, p, q))
+        up_w, dn_w = e_num / (e_num + e_den) * p, e_den / (e_num + e_den) * q
+        K, total, n = k + 1, mp.mpf(0), k + 1
+        while True:
+            weight = mp.fsum(math.comb(n - K - 1, o) * math.comb(n, K + o) * up_w**o * dn_w**(n - K - o)
+                             for o in range(n - K)) if n > K else mp.mpf(1)
+            poisson = lam_t**n / mp.factorial(n)
+            total += poisson * p**K * weight
+            # past n = 2 lam t the Poisson terms after n sum to less than this one, and P_{n,K} <= 1
+            if n > 2 * lam_t and poisson < total * mp.mpf(1e-45):
+                return float(mp.log(total) - lam_t + K * mp.log(e_num) - mp.loggamma(K))
+            n += 1
 
 
-def _assert_bit_identical(params, rel, k_top):
-    """Every table up to k_top matches the per-k reference bit for bit; the
-    windows the reference settled at are returned."""
-    tol = Tolerance(rel=rel)
-    ref_a, ref_b, windows = _ref_table(params, k_top, tol)
-    for k_max in (k for k in K_MAXES if k <= k_top):
-        tab = kou.coefficients(params, k_max, tol)
-        assert np.array_equal(tab.log_a, ref_a[:k_max + 1]), (params, rel, k_max)
-        assert np.array_equal(tab.log_b, ref_b[:k_max + 1]), (params, rel, k_max)
-    return windows
+def _mp_log_laguerre_series(params, k, up):
+    """log a_k (up) or log b_k at 40 digits from the principal part of the
+    moment function, with its h_j = e^mu c^-j L_j(-mu) from the three-term
+    recurrence of the Laguerre polynomials L_j = L_j^(-1) (not from the
+    double sum that kou sums):
+        a_k = e^(mu - lam t) / k! sum_j L_j(-mu) (A/c)^j A^(k+1) / (k+j+1)!."""
+    e_num, e_den, p, q = (params.eta1, params.eta2, params.p, params.q) if up else \
+        (params.eta2, params.eta1, params.q, params.p)
+    with mp.workdps(40):
+        lam_t, e_num, e_den, p, q = (mp.mpf(v) for v in (params.lam * params.t, e_num, e_den, p, q))
+        c = e_num + e_den
+        A, mu, K = lam_t * p * e_num, lam_t * q * e_den / c, k + 1
+        lag_prev, lag, power, total, last, j = mp.mpf(0), mp.mpf(1), A**K / mp.factorial(K), mp.mpf(0), mp.inf, 0
+        while True:
+            term = lag * power
+            total += term
+            if term < last and term < total * mp.mpf(1e-45):
+                return float(mp.log(total) + mu - lam_t - mp.loggamma(K))
+            lag_prev, lag = lag, mu if j == 0 else ((2 * j + mu) * lag - (j - 1) * lag_prev) / (j + 1)
+            power *= A / (c * (K + j + 1))
+            last, j = term, j + 1
 
 
 class TestParams:
@@ -159,6 +187,21 @@ class TestWeights:
         # two-sided exponential law: 2 p q eta2 / (eta1 + eta2)
         expected = 2.0 * 0.5 * 0.5 * ref_kou.eta2 / (ref_kou.eta1 + ref_kou.eta2)
         assert _ref_weights(2, 1, ref_kou)[0] == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (5, 3), (30, 7), (40, 40), (60, 1)])
+    def test_weights_match_reference(self, ref_kou, n, k):
+        # both sides at one n against Kou's formula in rational arithmetic,
+        # whose 2n weights at that n are a mixture and sum to exactly 1
+        def exact(k, e_num, e_den, p, q):
+            e_num, e_den, p, q = map(Fraction, (e_num, e_den, p, q))
+            up, dn = e_num / (e_num + e_den), e_den / (e_num + e_den)
+            return p**n if k == n else sum(math.comb(n - k - 1, i - k) * math.comb(n, i) * up**(i - k)
+                                           * dn**(n - i) * p**i * q**(n - i) for i in range(k, n))
+
+        e1, e2, p, q = ref_kou.eta1, ref_kou.eta2, ref_kou.p, ref_kou.q
+        assert sum(exact(j, e1, e2, p, q) + exact(j, e2, e1, q, p) for j in range(1, n + 1)) == 1
+        for got, want in zip(_ref_weights(n, k, ref_kou), (exact(k, e1, e2, p, q), exact(k, e2, e1, q, p))):
+            assert abs(got / float(want) - 1.0) <= 1e-13
 
 
 class TestCoefficients:
@@ -244,62 +287,53 @@ class TestCoefficients:
         assert ref_kou.c1_jump == pytest.approx(1.0 / (2 * math.pi) * math.exp(0.5 / 3.0 - 1.0))
 
 
-class TestOnePassTable:
-    # the reference stops per k, so a table to k_max is the prefix of the
-    # reference to 64 at every k_max
+class TestResidueTable:
+    @pytest.mark.parametrize("params", [variant()] + _box_sample(3, seed=2024))
+    def test_kou_series_to_40_digits(self, params):
+        # at the reference law and three draws from the benchmark box
+        tab = kou.coefficients(params, 60)
+        for k in (0, 1, 5, 19, 60):
+            for up, log_coeffs in ((True, tab.log_a), (False, tab.log_b)):
+                assert abs(math.expm1(log_coeffs[k] - _mp_log_kou_series(params, k, up))) <= 1e-13, (k, up)
 
-    @pytest.mark.parametrize("rel", RELS)
-    @pytest.mark.parametrize("index", range(len(BIT_SETS)))
-    def test_bit_identical_to_per_k_reference(self, index, rel):
-        _assert_bit_identical(BIT_SETS[index], rel, 64)
+    @seed(28)
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(draw=box_draw("KOU_BOX"))
+    def test_per_k_reference_over_the_benchmark_box(self, draw):
+        params = KouJumpParams(t=1.0, q=1.0 - draw["p"], **draw)
+        tab = kou.coefficients(params, 60)
+        ref_a, ref_b = _ref_table(params, 60, Tolerance(rel=1e-12))
+        assert np.max(np.abs(np.expm1(tab.log_a - ref_a))) <= 5e-13
+        assert np.max(np.abs(np.expm1(tab.log_b - ref_b))) <= 5e-13
 
-    @pytest.mark.parametrize("rel", RELS)
-    def test_rows_settling_in_different_passes(self, rel):
-        # at rel 1e-12, k = 0, 1, 2 need the 48-term window on both sides and
-        # the other 17 k settle at 24
-        windows = _assert_bit_identical(variant(lam=5.0), rel, 19)
-        expected = np.where(np.arange(20) < 3, 48, 24) if rel == 1e-12 else np.full(20, 24)
-        assert np.array_equal(windows, [expected, expected])
-
-    @pytest.mark.parametrize("rel", RELS)
-    def test_window_schedule(self, rel):
-        # at lam = 16 the terms past the window a k settles at still move the
-        # last bits of its sum, so any other window schedule changes the table
-        _assert_bit_identical(variant(lam=16.0), rel, 19)
-
-    def test_four_passes(self):
-        windows = _assert_bit_identical(variant(lam=100.0), DEFAULT_TOL.rel, 19)
-        assert np.all(windows == 192)
-
-    def test_unsettled_series_named(self):
-        with pytest.raises(ConvergenceError, match=r"for k=0$"):
-            kou.coefficients(variant(lam=1000.0), 2)
+    @pytest.mark.parametrize("lam, eta1, eta2", [(600.0, 2.0, 1.0), (775.0, 2.0, 1.0), (775.0, 1.05, 0.05),
+                                                 (1000.0, 2.0, 1.0)])
+    def test_high_intensity_to_40_digits(self, lam, eta1, eta2):
+        # past lam t = 629.7, where Kou's n-series stopped settling in 768 terms
+        params = variant(lam=lam, eta1=eta1, eta2=eta2)
+        tab = kou.coefficients(params, 19)
+        for k in (0, 1, 5, 19):
+            for up, log_coeffs in ((True, tab.log_a), (False, tab.log_b)):
+                assert abs(math.expm1(log_coeffs[k] - _mp_log_laguerre_series(params, k, up))) <= 1e-12, (k, up)
 
     def test_reach_of_a_20_term_table(self):
-        # with these jump parameters and the default tolerance a 20-term table
-        # settles within the 768-term window up to lam t = 629.7 (the reach the
-        # docstring of kou.coefficients states); past it k = 0 is named
-        tab = kou.coefficients(variant(lam=629.0), 19)
-        assert np.all(tab.a > tab.a_hat) and np.all(tab.b > tab.b_hat)
-        with pytest.raises(ConvergenceError, match=r"for k=0$"):
-            kou.coefficients(variant(lam=631.0), 19)
+        # with these jump parameters a 20-term table settles within 4096 terms
+        # of either index up to lam t = 3071 (the reach the docstring of
+        # kou.coefficients states); past it the table is refused
+        tab = kou.coefficients(variant(lam=3071.0), 19)
+        assert np.all(np.isfinite(tab.log_a)) and np.all(np.isfinite(tab.log_b))
+        with pytest.raises(ConvergenceError, match=r"needs more than 4096 series terms at lam t = 3073$"):
+            kou.coefficients(variant(lam=3073.0), 19)
 
-    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (5, 3), (30, 7), (40, 40), (60, 1)])
-    def test_weights_match_reference(self, ref_kou, n, k):
-        # the table's row kernel at one n, both sides
-        j = np.array([n - k])
-        logs = kou._log_pnk_rows(np.full(2, k), np.arange(2), j, kou._index_plane(j, max(n - k, 1)),
-                                 kou._side_logs(ref_kou))[:, 0]
-        assert tuple(map(math.exp, logs)) == _ref_weights(n, k, ref_kou)
-
-    def test_memory_and_time_bounded(self):
-        # 65 k at windows 24 to 192 on both sides: unblocked, the i-sum terms
-        # of one pass alone take 130 * 193 * 192 doubles (39 MB)
-        params = variant(lam=100.0)
+    @pytest.mark.parametrize("lam, k_max", [(100.0, 64), (1000.0, 135)])
+    def test_memory_and_time_bounded(self, lam, k_max):
+        # the series are formed in blocks of at most 2**16 terms: at lam t =
+        # 1000 the down side's last i-sums have 1023 * 2047 terms (16.8 MB)
+        params = variant(lam=lam)
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            kou.coefficients(params, 64)
+            kou.coefficients(params, k_max)
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -555,6 +589,20 @@ class TestLogDensityReach:
                          [-300.0, 0.0], [0.0, 300.0], fine)[0]
         assert abs(params.atom_mass + float(mass.sum()) - 1.0) <= 1e-8
         assert np.all(np.isfinite(kou.h_log_density_logx(params, np.array([-1e4, 1e4]))))
+
+    @pytest.mark.parametrize("lam", [100.0, 775.0, 1000.0])
+    def test_mass_at_high_intensity(self, lam):
+        # the log jump has mean -lam/4 and standard deviation (5 lam / 4)^(1/2),
+        # -250 and 35 at lam t = 1000
+        params = variant(lam=lam)
+        fine = Tolerance(rel=1e-11, abs=1e-11)
+        edges = [-600.0, -300.0, -150.0, 0.0, 150.0]
+        mass = integrate(lambda u, _panel: np.exp(kou.h_log_density_logx(params, u) + u), edges[:-1], edges[1:],
+                         fine)[0]
+        assert abs(params.atom_mass + float(mass.sum()) - 1.0) <= 1e-8
+
+    def test_reach_at_high_intensity(self):
+        assert np.all(np.isfinite(kou.h_log_density_logx(variant(lam=1000.0), np.array([-1e4, 1e4]))))
 
 
 class TestJumpMgf:

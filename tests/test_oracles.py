@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from wingtail import cli, heston, numerics, oracles
-from wingtail.errors import DomainError, OracleError
+from wingtail.errors import ConvergenceError, DomainError, OracleError
 from wingtail.heston import HestonParams
 from wingtail.kou import KouJumpParams
 from wingtail.mixed import MixedModel
@@ -70,6 +70,15 @@ class TestDensityFourier:
     def test_domain(self, kou_model):
         with pytest.raises(DomainError):
             oracles.density_fourier(kou_model, 0.0)
+
+    def test_reach_on_the_reference_nig_config(self):
+        # it inverts at |log x| = 1e4; at 1e5 the NIG saddle falls inside the
+        # saddle table's pad, and the inversion refuses rather than returns
+        model = cli.load_config(os.path.join(CONFIG_DIR, "reference_nig.json")).model
+        assert np.all(np.isfinite(oracles.log_density_fourier_logx(model, np.array([-1e4, 1e4]))))
+        for ell in (-1e5, 1e5):
+            with pytest.raises(ConvergenceError):
+                oracles.log_density_fourier_logx(model, ell)
 
     def test_point_does_not_depend_on_its_batch(self, nig_model):
         # the diffusion memo of mixed_density stores values inverted in

@@ -213,6 +213,23 @@ class TestBlackScholes:
             want = mp.log(mp.ncdf(d1) - mp.exp(k) * mp.ncdf(d1 - v))
             assert abs(smile.bs_log_call(k, T, sigma) - want) <= 1e-15
 
+    def test_short_step_point_matches_fifty_digits(self):
+        # z1 = 19.6, in the short-step form: its integrand 1 - s M(s) cancelled
+        # 10 bits there (log C 1.08e-13 off); as M(s) T(s) it cancels none
+        k, T, sigma = 3.9127414399321756, 1.0, 0.19864338529822045
+        with mp.workdps(50):
+            v = mp.mpf(sigma) * mp.sqrt(T)
+            d1 = -mp.mpf(k) / v + v / 2
+            want = mp.log(mp.ncdf(d1) - mp.exp(k) * mp.ncdf(d1 - v))
+            assert abs(smile.bs_log_call(k, T, sigma) - want) <= 3e-14
+
+    def test_mills_slope_matches_fifty_digits(self):
+        with mp.workdps(50):
+            for s in np.linspace(0.5, 20.0, 79):
+                z = mp.mpf(s)
+                want = 1 - z * mp.erfc(z / mp.sqrt(2)) / (2 * mp.npdf(z))
+                assert abs(smile._mills_slope(s) / want - 1) <= (7e-16 if s >= 3.0 else 4e-15), s
+
     def test_inversion_band_errors(self):
         with pytest.raises(InversionError):
             smile.bs_implied_vol_from_log(math.log(0.5), math.log(0.5), 1.0)  # at intrinsic
