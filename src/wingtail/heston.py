@@ -231,61 +231,34 @@ def log_mgf(params: HestonParams, z):
 
     z may be a scalar (complex result, computed with cmath) or a numpy array
     (complex array of its shape, computed elementwise with numpy by the same
-    formula). Stable branch handling: d is the principal square root with
-    Re(d) >= 0 and the complex logarithm never crosses its cut for admissible
-    z (the usual trap-free formulation of the Heston characteristic exponent).
-    Where |d t| < 2e-3, around the double root d = 0 of the Riccati quadratic,
-    that form cancels, and its expansion in d^2 is used instead.
+    formula). The trap-free branch of Albrecher, Mayer, Schoutens & Tistaert
+    (2007): d is the principal square root with Re(d) >= 0, and with
+    E = 1 - e^(-d t) and q = 1 - E/2 + bb (E/d)/2,
+        V = (z^2 - z) (E/d) / (2 q),   C = (a/c^2) ((bb - d) t - 2 log q),
+    where q never crosses the cut of the logarithm for admissible z. E/d is
+    formed from expm1 and is t at d = 0, so the one form runs through the
+    double root d = 0 of the Riccati quadratic without cancelling; q = 0 is
+    an exact explosion.
     """
     z, xp = complex_namespace(z)
     a, b, c, rho, t = params.a, params.b, params.c, params.rho, params.t
     drift = z * (math.log(params.x0) + params.mu * t)
     bb = b - rho * c * z  # = -beta(z)
-    d2 = bb * bb + c * c * (z - z * z)
-    d = xp.sqrt(d2)  # the principal root, Re(d) >= 0
+    d = xp.sqrt(bb * bb + c * c * (z - z * z))  # the principal root, Re(d) >= 0
+    E = -xp.expm1(-d * t)
+    at_root = d == 0
+    E_d = xp.where(at_root, t, E / xp.where(at_root, 1.0, d))
+    q = 1.0 - 0.5 * E + 0.5 * bb * E_d
+    if xp.any(q == 0):
+        raise MomentExplosionError(f"moment of order {_first(z, q == 0)} explodes exactly at t={t}")
     c2 = c * c
-    near_root = abs(d) * t < 2e-3
-    some_near = xp.any(near_root)
-    if some_near:
-        C_near, V_near = _near_double_root(params, z, bb, d2, xp)
-        if xp.all(near_root):
-            return drift + C_near + V_near * params.y0
-    with xp.errstate():  # array entries at the double root give 0/0 here and are replaced below
-        minus = bb - d
-        g = minus / (bb + d)
-        edt = xp.exp(-d * t)
-        denom = 1.0 - g * edt
-        at_pole = denom == 0
-        if xp.any(at_pole):
-            explodes = xp.where(near_root, False, at_pole)
-            if xp.any(explodes):
-                raise MomentExplosionError(f"moment of order {_first(z, explodes)} explodes exactly at t={t}")
-        V = minus / c2 * (1.0 - edt) / denom
-        C = a / c2 * (minus * t - 2.0 * xp.log(denom / (1.0 - g)))
-    if some_near:
-        C, V = xp.where(near_root, C_near, C), xp.where(near_root, V_near, V)
+    V = (z * z - z) * E_d / (2.0 * q)
+    C = a / c2 * ((bb - d) * t - 2.0 * xp.log(q))
     return drift + C + V * params.y0
 
 
 def _first(z, mask):
     return z[mask].flat[0] if isinstance(z, np.ndarray) else z
-
-
-def _near_double_root(params: HestonParams, z, bb, d2, xp):
-    """(C, V) for |d t| < 2e-3 from the even form V = 2k S/Q, C = (a/c^2)(bb t - 2 log Q),
-    Q = cosh(d t/2) + bb S, S = sinh(d t/2)/d, expanded to second order in u = d^2 t^2/4.
-
-    At d = 0 this is the analytic limit V = bb^2 t / (c^2 (bb t + 2)),
-    C = (a/c^2)(bb t - 2 log(1 + bb t/2)).
-    """
-    c2, t = params.c * params.c, params.t
-    u = 0.25 * d2 * t * t
-    ch = 1.0 + u * (0.5 + u / 24.0)
-    sh = 1.0 + u * (1.0 / 6.0 + u / 120.0)  # sinh(d t/2) / (d t/2)
-    Q = ch + 0.5 * t * bb * sh
-    if xp.any(Q == 0):
-        raise MomentExplosionError(f"moment of order {_first(z, Q == 0)} explodes exactly at t={t}")
-    return params.a / c2 * (bb * t - 2.0 * xp.log(Q)), 0.5 * t * (z * z - z) * sh / Q
 
 
 # Taylor coefficients in u of cosh(sqrt u) and sinh(sqrt u)/sqrt u, and of the

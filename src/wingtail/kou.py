@@ -35,7 +35,6 @@ from .numerics import (
     complex_namespace,
     domain_points,
     integrate,
-    log_factorials,
     logsumexp,
     require_finite,
     shaped_like,
@@ -166,8 +165,8 @@ _LOG_FACTORIALS = np.zeros(1)  # log(n!) at index n
 
 def _log_factorial(n: int) -> np.ndarray:
     """log(m!) for m = 0 .. n at least, by a compensated (Kahan) running sum
-    of log m: within 0.65 ulp up to m = 3000, where `log_factorials`, scipy's
-    gammaln double for double, is up to 2 ulps off (3.5e-14 at m = 60)."""
+    of log m: within 0.65 ulp up to m = 3000 (scipy's gammaln is up to 2 ulps
+    off); the exact coefficients and their closed forms share it."""
     global _LOG_FACTORIALS
     table = _LOG_FACTORIALS  # returned as checked or built, whatever another thread stores
     if n >= len(table):
@@ -252,7 +251,8 @@ def coefficients(params: KouJumpParams, k_max: int) -> CoefficientTable:
 
     The exact coefficients come from the principal parts of the jump law's
     moment function at its singularities (`_log_residues`), summed to
-    rounding. A table needs more terms as lam t grows, and ConvergenceError
+    rounding; a_hat_k and b_hat_k take their log factorials from the same
+    table. A table needs more terms as lam t grows, and ConvergenceError
     refuses one that needs more than _MAX_TERMS of either index: with
     eta1 = 2, eta2 = 1, p = 1/2 a 20-term table (k_max = 19) reaches
     lam t = 3071. k_max must be an integer (Python or numpy, not bool).
@@ -262,7 +262,7 @@ def coefficients(params: KouJumpParams, k_max: int) -> CoefficientTable:
     log_a = _log_residues(params.lam * params.t, params.eta1, params.eta2, params.p, params.q, k_max)
     log_b = _log_residues(params.lam * params.t, params.eta2, params.eta1, params.q, params.p, k_max)
     ks = np.arange(k_max + 1)
-    lf = log_factorials(k_max + 2)
+    lf = _log_factorial(k_max + 1)
 
     log_a_hat = params._up_exp_shift() + (ks + 1) * math.log(params.b1_jump) - lf[ks] - lf[ks + 1]
     log_b_hat = params._down_exp_shift() + (ks + 1) * math.log(params.b2_jump) - lf[ks] - lf[ks + 1]

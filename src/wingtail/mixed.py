@@ -187,8 +187,8 @@ DENSITY_TOL = Tolerance(rel=1e-8, abs=1e-14)
 # inverted MEMO_CHUNK at a time: the first point's 1,030 in one batch raised
 # the peak resident memory by about 3 MB. A value never depends on the memo's
 # state: the inversion of a point does not depend on the other points of its
-# batch. One lock guards the memo and is held through an inversion, so
-# threads on one shape invert each node once.
+# batch (see `window_sweep` and `integrate`). One lock guards the memo and is
+# held through an inversion, so threads on one shape invert each node once.
 MEMO_MODELS = 4
 MEMO_NODES = 2**13
 MEMO_CHUNK = 128

@@ -7,7 +7,6 @@ values (`RngStream`), never shared mutable state.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 import numbers
 import sys
@@ -22,7 +21,6 @@ __all__ = [
     "Tolerance",
     "UnderflowWarning",
     "logsumexp",
-    "log_factorials",
     "erfcx",
     "k1e",
     "ndtri",
@@ -154,6 +152,21 @@ def _array_exp(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _array_expm1(w: np.ndarray) -> np.ndarray:
+    """e^w - 1 of a complex array as expm1(Re w) cos Im w - 2 sin^2(Im w / 2) + i e^{Re w} sin Im w
+    (numpy's formula) by real ufuncs, from t = tan(Im w / 2): sin^2(Im w / 2) = t^2/(1 + t^2)
+    does not cancel near w = 0. Where Im w == 0 the imaginary part is that zero, as in `_array_exp`."""
+    im = w.imag
+    t = np.tan(0.5 * im)
+    t2 = t * t
+    r = 1.0 / (1.0 + t2)
+    out = np.empty_like(w)
+    out.real = np.expm1(w.real) * ((1.0 - t2) * r) - 2.0 * t2 * r
+    out.imag = im
+    np.multiply(np.exp(w.real), 2.0 * r * t, out=out.imag, where=im != 0)
+    return out
+
+
 def _array_log(w: np.ndarray) -> np.ndarray:
     """Principal log w of a complex array as log|w| + i arctan2(Im w, Re w), by real ufuncs;
     the cut and the signed zeros on it are np.log's."""
@@ -165,25 +178,24 @@ def _array_log(w: np.ndarray) -> np.ndarray:
 
 # Math namespaces of the complex moment functions: one formula body serves a
 # scalar argument through cmath (the exact arithmetic of a scalar call) and an
-# array argument through numpy, whose complex exp and log are replaced by the
-# real-ufunc kernels above (several times faster per element for log).
+# array argument through numpy, whose complex exp, expm1 and log are replaced by
+# the real-ufunc kernels above (several times faster per element for log). cmath
+# has no expm1: a scalar takes numpy's complex one.
 _SCALAR = SimpleNamespace(
     sqrt=cmath.sqrt,
     exp=cmath.exp,
+    expm1=lambda w: complex(np.expm1(w)),
     log=cmath.log,
     where=lambda cond, yes, no: yes if cond else no,
     any=bool,
-    all=bool,
-    errstate=contextlib.nullcontext,
 )
 _ARRAY = SimpleNamespace(
     sqrt=np.sqrt,
     exp=_array_exp,
+    expm1=_array_expm1,
     log=_array_log,
     where=np.where,
     any=np.any,
-    all=np.all,
-    errstate=lambda: np.errstate(divide="ignore", invalid="ignore"),
 )
 
 
@@ -259,44 +271,8 @@ def logsumexp(a):
 
 
 # --------------------------------------------------------------------------- #
-# Special functions: log n!, erfcx, e^x K1(x), the normal quantile
+# Special functions: erfcx, e^x K1(x), the normal quantile
 # --------------------------------------------------------------------------- #
-
-# lgam of Cephes (Moshier 1989): log(sqrt(2 pi)) and the coefficients, in 1/x^2,
-# of Stirling's correction series below x = 1000
-_LOG_SQRT_2PI = 0.91893853320467274178
-_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
-             -2.77777777730099687205e-3, 8.33333333333331927722e-2)
-
-
-def log_factorials(size: int) -> np.ndarray:
-    """log(n!) for n = 0 .. size - 1: Cephes' `lgam` at x = n + 1, as
-    scipy.special.gammaln computes it, double for double.
-
-    Below x = 13, the log of the product n!, which is exact; from there
-    Stirling's series (x - 1/2) log x - x + log sqrt(2 pi) with a correction
-    in 1/x^2: the fitted 5-term polynomial below x = 1000, 3 terms of the
-    series from there. Every value comes from `math.log` and float arithmetic
-    in Cephes' order.
-    """
-    out = []
-    product = 1.0
-    for n in range(size):
-        x = n + 1.0
-        if x < 13.0:
-            product *= max(n, 1)
-            out.append(math.log(product))
-            continue
-        p = 1.0 / (x * x)
-        if x >= 1000.0:
-            correction = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
-        else:
-            correction = _STIRLING[0]
-            for c in _STIRLING[1:]:
-                correction = correction * p + c
-        out.append((x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI + correction / x)
-    return np.array(out)
-
 
 # Veltkamp's splitter for doubles, 2^27 + 1: c = s x splits x into a head of
 # 26 bits, x - (c - (c - x)) being the rest, so head * head is exact
@@ -487,9 +463,11 @@ def integrate(f, a, b, tol: Tolerance = DEFAULT_TOL):
         fx = f(mid[:, None] + half[:, None] * _GK_NODES, owner)
         if not np.isfinite(fx).all():
             raise ConvergenceError("panel integrand is not finite", best_estimate=values.reshape(shape))
-        kronrod = half * (fx @ _GK_KRONROD)
-        err = np.abs(kronrod - half * (fx @ _GK_GAUSS))
-        scale = np.abs(half) * (np.abs(fx) @ _GK_KRONROD)
+        # vecdot sums each row alike wherever it sits; a BLAS matrix-vector
+        # product does not, and would make a panel's value depend on its call
+        kronrod = half * np.vecdot(fx, _GK_KRONROD)
+        err = np.abs(kronrod - half * np.vecdot(fx, _GK_GAUSS))
+        scale = np.abs(half) * np.vecdot(np.abs(fx), _GK_KRONROD)
         ok = err <= np.maximum(tol.abs, tol.rel * scale)
         values += np.bincount(owner[ok], kronrod[ok], values.size)
         errors += np.bincount(owner[ok], err[ok], errors.size)
@@ -564,13 +542,15 @@ def window_sweep(integrand, first, stop_at, tol: Tolerance, what, *, growth: flo
     u0, running, run = np.zeros(seg.size), np.zeros(seg.size), np.zeros(seg.size, dtype=int)
     recent = np.full((seg.size, DIVERGENCE_RUN - 1), np.inf)
     index = np.arange(_windows_past(min((stop_at / seg).tolist(), default=0.0), growth, per_call))
-    steps = growth ** index
     # the first call, and as many more as leave each point the budget for per_call windows
     for _ in range((MAX_WINDOWS - index.size) // per_call + 1):
-        lengths = seg[:, None] * steps
-        ends = u0[:, None] + np.cumsum(lengths, axis=1)
-        values = integrate(lambda u, panel: integrand(u, active[panel // index.size]), ends - lengths, ends, tol)[0]
-        partial = running[:, None] + np.cumsum(values, axis=1)
+        # the recurrences of one window per call (each length the last times growth, each edge
+        # the last plus its length, each total the last plus its window), whatever the split
+        lengths = np.cumprod(np.column_stack([seg, np.full((seg.size, index.size - 1), growth)]), axis=1)
+        edges = np.cumsum(np.column_stack([u0, lengths]), axis=1)
+        ends = edges[:, 1:]
+        values = integrate(lambda u, panel: integrand(u, active[panel // index.size]), edges[:, :-1], ends, tol)[0]
+        partial = np.cumsum(np.column_stack([running, values]), axis=1)[:, 1:]
         size = np.abs(values)
         negligible = size <= np.maximum(tol.abs, tol.rel * np.abs(partial))
         # length of the run of negligible windows ending at each window
@@ -603,7 +583,7 @@ def window_sweep(integrand, first, stop_at, tol: Tolerance, what, *, growth: flo
             return total
         u0, seg = ends[keep, -1], lengths[keep, -1] * growth
         running, run, recent, stop_at = running[keep], run[keep], recent[keep], stop_at[keep]
-        index, steps = index[:per_call], steps[:per_call]
+        index = index[:per_call]
     raise ConvergenceError(f"{what(active[0])}: window budget of {MAX_WINDOWS} exhausted by u={u0[0]:.3g}",
                            best_estimate=total)
 

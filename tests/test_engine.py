@@ -90,7 +90,8 @@ class TestDoubleRoot:
         assert np.allclose(array, [heston.log_mgf(ref_heston, v) for v in z], rtol=1e-14, atol=0.0)
 
     def test_near_root_entries_among_ordinary_ones(self, ref_heston):
-        # entries in the |d t| < 2e-3 expansion and entries of the closed form in one array
+        # entries at and next to the double roots (|d t| < 2e-3) among entries
+        # away from them, in one array: each gets the value it gets as a scalar
         rng = np.random.default_rng(12)
         ordinary = rng.uniform(-5.0, 11.0, 60) + 1j * rng.uniform(0.0, 40.0, 60)
         near = [root + step for root in DOUBLE_ROOTS for step in (0.0, 1e-9, -1e-8, 1e-8j, 2e-8 + 1e-8j)]
@@ -104,8 +105,8 @@ class TestDoubleRoot:
 
     @pytest.mark.parametrize("with_near_root", [False, True])
     def test_exact_explosion_named_among_other_entries(self, with_near_root):
-        # b = 0, c = 2, rho = 0.75 at z = 2: bb = -3 and d^2 = 1 exactly, so g = 2, and at
-        # t = log 2 the closed form's denominator 1 - g e^{-d t} is exactly 0; z = 0 is a
+        # b = 0, c = 2, rho = 0.75 at z = 2: bb = -3 and d^2 = 1 exactly, and at t = log 2
+        # E = 1 - e^{-d t} = 1/2, so q = 1 - E/2 + bb (E/d)/2 is exactly 0; z = 0 is a
         # double root (d = 0) of the same quadratic
         p = SimpleNamespace(mu=0.0, a=1.0, b=0.0, c=2.0, rho=0.75, x0=1.0, y0=0.04, t=math.log(2.0))
         z = np.array([0.5 + 1j, 0.0, 2.0, 3.0 + 0.5j] if with_near_root else [0.5 + 1j, 2.0, 3.0 + 0.5j])

@@ -213,6 +213,21 @@ class TestCoefficients:
         ) * ref_kou.eta1 * ref_kou.lam * ref_kou.t * ref_kou.p
         assert tab.a_hat[0] == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("params", [variant()] + _box_sample(3, seed=2024))
+    def test_hats_to_40_digits(self, params):
+        # log a_hat_k = shift + (k + 1) log B - log k! - log (k + 1)!, B = b1 or b2:
+        # within 8e-14 for k <= 60
+        tab = kou.coefficients(params, 60)
+        sides = ((tab.a_hat, params.eta1, params.eta2, params.p, params.q),
+                 (tab.b_hat, params.eta2, params.eta1, params.q, params.p))
+        with mp.workdps(40):
+            lam_t = mp.mpf(params.lam) * params.t
+            for hats, e_num, e_den, p, q in sides:
+                shift = lam_t * q * e_den / (mp.mpf(e_num) + e_den) - lam_t
+                for k in range(61):
+                    want = shift + (k + 1) * mp.log(e_num * lam_t * p) - mp.loggamma(k + 1) - mp.loggamma(k + 2)
+                    assert abs(math.log(hats[k]) - want) <= 8e-14, k
+
     def test_golden_a0(self, ref_kou):
         # frozen after cross-checking against direct summation and the
         # FFT-convolution oracle of the jump-sum density

@@ -1,4 +1,5 @@
-"""A 30-digit reference for the Fourier density oracle.
+"""A 30-digit reference for the Fourier density oracle, and a 50-digit one
+for the Heston log-moment around its double roots.
 
 The reference inverts the product characteristic function of the mixed model
 with mpmath at 30 significant digits (its `mp` context, not the double
@@ -11,10 +12,12 @@ value.
 """
 import math
 
+import numpy as np
 import pytest
 from mpmath import mp
 
-from wingtail import oracles
+from wingtail import heston, oracles
+from wingtail.heston import HestonParams
 
 DIGITS = 30
 
@@ -67,3 +70,30 @@ class TestNigReference:
         reference = _mp_density(nig_model, math.log(self.X))
         engine = oracles.density_fourier(nig_model, self.X)
         assert engine == pytest.approx(float(reference), rel=1e-13, abs=0.0)
+
+
+class TestHestonDoubleRoot:
+    """heston.log_mgf next to the double roots d = 0 of the Riccati quadratic,
+    where the trap form cancels in double precision, against 50 digits of it."""
+
+    PARAMS = {
+        "reference": HestonParams(mu=0.0, a=1.0, b=2.0, c=0.5, rho=-0.3, x0=1.0, y0=0.04, t=1.0),
+        "other": HestonParams(mu=0.02, a=0.6, b=1.0, c=0.8, rho=-0.7, x0=1.3, y0=0.08, t=1.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PARAMS))
+    def test_matches_fifty_digits_around_both_roots(self, name):
+        # offsets from 0 to 1e-2, real, imaginary and both, scalar and array:
+        # within 5e-15 of max(1, |log moment|)
+        h = self.PARAMS[name]
+        with mp.workdps(50):
+            # d^2 = (b - rho c z)^2 + c^2 (z - z^2) = 0, a quadratic in z
+            c, rho, b = mp.mpf(h.c), mp.mpf(h.rho), mp.mpf(h.b)
+            roots = [float(r) for r in mp.polyroots([c * c * (rho * rho - 1), c * c - 2 * b * rho * c, b * b])]
+            offsets = np.concatenate([[0.0], np.geomspace(1e-16, 1e-2, 15)])
+            z = np.array([r + o * w for r in roots for o in offsets for w in (1.0, -1.0, 1j, 1.0 + 1j)])
+            array = heston.log_mgf(h, z)
+            for zi, from_array in zip(z, array):
+                want = _heston_log_moment(h, mp.mpc(zi))
+                for got in (heston.log_mgf(h, complex(zi)), from_array):
+                    assert abs(got - want) <= 5e-15 * max(1, abs(want)), zi

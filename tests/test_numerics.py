@@ -27,7 +27,6 @@ from wingtail.numerics import (
     find_root,
     integrate,
     k1e,
-    log_factorials,
     logsumexp,
     ndtri,
     window_sweep,
@@ -71,13 +70,6 @@ class TestLogGamma:
 class TestSpecialFunctionPorts:
     """The ports of scipy.special that the CLI runs on, against scipy and mpmath,
     across every switch of their forms."""
-
-    def test_log_factorials_are_scipys_gammaln(self):
-        # bit for bit through both switches of lgam (x = 13 and 1000), past the
-        # largest table the tests build (3,078 entries)
-        n = np.arange(5000)
-        assert np.array_equal(log_factorials(5000), special.gammaln(n + 1.0))
-        assert log_factorials(0).shape == (0,)
 
     def test_erfcx_against_scipy_and_mpmath(self):
         # both sides of the switch to the asymptotic series at 26: within 8
@@ -208,7 +200,7 @@ def quadrant_points(seed, n=4000, re_max=700.0, im_max=1e3):
 
 
 class TestArrayKernels:
-    """The array namespace's exp and log, built from real ufuncs, against numpy's complex ones."""
+    """The array namespace's exp, expm1 and log, built from real ufuncs, against numpy's complex ones."""
 
     def test_exp_matches_numpy(self):
         w = quadrant_points(1)
@@ -220,6 +212,15 @@ class TestArrayKernels:
         ref = np.log(w)
         # near |w| = 1 the real part log|w| is accurate to a few eps absolute, not relative
         assert np.max(np.abs(XP.log(w) - ref) / np.maximum(1.0, np.abs(ref))) <= 4 * EPS
+
+    def test_expm1_matches_numpy(self):
+        # numpy's complex expm1 has the same formula; near w = 0 neither cancels
+        w = np.concatenate([quadrant_points(4), quadrant_points(5, re_max=1e-6, im_max=1e-6)])
+        ref = np.expm1(w)
+        got = XP.expm1(w)
+        assert got.shape == w.shape and got.dtype == complex
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 4 * EPS
+        assert XP.expm1(np.array([0j]))[0] == 0j
 
     @pytest.mark.parametrize("w", [800.0 + 0j, complex(800.0, -0.0), -800.0 + 0j, complex(-800.0, -0.0),
                                    0j, complex(-0.0, -0.0), complex(-3.5, 0.0), complex(-3.5, -0.0), 1.0 + 0j])
@@ -393,20 +394,21 @@ class TestWindowSweep:
 
 
 def _ref_window_sweep(integrand, first, stop_at, tol, what, *, growth, stop_run, per_call):
-    """The sweep of `per_call` windows in every call, the first call included, kept as the reference."""
+    """The sweep of `per_call` windows in every call, the first call included, kept as the reference;
+    its lengths, edges and totals follow the recurrences of one window per call."""
     seg, stop_at = np.array(first, dtype=float), np.asarray(stop_at, dtype=float)
-    steps = growth ** np.arange(per_call)
     index = np.arange(per_call)
     u0, total = np.zeros(seg.size), np.zeros(seg.size)
     run = np.zeros(seg.size, dtype=int)
     recent = np.full((seg.size, DIVERGENCE_RUN - 1), np.inf)
     active = np.arange(seg.size)
     for _ in range(MAX_WINDOWS // per_call):
-        lengths = seg[active, None] * steps
-        ends = u0[active, None] + np.cumsum(lengths, axis=1)
-        values, _ = numerics.integrate(lambda u, panel: integrand(u, active[panel // per_call]), ends - lengths, ends,
-                                       tol)
-        partial = total[active, None] + np.cumsum(values, axis=1)
+        lengths = np.cumprod(np.column_stack([seg[active], np.full((active.size, per_call - 1), growth)]), axis=1)
+        edges = np.cumsum(np.column_stack([u0[active], lengths]), axis=1)
+        ends = edges[:, 1:]
+        values, _ = numerics.integrate(lambda u, panel: integrand(u, active[panel // per_call]), edges[:, :-1],
+                                       ends, tol)
+        partial = np.cumsum(np.column_stack([total[active], values]), axis=1)[:, 1:]
         negligible = np.abs(values) <= np.maximum(tol.abs, tol.rel * np.abs(partial))
         last_kept = np.maximum.accumulate(np.where(negligible, -1, index), axis=1)
         runs = np.where(last_kept < 0, run[active, None] + index + 1, index - last_kept)
@@ -443,18 +445,18 @@ class TestFirstCall:
     # before and after the stop position, oscillating, zero for one point
     # (whose run of negligible windows begins in its first window), and with
     # a power tail;
-    # (integrand, first, stop_at, a bound on the integral of |integrand| where it cancels)
+    # (integrand, first, stop_at)
     CASES = {
         "decay": (lambda u, point: np.exp(-np.array([0.5, 1.0, 3.0])[point, None] * u), [1.0, 1.0, 1.0],
-                  [23.5, 3.5, 0.0], None),
+                  [23.5, 3.5, 0.0]),
         "peaks": (lambda u, point: np.exp(-0.5 * (u - np.array([4.0, 30.0, 12.0])[point, None]) ** 2),
-                  [1.0, 1.0, 0.5], [23.5, 33.5, 2.2], None),
+                  [1.0, 1.0, 0.5], [23.5, 33.5, 2.2]),
         "wave": (lambda u, point: np.exp(-0.2 * u) * np.cos(np.array([1.0, 3.0, 7.0])[point, None] * u),
-                 [1.0, 0.7, 2.0], [0.0, 17.3, 39.0], 5.0),
+                 [1.0, 0.7, 2.0], [0.0, 17.3, 39.0]),
         "vanishing": (lambda u, point: np.where(point[:, None] == 1, 0.0, np.exp(-u)), [1.0, 1.0, 1.0],
-                      [23.5, 0.0, 5.5], None),
+                      [23.5, 0.0, 5.5]),
         "power": (lambda u, point: (1.0 + u) ** -np.array([6.0, 8.0, 12.0])[point, None], [math.log(2.0)] * 3,
-                  [27.4, 13.0, 5.5], None),
+                  [27.4, 13.0, 5.5]),
     }
 
     @staticmethod
@@ -474,14 +476,12 @@ class TestFirstCall:
     @pytest.mark.parametrize("stop_run", [1, 2, 3])
     @pytest.mark.parametrize("growth", [1.0, 1.4])
     def test_same_totals_windows_and_nodes_as_one_window_per_call(self, case, stop_run, growth):
-        integrand, first, stop_at, scale = self.CASES[case]
+        integrand, first, stop_at = self.CASES[case]
         kw = dict(growth=growth, stop_run=stop_run, per_call=1)
         want, want_nodes, want_reach = self.traced(_ref_window_sweep, integrand, first, stop_at, **kw)
         got, nodes, reach = self.traced(window_sweep, integrand, first, stop_at, **kw)
-        # a window value may differ in the last bit with the number of panels
-        # of a call; a total that cancels carries that bit of the integral of
-        # |integrand|
-        assert np.all(np.abs(got - want) <= 4.4e-16 * (scale or np.abs(want)))
+        # a window and a total do not depend on how the windows are split into calls
+        assert np.array_equal(got, want)
         # the same stop window of each point: its farthest node is the same
         assert np.array_equal(reach, want_reach)
         assert np.array_equal(nodes, want_nodes)
@@ -515,7 +515,7 @@ class TestFirstCall:
                          growth=1.0, stop_run=2, per_call=1)
             errors.append(err.value)
         assert str(errors[0]) == str(errors[1])
-        np.testing.assert_allclose(errors[0].best_estimate[1], errors[1].best_estimate[1], rtol=4.4e-16)
+        assert errors[0].best_estimate[1] == errors[1].best_estimate[1]
         assert "window ending at u=9," in str(errors[0])
 
     @pytest.mark.parametrize("z", [-3.0, 1.5, 2.0])
@@ -528,7 +528,7 @@ class TestFirstCall:
         with pytest.raises(DivergenceError) as want:
             mellin.mellin_transform(U, z)
         assert str(got.value) == str(want.value)
-        np.testing.assert_allclose(got.value.best_estimate, want.value.best_estimate, rtol=4.4e-16, atol=0.0)
+        assert np.array_equal(got.value.best_estimate, want.value.best_estimate)
 
     @pytest.mark.parametrize("name", ["pure_heston", "reference_kou", "reference_nig"])
     def test_peak_sweep_makes_the_calls_it_made(self, name, monkeypatch):

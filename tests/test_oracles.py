@@ -80,17 +80,23 @@ class TestDensityFourier:
             with pytest.raises(ConvergenceError):
                 oracles.log_density_fourier_logx(model, ell)
 
-    def test_point_does_not_depend_on_its_batch(self, nig_model):
+    @pytest.mark.parametrize("name", CONFIGS)
+    @pytest.mark.parametrize("jumps", [True, False])
+    def test_point_does_not_depend_on_its_batch(self, name, jumps):
         # the diffusion memo of mixed_density stores values inverted in
         # batches of varying make-up, so each point must come out bit for bit
-        # alike alone, in a batch and in a permuted batch
-        pure = MixedModel(heston=nig_model.heston)
-        ells = np.random.default_rng(7).uniform(-20.0, 20.0, 300)
+        # alike alone, in a batch and in a permuted batch; the jump laws are
+        # inverted out to |log x| = 12, the diffusion alone out to 20
+        model = cli.load_config(os.path.join(CONFIG_DIR, f"{name}.json")).model
+        if not jumps:
+            model = MixedModel(heston=model.heston)
+        reach = 12.0 if model.jumps else 20.0
+        ells = np.random.default_rng(7).uniform(-reach, reach, 300)
         perm = np.random.default_rng(8).permutation(ells.size)
-        batch = oracles.log_density_fourier_logx(pure, ells)
-        alone = np.array([oracles.log_density_fourier_logx(pure, v) for v in ells])
+        batch = oracles.log_density_fourier_logx(model, ells)
+        alone = np.array([oracles.log_density_fourier_logx(model, v) for v in ells])
         assert np.array_equal(batch, alone)
-        assert np.array_equal(batch[perm], oracles.log_density_fourier_logx(pure, ells[perm]))
+        assert np.array_equal(batch[perm], oracles.log_density_fourier_logx(model, ells[perm]))
 
 
 class TestCallFourier:

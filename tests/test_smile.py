@@ -142,9 +142,9 @@ class TestBlackScholes:
                     math.log(smile.bs_call(1.0, k, 1.0, sigma)), rel=1e-10)
 
     def test_log_form_across_branch_switch(self):
-        # the short-step forms of the Mills-ratio difference (quadrature below
-        # |d1| = 20, the asymptotic series above) agree with the direct form
-        # where both are accurate
+        # the short-step form of the Mills-ratio difference (the quadrature of
+        # its slope) agrees with the direct form where both are accurate, on
+        # both sides of |d1| = 20
         from scipy.special import log_ndtr
 
         sigma, T = 0.37, 1.0
@@ -229,6 +229,17 @@ class TestBlackScholes:
                 z = mp.mpf(s)
                 want = 1 - z * mp.erfc(z / mp.sqrt(2)) / (2 * mp.npdf(z))
                 assert abs(smile._mills_slope(s) / want - 1) <= (7e-16 if s >= 3.0 else 4e-15), s
+
+    def test_mills_difference_matches_fifty_digits_past_twenty(self):
+        # the quadrature of the slope out to z1 = 1e6, at steps up to the
+        # longest the out-of-the-money form takes, max(0.07, 0.02 z1)
+        with mp.workdps(50):
+            mills = lambda z: mp.erfc(z / mp.sqrt(2)) / (2 * mp.npdf(z))
+            for z1 in map(float, np.geomspace(20.0, 1e6, 25)):
+                top = max(0.07, 0.02 * z1)
+                for delta in map(float, np.geomspace(1e-6, 0.999 * top, 9)):
+                    want = mills(mp.mpf(z1)) - mills(mp.mpf(z1) + mp.mpf(delta))
+                    assert abs(smile._mills_difference(z1, delta) / want - 1) <= 6e-16, (z1, delta)
 
     def test_inversion_band_errors(self):
         with pytest.raises(InversionError):
