@@ -137,25 +137,11 @@ def _cos_sin(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (1.0 - t2) * r, 2.0 * r * t
 
 
-def _array_exp(w: np.ndarray) -> np.ndarray:
-    """e^w of a complex array as e^{Re w} (cos Im w + i sin Im w), by real ufuncs.
-
-    Where Im w == 0 the imaginary part is that zero, as in np.exp: the product
-    would give e^{Re w} * 0, which is NaN once e^{Re w} overflows."""
-    im = w.imag
-    cos, sin = _cos_sin(im)
-    scale = np.exp(w.real)
-    out = np.empty_like(w)
-    np.multiply(scale, cos, out=out.real)
-    out.imag = im
-    np.multiply(scale, sin, out=out.imag, where=im != 0)
-    return out
-
-
 def _array_expm1(w: np.ndarray) -> np.ndarray:
     """e^w - 1 of a complex array as expm1(Re w) cos Im w - 2 sin^2(Im w / 2) + i e^{Re w} sin Im w
     (numpy's formula) by real ufuncs, from t = tan(Im w / 2): sin^2(Im w / 2) = t^2/(1 + t^2)
-    does not cancel near w = 0. Where Im w == 0 the imaginary part is that zero, as in `_array_exp`."""
+    does not cancel near w = 0. Where Im w == 0 the imaginary part is that zero, as in np.exp:
+    the product would give e^{Re w} * 0, which is NaN once e^{Re w} overflows."""
     im = w.imag
     t = np.tan(0.5 * im)
     t2 = t * t
@@ -178,12 +164,11 @@ def _array_log(w: np.ndarray) -> np.ndarray:
 
 # Math namespaces of the complex moment functions: one formula body serves a
 # scalar argument through cmath (the exact arithmetic of a scalar call) and an
-# array argument through numpy, whose complex exp, expm1 and log are replaced by
-# the real-ufunc kernels above (several times faster per element for log). cmath
+# array argument through numpy, whose complex expm1 and log are replaced by the
+# real-ufunc kernels above (several times faster per element for log). cmath
 # has no expm1: a scalar takes numpy's complex one.
 _SCALAR = SimpleNamespace(
     sqrt=cmath.sqrt,
-    exp=cmath.exp,
     expm1=lambda w: complex(np.expm1(w)),
     log=cmath.log,
     where=lambda cond, yes, no: yes if cond else no,
@@ -191,7 +176,6 @@ _SCALAR = SimpleNamespace(
 )
 _ARRAY = SimpleNamespace(
     sqrt=np.sqrt,
-    exp=_array_exp,
     expm1=_array_expm1,
     log=_array_log,
     where=np.where,
@@ -221,53 +205,14 @@ def check_strip(z, strip: tuple[float, float], what: str) -> None:
     raise MomentExplosionError(f"{what} of order {z} undefined: admissible open interval is ({lo}, {hi})")
 
 
-# numpy reduces a contiguous row with one inner-loop call per row, which
-# dominates for short rows: below this width `logsumexp` takes the maximum and
-# the count of maxima (in bytes, which hold it) down the columns of a
-# transposed copy, 2x faster at 24 and 48 terms and slower from 130; neither
-# depends on the order
-_SHORT_ROW = 64
-
-
 def logsumexp(a):
-    """log(sum(exp(a))) along the last axis of a real array, by the algorithm
-    of scipy.special.logsumexp(a, axis=-1) in scipy 1.17, double for double.
-
-    With a_max the largest term of a row and m the number of terms equal to
-    it, the row's value is log1p(s/m) + log(m) + a_max, s the sum of
-    exp(a - a_max) over the other terms (0 stays 0). The sum runs on the
-    contiguous last axis, so numpy adds in its pairwise order, as scipy
-    does. An empty last axis gives -inf. A 1-d input gives a numpy scalar.
-
-    exp runs only on the terms strictly between -inf and the maximum: the
-    others add the 0 they add in scipy, and numpy's exp is 5-10x slower per
-    element on -inf. Its value at a term does not depend on the terms around
-    it, which `tests/test_numerics.py` checks against scipy. scipy replaces
-    a value that is not finite by log(sum(exp(a))), which it computes for
-    every row first; skipping those terms, the shifted form gives that value
-    itself: -inf on a row of -inf, inf with a term of inf, NaN with a NaN.
-    """
-    a = np.ascontiguousarray(a, dtype=float)
-    shape = a.shape[:-1]
-    if a.shape[-1] == 0:
-        return np.full(shape, -np.inf)[()]
-    a = a.reshape(-1, a.shape[-1])
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        if a.shape[1] < _SHORT_ROW:
-            cols = np.ascontiguousarray(a.T)
-            a_max = cols.max(axis=0)
-            m = np.add.reduce((cols == a_max).view(np.uint8), axis=0).astype(float)
-            del cols  # at most two arrays of the input's size at a time
-        else:
-            a_max = a.max(axis=-1)
-            m = np.count_nonzero(a == a_max[:, None], axis=-1).astype(float)
-        e = np.subtract(a, a_max[:, None])
-        below = (e < 0.0) & (e > -np.inf)
-        np.exp(e, out=e, where=below)
-        np.copyto(e, 0.0, where=~below)
-        s = e.sum(axis=-1)
-        out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max
-    return out.reshape(shape)[()]
+    """log(sum(exp(a))) along the last axis of a real array of finite terms, as
+    a_max + log(sum(exp(a - a_max))), a_max the largest term of a row: within
+    about 2 eps of the row's value in |error| / max(1, |value|). A 1-d input
+    gives a numpy scalar."""
+    a = np.asarray(a, dtype=float)
+    a_max = a.max(axis=-1)
+    return a_max + np.log(np.exp(a - a_max[..., None]).sum(axis=-1))
 
 
 # --------------------------------------------------------------------------- #

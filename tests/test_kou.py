@@ -11,7 +11,7 @@ from hypothesis import given, seed, settings
 from mpmath import mp
 from scipy.special import gammaln, logsumexp
 
-from wingtail import kou
+from wingtail import kou, numerics
 from wingtail.errors import ConvergenceError, DomainError, MomentExplosionError
 from wingtail.kou import KouJumpParams
 from wingtail.mellin import WING_LARGE, WING_SMALL
@@ -424,15 +424,15 @@ class TestSeries:
         assert abs(g1v - f3) <= 3.0 * f5
 
     @pytest.mark.parametrize("up", [True, False])
-    def test_series_sum_is_scipys_logsumexp(self, ref_kou, up):
-        # the sum over k of the table's terms at u, as scipy sums them
+    def test_series_sum_is_the_logsumexp_of_the_table_terms(self, ref_kou, up):
+        # the sum over k of the table's terms at u, as numerics sums them
         g_log = kou.g1_log if up else kou.g2_log
         for u in (0.5, 10.0, 1e3, 1e4):
             value = g_log(ref_kou, u)
             table = kou._TABLE_CACHE[ref_kou]  # the table the value was summed from
             log_coeffs = table.log_a if up else table.log_b
             terms = log_coeffs + np.arange(log_coeffs.size) * np.log(np.array([u]))[:, None]
-            assert value == float(logsumexp(terms, axis=1)[0])
+            assert value == float(numerics.logsumexp(terms)[0])
 
     @pytest.mark.parametrize("up, u", [(True, 5e3), (False, 1e4)])
     def test_a_short_table_grows_to_the_same_values(self, monkeypatch, ref_kou, up, u):

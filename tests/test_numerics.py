@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from mpmath import mp
 from scipy import special
-from scipy.special import logsumexp as scipy_logsumexp
 
 from wingtail import cli, heston, kou, mellin, nig, numerics, oracles
 from wingtail.errors import BracketingError, ConvergenceError, DivergenceError, DomainError
@@ -109,32 +108,66 @@ class TestSpecialFunctionPorts:
         assert ndtri(0.5) == pytest.approx(0.0, abs=1e-17)
 
 
-class TestLogSumExpParity:
-    """The port returns scipy's logsumexp along the last axis, double for double."""
+EPS = np.finfo(float).eps
+
+
+def recorded_blocks(monkeypatch, run):
+    """Every block of log terms that kou passes to logsumexp while run() runs."""
+    blocks = []
+
+    def recorded(a):
+        blocks.append(np.array(a))
+        return logsumexp(a)
+
+    monkeypatch.setattr(kou, "logsumexp", recorded)
+    run()
+    assert blocks
+    return blocks
+
+
+class TestLogSumExp:
+    """The shifted sum on rows of finite terms, within 2 eps of 40 digits in |error| / max(1, |value|)."""
 
     @staticmethod
-    def assert_parity(a):
-        ours, theirs = logsumexp(a), scipy_logsumexp(a, axis=-1)
-        assert np.shape(ours) == np.shape(theirs)
-        assert np.array_equal(ours, theirs, equal_nan=True)
+    def assert_within_two_eps(a):
+        a = np.asarray(a, dtype=float)
+        values = np.reshape(logsumexp(a), -1)
+        with mp.workdps(40):
+            for row, value in zip(a.reshape(-1, a.shape[-1]), values):
+                ref = mp.log(mp.fsum(mp.exp(x) for x in row))
+                assert abs(float(value) - ref) <= 2 * EPS * max(1, abs(ref))
+
+    @pytest.mark.parametrize("lam, k_max", [(1.0, 19), (1.0, 64), (100.0, 64)])
+    def test_blocks_of_the_kou_table(self, monkeypatch, lam, k_max):
+        # every block the table sums: its i-sums and its j-sums at each size
+        params = kou.KouJumpParams(lam=lam, eta1=2.0, eta2=1.0, p=0.5, q=0.5, t=1.0)
+        for block in recorded_blocks(monkeypatch, lambda: kou.coefficients(params, k_max)):
+            self.assert_within_two_eps(block)
+
+    @pytest.mark.parametrize("up", [True, False])
+    def test_blocks_of_the_series(self, monkeypatch, ref_kou, up):
+        # the tables a cold cache builds, and one row of series terms per u
+        g_log = kou.g1_log if up else kou.g2_log
+        monkeypatch.setattr(kou, "_TABLE_CACHE", type(kou._TABLE_CACHE)())
+        for block in recorded_blocks(monkeypatch, lambda: [g_log(ref_kou, u) for u in (0.5, 10.0, 1e3, 1e4)]):
+            self.assert_within_two_eps(block)
 
     @pytest.mark.parametrize("width", [24, 48, 192, 768, 25, 49, 193])
-    def test_rows_padded_with_minus_inf(self, width):
-        # row r keeps its first r + 1 terms, as the i-sums of the Kou table do
+    def test_rows_of_width(self, width):
+        # terms spread over tens of units, as the log-coefficients of the Kou table are
         rng = np.random.default_rng(width)
-        a = rng.normal(scale=30.0, size=(width, width))
-        a[np.arange(width)[None, :] > np.arange(width)[:, None]] = -np.inf
-        self.assert_parity(a)
-        self.assert_parity(a[:, ::-1].copy())
-        scattered = rng.normal(scale=30.0, size=(64, width))
-        scattered[rng.random(scattered.shape) < 0.4] = -np.inf
-        self.assert_parity(scattered)
+        self.assert_within_two_eps(rng.normal(scale=30.0, size=(16, width)))
 
-    def test_rows_all_minus_inf(self):
-        a = np.full((3, 24), -np.inf)
-        a[1, 5] = 0.5
-        self.assert_parity(a)
-        self.assert_parity(np.full(7, -np.inf))
+    def test_one_column(self):
+        # a one-term row sums to its term, bit for bit
+        a = np.array([[0.0], [-3.5], [700.0], [-1e3], [1e300], [-1e300]])
+        assert np.array_equal(logsumexp(a), a[:, 0])
+
+    def test_a_row_of_minus_inf_is_loud(self):
+        # outside the contract: the shift -inf - (-inf) is an invalid value, not a silent -inf
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            value = logsumexp(np.full(7, -np.inf))
+        assert np.isnan(value)
 
     @pytest.mark.parametrize("width", [2, 24, 65])
     def test_tied_maxima(self, width):
@@ -142,17 +175,8 @@ class TestLogSumExpParity:
         a = rng.normal(size=(6, width))
         a[0] = 1.0
         a[1, ::2] = 4.0
-        a[2, :2] = -np.inf
         a[2, 2:] = 3.0
-        self.assert_parity(a)
-
-    def test_one_column(self):
-        self.assert_parity(np.array([[0.0], [-3.5], [-np.inf], [np.inf], [np.nan], [700.0]]))
-
-    def test_inf_and_nan_rows(self):
-        a = np.random.default_rng(3).normal(size=(4, 24))
-        a[0, 3], a[1, 7], a[2, [0, 9]], a[3, 1] = np.inf, np.nan, np.inf, -1e308
-        self.assert_parity(a)
+        self.assert_within_two_eps(a)
 
     @pytest.mark.parametrize("width", [24, 193])
     def test_spread_past_underflow(self, width):
@@ -160,32 +184,17 @@ class TestLogSumExpParity:
         rng = np.random.default_rng(width)
         a = -800.0 * rng.random((40, width))
         a[:, 0] = 0.0
-        self.assert_parity(a)
-        self.assert_parity(a - 1e3)
+        a[:, -1] = -800.0
+        self.assert_within_two_eps(a)
+        self.assert_within_two_eps(a - 1e3)
 
     def test_shapes(self):
         a = np.random.default_rng(5).normal(size=(2, 3, 25))
-        self.assert_parity(a)
-        self.assert_parity(a[0, 0])
-        self.assert_parity(np.zeros((2, 0)))
-
-    @pytest.mark.parametrize("lam, k_max", [(1.0, 19), (1.0, 64), (100.0, 64)])
-    def test_blocks_of_the_kou_table(self, monkeypatch, lam, k_max):
-        # every block the table sums: its i-sums and its j-sums at each size
-        blocks = []
-
-        def recorded(a):
-            blocks.append(np.array(a))
-            return logsumexp(a)
-
-        monkeypatch.setattr(kou, "logsumexp", recorded)
-        kou.coefficients(kou.KouJumpParams(lam=lam, eta1=2.0, eta2=1.0, p=0.5, q=0.5, t=1.0), k_max)
-        assert blocks
-        for block in blocks:
-            self.assert_parity(block)
+        assert logsumexp(a).shape == (2, 3)
+        assert np.ndim(logsumexp(a[0, 0])) == 0
+        self.assert_within_two_eps(a)
 
 
-EPS = np.finfo(float).eps
 # the array namespace of the complex moment functions
 XP = complex_namespace(np.zeros(1))[1]
 
@@ -200,12 +209,7 @@ def quadrant_points(seed, n=4000, re_max=700.0, im_max=1e3):
 
 
 class TestArrayKernels:
-    """The array namespace's exp, expm1 and log, built from real ufuncs, against numpy's complex ones."""
-
-    def test_exp_matches_numpy(self):
-        w = quadrant_points(1)
-        ref = np.exp(w)
-        assert np.max(np.abs(XP.exp(w) - ref) / np.abs(ref)) <= 4 * EPS
+    """The array namespace's expm1 and log, built from real ufuncs, against numpy's complex ones."""
 
     def test_log_matches_numpy(self):
         w = quadrant_points(2, re_max=1e3)
@@ -224,18 +228,27 @@ class TestArrayKernels:
 
     @pytest.mark.parametrize("w", [800.0 + 0j, complex(800.0, -0.0), -800.0 + 0j, complex(-800.0, -0.0),
                                    0j, complex(-0.0, -0.0), complex(-3.5, 0.0), complex(-3.5, -0.0), 1.0 + 0j])
-    @pytest.mark.parametrize("name", ["exp", "log"])
-    def test_real_axis_is_numpys(self, name, w):
-        # overflow, underflow, the signed zeros of the cut and log 0 = -inf + 0j, bit for bit
-        with np.errstate(over="ignore", divide="ignore"):
-            got, ref = getattr(XP, name)(np.array([w]))[0], getattr(np, name)(w)
+    def test_real_axis_is_numpys(self, w):
+        # log: the signed zeros of the cut and log 0 = -inf + 0j, bit for bit
+        with np.errstate(divide="ignore"):
+            got, ref = XP.log(np.array([w]))[0], np.log(w)
         assert (got.real, got.imag) == (ref.real, ref.imag)
         assert (math.copysign(1.0, got.real), math.copysign(1.0, got.imag)) == (
             math.copysign(1.0, ref.real), math.copysign(1.0, ref.imag))
 
+    @pytest.mark.parametrize("w", [800.0 + 0j, complex(800.0, -0.0), -800.0 + 0j, complex(-800.0, -0.0),
+                                   0j, complex(-0.0, -0.0), complex(-3.5, 0.0), complex(-3.5, -0.0), 1.0 + 0j])
+    def test_expm1_real_axis_is_the_real_expm1(self, w):
+        # expm1 of the real part, and the imaginary part that signed zero, bit for bit
+        with np.errstate(over="ignore"):
+            got, ref = XP.expm1(np.array([w]))[0], np.expm1(w.real)
+        assert (got.real, got.imag) == (ref, w.imag)
+        assert (math.copysign(1.0, got.real), math.copysign(1.0, got.imag)) == (
+            math.copysign(1.0, ref), math.copysign(1.0, w.imag))
+
     def test_shape_and_type_kept(self):
         w = quadrant_points(3)[:3, :4]
-        for fn in (XP.exp, XP.log):
+        for fn in (XP.expm1, XP.log):
             assert fn(w).shape == w.shape and fn(w).dtype == complex
 
 
