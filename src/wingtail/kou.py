@@ -68,6 +68,7 @@ class KouJumpParams:
     """
 
     kind = "kou"
+    density_jumps_at_one = True  # H(t, 1-) = b_0 differs from H(t, 1+) = a_0
 
     lam: float
     eta1: float
@@ -194,18 +195,34 @@ _MAX_TERMS = 4096
 _BLOCK_TERMS = 1 << 16
 
 
-def _log_row_sums(log_terms, rows: np.ndarray, width: int) -> tuple[np.ndarray, bool]:
+def _log_row_sums(log_terms, rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Log sums of the rows of log_terms(rows), (rows, width) arrays formed in blocks of at most
-    _BLOCK_TERMS terms, and whether every row has settled: its last term is at most half the one
+    _BLOCK_TERMS terms, and which rows have settled: a row's last term is at most half the one
     before it and below 2^-57 of its sum (_LOG_TAIL), a 16th of the unit roundoff. Where the ratio of a
     row's terms keeps falling, the terms after its last add at most the last."""
-    sums, settled = [], True
+    sums, settled = [], []
     for block in np.array_split(rows, -(-rows.size * width // _BLOCK_TERMS)):
         terms = log_terms(block)
         sums.append(logsumexp(terms))
         last = terms[:, -1]
-        settled &= bool(np.all((last - terms[:, -2] <= -math.log(2.0)) & (last < sums[-1] + _LOG_TAIL)))
-    return np.concatenate(sums), settled
+        settled.append((last - terms[:, -2] <= -math.log(2.0)) & (last < sums[-1] + _LOG_TAIL))
+    return np.concatenate(sums), np.concatenate(settled)
+
+
+def _settled_sums(log_terms, rows: np.ndarray, lam_t: float, n: int = 32) -> tuple[np.ndarray, int]:
+    """Log sums of the rows of log_terms(rows, n), each over its first n terms, n doubling from the
+    given count for the rows that have not settled (`_log_row_sums`), up to _MAX_TERMS; and the
+    count at which the last rows settled."""
+    out, settled = _log_row_sums(lambda block: log_terms(block, n), rows, n)
+    while not settled.all():
+        n *= 2
+        if n > _MAX_TERMS:
+            raise ConvergenceError(
+                f"Kou coefficient table needs more than {_MAX_TERMS} series terms at lam t = {lam_t:g}")
+        pending = np.flatnonzero(~settled)
+        sums, done = _log_row_sums(lambda block: log_terms(block, n), rows[pending], n)
+        out[pending[done]], settled[pending[done]] = sums[done], True
+    return out, n
 
 
 def _log_residues(lam_t: float, eta_num: float, eta_den: float, p: float, q: float, k_max: int) -> np.ndarray:
@@ -220,30 +237,32 @@ def _log_residues(lam_t: float, eta_num: float, eta_den: float, p: float, q: flo
     Taylor coefficients of exp(c mu / (c - w)). The j = 0 term is a_hat_k.
     Both sums are of positive terms, in log space. The term ratio of an i-sum
     falls in i; that of a j-sum falls from j = 1 on in every law tried (lam t
-    from 0.01 to 1000). Each index doubles its terms, from 32, until its rows
-    have settled, up to _MAX_TERMS.
+    from 0.01 to 1000). Each row, a k of the j-sums or a j of the i-sums,
+    doubles its terms, from 32, until it has settled (`_settled_sums`): the
+    rows of large k settle within a few terms of j, the row k = 0 last. Each
+    h_j is formed once, as the first row of j-sums that needs it asks for it.
     """
     mu = lam_t * q * eta_den / (eta_num + eta_den)
     log_a, log_mu, log_c = math.log(lam_t * p * eta_num), math.log(mu), math.log(eta_num + eta_den)
-    n_j = n_i = 32
-    while max(n_j, n_i) <= _MAX_TERMS:
-        lf = _log_factorial(n_i + n_j + k_max + 2)
-        i, j, jj = np.arange(1, n_i), np.arange(1, n_j), np.arange(n_j)
+    log_h, n_i = np.array([mu]), 32
 
-        def i_terms(rows):
-            return i * log_mu - lf[i] - lf[i - 1] + lf[i + rows[:, None] - 1]
+    def i_terms(rows, n):
+        lf, i = _log_factorial(n + rows.max()), np.arange(1, n)
+        return i * log_mu - lf[i] - lf[i - 1] + lf[i + rows[:, None] - 1]
 
-        def j_terms(rows):
-            kj = rows[:, None] + jj + 1
-            return log_h + kj * log_a - lf[kj]
+    def j_terms(rows, n):
+        nonlocal log_h, n_i
+        lf = _log_factorial(n + rows.max() + 1)
+        if log_h.size < n:
+            # rows of larger j need more terms of i: these start where the last settled
+            j = np.arange(log_h.size, n)
+            i_sums, n_i = _settled_sums(i_terms, j, lam_t, n_i)
+            log_h = np.concatenate([log_h, i_sums - lf[j] - j * log_c])
+        kj = rows[:, None] + np.arange(n) + 1
+        return log_h[:n] + kj * log_a - lf[kj]
 
-        i_sums, i_done = _log_row_sums(i_terms, j, i.size)
-        log_h = np.concatenate([[mu], i_sums - lf[j] - j * log_c])
-        j_sums, j_done = _log_row_sums(j_terms, np.arange(k_max + 1), n_j)
-        if i_done and j_done:
-            return j_sums - lam_t - lf[:k_max + 1]
-        n_i, n_j = n_i * (2 - i_done), n_j * (2 - j_done)
-    raise ConvergenceError(f"Kou coefficient table needs more than {_MAX_TERMS} series terms at lam t = {lam_t:g}")
+    k = np.arange(k_max + 1)
+    return _settled_sums(j_terms, k, lam_t)[0] - lam_t - _log_factorial(k_max)[k]
 
 
 def coefficients(params: KouJumpParams, k_max: int) -> CoefficientTable:

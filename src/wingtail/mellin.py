@@ -106,11 +106,11 @@ class TailAsymptote:
         return ell ** -0.5 if self.error_order == ERROR_INV_SQRT_LOG else 1.0 / ell
 
 
-def _two_sided(integrand, ends, width: float, min_windows: int, tol: Tolerance, what: str) -> float:
-    """Integral of integrand(v) over the real line, with panel edges on the lattice width * Z and at both `ends`.
+def _two_sided(integrand, ends, width: float, min_windows: int, tol: Tolerance, what: str, cuts=()) -> float:
+    """Integral of integrand(v) over the real line, with panel edges on the lattice width * Z and at the `cuts`.
 
     The span is one call of the integrator, on its lattice panels split at
-    the ends. It runs from the last lattice point at or below the ends to the
+    the cuts. It runs from the last lattice point at or below the ends to the
     first at or above them (none when both are that one lattice point), and
     on to -far and far: far is the farther of those two lattice points from
     v = 0, but no farther than the first lattice point past the stop position
@@ -121,13 +121,16 @@ def _two_sided(integrand, ends, width: float, min_windows: int, tol: Tolerance, 
     the sweep's first call takes the same windows of each, all up to that
     reach, and each later call one window per direction: two calls of the
     integrator in all, unless a direction needs more windows. Every panel
-    but the two beside an end that is off the lattice is the same for all
-    ends.
+    but the two beside a cut that is off the lattice is the same for all
+    ends, and its nodes are the same to the bit for all ends of one span
+    (a window that one span's integrator call takes and another's sweep
+    gets nodes up to an ulp apart). So with no cuts the nodes depend only on
+    the span and on the panels the integrator bisects.
     """
     lo, hi = math.floor(min(ends) / width), math.ceil(max(ends) / width)
     far = min(max(-lo, hi), math.ceil(min_windows - 0.5))
     lo, hi = min(lo, -far), max(hi, far)
-    edges = np.union1d(np.arange(lo, hi + 1) * width, ends)
+    edges = np.union1d(np.arange(lo, hi + 1) * width, cuts)
     middle = integrate(lambda v, _: integrand(v), edges[:-1], edges[1:], tol)[0].sum() if edges.size > 1 else 0.0
     start, sign = np.array([hi, lo]) * width, np.array([1.0, -1.0])
     # the half window keeps the summed octave edges of the transform off the stop position
@@ -152,27 +155,31 @@ def mellin_transform(U, z: float) -> float:
                       f"Mellin transform at z={z}")
 
 
-def mellin_convolve(f, g, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def mellin_convolve(f, g, x: float, tol: Tolerance = DEFAULT_TOL, f_jumps_at_one: bool = True) -> float:
     """(f * g)(x) = integral_0^inf f(x/t) g(t) dt/t, in v = log t on unit panels.
 
     f and g take and return numpy arrays (the jump laws' `price_density`
-    does), and each may jump at 1: panel edges sit at t = 1 and t = x. Any
-    other jump must fall on a point that bisecting a panel reaches, or the
-    integrator raises ConvergenceError. The panels lie on the integer lattice
-    of v, with log x as one extra edge: the span between the lattice points
-    around 0 and log x, where the integrand's mass lies for factors
-    concentrated near 1, widened to the same distance on both sides of 0 (at
-    most 24), is integrated in one call, and the sweep outward from it runs
-    to |log t| > 23.5 at least, both directions alike, all of that in its
-    first call. So f and g see two calls for most x, each with all its
-    nodes. Only the two panels beside an off-lattice log x place g's nodes
-    differently for another x, so a g that remembers its values is evaluated
-    at few new nodes per x.
+    does). g may jump at 1, and f too unless f_jumps_at_one is False: panel
+    edges sit at t = 1 and, for such an f, at t = x. Any other jump must fall
+    on a point that bisecting a panel reaches, or the integrator raises
+    ConvergenceError. The panels lie on the integer lattice of v: the span
+    between the lattice points around 0 and log x, where the integrand's mass
+    lies for factors concentrated near 1, widened to the same distance on
+    both sides of 0 (at most 24), is integrated in one call, and the sweep
+    outward from it runs to |log t| > 23.5 at least, both directions alike,
+    all of that in its first call. So f and g see two calls for most x, each
+    with all its nodes. An f that may jump at 1 makes log x one extra edge,
+    and the two panels beside an off-lattice log x then place g's nodes
+    differently for another x of the same span; without that edge every
+    panel is a lattice panel. So a g that remembers its values is evaluated
+    at few new nodes per x (about 42 for the Kou density), or at none once
+    another x of the same span has filled them in (the NIG density).
     """
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"mellin_convolve requires finite x > 0, got {x}")
-    return _two_sided(lambda v: f(x / np.exp(v)) * g(np.exp(v)), (0.0, math.log(x)), 1.0, 24, tol,
-                      f"Mellin convolution at x={x}")
+    log_x = math.log(x)
+    return _two_sided(lambda v: f(x / np.exp(v)) * g(np.exp(v)), (0.0, log_x), 1.0, 24, tol,
+                      f"Mellin convolution at x={x}", (log_x,) if f_jumps_at_one else ())
 
 
 def convolve_asymptote(f_tail: TailAsymptote, strip: tuple[float, float], moment: float) -> TailAsymptote:

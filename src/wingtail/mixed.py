@@ -62,7 +62,8 @@ class MixedModel:
     The jump law is used only through its interface (`KouJumpParams` and
     `NIGParams` both provide it): `kind`, `moment_strip()`, `log_mgf(z)`,
     `cgf_derivatives(s)`, `wing_record(wing)`, `price_density(x)` (x a
-    scalar or an array), `atom_mass`, `sample_factors(stream, size)` and
+    scalar or an array), `atom_mass`, `density_jumps_at_one` (whether
+    `price_density` may jump at x = 1), `sample_factors(stream, size)` and
     `martingale_drift()`.
     Tail constants of the diffusion part are computed eagerly and stored in
     `derived`; the record is immutable after construction.
@@ -177,18 +178,22 @@ DENSITY_TOL = Tolerance(rel=1e-8, abs=1e-14)
 # The price of the diffusion factor is F * Y, with F = x0 e^(mu t) its forward
 # and Y the price of the same Heston law with mu = 0 and x0 = 1, its shape. The
 # density of Y at convolution nodes t is memoized by shape, so models that
-# differ only in drift or spot share it: mellin_convolve puts all but about 42
-# nodes of a point on panels that are the same for every x, so each shape is
-# inverted about once per node. At most MEMO_MODELS shapes are kept, the least
-# recently used dropped first, and at most MEMO_NODES nodes per shape: a
-# shape's memo is emptied before it would grow past that, and keeps nothing of
-# a call with more new nodes. A full shape holds about 1.5 MB (float keys and
-# values in a dict), so the memo stays below about 6 MB. New nodes are
-# inverted MEMO_CHUNK at a time: the first point's 1,030 in one batch raised
-# the peak resident memory by about 3 MB. A value never depends on the memo's
-# state: the inversion of a point does not depend on the other points of its
-# batch (see `window_sweep` and `integrate`). One lock guards the memo and is
-# held through an inversion, so threads on one shape invert each node once.
+# differ only in drift or spot share it. mellin_convolve places a point's nodes
+# on the unit panels of log t that its span fixes, and on their halves where
+# the integrator bisects, except for a jump law whose density may jump at 1
+# (Kou): then about 42 nodes, those of the two panels beside log x, move with
+# x. So each shape is inverted about once per node, and a smooth law's (NIG)
+# point inverts nothing once a point of the same span has been taken. At most
+# MEMO_MODELS shapes are kept, the least recently used dropped first, and at
+# most MEMO_NODES nodes per shape: a shape's memo is emptied before it would
+# grow past that, and keeps nothing of a call with more new nodes. A full shape
+# holds about 1.5 MB (float keys and values in a dict), so the memo stays below
+# about 6 MB. New nodes are inverted MEMO_CHUNK at a time: a first point's
+# 1,030 in one batch raised the peak resident memory by about 3 MB. A value
+# never depends on the memo's state: the inversion of a point does not depend
+# on the other points of its batch (see `window_sweep` and `integrate`). One
+# lock guards the memo and is held through an inversion, so threads on one
+# shape invert each node once.
 MEMO_MODELS = 4
 MEMO_NODES = 2**13
 MEMO_CHUNK = 128
@@ -248,7 +253,7 @@ def mixed_density(model: MixedModel, x: float) -> float:
     jumps = model.jumps
     if jumps is None:
         return float(diffusion(np.array([z]))[0]) / forward
-    conv = mellin_convolve(jumps.price_density, diffusion, z, DENSITY_TOL)
+    conv = mellin_convolve(jumps.price_density, diffusion, z, DENSITY_TOL, jumps.density_jumps_at_one)
     if jumps.atom_mass:
         conv += jumps.atom_mass * float(diffusion(np.array([z]))[0])
     return conv / forward

@@ -43,6 +43,7 @@ class NIGParams:
 
     kind = "nig"
     atom_mass = 0.0
+    density_jumps_at_one = False
 
     alpha: float
     delta: float

@@ -154,6 +154,8 @@ class TestConvolve:
         h = lognormal(-0.2, math.hypot(0.5, 0.8))
         for x in (0.5, 1.0, 2.5):
             assert mellin_convolve(f, g, x) == pytest.approx(h(x), rel=1e-9)
+            # a smooth f needs no panel edge at log x
+            assert mellin_convolve(f, g, x, f_jumps_at_one=False) == pytest.approx(h(x), rel=1e-9)
         # with g centred at log t = log x the integrand peaks there, at
         # |log x| = 30 past the 24 unit windows the outward sweep must pass
         tol = Tolerance(rel=1e-10, abs=1e-300)

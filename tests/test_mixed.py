@@ -225,6 +225,10 @@ class TestMixedDensity:
         x = 1.2
         assert mixed.mixed_density(nig_model, x) == pytest.approx(
             oracles.density_fourier(nig_model, x), abs=1e-6, rel=1e-5)
+        # on the lattice of the convolution, off it and deep in both wings
+        for log_x in (-10.0, -6.0, -3.0, -1.5, 0.0, 0.77, 1.5, 3.0, 6.0, 10.0):
+            x = math.exp(log_x)
+            assert mixed.mixed_density(nig_model, x) == pytest.approx(oracles.density_fourier(nig_model, x), rel=1e-13)
 
     def test_chi2_against_monte_carlo(self, kou_model, kou_sample):
         logs = np.log(kou_sample)
@@ -277,28 +281,38 @@ class TestDiffusionMemo:
         mixed.mixed_density(model, math.exp(-0.61))
         assert first > 500
         assert sum(counts) <= 0.1 * first
+        if model.jump_kind == "nig":
+            # a smooth jump density puts no edge at log x, so a point whose span
+            # [-2, 2] the memo has seen inverts nothing
+            counts[:] = []
+            mixed.mixed_density(model, math.exp(-1.61))
+            assert sum(counts) == 0
 
-    def test_long_run_stays_within_the_bound(self, nig_model, monkeypatch):
+    def test_long_run_stays_within_the_bound(self, kou_model, monkeypatch):
+        # Kou, whose density jumps at 1, puts about 42 new nodes beside log x
+        # at each point and fills past 1200 nodes by the fifth; a NIG run
+        # stays near its first point's lattice nodes
         xs = [math.exp(v) for v in np.linspace(-2.9, 3.1, 14)]
         mixed._DIFFUSION_MEMO.clear()
-        unbounded = [mixed.mixed_density(nig_model, x) for x in xs]
-        assert len(mixed._DIFFUSION_MEMO[shape_of(nig_model)]) <= mixed.MEMO_NODES
+        unbounded = [mixed.mixed_density(kou_model, x) for x in xs]
+        assert len(mixed._DIFFUSION_MEMO[shape_of(kou_model)]) <= mixed.MEMO_NODES
         monkeypatch.setattr(mixed, "MEMO_NODES", 1200)
         mixed._DIFFUSION_MEMO.clear()
         sizes, bounded = [], []
         for x in xs:
-            bounded.append(mixed.mixed_density(nig_model, x))
-            sizes.append(len(mixed._DIFFUSION_MEMO[shape_of(nig_model)]))
+            bounded.append(mixed.mixed_density(kou_model, x))
+            sizes.append(len(mixed._DIFFUSION_MEMO[shape_of(kou_model)]))
         assert max(sizes) <= 1200
         assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # it was emptied
         assert bounded == unbounded
 
-    def test_threads_share_the_memo(self, nig_model, monkeypatch):
+    def test_threads_share_the_memo(self, kou_model, monkeypatch):
         # more threads than cores, frequent switches and a bound small enough
-        # that the memo is emptied while other threads read it
+        # that the memo is emptied while other threads read it: the Kou
+        # model's second point already takes it past 1100 nodes
         xs = [math.exp(v) for v in (-1.7, -0.3, 0.8, 1.9)]
         mixed._DIFFUSION_MEMO.clear()
-        serial = [mixed.mixed_density(nig_model, x) for x in xs]
+        serial = [mixed.mixed_density(kou_model, x) for x in xs]
         monkeypatch.setattr(mixed, "MEMO_NODES", 1100)
         mixed._DIFFUSION_MEMO.clear()
         results, errors = {}, []
@@ -306,7 +320,7 @@ class TestDiffusionMemo:
         def work(i):
             try:
                 for x in xs[i:] + xs[:i]:
-                    results[i, x] = mixed.mixed_density(nig_model, x)
+                    results[i, x] = mixed.mixed_density(kou_model, x)
             except Exception as exc:  # reported through the assertion below
                 errors.append(exc)
 
@@ -323,7 +337,7 @@ class TestDiffusionMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert all(results[i, x] == want for i in range(3) for x, want in zip(xs, serial))
-        assert len(mixed._DIFFUSION_MEMO[shape_of(nig_model)]) <= 1100
+        assert len(mixed._DIFFUSION_MEMO[shape_of(kou_model)]) <= 1100
 
     def test_at_most_memo_models_parts_are_kept(self, ref_heston):
         parts = [dataclasses.replace(ref_heston, y0=0.03 + 0.002 * i) for i in range(mixed.MEMO_MODELS + 2)]
@@ -371,6 +385,7 @@ class TestJumpInterface:
     def test_members_call_the_module_functions(self, ref_kou, nig_model):
         j, n = ref_kou, nig_model.jumps
         assert (j.kind, n.kind) == ("kou", "nig")
+        assert (j.density_jumps_at_one, n.density_jumps_at_one) == (True, False)
         z = np.array([0.3 + 1.0j, -0.2 + 4.0j])
         assert np.array_equal(j.log_mgf(z), kou.log_jump_mgf(j, z))
         assert np.array_equal(n.log_mgf(z), nig.log_nig_mgf(n, z))
