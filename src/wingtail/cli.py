@@ -159,7 +159,7 @@ def cmd_constants(config: ModelConfig) -> dict:
     report = {
         "model": config.kind,
         "critical_moments": asdict(cm),
-        "tail_constants": asdict(model.derived),
+        "tail_constants": asdict(heston.tail_constants(model.heston)),
         "regimes": {
             "large_wing": _regime_field(model, WING_LARGE),
             "small_wing": _regime_field(model, WING_SMALL),

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, MomentExplosionError, SearchError
-from .mellin import AT_INFINITY, ERROR_INV_SQRT_LOG, TailAsymptote, side_of
+from .mellin import AT_INFINITY, AT_ZERO, ERROR_INV_SQRT_LOG, TailAsymptote, side_of
 from .numerics import Tolerance, complex_namespace, find_root, inf_past_double, moment_from_log, require_finite
 
 __all__ = [
@@ -114,9 +114,7 @@ class HestonTailConstants:
     B1t: float
 
     def __post_init__(self):
-        for name in ("A1", "A2", "A3", "A1t", "A2t", "A3t", "B1", "B1t"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be positive and within the double range, got {getattr(self, name)}")
+        _refuse_out_of_range(vars(self))
 
 
 def _beta(p: HestonParams, s: float) -> float:
@@ -132,23 +130,20 @@ def _discriminant(p: HestonParams, s: float) -> float:
 def explosion_time(params: HestonParams, s: float) -> float:
     """First horizon at which E[X_t^s] becomes infinite; +inf if it never does.
 
-    Branches of the closed form: no explosion for s in [0, 1]; no explosion
-    when the discriminant is >= 0 with beta < 0; logarithmic formula for
-    discriminant >= 0 with beta > 0; arctangent formula for negative
+    No explosion for s in [0, 1], nor where the discriminant is >= 0; else the
+    arctangent formula of the negative discriminant. The logarithmic branch of
+    the general closed form (discriminant > 0 with beta > 0) cannot occur for
+    rho <= 0, b >= 0, c > 0: for s > 1, beta = c rho s - b <= 0; for s < 0,
+    beta > 0 forces beta^2 <= rho^2 c^2 s^2 < c^2 (s^2 - s), a negative
     discriminant.
     """
     if 0.0 <= s <= 1.0:
         return math.inf
-    beta = _beta(params, s)
     delta = _discriminant(params, s)
     if delta >= 0.0:
-        if beta <= 0.0:
-            return math.inf
-        root = math.sqrt(delta)
-        # beta > sqrt(delta) is automatic here since s^2 - s > 0
-        return math.log((beta + root) / (beta - root)) / root
+        return math.inf
     m = math.sqrt(-delta)
-    return 2.0 / m * (0.5 * math.pi - math.atan(beta / m))
+    return 2.0 / m * (0.5 * math.pi - math.atan(_beta(params, s) / m))
 
 
 def explosion_time_slope(params: HestonParams, s: float) -> float:
@@ -348,20 +343,13 @@ def mgf(params: HestonParams, s: float) -> float:
 
 
 def _sinh_bracket(params: HestonParams, s: float) -> float:
-    """sqrt(q)/sinh(t/2 sqrt(q)) for q the quadratic discriminant at s.
-
-    For q < 0 (the generic case at a critical moment) this continues to
-    sqrt(-q)/sin(t/2 sqrt(-q)), which is the same analytic function of q.
+    """sqrt(q)/sinh(t/2 sqrt(q)) for q the quadratic discriminant at s, as the
+    same analytic function sqrt(-q)/sin(t/2 sqrt(-q)): at a critical moment
+    T*(s) = t is finite, which `explosion_time` is only for q < 0. A sine that
+    is not positive (q >= 0 reads as sin 0) means an inconsistent critical moment.
     """
-    q = _discriminant(params, s)
-    t = params.t
-    if q > 0:
-        r = math.sqrt(q)
-        return r / math.sinh(0.5 * t * r)
-    if q == 0:
-        return 2.0 / t
-    r = math.sqrt(-q)
-    sn = math.sin(0.5 * t * r)
+    r = math.sqrt(max(-_discriminant(params, s), 0.0))
+    sn = math.sin(0.5 * params.t * r)
     if sn <= 0:
         raise SearchError(
             f"sin continuation of the sinh bracket is non-positive at s={s}; "
@@ -370,58 +358,58 @@ def _sinh_bracket(params: HestonParams, s: float) -> float:
     return r / sn
 
 
-@lru_cache(maxsize=256)
-def tail_constants(params: HestonParams) -> HestonTailConstants:
-    """The eight wing constants A1-A3, their tilded twins, and B1/B1t.
+# the names of a wing's constants (A, A2, A3, B) on each side
+_SIDE_NAMES = {AT_INFINITY: ("A1", "A2", "A3", "B1"), AT_ZERO: ("A1t", "A2t", "A3t", "B1t")}
 
-    B1 and B1t fold the initial price and drift into the prefactors via the
-    scaling X_t = (x0 e^{mu t}) * X_t^0: with M = x0 e^{mu t} the density obeys
-    D(x) = D^0(x/M)/M, which gives B1 = A1 * M^(A3-1) and B1t = A1t * M^(-A3t-1)
-    (the exponents are the critical moments s+ and s-). For M = 1 they reduce
-    to A1 and A1t exactly. A constant past the double range comes out as inf,
-    which the record refuses by name.
+
+def _refuse_out_of_range(constants: dict[str, float]) -> None:
+    for name, value in constants.items():
+        if not 0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and within the double range, got {value}")
+
+
+def _side_constants(params: HestonParams, side: str) -> dict[str, float]:
+    """The constants (A, A2, A3, B) of the wing on `side`, keyed by their names.
+
+    With s the wing's critical moment (s+ at infinity, s- at zero), A3 is its
+    power, s+ + 1 or -(s- + 1). With M = x0 e^{mu t}, X_t = M X_t^0 gives
+    D(x) = D^0(x/M)/M, so B = A M^s. A is the exp of one log sum and B is
+    exp(log A + s log M): only a constant itself past the double range comes
+    out as inf or 0, for the caller to refuse by name. For M = 1, B = A.
     """
     cm = critical_moments(params)
     a, c, t, y0 = params.a, params.c, params.t, params.y0
     c2 = c * c
     ac2 = a / c2
+    if side == AT_INFINITY:
+        s, sigma, kappa, power = cm.s_plus, cm.sigma_plus, cm.kappa_plus, cm.s_plus + 1.0
+    else:
+        s, sigma, kappa, power = cm.s_minus, cm.sigma_minus, cm.kappa_minus, -(cm.s_minus + 1.0)
+    beta = _beta(params, s)
+    bracket = 2.0 * _sinh_bracket(params, s) / (c2 * s * (s - 1.0))
+    log_a = (-0.5 * math.log(math.pi) - (0.75 + ac2) * math.log(2.0) + (0.25 - ac2) * math.log(y0)
+             + (2.0 * ac2 - 0.5) * math.log(c) - (ac2 + 0.25) * math.log(sigma)
+             - y0 * (beta / c2 + kappa / (c2 * sigma * sigma)) - a * t / c2 * beta + 2.0 * ac2 * math.log(bracket))
+    log_forward = math.log(params.x0) + params.mu * t
+    A = inf_past_double(lambda: math.exp(log_a))
+    A2 = 2.0 * math.sqrt(2.0 * y0) / c / math.sqrt(sigma)
+    B = inf_past_double(lambda: math.exp(log_a + s * log_forward))
+    return dict(zip(_SIDE_NAMES[side], (A, A2, power, B)))
 
-    def one_side(s, sigma, kappa):
-        beta = _beta(params, s)
-        pref = (
-            (1.0 / math.sqrt(math.pi))
-            * 2.0 ** (-0.75 - ac2)
-            * y0 ** (0.25 - ac2)
-            * c ** (2.0 * ac2 - 0.5)
-            * sigma ** (-ac2 - 0.25)
-        )
-        expo = math.exp(-y0 * (beta / c2 + kappa / (c2 * sigma * sigma)) - a * t / c2 * beta)
-        bracket = 2.0 * _sinh_bracket(params, s) / (c2 * s * (s - 1.0))
-        return pref * expo * bracket ** (2.0 * ac2)
 
-    A1 = inf_past_double(lambda: one_side(cm.s_plus, cm.sigma_plus, cm.kappa_plus))
-    A1t = inf_past_double(lambda: one_side(cm.s_minus, cm.sigma_minus, cm.kappa_minus))
-    A2 = 2.0 * math.sqrt(2.0 * y0) / c / math.sqrt(cm.sigma_plus)
-    A2t = 2.0 * math.sqrt(2.0 * y0) / c / math.sqrt(cm.sigma_minus)
-    A3 = cm.s_plus + 1.0
-    A3t = -(cm.s_minus + 1.0)
-    M = params.forward
-    B1 = inf_past_double(lambda: A1 * M ** (A3 - 1.0))
-    B1t = inf_past_double(lambda: A1t * M ** (-A3t - 1.0))
-    return HestonTailConstants(A1=A1, A2=A2, A3=A3, A1t=A1t, A2t=A2t, A3t=A3t, B1=B1, B1t=B1t)
+@lru_cache(maxsize=256)
+def tail_constants(params: HestonParams) -> HestonTailConstants:
+    """The eight wing constants A1-A3, their tilded twins, and B1/B1t: the
+    constants of the two wings (see `_side_constants`) put together."""
+    return HestonTailConstants(**_side_constants(params, AT_INFINITY), **_side_constants(params, AT_ZERO))
 
 
 def wing_record(params: HestonParams, wing: str) -> TailAsymptote:
-    """Density asymptote on the large (x -> inf) or small (x -> 0) wing."""
-    k = tail_constants(params)
+    """Density asymptote on the large (x -> inf) or small (x -> 0) wing, from the
+    constants of that wing only; it refuses by name one of them outside (0, inf)."""
     side = side_of(wing)
-    r1, r2, r3 = (k.B1, k.A2, k.A3) if side == AT_INFINITY else (k.B1t, k.A2t, k.A3t)
-    return TailAsymptote(
-        r1=r1,
-        r2=r2,
-        r3=r3,
-        r4=-0.75 + params.a / params.c**2,
-        side=side,
-        error_order=ERROR_INV_SQRT_LOG,
-    )
-
+    constants = _side_constants(params, side)
+    _refuse_out_of_range(constants)
+    _, A2, A3, B = constants.values()
+    return TailAsymptote(r1=B, r2=A2, r3=A3, r4=-0.75 + params.a / params.c**2, side=side,
+                         error_order=ERROR_INV_SQRT_LOG)

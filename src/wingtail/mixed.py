@@ -10,13 +10,13 @@ import math
 import sys
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import heston as _heston
 from .errors import DegenerateRegimeError, DomainError
-from .heston import HestonParams, HestonTailConstants
+from .heston import HestonParams
 from .kou import KouJumpParams
 from .mellin import WING_LARGE, WING_SMALL, TailAsymptote, convolve_asymptote, mellin_convolve, side_of
 from .nig import NIGParams
@@ -64,21 +64,18 @@ class MixedModel:
     `cgf_derivatives(s)`, `wing_record(wing)`, `price_density(x)` (x a
     scalar or an array), `atom_mass`, `density_jumps_at_one` (whether
     `price_density` may jump at x = 1), `sample_factors(stream, size)` and
-    `martingale_drift()`.
-    Tail constants of the diffusion part are computed eagerly and stored in
-    `derived`; the record is immutable after construction.
+    `martingale_drift()`. A model is just its two factors: each wing record
+    of either is formed when its wing is read, from that wing's constants only.
     """
 
     heston: HestonParams
     jumps: KouJumpParams | NIGParams | None = None
-    derived: HestonTailConstants = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.jumps is not None and abs(self.jumps.t - self.heston.t) > 1e-12 * max(1.0, self.heston.t):
             raise DomainError(
                 f"component horizons differ: diffusion t={self.heston.t}, jumps t={self.jumps.t}"
             )
-        object.__setattr__(self, "derived", _heston.tail_constants(self.heston))
 
     @property
     def jump_kind(self) -> str | None:
@@ -130,17 +127,19 @@ def classify_wing(model: MixedModel, wing: str) -> WingRegime:
     Large wing: the mixed density decays like x^(-e) with e the smaller of
     the diffusion power A3 and the jump power; the component attaining the
     smaller power dominates. Small wing: densities grow like x^(+e) with the
-    smaller exponent dominating likewise. The jump powers are read off the
-    jump moment strip (lo, hi): hi + 1 at infinity and -lo - 1 at zero.
+    smaller exponent dominating likewise. The powers are read off the moment
+    strips (lo, hi), Heston's (s-, s+) and the jump law's: hi + 1 at infinity
+    and -(lo + 1) at zero.
     """
     side_of(wing)  # refuses an unknown wing
     if model.jumps is None:
         return WingRegime(wing=wing, dominant=DOMINANT_DIFFUSION, margin=math.inf)
+    cm = _heston.critical_moments(model.heston)
     jump_lo, jump_hi = model.jumps.moment_strip()
     if wing == WING_LARGE:
-        diff_exp, jump_exp = model.derived.A3, jump_hi + 1.0
+        diff_exp, jump_exp = cm.s_plus + 1.0, jump_hi + 1.0
     else:
-        diff_exp, jump_exp = model.derived.A3t, -jump_lo - 1.0
+        diff_exp, jump_exp = -(cm.s_minus + 1.0), -jump_lo - 1.0
     gap = diff_exp - jump_exp
     scale = max(1.0, abs(diff_exp), abs(jump_exp))
     if abs(gap) <= DEGENERACY_RTOL * scale:

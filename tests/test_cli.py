@@ -241,7 +241,7 @@ class TestConstantsCommand:
 
     def test_degenerate_config_reported(self, tmp_path):
         config = cli.load_config(REFERENCE_KOU)
-        a3 = config.model.derived.A3
+        a3 = heston.tail_constants(config.model.heston).A3
         payload = json.loads(json.dumps(BASE_CONFIG))
         payload["heston"]["mu"] = 0.0
         payload["kou"]["eta1"] = a3 - 1.0

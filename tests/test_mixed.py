@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from wingtail import cli, heston, kou, mellin, mixed, nig, oracles
@@ -50,8 +52,18 @@ class TestModel:
         with pytest.raises(DomainError, match="horizon"):
             MixedModel(heston=ref_heston, jumps=j)
 
-    def test_derived_constants_eager(self, kou_model):
-        assert kou_model.derived.A3 == heston.tail_constants(kou_model.heston).A3
+    def test_builds_without_the_heston_tail_constants(self, monkeypatch, ref_heston, ref_kou):
+        # a model is just its two factors: building, classifying and inverting
+        # one, and its Heston wing records, never form the eight-constant record
+        def refuse(params):
+            raise AssertionError("heston.tail_constants called")
+
+        monkeypatch.setattr(heston, "tail_constants", refuse)
+        model = MixedModel(heston=ref_heston, jumps=ref_kou)
+        large, small = classify(model)
+        assert large.dominant == DOMINANT_JUMP and small.dominant == DOMINANT_JUMP
+        assert math.isfinite(oracles.log_density_fourier_logx(model, 0.1))
+        assert heston.wing_record(ref_heston, WING_LARGE).r3 == heston.critical_moments(ref_heston).s_plus + 1.0
 
     def test_moment_strip_intersection(self, kou_model):
         lo, hi = kou_model.moment_strip()
@@ -69,7 +81,7 @@ class TestClassify:
     def test_jump_dominant_when_exponent_smaller(self, kou_model):
         large, small = classify(kou_model)
         assert large.dominant == DOMINANT_JUMP and small.dominant == DOMINANT_JUMP
-        assert large.margin == pytest.approx(kou_model.derived.A3 - 3.0)
+        assert large.margin == pytest.approx(heston.tail_constants(kou_model.heston).A3 - 3.0)
 
     def test_diffusion_dominant_when_exponent_larger(self):
         model = make_kou_model(eta1=15.0, eta2=8.0)
@@ -114,7 +126,7 @@ class TestTailAsymptotes:
     def test_diffusion_dominant_record(self):
         model = make_kou_model(eta1=15.0, eta2=8.0)
         rec = mixed.mixed_asymptote(model, WING_LARGE)
-        k = model.derived
+        k = heston.tail_constants(model.heston)
         assert rec.r3 == k.A3 and rec.r2 == k.A2
         assert rec.r4 == pytest.approx(-0.75 + model.heston.a / model.heston.c**2)
         assert rec.r1 == pytest.approx(model.jump_moment(k.A3 - 1.0) * k.B1, rel=1e-14)
@@ -427,3 +439,68 @@ class TestMomentOverflow:
         }[case]
         with pytest.raises(MomentExplosionError, match=re.escape(f"moment of order {order} overflows")):
             moment(order)
+
+
+# a Heston box wider than the benchmark's, with a horizon from 0.01 to 30 and
+# rho in (-1, 0]; perfbench's boxes (tests/benchmark_boxes.py) stay its own
+WIDE_HESTON_BOX = dict(a=(0.2, 3.0), b=(0.0, 4.0), c=(0.1, 1.5), rho=(-1.0, 0.0), y0=(0.01, 0.2), t=(0.01, 30.0))
+WING_CONSTANTS = {WING_LARGE: ("A1", "A2", "A3", "B1"), WING_SMALL: ("A1t", "A2t", "A3t", "B1t")}
+
+
+def own_wing_record(params, wing):
+    """heston.wing_record(params, wing), or the name of the constant of that
+    wing it refuses; a refusal naming anything else fails."""
+    try:
+        return heston.wing_record(params, wing)
+    except DomainError as exc:
+        name = str(exc).split()[0]
+        assert name in WING_CONSTANTS[wing], str(exc)
+        return name
+
+
+def wide_model(jumps, **heston_fields):
+    """A model of the wide box: the reference Kou or NIG law (or none) at the
+    Heston part's horizon, at its martingale drift."""
+    t = heston_fields["t"]
+    law = {None: None, "kou": KouJumpParams(lam=1.0, eta1=2.0, eta2=1.0, p=0.5, q=0.5, t=t),
+           "nig": NIGParams(alpha=2.0, delta=1.0, t=t)}[jumps]
+    mu = 0.0 if law is None else law.martingale_drift()
+    return MixedModel(heston=HestonParams(mu=mu, x0=1.0, **heston_fields), jumps=law)
+
+
+class TestWideHestonBox:
+    @seed(5)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(fields=st.fixed_dictionaries({key: st.floats(lo, hi, exclude_min=key == "rho")
+                                         for key, (lo, hi) in WIDE_HESTON_BOX.items()}),
+           jumps=st.sampled_from([None, "kou", "nig"]))
+    def test_every_draw_builds_classifies_and_inverts(self, fields, jumps):
+        model = wide_model(jumps, **fields)
+        classify(model)
+        assert math.isfinite(oracles.log_density_fourier_logx(model, 0.1 * math.sqrt(model.t)))
+        for wing in (WING_LARGE, WING_SMALL):
+            own_wing_record(model.heston, wing)
+
+    def test_small_wing_refuses_a3t_alone(self):
+        # s- = -0.8748 > -1: the small-wing power A3t = -(s- + 1) is negative,
+        # and only the small-wing record refuses, naming it
+        model = wide_model(None, a=1.979, b=1.506, c=1.218, rho=-0.192, y0=0.084, t=5.95)
+        assert heston.critical_moments(model.heston).s_minus == pytest.approx(-0.8748, abs=1e-4)
+        assert own_wing_record(model.heston, WING_LARGE).side == mellin.AT_INFINITY
+        assert own_wing_record(model.heston, WING_SMALL) == "A3t"
+
+    def test_small_vol_of_vol_oracles(self):
+        # c = 0.07 on the reference Heston part: a model builds and every
+        # oracle runs, and the Kou model's jump-dominated wings need only
+        # Heston moments
+        pure = wide_model(None, a=1.0, b=2.0, c=0.07, rho=-0.3, y0=0.04, t=1.0)
+        assert oracles.density_fourier(pure, 1.2) == mixed.mixed_density(pure, 1.2)
+        assert mixed.mixed_density(pure, 1.2) == pytest.approx(0.5071452391179339, rel=1e-13)
+        assert 0.0 < oracles.call_fourier(pure, 1.0) < 1.0
+        assert np.all(oracles.simulate_paths(pure, 1000, 50, RngStream(1)) > 0)
+        model = wide_model("kou", a=1.0, b=2.0, c=0.07, rho=-0.3, y0=0.04, t=1.0)
+        for wing in (WING_LARGE, WING_SMALL):
+            assert mixed.classify_wing(model, wing).dominant == DOMINANT_JUMP
+            assert mixed.mixed_asymptote(model, wing).r1 > 0
+        assert mixed.mixed_density(model, 0.8) == pytest.approx(0.5969142811522055, rel=1e-13)
+        assert float(oracles.density_fourier(model, 0.8)) == pytest.approx(0.5969142811522026, rel=1e-13)

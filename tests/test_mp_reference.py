@@ -1,5 +1,6 @@
-"""A 30-digit reference for the Fourier density oracle, and a 50-digit one
-for the Heston log-moment around its double roots.
+"""A 30-digit reference for the Fourier density oracle, and 50-digit ones
+for the Heston log-moment around its double roots and for the Heston wing
+prefactors.
 
 The reference inverts the product characteristic function of the mixed model
 with mpmath at 30 significant digits (its `mp` context, not the double
@@ -97,3 +98,45 @@ class TestHestonDoubleRoot:
                 want = _heston_log_moment(h, mp.mpc(zi))
                 for got in (heston.log_mgf(h, complex(zi)), from_array):
                     assert abs(got - want) <= 5e-15 * max(1, abs(want)), zi
+
+
+class TestHestonWingPrefactors:
+    """The prefactors A and B = A M^s of both Heston wings against 50 digits of
+    the product formula (Friz, Gerhold, Gulisashvili and Sturm 2011), at the
+    engine's critical-moment record: within 1e-13 relative, also where A1t is
+    near the bottom of the double range and its power-by-power product would
+    pass through values outside it."""
+
+    PARAMS = {
+        "reference": HestonParams(mu=-0.25, a=1.0, b=2.0, c=0.5, rho=-0.3, x0=1.0, y0=0.04, t=1.0),
+        "short": HestonParams(mu=0.0, a=0.6, b=1.0, c=0.1, rho=-0.3, x0=1.0, y0=0.02, t=0.01),
+    }
+
+    @staticmethod
+    def _prefactors(h, s, sigma, kappa):
+        with mp.workdps(50):
+            a, b, c, rho, y0, t = (mp.mpf(v) for v in (h.a, h.b, h.c, h.rho, h.y0, h.t))
+            s, sigma, kappa = mp.mpf(s), mp.mpf(sigma), mp.mpf(kappa)
+            c2 = c * c
+            ac2 = a / c2
+            beta = c * rho * s - b
+            r = mp.sqrt(c2 * (s * s - s) - beta * beta)
+            bracket = 2 * r / mp.sin(t * r / 2) / (c2 * s * (s - 1))
+            A = (mp.mpf(2) ** (-mp.mpf(3) / 4 - ac2) * y0 ** (mp.mpf(1) / 4 - ac2) * c ** (2 * ac2 - mp.mpf(1) / 2)
+                 * sigma ** (-ac2 - mp.mpf(1) / 4) / mp.sqrt(mp.pi)
+                 * mp.exp(-y0 * (beta / c2 + kappa / (c2 * sigma * sigma)) - a * t / c2 * beta) * bracket ** (2 * ac2))
+            return A, A * (mp.mpf(h.x0) * mp.exp(mp.mpf(h.mu) * t)) ** s
+
+    @pytest.mark.parametrize("name", sorted(PARAMS))
+    def test_matches_fifty_digits(self, name):
+        h = self.PARAMS[name]
+        cm, k = heston.critical_moments(h), heston.tail_constants(h)
+        for got, moment in (((k.A1, k.B1), (cm.s_plus, cm.sigma_plus, cm.kappa_plus)),
+                            ((k.A1t, k.B1t), (cm.s_minus, cm.sigma_minus, cm.kappa_minus))):
+            for value, want in zip(got, self._prefactors(h, *moment)):
+                assert abs(value / want - 1) <= 1e-13, (name, value, want)
+
+    def test_short_horizon_values(self):
+        k = heston.tail_constants(self.PARAMS["short"])
+        assert k.A1 == pytest.approx(1.36759618896033e-14, rel=1e-13)
+        assert k.A1t == pytest.approx(5.69439947398256e-228, rel=1e-13)
