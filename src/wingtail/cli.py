@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import acceptance, heston, kou, mixed, oracles, smile
-from .errors import DegenerateRegimeError, RegimeGuardError, WingtailError
+from .errors import DegenerateRegimeError, DomainError, RegimeGuardError, WingtailError
 from .heston import HestonParams
 from .kou import KouJumpParams
 from .mixed import MixedModel, WING_LARGE, WING_SMALL
@@ -153,18 +153,33 @@ def _regime_field(model: MixedModel, wing: str) -> dict:
 
 
 def cmd_constants(config: ModelConfig) -> dict:
-    """Critical moments, wing constants, per-wing regimes, leading coefficients."""
+    """Critical moments, wing constants, per-wing regimes, leading coefficients.
+
+    Each Heston wing whose constants are all in (0, inf) reports them; the
+    report names the refusal of any other (`tail_constants_refused`), and a
+    model with neither wing is refused.
+    """
     model = config.model
     cm = heston.critical_moments(model.heston)
+    constants, refused = {}, {}
+    for wing in (WING_LARGE, WING_SMALL):
+        try:
+            constants.update(heston.wing_constants(model.heston, wing))
+        except DomainError as exc:
+            refused[f"{wing}_wing"] = str(exc)
+    if not constants:
+        raise DomainError(f"neither Heston wing has its constants: {'; '.join(refused.values())}")
     report = {
         "model": config.kind,
         "critical_moments": asdict(cm),
-        "tail_constants": asdict(heston.tail_constants(model.heston)),
+        "tail_constants": constants,
         "regimes": {
             "large_wing": _regime_field(model, WING_LARGE),
             "small_wing": _regime_field(model, WING_SMALL),
         },
     }
+    if refused:
+        report["tail_constants_refused"] = refused
     for wing in (WING_LARGE, WING_SMALL):
         try:
             report[f"{wing}_wing_asymptote"] = asdict(mixed.mixed_asymptote(model, wing))

@@ -32,6 +32,7 @@ __all__ = [
     "mgf",
     "log_mgf",
     "cgf_derivatives",
+    "wing_constants",
     "wing_record",
 ]
 
@@ -404,12 +405,17 @@ def tail_constants(params: HestonParams) -> HestonTailConstants:
     return HestonTailConstants(**_side_constants(params, AT_INFINITY), **_side_constants(params, AT_ZERO))
 
 
+def wing_constants(params: HestonParams, wing: str) -> dict[str, float]:
+    """The constants (A, A2, A3, B) of the large or the small wing, keyed by their
+    names (A1 ... B1 or A1t ... B1t); refuses by name one of them outside (0, inf)."""
+    constants = _side_constants(params, side_of(wing))
+    _refuse_out_of_range(constants)
+    return constants
+
+
 def wing_record(params: HestonParams, wing: str) -> TailAsymptote:
     """Density asymptote on the large (x -> inf) or small (x -> 0) wing, from the
-    constants of that wing only; it refuses by name one of them outside (0, inf)."""
-    side = side_of(wing)
-    constants = _side_constants(params, side)
-    _refuse_out_of_range(constants)
-    _, A2, A3, B = constants.values()
-    return TailAsymptote(r1=B, r2=A2, r3=A3, r4=-0.75 + params.a / params.c**2, side=side,
+    constants of that wing only (`wing_constants`)."""
+    _, A2, A3, B = wing_constants(params, wing).values()
+    return TailAsymptote(r1=B, r2=A2, r3=A3, r4=-0.75 + params.a / params.c**2, side=side_of(wing),
                          error_order=ERROR_INV_SQRT_LOG)

@@ -106,38 +106,38 @@ class TailAsymptote:
         return ell ** -0.5 if self.error_order == ERROR_INV_SQRT_LOG else 1.0 / ell
 
 
-def _two_sided(integrand, ends, width: float, min_windows: int, tol: Tolerance, what: str, cuts=()) -> float:
+def _two_sided(integrand, cover, width: float, tol: Tolerance, what: str, *, cuts=(), reach: float = 0.0,
+               per_call: int = 1) -> float:
     """Integral of integrand(v) over the real line, with panel edges on the lattice width * Z and at the `cuts`.
 
     The span is one call of the integrator, on its lattice panels split at
-    the cuts. It runs from the last lattice point at or below the ends to the
-    first at or above them (none when both are that one lattice point), and
-    on to -far and far: far is the farther of those two lattice points from
-    v = 0, but no farther than the first lattice point past the stop position
-    (min_windows - 1/2) * width. The two directions outward from the span
-    are the two points of one window sweep, in windows of `width`; a
-    direction may stop only once it reaches |v| past the stop position. The
-    two directions start equally far out, or both past the stop position, so
-    the sweep's first call takes the same windows of each, all up to that
-    reach, and each later call one window per direction: two calls of the
-    integrator in all, unless a direction needs more windows. Every panel
-    but the two beside a cut that is off the lattice is the same for all
-    ends, and its nodes are the same to the bit for all ends of one span
-    (a window that one span's integrator call takes and another's sweep
-    gets nodes up to an ulp apart). So with no cuts the nodes depend only on
-    the span and on the panels the integrator bisects.
+    the cuts. It runs from the last lattice point at or below the cover, an
+    interval that holds 0 and the cuts, to the first at or above it (no span
+    when that is one lattice point). The two directions outward from the
+    span are the two points of one window sweep in windows of `width`, in
+    u = |v|. The sweep's first integrator call takes per_call windows of each
+    direction, or as many as reach |v| = reach, and each later call per_call
+    windows of each direction still running. A direction stops after two
+    negligible windows in a row that end past |v| = reach and past the
+    windows of its first call: it sums every window the first call took,
+    since an absolute tolerance can call the first windows past a span that
+    holds the mass of a small integral negligible.
+    The span's lattice panels, and the sweep's windows in u = |v|, take their
+    nodes by one formula (mid + half * node, from exact edges): so the nodes
+    of a lattice panel are the same to the bit whichever path takes it, and
+    with no cuts the nodes depend only on the panels taken and on those the
+    integrator bisects.
     """
-    lo, hi = math.floor(min(ends) / width), math.ceil(max(ends) / width)
-    far = min(max(-lo, hi), math.ceil(min_windows - 0.5))
-    lo, hi = min(lo, -far), max(hi, far)
-    edges = np.union1d(np.arange(lo, hi + 1) * width, cuts)
+    lo, hi = math.floor(min(cover) / width), math.ceil(max(cover) / width)
+    # a sorted set of Python floats: numpy's set routines import numpy.ma
+    edges = np.array(sorted({*(np.arange(lo, hi + 1) * width).tolist(), *cuts}))
     middle = integrate(lambda v, _: integrand(v), edges[:-1], edges[1:], tol)[0].sum() if edges.size > 1 else 0.0
-    start, sign = np.array([hi, lo]) * width, np.array([1.0, -1.0])
-    # the half window keeps the summed octave edges of the transform off the stop position
-    stop_at = np.maximum((min_windows - 0.5) * width - np.abs(start), 0.0)
-    totals = window_sweep(lambda u, point: integrand(start[point, None] + sign[point, None] * u), np.full(2, width),
-                          stop_at, tol, lambda i: f"{what}, v {'><'[i]} {start[i]:.6g}",
-                          growth=1.0, stop_run=2, per_call=1)
+    ends, sign = np.array([hi, lo]) * width, np.array([1.0, -1.0])
+    start = np.abs(ends)
+    stop_at = np.maximum(start + (per_call - 0.5) * width, reach)
+    totals = window_sweep(lambda u, point: integrand(sign[point, None] * u), np.full(2, width), stop_at, tol,
+                          lambda i: f"{what}, v {'><'[i]} {ends[i]:.6g}", growth=1.0, stop_run=2,
+                          per_call=per_call, start=start)
     return float(middle + totals[0] + totals[1])
 
 
@@ -148,38 +148,48 @@ def mellin_transform(U, z: float) -> float:
     """MU(z) = integral_0^inf t^(-z-1) U(t) dt to TRANSFORM_TOL, in v = log t over octaves of t.
 
     U takes and returns numpy arrays; it may jump at t = 1, a window edge.
+    Both directions sweep out from t = 1 to 40 octaves before they may stop.
     Raises DivergenceError when the windowed partial sums keep growing, which
     is how an evaluation outside the convergence strip shows up numerically.
     """
-    return _two_sided(lambda v: np.exp(-z * v) * U(np.exp(v)), (0.0, 0.0), math.log(2.0), 40, TRANSFORM_TOL,
-                      f"Mellin transform at z={z}")
+    # the half window keeps the summed octave edges off the stop position
+    octave = math.log(2.0)
+    return _two_sided(lambda v: np.exp(-z * v) * U(np.exp(v)), (0.0, 0.0), octave, TRANSFORM_TOL,
+                      f"Mellin transform at z={z}", reach=39.5 * octave)
 
 
-def mellin_convolve(f, g, x: float, tol: Tolerance = DEFAULT_TOL, f_jumps_at_one: bool = True) -> float:
+# windows of each direction in each integrator call of a convolution's outward sweep
+SWEEP_WINDOWS = 6
+
+
+def mellin_convolve(f, g, x: float, tol: Tolerance = DEFAULT_TOL, f_jumps_at_one: bool = True,
+                    cover: tuple[float, float] = (0.0, 0.0)) -> float:
     """(f * g)(x) = integral_0^inf f(x/t) g(t) dt/t, in v = log t on unit panels.
 
     f and g take and return numpy arrays (the jump laws' `price_density`
     does). g may jump at 1, and f too unless f_jumps_at_one is False: panel
     edges sit at t = 1 and, for such an f, at t = x. Any other jump must fall
     on a point that bisecting a panel reaches, or the integrator raises
-    ConvergenceError. The panels lie on the integer lattice of v: the span
-    between the lattice points around 0 and log x, where the integrand's mass
-    lies for factors concentrated near 1, widened to the same distance on
-    both sides of 0 (at most 24), is integrated in one call, and the sweep
-    outward from it runs to |log t| > 23.5 at least, both directions alike,
-    all of that in its first call. So f and g see two calls for most x, each
-    with all its nodes. An f that may jump at 1 makes log x one extra edge,
-    and the two panels beside an off-lattice log x then place g's nodes
-    differently for another x of the same span; without that edge every
-    panel is a lattice panel. So a g that remembers its values is evaluated
-    at few new nodes per x (about 42 for the Kou density), or at none once
-    another x of the same span has filled them in (the NIG density).
+    ConvergenceError. The panels lie on the integer lattice of v. The span
+    between the lattice points around 0, log x and the `cover` (an interval
+    of v that holds the integrand's mass; 0 and log x alone suit factors
+    concentrated near 1) is integrated in one call, and the sweep outward
+    from its ends takes SWEEP_WINDOWS unit windows of each direction per
+    call, until two in a row are negligible. So f and g see two calls for
+    most x, each with all its nodes. An f that may jump at 1 makes log x one
+    extra edge, and the two panels beside an off-lattice log x then place
+    g's nodes differently for another x; without that edge every panel is a
+    lattice panel, with the same nodes whether the span or the sweep takes
+    it. So a g that remembers its values is evaluated at few new nodes per x
+    (those of the panels beside log x, for the Kou density), or at none once
+    other points have taken all of its panels (the NIG density).
     """
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"mellin_convolve requires finite x > 0, got {x}")
     log_x = math.log(x)
-    return _two_sided(lambda v: f(x / np.exp(v)) * g(np.exp(v)), (0.0, log_x), 1.0, 24, tol,
-                      f"Mellin convolution at x={x}", (log_x,) if f_jumps_at_one else ())
+    return _two_sided(lambda v: f(x / np.exp(v)) * g(np.exp(v)), (0.0, log_x, *cover), 1.0, tol,
+                      f"Mellin convolution at x={x}", cuts=(log_x,) if f_jumps_at_one else (),
+                      per_call=SWEEP_WINDOWS)
 
 
 def convolve_asymptote(f_tail: TailAsymptote, strip: tuple[float, float], moment: float) -> TailAsymptote:

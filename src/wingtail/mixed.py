@@ -11,6 +11,7 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,7 +19,8 @@ from . import heston as _heston
 from .errors import DegenerateRegimeError, DomainError
 from .heston import HestonParams
 from .kou import KouJumpParams
-from .mellin import WING_LARGE, WING_SMALL, TailAsymptote, convolve_asymptote, mellin_convolve, side_of
+from .mellin import (SWEEP_WINDOWS, WING_LARGE, WING_SMALL, TailAsymptote, convolve_asymptote, mellin_convolve,
+                     side_of)
 from .nig import NIGParams
 from .numerics import Tolerance, moment_from_log
 
@@ -178,21 +180,22 @@ DENSITY_TOL = Tolerance(rel=1e-8, abs=1e-14)
 # and Y the price of the same Heston law with mu = 0 and x0 = 1, its shape. The
 # density of Y at convolution nodes t is memoized by shape, so models that
 # differ only in drift or spot share it. mellin_convolve places a point's nodes
-# on the unit panels of log t that its span fixes, and on their halves where
-# the integrator bisects, except for a jump law whose density may jump at 1
-# (Kou): then about 42 nodes, those of the two panels beside log x, move with
-# x. So each shape is inverted about once per node, and a smooth law's (NIG)
-# point inverts nothing once a point of the same span has been taken. At most
-# MEMO_MODELS shapes are kept, the least recently used dropped first, and at
-# most MEMO_NODES nodes per shape: a shape's memo is emptied before it would
-# grow past that, and keeps nothing of a call with more new nodes. A full shape
-# holds about 1.5 MB (float keys and values in a dict), so the memo stays below
-# about 6 MB. New nodes are inverted MEMO_CHUNK at a time: a first point's
-# 1,030 in one batch raised the peak resident memory by about 3 MB. A value
-# never depends on the memo's state: the inversion of a point does not depend
-# on the other points of its batch (see `window_sweep` and `integrate`). One
-# lock guards the memo and is held through an inversion, so threads on one
-# shape invert each node once.
+# on the unit panels of log t that its span and sweep take, with the same bits
+# whichever takes a panel, and on their halves where the integrator bisects,
+# except for a jump law whose density may jump at 1 (Kou): then the 42 nodes of
+# the two panels beside log x move with x. So each shape is inverted about once
+# per node, and a smooth law's (NIG) point inverts nothing once earlier points
+# have taken all of its panels. At most MEMO_MODELS shapes are kept, the least
+# recently used dropped first, and at most MEMO_NODES nodes per shape: a shape's
+# memo is emptied before it would grow past that, and keeps nothing of a call
+# with more new nodes. A full shape holds about 1.5 MB (float keys and values in
+# a dict), so the memo stays below about 6 MB. New nodes are inverted MEMO_CHUNK
+# at a time: a first point's 1,030 in one batch (when every span reached
+# |log t| = 24; a first point takes 378 to 442 now) raised the peak resident
+# memory by about 3 MB. A value never depends on the memo's state: the
+# inversion of a point does not depend on the other points of its batch (see
+# `window_sweep` and `integrate`). One lock guards the memo and is held through
+# an inversion, so threads on one shape invert each node once.
 MEMO_MODELS = 4
 MEMO_NODES = 2**13
 MEMO_CHUNK = 128
@@ -230,6 +233,42 @@ def _diffusion_density(shape: HestonParams):
     return density
 
 
+# a factor's bulk: the mean of its log -/+ BULK_SDS standard deviations
+BULK_SDS = 3.0
+_LOG_NORMAL_DOUBLES = (math.log(sys.float_info.min), math.log(sys.float_info.max))
+
+
+@lru_cache(maxsize=64)
+def _bulks(shape: HestonParams, jumps) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The bulks of log Y, Y the diffusion shape, and of log J, J the jump factor,
+    from their cumulants at 0."""
+    def bulk(_, mean, var):
+        half = BULK_SDS * math.sqrt(float(var))
+        return float(mean) - half, float(mean) + half
+
+    return bulk(*_heston.cgf_derivatives(shape, 0.0)), bulk(*jumps.cgf_derivatives(0.0))
+
+
+def _cover(shape: HestonParams, jumps, x: float, log_z: float) -> tuple[float, float]:
+    """The interval of v = log t that the convolution span of the point z = x/F
+    covers: 0, log z, the bulk of log Y and the bulk of log z - log J. Refuses,
+    naming the point, the cover and the end's factor, a cover whose nodes (the
+    span and one sweep call each way) would put t or z/t outside the normal doubles."""
+    (y_lo, y_hi), (j_lo, j_hi) = _bulks(shape, jumps)
+    ends = {"0 and log z": (min(0.0, log_z), max(0.0, log_z)), "the diffusion shape's bulk of log Y": (y_lo, y_hi),
+            "the jump factor's bulk of log z - log J": (log_z - j_hi, log_z - j_lo)}
+    low_by, high_by = min(ends, key=lambda k: ends[k][0]), max(ends, key=lambda k: ends[k][1])
+    cover = ends[low_by][0], ends[high_by][1]
+    least, most = _LOG_NORMAL_DOUBLES
+    for side, v, by in (("low", math.floor(cover[0]) - SWEEP_WINDOWS, low_by),
+                        ("high", math.ceil(cover[1]) + SWEEP_WINDOWS, high_by)):
+        if not (least <= v <= most and least <= log_z - v <= most):
+            raise DomainError(f"mixed_density at x={x}: the convolution cover [{cover[0]:.6g}, {cover[1]:.6g}] "
+                              f"of log t, its {side} end set by {by}, puts nodes at log t = {v}, where t or "
+                              f"x/(F t) is not a normal double (log z = {log_z:.6g})")
+    return cover
+
+
 def mixed_density(model: MixedModel, x: float) -> float:
     """Exact mixed density by quadrature composition (oracle grade, not asymptote).
 
@@ -239,7 +278,10 @@ def mixed_density(model: MixedModel, x: float) -> float:
     With jumps it is [(f * g_Y)(x/F) + atom * g_Y(x/F)] / F: the
     multiplicative convolution, to DENSITY_TOL, of the jump price density f
     with g_Y, plus the atom-weighted g_Y when the jump law has an atom at 1
-    (Kou). Refuses an x whose x/F is not a normal double.
+    (Kou). The convolution's span covers 0, log(x/F) and the bulks (mean -/+
+    BULK_SDS sd, from the cumulants at 0) of log Y and of log(x/F) - log J.
+    Refuses an x whose x/F is not a normal double, and a point whose cover
+    would take the convolution's nodes past the normal doubles.
     """
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"mixed_density requires finite x > 0, got {x}")
@@ -248,11 +290,13 @@ def mixed_density(model: MixedModel, x: float) -> float:
     if not sys.float_info.min <= z < math.inf:
         raise DomainError(f"mixed_density at x={x}: x / forward = {z} is outside the normal double range "
                           f"(forward x0 e^(mu t) = {forward})")
-    diffusion = _diffusion_density(replace(model.heston, mu=0.0, x0=1.0))
+    shape = replace(model.heston, mu=0.0, x0=1.0)
+    diffusion = _diffusion_density(shape)
     jumps = model.jumps
     if jumps is None:
         return float(diffusion(np.array([z]))[0]) / forward
-    conv = mellin_convolve(jumps.price_density, diffusion, z, DENSITY_TOL, jumps.density_jumps_at_one)
+    cover = _cover(shape, jumps, x, math.log(z))
+    conv = mellin_convolve(jumps.price_density, diffusion, z, DENSITY_TOL, jumps.density_jumps_at_one, cover)
     if jumps.atom_mass:
         conv += jumps.atom_mass * float(diffusion(np.array([z]))[0])
     return conv / forward

@@ -455,20 +455,21 @@ def _windows_past(ratio: float, growth: float, per_call: int) -> int:
 
 
 def window_sweep(integrand, first, stop_at, tol: Tolerance, what, *, growth: float, stop_run: int,
-                 per_call: int) -> np.ndarray:
-    """Integrals over (0, inf) of integrand(u, point), one for each point i.
+                 per_call: int, start=0.0) -> np.ndarray:
+    """Integrals over (start[i], inf) of integrand(u, point), one for each point i.
 
     `integrand(u, point)` returns the integrand of point point[r] at the
     nodes u[r], one row per panel. Point i is integrated in adjacent windows
-    from u = 0, of lengths first[i] * growth^j (growth >= 1). A window is
-    negligible when its value is within max(tol.abs, tol.rel * |running
-    total|); a point stops after `stop_run` negligible windows in a row that
-    end past stop_at[i] (an integrand peaked far out begins with negligible
-    windows). The first call of `integrate` takes the same number of windows
-    of every point: those up to the first one that ends past stop_at[i] for
-    the point whose stop is nearest in windows (the smallest stop_at[i] /
-    first[i]), and at least `per_call`. Each later call takes the next
-    `per_call` windows of every point still running. A point's
+    from u = start[i] (a scalar start is every point's), of lengths
+    first[i] * growth^j (growth >= 1). A window is negligible when its value
+    is within max(tol.abs, tol.rel * |running total|); a point stops after
+    `stop_run` negligible windows in a row that end past stop_at[i] (an
+    integrand peaked far out begins with negligible windows). The first call
+    of `integrate` takes the same number of windows of every point: those up
+    to the first one that ends past stop_at[i] for the point whose stop is
+    nearest in windows (the smallest (stop_at[i] - start[i]) / first[i]), and
+    at least `per_call`. Each later call takes the next `per_call` windows of
+    every point still running. A point's
     windows are summed in order from a total of 0, so the first call's
     running totals are those of a sweep of one window per call. Past
     stop_at[i], a rising run of window sizes raises DivergenceError; a point
@@ -484,9 +485,10 @@ def window_sweep(integrand, first, stop_at, tol: Tolerance, what, *, growth: flo
     # before the first, so that the rule waits for DIVERGENCE_RUN windows);
     # `total` holds the running totals of all points
     active = np.arange(seg.size)
-    u0, running, run = np.zeros(seg.size), np.zeros(seg.size), np.zeros(seg.size, dtype=int)
+    u0 = np.broadcast_to(np.asarray(start, dtype=float), seg.shape)
+    running, run = np.zeros(seg.size), np.zeros(seg.size, dtype=int)
     recent = np.full((seg.size, DIVERGENCE_RUN - 1), np.inf)
-    index = np.arange(_windows_past(min((stop_at / seg).tolist(), default=0.0), growth, per_call))
+    index = np.arange(_windows_past(min(((stop_at - u0) / seg).tolist(), default=0.0), growth, per_call))
     # the first call, and as many more as leave each point the budget for per_call windows
     for _ in range((MAX_WINDOWS - index.size) // per_call + 1):
         # the recurrences of one window per call (each length the last times growth, each edge

@@ -441,12 +441,14 @@ class TestMainEntry:
     @pytest.mark.parametrize("key, value, named", [
         ("mu", 800.0, "forward x0 e^(mu t) must be a normal double, got mu=800.0"),
         ("mu", -800.0, "forward x0 e^(mu t) must be a normal double, got mu=-800.0"),
-        ("mu", 100.0, "B1 must be positive and within the double range, got inf"),
-        ("y0", 500.0, "A1 must be positive and within the double range, got inf"),
-        ("a", 200.0, "A1 must be positive and within the double range, got inf"),
+        ("y0", 500.0, "A1 must be positive and within the double range, got inf; "
+                      "A1t must be positive and within the double range, got 0.0"),
+        ("a", 200.0, "A1 must be positive and within the double range, got inf; "
+                     "A1t must be positive and within the double range, got inf"),
     ])
     def test_overflowing_heston_constants_exit_one(self, tmp_path, capsys, key, value, named):
-        # a forward x0 e^(mu t), a prefactor B1 = A1 M^(A3 - 1) or A1 itself past the double range
+        # a forward x0 e^(mu t) past the double range, or a constant of each
+        # Heston wing (A1 and A1t) past it: no wing is left to report
         payload = json.loads(json.dumps(BASE_CONFIG))
         del payload["kou"]
         payload["model"], payload["heston"]["mu"], payload["heston"][key] = "heston", 0.0, value
@@ -454,15 +456,35 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "Traceback" not in err
 
+    def test_one_overflowing_heston_wing_is_reported_by_name(self, tmp_path, capsys):
+        # mu = 100: the large wing's prefactor B1 = A1 M^(A3 - 1) is past the
+        # double range, and the small wing's constants stand; the report keeps
+        # the small wing and names the large wing's refusal
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        del payload["kou"]
+        payload["model"], payload["heston"]["mu"] = "heston", 100.0
+        out = str(tmp_path / "report.json")
+        assert cli.main(["constants", "--config", write_config(tmp_path, payload), "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out) as fh:
+            report = json.load(fh)
+        named = "B1 must be positive and within the double range, got inf"
+        assert report["tail_constants_refused"] == {"large_wing": named}
+        assert sorted(report["tail_constants"]) == ["A1t", "A2t", "A3t", "B1t"]
+        assert report["large_wing_asymptote"] == {"error": named}
+        assert report["small_wing_asymptote"]["r3"] == report["tail_constants"]["A3t"]
+
     @pytest.mark.parametrize("x0, exit_code, named", [
-        (1e-10, 1, "B1 must be positive and within the double range, got inf"),
+        (1e-10, 1, "B1 must be positive and within the double range, got inf; "
+                   "B1t must be positive and within the double range, got 0.0"),
         (1e-300, 0, ""),
     ])
     def test_forward_past_the_range_of_exp_mu_t_accepted(self, tmp_path, capsys, x0, exit_code, named):
         # e^(mu t) overflows at mu = 720, but the forward x0 e^(mu t) is about
         # e^697 (x0 = 1e-10) or e^29 (x0 = 1e-300), a normal double, so the
-        # parameters stand; at x0 = 1e-10 the prefactor B1 = A1 F^(A3 - 1)
-        # is still past the double range and refused by name
+        # parameters stand; at x0 = 1e-10 the prefactors B1 = A1 F^(A3 - 1)
+        # and B1t of the two wings are still past the double range and
+        # refused by name
         params = HestonParams(mu=720.0, a=1.0, b=2.0, c=0.5, rho=-0.3, x0=x0, y0=0.04, t=1.0)
         assert params.forward == pytest.approx(math.exp(720.0 + math.log(x0)), rel=1e-15)
         payload = json.loads(json.dumps(BASE_CONFIG))

@@ -4,7 +4,8 @@ normal quantile) are ports in `wingtail.numerics`, since importing
 scipy.special took about 0.26 s of every CLI start, and scipy.optimize and
 scipy.integrate (with scipy.linalg and scipy.sparse) about 0.35 s before
 that. Only `smile.bs_call` and the Riccati oracle load scipy, each on its
-first call.
+first call. The convolution path loads no `numpy.ma`, which numpy's set
+routines import.
 
 Each check runs in a fresh interpreter, since this test process has long
 loaded them all.
@@ -21,9 +22,10 @@ SRC = os.path.dirname(os.path.dirname(wingtail.__file__))
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
-def _scipy_loaded_after(code: str) -> list[str]:
-    """The scipy modules in sys.modules after a fresh interpreter runs `code`."""
-    script = f"{code}\nimport sys\nprint(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _loaded_after(code: str, package: str) -> list[str]:
+    """The modules of `package` in sys.modules after a fresh interpreter runs `code`."""
+    script = (f"{code}\nimport sys\n"
+              f"print(' '.join(m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})))")
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
@@ -41,18 +43,18 @@ def test_cli_commands_load_no_scipy():
         "    cli.cmd_smile(config, np.exp(np.concatenate([-np.geomspace(5.0, 40.0, 4), np.geomspace(5.0, 40.0, 4)])))",
         "    cli.cmd_sample(config, 4096, 50)",
     ])
-    assert _scipy_loaded_after(code) == []
+    assert _loaded_after(code, "scipy") == []
 
 
 def test_riccati_oracle_loads_its_solver():
     code = ("from wingtail import oracles\nfrom wingtail.heston import HestonParams\n"
             "oracles.riccati_log_mgf(HestonParams(a=1.0, b=2.0, c=0.5, rho=-0.3, x0=1.0, y0=0.04, t=1.0, mu=0.0), 0.5)")
-    assert "scipy.integrate" in _scipy_loaded_after(code)
+    assert "scipy.integrate" in _loaded_after(code, "scipy")
 
 
 def test_bs_call_loads_scipy_special():
     code = "from wingtail import smile\nsmile.bs_call(1.0, 1.2, 1.0, 0.3)"
-    assert "scipy.special" in _scipy_loaded_after(code)
+    assert "scipy.special" in _loaded_after(code, "scipy")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults are counted on Linux")
@@ -80,3 +82,16 @@ def test_warm_density_ops_take_no_page_faults():
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
     assert float(done.stdout) <= 10.0
+
+
+def test_convolution_loads_no_numpy_ma():
+    # numpy's set routines (np.union1d, np.unique) import numpy.ma, about
+    # 10 ms on the first convolution of a process; both jump laws' points
+    # build their panel edges without them
+    code = "\n".join([
+        "import math",
+        "from wingtail import cli, mixed",
+        "for name, log_x in (('reference_nig', 1.5), ('reference_kou', -1.3220217014361222)):",
+        f"    mixed.mixed_density(cli.load_config({CONFIGS!r} + f'/{{name}}.json').model, math.exp(log_x))",
+    ])
+    assert _loaded_after(code, "numpy.ma") == []

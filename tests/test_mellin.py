@@ -157,7 +157,7 @@ class TestConvolve:
             # a smooth f needs no panel edge at log x
             assert mellin_convolve(f, g, x, f_jumps_at_one=False) == pytest.approx(h(x), rel=1e-9)
         # with g centred at log t = log x the integrand peaks there, at
-        # |log x| = 30 past the 24 unit windows the outward sweep must pass
+        # |log x| = 30 inside the span from 0 to log x
         tol = Tolerance(rel=1e-10, abs=1e-300)
         for log_x in (-30.0, -20.0, 20.0, 30.0):
             g, h = lognormal(log_x, 0.8), lognormal(log_x + 0.2, math.hypot(0.5, 0.8))
@@ -178,17 +178,21 @@ class TestConvolve:
         with pytest.raises(DomainError, match=f"requires finite x > 0, got {x}"):
             mellin_convolve(uniform01, uniform01, x)
 
-    @pytest.mark.parametrize("log_x, edges, starts", [
-        (2.37, [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 2.37, 3.0], (3.0, -3.0)),
-        (-1.18, [-2.0, -1.18, -1.0, 0.0, 1.0, 2.0], (2.0, -2.0)),
-        (2.0, [-2.0, -1.0, 0.0, 1.0, 2.0], (2.0, -2.0)),
-        (1e-12, [-1.0, 0.0, 1e-12, 1.0], (1.0, -1.0)),
-        (0.0, None, (0.0, 0.0)),
-        (30.0, [float(v) for v in range(-24, 31)], (30.0, -24.0)),
+    @pytest.mark.parametrize("log_x, cover, edges, starts", [
+        (2.37, (0.0, 0.0), [0.0, 1.0, 2.0, 2.37, 3.0], (3.0, 0.0)),
+        (-1.18, (0.0, 0.0), [-2.0, -1.18, -1.0, 0.0], (0.0, -2.0)),
+        (2.0, (0.0, 0.0), [0.0, 1.0, 2.0], (2.0, 0.0)),
+        (1e-12, (0.0, 0.0), [0.0, 1e-12, 1.0], (1.0, 0.0)),
+        (0.0, (0.0, 0.0), None, (0.0, 0.0)),
+        (30.0, (0.0, 0.0), [float(v) for v in range(0, 31)], (30.0, 0.0)),
+        (2.37, (-3.5, 1.2), [-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 2.37, 3.0], (3.0, -4.0)),
+        (-1.18, (-0.5, 40.2), [-2.0, -1.18] + [float(v) for v in range(-1, 42)], (41.0, -2.0)),
+        (0.0, (-2.0, 1.5), [-2.0, -1.0, 0.0, 1.0, 2.0], (2.0, -2.0)),
     ])
-    def test_panels_lie_on_the_lattice(self, monkeypatch, log_x, edges, starts):
-        # the span is split at the integers and at log x, and reaches as far
-        # below 0 as above it, at most to 24; the sweeps start from its ends
+    def test_panels_lie_on_the_lattice(self, monkeypatch, log_x, cover, edges, starts):
+        # the span is split at the integers and at log x, and reaches from the
+        # lattice point at or below 0, log x and the cover to the one at or
+        # above them; the sweeps start from its ends
         spans, names = [], []
 
         def recording_integrate(f, a, b, tol):
@@ -202,7 +206,7 @@ class TestConvolve:
         monkeypatch.setattr(mellin, "integrate", recording_integrate)
         monkeypatch.setattr(mellin, "window_sweep", recording_sweep)
         x = math.exp(log_x)
-        mellin_convolve(lognormal(0.2, 0.5), lognormal(-0.4, 0.8), x)
+        mellin_convolve(lognormal(0.2, 0.5), lognormal(-0.4, 0.8), x, cover=cover)
         assert spans == ([] if edges is None else [[math.log(x) if v == log_x else v for v in edges]])
         assert [name.split(", ")[-1] for name in names] == [f"v > {starts[0]:.6g}", f"v < {starts[1]:.6g}"]
 
@@ -220,8 +224,9 @@ class TestConvolve:
 
         monkeypatch.setattr(mellin, "window_sweep", recording_sweep)
         mellin_convolve(lognormal(0.2, 0.5), lognormal(-0.4, 0.8), math.exp(log_x))
+        # SWEEP_WINDOWS unit windows of each direction, whatever the span
         (up, down), = first_call
-        assert up == down > 0
+        assert up == down == mellin.SWEEP_WINDOWS
 
 
 class TestAsymptoteTransfer:

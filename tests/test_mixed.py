@@ -278,7 +278,9 @@ class TestDiffusionMemo:
         backward = [mixed.mixed_density(model, x) for x in reversed(xs)]
         assert forward == backward[::-1]
 
-    def test_second_point_inverts_few_diffusion_points(self, model, monkeypatch):
+    @staticmethod
+    def counting_inversions(monkeypatch):
+        """The sizes of the diffusion inversions mixed_density asks of density_fourier."""
         counts = []
         fourier = oracles.density_fourier
 
@@ -286,46 +288,74 @@ class TestDiffusionMemo:
             counts.append(np.size(x))
             return fourier(m, x, tol)
 
-        mixed._DIFFUSION_MEMO.clear()
         monkeypatch.setattr(oracles, "density_fourier", counting)
-        mixed.mixed_density(model, math.exp(1.37))
-        first, counts[:] = sum(counts), []
-        mixed.mixed_density(model, math.exp(-0.61))
-        assert first > 500
-        assert sum(counts) <= 0.1 * first
-        if model.jump_kind == "nig":
-            # a smooth jump density puts no edge at log x, so a point whose span
-            # [-2, 2] the memo has seen inverts nothing
+        return counts
+
+    def test_cold_point_inverts_its_cover(self, monkeypatch):
+        # the reference NIG point at log x = 1.5: the span covers 0, log z and
+        # the bulks of log Y and log z - log J ([-2, 4] on the lattice), and
+        # the sweep's one call takes 6 unit windows each way
+        model = cli.load_config(os.path.join(CONFIG_DIR, "reference_nig.json")).model
+        mixed._DIFFUSION_MEMO.clear()
+        counts = self.counting_inversions(monkeypatch)
+        mixed.mixed_density(model, math.exp(1.5))
+        assert sum(counts) <= 450
+        v = np.log(list(mixed._DIFFUSION_MEMO[shape_of(model)]))
+        assert -8.0 <= v.min() and v.max() <= 10.0
+
+    def test_second_point_inverts_few_diffusion_points(self, model, monkeypatch):
+        # whichever path took a lattice panel before, the span's integrator
+        # call or the outward sweep from another start, its nodes are the same
+        # bits: a warm point inverts only nodes past the lattice points around
+        # the earlier points' nodes and, for a jump density that jumps at 1
+        # (Kou), those of the panels split at its own log z or at an earlier one
+        counts = self.counting_inversions(monkeypatch)
+        mixed._DIFFUSION_MEMO.clear()
+        seen, split = set(), set()
+        for log_x in (3.0, 1.37, -6.0, -1.0, 5.0, 0.4, -3.3):
             counts[:] = []
-            mixed.mixed_density(model, math.exp(-1.61))
-            assert sum(counts) == 0
+            x = math.exp(log_x)
+            mixed.mixed_density(model, x)
+            memo = set(mixed._DIFFUSION_MEMO[shape_of(model)])
+            new = np.log(sorted(memo - seen))
+            assert sum(counts) == new.size
+            if model.jump_kind == "kou":
+                split.add(math.floor(math.log(x / model.heston.forward)))
+            if seen:
+                lo, hi = math.floor(math.log(min(seen))), math.ceil(math.log(max(seen)))
+                inside = new[(new > lo) & (new < hi)]
+                assert set(np.floor(inside).tolist()) <= split
+            if model.jump_kind == "nig" and log_x in (1.37, -1.0, 0.4, -3.3):
+                # every panel of these points was taken by an earlier point
+                assert new.size == 0
+            seen = memo
 
     def test_long_run_stays_within_the_bound(self, kou_model, monkeypatch):
-        # Kou, whose density jumps at 1, puts about 42 new nodes beside log x
-        # at each point and fills past 1200 nodes by the fifth; a NIG run
+        # Kou, whose density jumps at 1, puts about 43 new nodes beside log x
+        # at each point and fills past 650 nodes by the fifth; a NIG run
         # stays near its first point's lattice nodes
         xs = [math.exp(v) for v in np.linspace(-2.9, 3.1, 14)]
         mixed._DIFFUSION_MEMO.clear()
         unbounded = [mixed.mixed_density(kou_model, x) for x in xs]
         assert len(mixed._DIFFUSION_MEMO[shape_of(kou_model)]) <= mixed.MEMO_NODES
-        monkeypatch.setattr(mixed, "MEMO_NODES", 1200)
+        monkeypatch.setattr(mixed, "MEMO_NODES", 650)
         mixed._DIFFUSION_MEMO.clear()
         sizes, bounded = [], []
         for x in xs:
             bounded.append(mixed.mixed_density(kou_model, x))
             sizes.append(len(mixed._DIFFUSION_MEMO[shape_of(kou_model)]))
-        assert max(sizes) <= 1200
+        assert max(sizes) <= 650
         assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # it was emptied
         assert bounded == unbounded
 
     def test_threads_share_the_memo(self, kou_model, monkeypatch):
         # more threads than cores, frequent switches and a bound small enough
         # that the memo is emptied while other threads read it: the Kou
-        # model's second point already takes it past 1100 nodes
+        # model's second point already takes it past 500 nodes
         xs = [math.exp(v) for v in (-1.7, -0.3, 0.8, 1.9)]
         mixed._DIFFUSION_MEMO.clear()
         serial = [mixed.mixed_density(kou_model, x) for x in xs]
-        monkeypatch.setattr(mixed, "MEMO_NODES", 1100)
+        monkeypatch.setattr(mixed, "MEMO_NODES", 500)
         mixed._DIFFUSION_MEMO.clear()
         results, errors = {}, []
 
@@ -349,7 +379,7 @@ class TestDiffusionMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert all(results[i, x] == want for i in range(3) for x, want in zip(xs, serial))
-        assert len(mixed._DIFFUSION_MEMO[shape_of(kou_model)]) <= 1100
+        assert len(mixed._DIFFUSION_MEMO[shape_of(kou_model)]) <= 500
 
     def test_at_most_memo_models_parts_are_kept(self, ref_heston):
         parts = [dataclasses.replace(ref_heston, y0=0.03 + 0.002 * i) for i in range(mixed.MEMO_MODELS + 2)]
@@ -504,3 +534,55 @@ class TestWideHestonBox:
             assert mixed.mixed_asymptote(model, wing).r1 > 0
         assert mixed.mixed_density(model, 0.8) == pytest.approx(0.5969142811522055, rel=1e-13)
         assert float(oracles.density_fourier(model, 0.8)) == pytest.approx(0.5969142811522026, rel=1e-13)
+
+
+def _wide_draws(n, seed):
+    """n seeded draws of the wide box at t in {0.1, 1, 5, 30} for both jump laws, with log x in [-2, 2]."""
+    rng = np.random.default_rng(seed)
+    box = {key: bounds for key, bounds in WIDE_HESTON_BOX.items() if key != "t"}
+    return [(("kou", "nig")[i % 2], (0.1, 1.0, 5.0, 30.0)[i // 2 % 4],
+             {key: float(rng.uniform(lo, hi)) for key, (lo, hi) in box.items()}, float(rng.uniform(-2.0, 2.0)))
+            for i in range(n)]
+
+
+WIDE_DRAWS = _wide_draws(20, 2014)
+
+
+class TestFarMassCover:
+    """A convolution point's span covers 0, log z and its factors' bulks: each point
+    is within 1e-8 of the product-CF route, or refused by name before integrating."""
+
+    @staticmethod
+    def computes_or_refuses(model, log_x):
+        x = math.exp(log_x)
+        want = float(oracles.density_fourier(model, x))
+        try:
+            got = mixed.mixed_density(model, x)
+        except DomainError as exc:
+            assert re.search(rf"mixed_density at x={re.escape(str(x))}: the convolution cover \[\S+, \S+\] of log t, "
+                             r"its (low|high) end set by the (diffusion shape|jump factor)'s bulk of ", str(exc)), exc
+        else:
+            assert got == pytest.approx(want, rel=1e-8)
+
+    def test_heavy_variance_shape_at_t_30(self):
+        # the shape's log Y has mean -519 and sd 221; a sweep that may stop at
+        # |log t| = 23.5 was 7.8e-5 off here
+        model = wide_model("kou", a=2.814, b=0.021, c=1.154, rho=-0.802, y0=0.036, t=30.0)
+        self.computes_or_refuses(model, 1.261)
+
+    @pytest.mark.parametrize("law, t, fields, log_x", WIDE_DRAWS,
+                             ids=[f"{law}-t{t:g}-{i}" for i, (law, t, _, _) in enumerate(WIDE_DRAWS)])
+    def test_wide_box(self, law, t, fields, log_x):
+        self.computes_or_refuses(wide_model(law, t=t, **fields), log_x)
+
+    @pytest.mark.parametrize("log_z", [705.0, -705.0])
+    def test_cover_past_the_doubles_is_refused_before_integrating(self, nig_model, log_z, monkeypatch):
+        # log z - log J reaches past |log t| = 707: the nodes of the span's
+        # lattice and of the sweep's first call would put t or x/t past the
+        # doubles
+        inversions = TestDiffusionMemo.counting_inversions(monkeypatch)
+        x = nig_model.heston.forward * math.exp(log_z)
+        with pytest.raises(DomainError, match=rf"x={re.escape(str(x))}: the convolution cover \[\S+, \S+\] of log t, "
+                                              r"its (low|high) end set by .*'s bulk of log"):
+            mixed.mixed_density(nig_model, x)
+        assert inversions == []

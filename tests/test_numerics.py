@@ -406,12 +406,12 @@ class TestWindowSweep:
         assert err.value.best_estimate == pytest.approx([math.log(705.0)], rel=1e-10)
 
 
-def _ref_window_sweep(integrand, first, stop_at, tol, what, *, growth, stop_run, per_call):
+def _ref_window_sweep(integrand, first, stop_at, tol, what, *, growth, stop_run, per_call, start=0.0):
     """The sweep of `per_call` windows in every call, the first call included, kept as the reference;
     its lengths, edges and totals follow the recurrences of one window per call."""
     seg, stop_at = np.array(first, dtype=float), np.asarray(stop_at, dtype=float)
     index = np.arange(per_call)
-    u0, total = np.zeros(seg.size), np.zeros(seg.size)
+    u0, total = np.array(np.broadcast_to(start, seg.shape), dtype=float), np.zeros(seg.size)
     run = np.zeros(seg.size, dtype=int)
     recent = np.full((seg.size, DIVERGENCE_RUN - 1), np.inf)
     active = np.arange(seg.size)
