@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DomainError, NoArbitrageError
 from .mellin import AT_ZERO, ERROR_INV_LOG, TailAsymptote, side_of
-from .numerics import (UnderflowWarning, check_strip, complex_namespace, domain_points, inf_past_double, k1e,
-                       require_finite, shaped_like)
+from .numerics import (UnderflowWarning, _normals, check_strip, complex_namespace, domain_points, inf_past_double,
+                       k1e, require_finite, shaped_like)
 
 __all__ = [
     "NIGParams",
@@ -168,9 +168,11 @@ def nig_cgf_derivatives(params: NIGParams, s):
 
 
 def _sample_inverse_gaussian(gen, mean: float, shape: float, size: int) -> np.ndarray:
-    # Michael-Schucany-Haas transform with the standard rejection step
-    nu = gen.standard_normal(size) ** 2
-    w = mean * nu
+    # Michael-Schucany-Haas transform with the standard rejection step, from
+    # w = mean nu, nu a squared normal
+    w = _normals(gen, np.empty(size))
+    w *= w
+    w *= mean
     x = mean + mean / (2.0 * shape) * (w - np.sqrt(w * (4.0 * shape + w)))
     u = gen.uniform(size=size)
     take_other = u > mean / (mean + x)
@@ -179,8 +181,13 @@ def _sample_inverse_gaussian(gen, mean: float, shape: float, size: int) -> np.nd
 
 
 def sample_nigs(params: NIGParams, stream, size: int) -> np.ndarray:
-    """Vector of draws of Y_t via inverse-Gaussian subordination."""
+    """Vector of draws of Y_t via inverse-Gaussian subordination: Y_t = sqrt(T) Z with
+    T inverse Gaussian of mean delta t / alpha and shape (delta t)^2, and Z normal.
+    Both normals, the one inside the inverse-Gaussian draw and Z, come from
+    Box-Muller (`numerics._normals`)."""
     gen = stream.generator
     dt = params.delta * params.t
     clock = _sample_inverse_gaussian(gen, mean=dt / params.alpha, shape=dt * dt, size=size)
-    return np.sqrt(clock) * gen.standard_normal(size)
+    z = _normals(gen, np.empty(size))
+    z *= np.sqrt(clock, out=clock)
+    return z

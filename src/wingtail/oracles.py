@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, OracleError
 from .heston import HestonParams
 from .mixed import MixedModel
-from .numerics import RngStream, Tolerance, _cos_sin, domain_points, find_root, shaped_like, window_sweep
+from .numerics import RngStream, Tolerance, _cos_sin, _normals, domain_points, find_root, shaped_like, window_sweep
 
 __all__ = [
     "MCResult",
@@ -293,7 +293,8 @@ def call_fourier(
 # the Euler scheme of simulate_paths needs at least this many steps per year
 MIN_STEPS_PER_YEAR = 50
 # paths per sub-stream block of simulate_paths: fixes the sample's partition
-# over sub-streams, and its four float64 work buffers (1 MB) fit a core's L2
+# over sub-streams, and its four float64 work buffers and the half-block one
+# of `_normals` (1.1 MB) fit a core's L2
 _BLOCK_PATHS = 1 << 15
 
 
@@ -310,11 +311,15 @@ def simulate_paths(model: MixedModel, n_paths: int, steps: int, stream: RngStrea
     half its normal draws. The independent jump factor multiplies the
     diffusion price at the end.
 
+    The normals come from Box-Muller (`numerics._normals`): each step's
+    variance shocks arrive scaled by c sqrt(dt), and the terminal Z scaled by
+    sqrt(1 - rho^2).
+
     Paths are partitioned into fixed blocks of 2**15, block i drawing from
-    `stream.substream(i)`; a block's four work buffers take 1 MB, so they stay
+    `stream.substream(i)`; a block's work buffers take 1.1 MB, so they stay
     in a core's L2 cache. The diffusion of the blocks runs in one worker
     thread per available core (numpy releases the GIL in its ufuncs and
-    normal draws), and each block's jump factors are drawn afterwards in the
+    uniform draws), and each block's jump factors are drawn afterwards in the
     calling thread from the same sub-stream. The sample therefore depends
     only on (seed, n_paths, steps), not on the number of cores.
     """
@@ -331,13 +336,13 @@ def simulate_paths(model: MixedModel, n_paths: int, steps: int, stream: RngStrea
               for index, start in enumerate(range(0, n_paths, _BLOCK_PATHS))]
 
     def diffuse(rows: slice, gen: np.random.Generator) -> None:
-        # a worker thread runs this, so it calls numpy only: every wingtail
-        # function stays on the calling thread, where perfbench's tracer keeps
-        # its one span stack
+        # a worker thread runs this, so it calls numpy and the private
+        # `_normals` only: every public wingtail function stays on the calling
+        # thread, where perfbench's tracer keeps its one span stack
         m = rows.stop - rows.start
         y = np.full(m, hp.y0)
         integral = np.zeros(m)
-        pos, shock = np.empty(m), np.empty(m)
+        pos, shock, work = np.empty(m), np.empty(m), np.empty(m - m // 2)
         # y += (a - b y+) dt + c sqrt(y+ dt) z, in place through two scratch buffers
         for _ in range(steps):
             np.maximum(y, 0.0, out=pos)
@@ -346,15 +351,16 @@ def simulate_paths(model: MixedModel, n_paths: int, steps: int, stream: RngStrea
             y -= shock
             y += hp.a * dt
             np.sqrt(pos, out=pos)
-            gen.standard_normal(out=shock)
+            _normals(gen, shock, vol_scale, work)
             shock *= pos
-            shock *= vol_scale
             y += shock
         integral *= dt
         # w = sum sqrt(y+ dt) z, from the Euler identity y_N = y0 + a t - b I + c w
         w = (y - hp.y0 - hp.a * hp.t + hp.b * integral) / hp.c
         log_x = math.log(hp.x0) + hp.mu * hp.t - 0.5 * integral + hp.rho * w
-        log_x += rho_c * np.sqrt(integral) * gen.standard_normal(m)
+        _normals(gen, pos, rho_c, work)
+        pos *= np.sqrt(integral, out=integral)
+        log_x += pos
         np.exp(log_x, out=out[rows])
 
     # the cores this process may run on; os.sched_getaffinity exists on Linux only

@@ -14,10 +14,11 @@ from hypothesis import given, reject, seed, settings
 from hypothesis import strategies as st
 
 from test_smile import agreement_bound, reference_implied_vol_from_log
-from wingtail import acceptance, cli, heston, mixed, smile
+from wingtail import acceptance, cli, heston, mixed, oracles, smile
 from wingtail.errors import WingtailError
 from wingtail.heston import HestonParams
 from wingtail.mixed import WING_LARGE, WING_SMALL, MixedModel
+from wingtail.numerics import RngStream
 
 HERE = os.path.dirname(__file__)
 CONFIG_DIR = os.path.join(HERE, "..", "configs")
@@ -521,6 +522,22 @@ class TestMainEntry:
             payload = json.load(fh)
         assert payload["n_paths"] == 20000
         assert abs(payload["martingale_z"]) < 5.0
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 2**15 + 7, 196_608])
+    def test_sample_quantiles_are_numpys(self, n):
+        # perfbench's monte-carlo check compares the report's quantiles with
+        # np.quantile's by ==, so the partition form must match bit for bit,
+        # on ties too
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for sample in (rng.lognormal(0.0, 0.3, n), rng.standard_normal(n), rng.integers(0, 4, n) * 0.5):
+                assert list(cli._quantiles(sample)) == list(np.quantile(sample, [0.01, 0.25, 0.5, 0.75, 0.99]))
+
+    def test_sample_report_quantiles(self):
+        config = cli.load_config(REFERENCE_KOU)
+        report = cli.cmd_sample(config, 4096, 50)
+        sample = oracles.simulate_paths(config.model, 4096, 50, RngStream(config.seed))
+        assert list(report["quantiles"].values()) == list(np.quantile(sample, [0.01, 0.25, 0.5, 0.75, 0.99]))
 
     def test_sample_martingale_z_rejects_shifted_drifts(self):
         # the capped-mean z-score: the martingale drift passes at 200k paths,

@@ -4,8 +4,8 @@ normal quantile) are ports in `wingtail.numerics`, since importing
 scipy.special took about 0.26 s of every CLI start, and scipy.optimize and
 scipy.integrate (with scipy.linalg and scipy.sparse) about 0.35 s before
 that. Only `smile.bs_call` and the Riccati oracle load scipy, each on its
-first call. The convolution path loads no `numpy.ma`, which numpy's set
-routines import.
+first call. The convolution path and `cmd_sample` load no `numpy.ma`, which
+numpy's set routines import.
 
 Each check runs in a fresh interpreter, since this test process has long
 loaded them all.
@@ -93,5 +93,16 @@ def test_convolution_loads_no_numpy_ma():
         "from wingtail import cli, mixed",
         "for name, log_x in (('reference_nig', 1.5), ('reference_kou', -1.3220217014361222)):",
         f"    mixed.mixed_density(cli.load_config({CONFIGS!r} + f'/{{name}}.json').model, math.exp(log_x))",
+    ])
+    assert _loaded_after(code, "numpy.ma") == []
+
+
+def test_sample_loads_no_numpy_ma():
+    # np.quantile partitions through np.unique, which imports numpy.ma (8-13 ms
+    # on a process's first sample); cmd_sample takes its quantiles from one
+    # np.partition
+    code = "\n".join([
+        "from wingtail import cli",
+        f"cli.cmd_sample(cli.load_config({CONFIGS!r} + '/reference_kou.json'), 4096, 50)",
     ])
     assert _loaded_after(code, "numpy.ma") == []

@@ -703,3 +703,86 @@ class TestRngStream:
 
     def test_whole_float_seed_is_the_integer_seed(self):
         assert np.array_equal(RngStream(3.0).generator.uniform(size=8), RngStream(3).generator.uniform(size=8))
+
+
+class _StubGenerator:
+    """Stands in for a Generator: `random` hands out the given uniforms in order."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+        self.used = 0
+
+    def random(self, out=None):
+        if out is None:
+            self.used += 1
+            return float(self.uniforms[self.used - 1])
+        out[:] = self.uniforms[self.used:self.used + out.size]
+        self.used += out.size
+        return out
+
+
+class TestNormals:
+    """`numerics._normals`, the Box-Muller kernel behind every Monte Carlo normal."""
+
+    def test_standard_normal_law(self):
+        # stated before the run, on 2^20 draws of one seed: the Kolmogorov-Smirnov
+        # statistic at most 1.63/sqrt(n) (its 1% point), |mean| <= 4/sqrt(n)
+        # and |var - 1| <= 4 sqrt(2/n), four standard errors each
+        n = 1 << 20
+        z = numerics._normals(RngStream(2024).generator, np.empty(n))
+        cdf = special.ndtr(np.sort(z))
+        ranks = np.arange(1, n + 1) / n
+        ks = max(float(np.max(ranks - cdf)), float(np.max(cdf - (ranks - 1.0 / n))))
+        assert ks <= 1.63 / math.sqrt(n)
+        assert abs(float(z.mean())) <= 4.0 / math.sqrt(n)
+        assert abs(float(z.var()) - 1.0) <= 4.0 * math.sqrt(2.0 / n)
+
+    def test_edge_uniforms(self):
+        # u1 = 0 gives r = 0, and u1 = 1 - 2^-53 the largest radius
+        # sqrt(-2 log 2^-53) = sqrt(106 log 2); u2 at the quarter turns and at
+        # the top of [0, 1). Stated before the run: every draw finite, within
+        # that radius, and within 4 eps r of r cos(2 pi u2) and r sin(2 pi u2)
+        u1, u2 = (g.ravel() for g in np.meshgrid([0.0, 0.5, 1.0 - 2.0**-53],
+                                                 [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53]))
+        gen = _StubGenerator(np.concatenate([u1, u2]))
+        z = numerics._normals(gen, np.empty(2 * u1.size))
+        assert gen.used == z.size
+        r = np.sqrt(-2.0 * np.log(1.0 - u1))
+        assert np.all(np.isfinite(z)) and np.max(np.abs(z)) <= math.sqrt(106.0 * math.log(2.0))
+        eps = np.finfo(float).eps
+        h = u1.size
+        assert np.all(np.abs(z[:h] - r * np.cos(2.0 * np.pi * u2)) <= 4.0 * eps * r)
+        assert np.all(np.abs(z[h:] - r * np.sin(2.0 * np.pi * u2)) <= 4.0 * eps * r)
+
+    def test_matches_libm_on_a_seeded_stream(self):
+        # the same 4 eps r bound on 2^16 pairs of draws of one seed
+        n = 1 << 17
+        u = RngStream(5).generator.random(n)
+        z = numerics._normals(RngStream(5).generator, np.empty(n))
+        r, theta = np.sqrt(-2.0 * np.log(1.0 - u[: n // 2])), 2.0 * np.pi * u[n // 2:]
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(z[: n // 2] - r * np.cos(theta)) <= 4.0 * eps * r)
+        assert np.all(np.abs(z[n // 2:] - r * np.sin(theta)) <= 4.0 * eps * r)
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 2**15 + 7])
+    def test_odd_size_is_the_next_even_size_cut(self, n):
+        # 2 ceil(n/2) uniforms in all: an odd size draws the cosines of the next
+        # even size and all but the last of its sines
+        odd = numerics._normals(RngStream(3).generator, np.empty(n))
+        even = numerics._normals(RngStream(3).generator, np.empty(n + 1))
+        h = (n + 1) // 2
+        assert np.array_equal(odd[:h], even[:h]) and np.array_equal(odd[h:], even[h:n])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_scale_and_work_buffer(self, n):
+        # scale multiplies the radius: each side is within 4 eps of its radius
+        # of the exact draw, so they differ by at most 8 eps 0.3 r. A caller's
+        # work buffer (longer than needed here) gives the kernel's own draws
+        h = (n + 1) // 2
+        u1 = RngStream(11).generator.random(h)
+        r = np.sqrt(-2.0 * np.log(1.0 - u1))
+        radius = np.concatenate([r, r[: n - h]])
+        unit = numerics._normals(RngStream(11).generator, np.empty(n))
+        scaled = numerics._normals(RngStream(11).generator, np.empty(n), 0.3, np.full(n, np.nan))
+        assert np.all(np.abs(scaled - 0.3 * unit) <= 8.0 * np.finfo(float).eps * 0.3 * radius)
+        assert np.array_equal(numerics._normals(RngStream(11).generator, np.empty(n), 1.0, np.empty(n)), unit)

@@ -1,6 +1,10 @@
 import cmath
+import functools
+import importlib
+import inspect
 import math
 import os
+import pkgutil
 import threading
 from types import SimpleNamespace
 
@@ -8,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import wingtail
 from wingtail import cli, heston, numerics, oracles
 from wingtail.errors import ConvergenceError, DomainError, OracleError
 from wingtail.heston import HestonParams
@@ -196,6 +201,39 @@ class TestScalarInversion:
                 assert oracles.density_fourier(model, float(point), tol) == pytest.approx(density, rel=4.4e-15, abs=0.0)
 
 
+def _record_threads(monkeypatch) -> list[tuple[str, threading.Thread]]:
+    """Wrap every public function of every wingtail module, under each binding of
+    it in the package, and every public method of the package's classes with a
+    recorder of (name, calling thread); returns the record."""
+    modules = [wingtail] + [importlib.import_module(f"wingtail.{info.name}")
+                            for info in pkgutil.iter_modules(wingtail.__path__)]
+    calls = []
+
+    def recorded(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.append((fn.__name__, threading.current_thread()))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            if isinstance(value, type):
+                for attr, method in list(vars(value).items()):
+                    if not attr.startswith("_") and inspect.isfunction(method):
+                        monkeypatch.setattr(value, attr, recorded(method))
+            elif callable(value):
+                wrapper = recorded(value)
+                for other in modules:
+                    for key, bound in list(vars(other).items()):
+                        if bound is value:
+                            monkeypatch.setattr(other, key, wrapper)
+    return calls
+
+
 class TestSimulatePaths:
     def test_deterministic_in_seed(self, kou_model):
         a = oracles.simulate_paths(kou_model, 40_000, 60, RngStream(9))
@@ -274,6 +312,19 @@ class TestSimulatePaths:
         assert callers == [threading.current_thread()] * 4
         assert np.array_equal(sample, oracles.simulate_paths(kou_model, 3 * 2**15 + 7, 60, RngStream(8)))
         assert np.array_equal(sample[: 2**15], oracles.simulate_paths(kou_model, 2**15, 60, RngStream(8)))
+
+    @pytest.mark.parametrize("law", ["kou", "nig"])
+    def test_workers_call_no_public_function(self, request, monkeypatch, law):
+        # perfbench's tracer wraps every public function of every wingtail
+        # module, under each of its bindings, and keeps one span stack; a
+        # public function run in a worker thread would corrupt it without
+        # failing any check. Wrapped the same way (and every public method of
+        # the package's classes too), each call records its thread
+        model = request.getfixturevalue(f"{law}_model")
+        calls = _record_threads(monkeypatch)
+        oracles.simulate_paths(model, 3 * 2**15 + 7, 60, RngStream(4))  # three full blocks and a partial one
+        assert {"simulate_paths", "substream", "sample_factors"} <= {name for name, _ in calls}
+        assert {thread for _, thread in calls} == {threading.current_thread()}
 
     def test_step_floor_enforced(self, kou_model):
         with pytest.raises(DomainError):
